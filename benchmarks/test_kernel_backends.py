@@ -1,9 +1,10 @@
-"""Kernel-backend bench: crossover table + incremental-work guarantee.
+"""Kernel-backend bench: the vectorized-vs-jit table + the auto choice.
 
-Beyond regenerating the crossover experiment, this asserts the perf
-contract of the incremental backend: on an MG-pruned LFR run it must
-re-aggregate strictly fewer adjacency entries than the full path streams
-(clean cached rows are served from the pair cache, not re-built).
+Beyond regenerating the ``kernels`` experiment (which itself checks every
+row bit-identical against ``vectorized``), this asserts that
+``kernel="auto"``, ``"jit"`` and ``"vectorized"`` produce identical
+phase-1 histories, and that auto runs the compiled kernel whenever the
+``cc`` provider passed its probe.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench.harness import run_experiment
+from repro.core.kernels.jit import get_runtime
 from repro.core.phase1 import Phase1Config, run_phase1
 from repro.graph.generators.lfr import LFRParams, lfr_graph
 
@@ -18,48 +20,29 @@ from repro.graph.generators.lfr import LFRParams, lfr_graph
 def test_kernels_experiment(run_once, bench_scale):
     out = run_once(run_experiment, "kernels", scale=bench_scale)
     by_key = {(r["graph"], r["backend"]): r for r in out.rows}
-
-    # Every backend ran on every workload and the bit-exactness check
-    # inside the experiment did not trip.
     graphs = {g for g, _ in by_key}
+    expected = {"vectorized"} | ({"jit"} if get_runtime() is not None else set())
     for g in graphs:
-        for backend in ["vectorized", "incremental", "bincount", "auto"]:
-            assert (g, backend) in by_key
-
-    # when a compile provider passes its probe on this machine, the
-    # compiled backend joins the table (and went through the same
-    # bit-exactness check inside the experiment)
-    from repro.core.kernels.jit import get_runtime
-
-    if get_runtime() is not None:
-        for g in graphs:
-            assert (g, "jit") in by_key
-
-    # The full paths re-aggregate everything; incremental never more.
-    for g in graphs:
-        full = by_key[(g, "vectorized")]
-        assert full["aggregated_edges"] == full["active_edges"]
-        incr = by_key[(g, "incremental")]
-        assert incr["aggregated_edges"] <= incr["active_edges"]
+        assert {b for gg, b in by_key if gg == g} == expected
 
 
-def test_incremental_aggregates_strictly_less():
-    """On MG-pruned LFR, the pair cache must save real aggregation work:
-    strictly fewer adjacency entries than full re-aggregation, with a
-    bit-identical result."""
+def test_auto_jit_vectorized_identical_histories():
     graph, _ = lfr_graph(
         LFRParams(n=1000, mu=0.25, min_degree=6, max_degree=40,
                   min_community=30, max_community=120, seed=11)
     )
-    ref = run_phase1(graph, Phase1Config(pruning="mg", kernel="vectorized"))
-    incr = run_phase1(graph, Phase1Config(pruning="mg", kernel="incremental"))
-
-    np.testing.assert_array_equal(incr.communities, ref.communities)
-    assert incr.modularity == ref.modularity
-
-    full_edges = sum(h.active_edges for h in ref.history)
-    incr_edges = sum(h.aggregated_edges or 0 for h in incr.history)
-    assert incr_edges < full_edges
-    # per-iteration: never more than the active adjacency
-    for h in incr.history:
-        assert (h.aggregated_edges or 0) <= h.active_edges
+    rt = get_runtime()
+    backends = ["vectorized", "auto"] + (["jit"] if rt is not None else [])
+    runs = {
+        b: run_phase1(graph, Phase1Config(pruning="mg", kernel=b))
+        for b in backends
+    }
+    ref = runs["vectorized"]
+    for b, r in runs.items():
+        np.testing.assert_array_equal(r.communities, ref.communities)
+        assert r.modularity == ref.modularity
+        assert [(h.num_active, h.num_moved, h.modularity) for h in r.history] == [
+            (h.num_active, h.num_moved, h.modularity) for h in ref.history
+        ]
+    auto_backend = "jit" if rt is not None and rt.provider == "cc" else "vectorized"
+    assert {h.kernel_backend for h in runs["auto"].history} == {auto_backend}

@@ -1,25 +1,16 @@
-"""Kernel-backend crossover: incremental cache + workload-aware dispatch.
+"""Host DecideAndMove backends: ``vectorized`` vs ``jit``.
 
-Not one of the paper's figures — this experiment profiles the repo's own
-host-side DecideAndMove backends, extending the paper's Section 4
-workload-aware kernel-selection idea to the host engine:
+Not one of the paper's figures — this experiment times the repo's two
+host-side DecideAndMove backends on MG-pruned phase-1 runs:
 
-* ``vectorized`` — full re-aggregation every iteration (the reference);
-* ``incremental`` — persistent pair cache, re-aggregating only the
-  active∧dirty rows (Section 3.5's delta principle applied to the
-  aggregation itself);
-* ``bincount`` — sort-free dense-relabel aggregation;
-* ``jit`` — the compiled per-vertex loop (numba extra or the bundled C
-  fallback) over the zero-allocation buffer arena; included only when a
-  compile provider passes its warm-up probe on this machine;
-* ``auto`` — the per-iteration dispatcher over the NumPy paths, which
-  prefers the compiled backend whenever the probe passed.
+* ``vectorized`` — NumPy segmented reductions (the reference);
+* ``jit`` — the compiled per-vertex loop with a flat per-community
+  accumulator over the zero-allocation buffer arena; included only when a
+  compile provider passes its warm-up probe on the host.
 
-For each workload it times an MG-pruned phase-1 run per backend, checks
-the bit-exactness contract on the fly, and reports the auto dispatcher's
-per-span backend choices (:func:`repro.bench.reporting.backend_crossover_rows`)
-plus the per-iteration aggregated-edge fraction — the work the cache
-actually avoided.
+``kernel="auto"`` resolves to ``jit`` exactly when that probe passed, else
+to ``vectorized``, so the table also covers the default. Every row is
+checked bit-identical against ``vectorized`` on the fly.
 """
 
 from __future__ import annotations
@@ -29,74 +20,44 @@ import time
 import numpy as np
 
 from repro.bench.harness import ExperimentOutput
-from repro.bench.reporting import backend_crossover_rows
 from repro.bench.workloads import bench_scale, load_suite
+from repro.core.kernels.jit import get_runtime
 from repro.core.phase1 import Phase1Config, run_phase1
 
 GRAPHS = ["LJ", "OR"]
-#: host backends plus the simulated GPU dispatch (batched SoA engine) —
-#: all bound by the same bit-exactness contract, so the gpusim row shows
-#: how close the simulator now runs to the host kernels wall-clock-wise
-BACKENDS = ["vectorized", "incremental", "bincount", "auto", "gpusim"]
 
 
-def _backends() -> list[str]:
-    """The backend list, with ``jit`` when a compile provider works."""
-    try:
-        from repro.core.kernels.jit import get_runtime
-
-        if get_runtime() is not None:
-            return BACKENDS[:-1] + ["jit", BACKENDS[-1]]
-    except Exception:  # pragma: no cover - defensive: probe must not break
-        pass
-    return list(BACKENDS)
-
-
-def _run_backend(graph, backend: str):
-    kernel: str | object = backend
-    if backend == "gpusim":
-        from repro.core.kernels.dispatch import make_gpusim_kernel
-
-        kernel = make_gpusim_kernel(engine="batched")
-    cfg = Phase1Config(pruning="mg", kernel=kernel)
+def _timed_phase1(graph, backend: str):
     t0 = time.perf_counter()
-    result = run_phase1(graph, cfg)
-    elapsed = time.perf_counter() - t0
-    return result, elapsed
+    result = run_phase1(graph, Phase1Config(pruning="mg", kernel=backend))
+    return result, time.perf_counter() - t0
 
 
 def run(scale: float | None = None) -> ExperimentOutput:
     scale = scale if scale is not None else bench_scale()
     rows = []
-    series: dict[str, list[float]] = {}
     notes = []
-    crossover_rows = []
-    backends = _backends()
-    if "jit" in backends:
-        # probed (and compiled) inside _backends(), so the one-off compile
-        # never lands in a timed row
-        from repro.core.kernels.jit import get_runtime
-
-        rt = get_runtime()
+    # probed (and compiled) here, so the one-off compile never lands in a
+    # timed row
+    rt = get_runtime()
+    backends = ["vectorized"]
+    if rt is not None:
+        backends.append("jit")
         notes.append(
             f"jit provider: {rt.provider} "
-            f"(one-off compile {rt.compile_s:.3f}s, excluded from rows)"
+            f"(one-off compile {rt.compile_s:.3f}s, excluded from rows); "
+            f"kernel='auto' runs jit"
         )
+    else:
+        notes.append("no jit compile provider here; kernel='auto' runs vectorized")
     for graph in load_suite(GRAPHS, scale=scale):
-        per_backend = {}
-        for backend in backends:
-            result, elapsed = _run_backend(graph, backend)
-            per_backend[backend] = (result, elapsed)
-        ref, ref_time = per_backend["vectorized"]
-        for backend in backends:
-            result, elapsed = per_backend[backend]
+        timed = {backend: _timed_phase1(graph, backend) for backend in backends}
+        ref, ref_time = timed["vectorized"]
+        for backend, (result, elapsed) in timed.items():
             if not np.array_equal(result.communities, ref.communities):
                 raise AssertionError(
                     f"{backend} diverged from vectorized on {graph.name}"
                 )
-            aggregated = sum(
-                h.aggregated_edges or 0 for h in result.history
-            )
             rows.append(
                 {
                     "graph": graph.name,
@@ -105,41 +66,16 @@ def run(scale: float | None = None) -> ExperimentOutput:
                     "speedup": f"{ref_time / elapsed:.2f}x",
                     "iters": result.num_iterations,
                     "active_edges": result.processed_edges,
-                    "aggregated_edges": aggregated,
-                    "agg_frac": (
-                        f"{aggregated / result.processed_edges:.0%}"
-                        if result.processed_edges
-                        else "-"
-                    ),
+                    "modularity": result.modularity,
                 }
             )
-        auto_result, _ = per_backend["auto"]
-        series[f"{graph.name} agg frac"] = [
-            (h.aggregated_edges or 0) / h.active_edges if h.active_edges else 0.0
-            for h in auto_result.history
-        ]
-        for span in backend_crossover_rows(auto_result.history):
-            crossover_rows.append({"graph": graph.name, **span})
-        incr_result, _ = per_backend["incremental"]
-        incr_agg = sum(h.aggregated_edges or 0 for h in incr_result.history)
-        notes.append(
-            f"{graph.name}: incremental re-aggregated "
-            f"{incr_agg / max(incr_result.processed_edges, 1):.0%} of the "
-            f"active adjacency the full path streams"
-        )
-    for row in crossover_rows:
-        notes.append(
-            f"auto crossover {row['graph']} iters {row['span']}: "
-            f"{row['backend']} ({row['aggregated_edges']} edges aggregated)"
-        )
     return ExperimentOutput(
         experiment="kernels",
-        title="DecideAndMove backend crossover (host dispatch)",
+        title="DecideAndMove host backends (vectorized vs jit)",
         rows=rows,
         columns=[
             "graph", "backend", "time_s", "speedup", "iters",
-            "active_edges", "aggregated_edges", "agg_frac",
+            "active_edges", "modularity",
         ],
-        series=series,
         notes=notes,
     )

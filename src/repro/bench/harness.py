@@ -58,7 +58,7 @@ _SPECS: dict[str, tuple[str, str]] = {
     "fig9": ("fig9_kernels", "Memory-management kernels (Figure 9)"),
     "fig10": ("fig10_scaling", "Multi-GPU scalability (Figure 10)"),
     "stress": ("stress_scaling", "Throughput across graph sizes (Section 5.6 analogue)"),
-    "kernels": ("kernel_backends", "DecideAndMove backend crossover (host dispatch)"),
+    "kernels": ("kernel_backends", "DecideAndMove host backends (vectorized vs jit)"),
 }
 
 EXPERIMENTS = list(_SPECS)

@@ -70,7 +70,6 @@ _TRACE_BASE_COLUMNS = ("iteration", "num_active", "num_moved", "modularity")
 #: accounting on the multi-GPU and distributed ones)
 _TRACE_OPTIONAL_COLUMNS = (
     "kernel_backend",
-    "aggregated_edges",
     "comm_bytes",
     "comm_messages",
     "sim_cycles",
@@ -101,58 +100,6 @@ def trace_rows(history: Sequence) -> list[dict]:
             row[c] = getattr(h, c)
         rows.append(row)
     return rows
-
-
-def backend_crossover_rows(history: Sequence) -> list[dict]:
-    """Collapse a phase-1 history into contiguous same-backend spans.
-
-    ``history`` is a sequence of :class:`IterationRecord`-like objects (or
-    dicts) carrying ``kernel_backend``, ``num_active`` and
-    ``aggregated_edges``. Returns one row per contiguous run of the same
-    backend choice — the crossover table that makes the workload-aware
-    dispatcher's behaviour legible (which path ran when, and how much
-    aggregation work it did).
-    """
-
-    def get(h, key):
-        return h.get(key) if isinstance(h, dict) else getattr(h, key, None)
-
-    spans: list[dict] = []
-    for i, h in enumerate(history):
-        backend = get(h, "kernel_backend") or "?"
-        agg = get(h, "aggregated_edges") or 0
-        act = get(h, "num_active") or 0
-        if spans and spans[-1]["backend"] == backend:
-            span = spans[-1]
-            span["last"] = i
-            span["iterations"] += 1
-            span["active_vertices"] += act
-            span["aggregated_edges"] += agg
-        else:
-            spans.append(
-                {
-                    "backend": backend,
-                    "first": i,
-                    "last": i,
-                    "iterations": 1,
-                    "active_vertices": act,
-                    "aggregated_edges": agg,
-                }
-            )
-    return [
-        {
-            "span": (
-                str(s["first"])
-                if s["first"] == s["last"]
-                else f"{s['first']}-{s['last']}"
-            ),
-            "backend": s["backend"],
-            "iterations": s["iterations"],
-            "active_vertices": s["active_vertices"],
-            "aggregated_edges": s["aggregated_edges"],
-        }
-        for s in spans
-    ]
 
 
 def format_speedups(base_key: str, rows: Sequence[dict], time_key: str) -> list[dict]:

@@ -33,6 +33,7 @@ import time
 import numpy as np
 
 from repro import GalaConfig, gala, leiden
+from repro.core.kernels import KERNEL_NAMES
 from repro.errors import KernelUnavailableError
 from repro.graph.generators import lfr_graph, LFRParams, rmat_graph
 from repro.graph.io import load_graph, save_edge_list
@@ -123,11 +124,11 @@ def _add_detect(sub: argparse._SubParsersAction) -> None:
                    help="DecideAndMove backend (gpusim = simulated GPU "
                         "with workload-aware kernel dispatch)")
     p.add_argument("--kernel", default=None,
-                   choices=["auto", "vectorized", "incremental",
-                            "bincount", "jit"],
+                   choices=KERNEL_NAMES,
                    help="host kernel path for --backend=vectorized "
                         "(default: auto, or REPRO_KERNEL; jit = compiled "
-                        "hot path via numba or the bundled C fallback)")
+                        "hot path via the system C compiler; auto = jit "
+                        "when it compiles here, else vectorized)")
     p.add_argument("--gpusim-engine", default=None,
                    choices=["scalar", "batched"],
                    help="execution engine for --backend=gpusim "
@@ -495,18 +496,23 @@ def cmd_detect(args: argparse.Namespace) -> int:
                         seed=args.seed,
                     )
                 else:
-                    cfg = GalaConfig(
-                        pruning=args.pruning,
-                        resolution=args.resolution,
-                        theta=args.theta,
-                        seed=args.seed,
-                        phase1_only=args.phase1_only,
-                        backend=args.backend,
-                        gpusim_engine=args.gpusim_engine,
-                        kernel=kernel,
-                        runtime=args.runtime,
-                        ranks=args.ranks,
-                    )
+                    try:
+                        cfg = GalaConfig(
+                            pruning=args.pruning,
+                            resolution=args.resolution,
+                            theta=args.theta,
+                            seed=args.seed,
+                            phase1_only=args.phase1_only,
+                            backend=args.backend,
+                            gpusim_engine=args.gpusim_engine,
+                            kernel=kernel,
+                            runtime=args.runtime,
+                            ranks=args.ranks,
+                        )
+                    except ValueError as exc:
+                        # e.g. --ranks 0 or a bad REPRO_KERNEL value
+                        print(f"error: {exc}", file=sys.stderr)
+                        return 2
                     try:
                         result = gala(graph, cfg)
                     except KernelUnavailableError as exc:

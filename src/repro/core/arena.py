@@ -28,10 +28,7 @@ invariant is visible in any exported history.
 Aliasing contract: views handed out under *different keys* never share
 memory (each key owns a distinct backing buffer — a test invariant).
 Re-requesting the *same* key returns the same memory; that is the point.
-A view is therefore valid until the same key is requested again. Callers
-that hand a buffer to a consumer which must survive one more iteration
-(e.g. the movement frontier, read by the auto dispatcher on the *next*
-sweep) double-buffer by alternating keys on :attr:`generation` parity.
+A view is therefore valid until the same key is requested again.
 """
 
 from __future__ import annotations
@@ -59,13 +56,12 @@ class BufferArena:
         self.bytes_allocated = 0
         #: high-water mark of ``bytes_allocated``
         self.hwm = 0
-        #: engine-iteration counter (bumped by :meth:`tick`); consumers use
-        #: its parity to double-buffer keys that must survive one sweep
+        #: engine-iteration counter (bumped by :meth:`tick`)
         self.generation = 0
 
     # ------------------------------------------------------------------ #
     def tick(self) -> None:
-        """Mark the start of a new engine iteration (for key parity)."""
+        """Mark the start of a new engine iteration."""
         self.generation += 1
 
     def request(

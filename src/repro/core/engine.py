@@ -140,10 +140,6 @@ class IterationTrace:
     #: aggregation path the kernel ran this iteration (None for plain
     #: callables that don't report one)
     kernel_backend: Optional[str] = None
-    #: adjacency entries the kernel actually re-aggregated — equals
-    #: ``active_edges`` for full backends, strictly less once the
-    #: incremental cache has clean rows to reuse
-    aggregated_edges: Optional[int] = None
     #: one-off jit compile/warm-up seconds charged to this iteration
     #: (nonzero only on the first iteration that used a compiled backend)
     kernel_compile_s: float = 0.0

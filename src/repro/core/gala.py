@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from repro.core.kernels.vectorized import KERNEL_NAMES
 from repro.core.louvain import LouvainResult, louvain
 from repro.core.phase1 import Phase1Config, Phase1Result, run_phase1
 from repro.graph.csr import CSRGraph
@@ -37,14 +39,12 @@ class GalaConfig:
     #: DecideAndMove backend: ``"vectorized"`` (pure NumPy) or
     #: ``"gpusim"`` (simulated GPU with workload-aware kernel dispatch)
     backend: str = "vectorized"
-    #: host kernel for the vectorized backend: ``"auto"`` (workload-aware
-    #: dispatch over the compiled / full / incremental-cache / sort-free
-    #: paths, the default — the compiled jit path is used automatically
-    #: once its warm-up probe passes), or ``"vectorized"`` /
-    #: ``"incremental"`` / ``"bincount"`` / ``"jit"`` to pin one path.
-    #: All choices are bit-identical; see
-    #: :mod:`repro.core.kernels.incremental` and
-    #: :mod:`repro.core.kernels.jit`.
+    #: host kernel for the vectorized backend, one of
+    #: :data:`~repro.core.kernels.KERNEL_NAMES` or a callable: ``"auto"``
+    #: (the default — the compiled ``jit`` loop when a compile provider
+    #: passed its warm-up probe, else ``vectorized``), or ``"vectorized"``
+    #: / ``"jit"`` to pin one path. All choices are bit-identical; see
+    #: :func:`repro.core.kernels.make_kernel`.
     kernel: str = "auto"
     #: execution engine for the ``"gpusim"`` backend: ``"batched"``
     #: (structure-of-arrays, the default) or ``"scalar"`` (one vertex per
@@ -115,6 +115,27 @@ class GalaConfig:
             "phase1_only",
         }
     )
+
+    def __post_init__(self) -> None:
+        # Execution fields are checked here, not when the run starts, so a
+        # bad value fails the same way whether or not a cached result for
+        # the semantic config exists (the server turns it into a 400).
+        if not callable(self.kernel) and self.kernel not in KERNEL_NAMES:
+            raise ValueError(
+                f"unknown kernel backend {self.kernel!r}; expected one of "
+                f"{list(KERNEL_NAMES)} or a callable"
+            )
+        if self.runtime not in ("local", "multiprocess"):
+            raise ValueError(
+                f"unknown runtime {self.runtime!r}; expected 'local' or "
+                f"'multiprocess'"
+            )
+        if (
+            not isinstance(self.ranks, numbers.Integral)
+            or isinstance(self.ranks, bool)
+            or self.ranks < 1
+        ):
+            raise ValueError(f"ranks must be an integer >= 1, got {self.ranks!r}")
 
     def cache_key(self) -> str:
         """Canonical serialization of the *semantic* configuration.
@@ -254,10 +275,6 @@ def _multiprocess_runner(cfg: GalaConfig):
 def _run_gala(
     graph: CSRGraph, cfg: GalaConfig, san
 ) -> Union[LouvainResult, Phase1Result]:
-    if cfg.runtime not in ("local", "multiprocess"):
-        raise ValueError(
-            f"unknown runtime {cfg.runtime!r}; expected 'local' or 'multiprocess'"
-        )
     if cfg.runtime == "multiprocess" and cfg.backend != "vectorized":
         raise ValueError(
             "runtime='multiprocess' requires backend='vectorized' "

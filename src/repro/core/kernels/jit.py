@@ -6,18 +6,15 @@ weight update to native code, writing straight into arena-owned buffers —
 the steady-state iteration then performs zero heap allocations (see
 :mod:`repro.core.arena`).
 
-Two compile **providers**, probed in order at first use:
+Two **providers** run the loops:
 
-* ``numba`` — the optional ``repro[jit]`` extra; the loop functions below
-  are compiled with ``numba.njit(cache=True, fastmath=False)``.
-* ``cc``    — a bundled C translation of the same loops, compiled once
-  with the system C compiler into a cached shared library and called via
-  :mod:`ctypes`. No extra dependency beyond a working ``cc``.
-
-A third provider, ``python``, runs the identical loop functions
-interpreted — far too slow for real graphs, but it lets the bit-exactness
-matrix validate the kernel *semantics* on machines with no compiler at
-all (it is never selected automatically).
+* ``cc``     — a bundled C translation of the loop functions below,
+  compiled once with the system C compiler into a cached shared library
+  and called via :mod:`ctypes`. No dependency beyond a working ``cc``.
+* ``python`` — the identical loop functions, interpreted — far too slow
+  for real graphs, but it lets the bit-exactness matrix validate the
+  kernel *semantics* on machines with no compiler at all (it is never
+  selected automatically).
 
 Bit-exactness contract: the loops replicate the reference backend's
 arithmetic exactly — per-``(v, C)`` weights are accumulated sequentially
@@ -26,16 +23,16 @@ in adjacency order (the shared summation convention of
 evaluated with the same operation order Eq. 2 is coded with in
 :func:`~repro.core.kernels.vectorized._evaluate_pairs`, ties break toward
 the smaller community id, and the movement guards are verbatim. The C
-build disables FP contraction (``-ffp-contract=off``) and numba compiles
-with ``fastmath=False``, so every provider is IEEE-ordered and the
-compiled results are bit-identical to ``vectorized`` — enforced by the
-cross-backend matrix tests and by a compile-probe smoke comparison before
-a provider is ever trusted.
+build disables FP contraction (``-ffp-contract=off``), so the compiled
+arithmetic is IEEE-ordered and bit-identical to ``vectorized`` — enforced
+by the cross-backend matrix tests and by a compile-probe smoke comparison
+before a provider is ever trusted.
 
-Provider selection honours ``REPRO_JIT_PROVIDER`` (``auto``/``numba``/
-``cc``/``python``/``off``). :func:`get_runtime` probes and memoizes;
+Provider selection honours ``REPRO_JIT_PROVIDER`` (``auto``/``cc``/
+``python``/``off``). :func:`get_runtime` probes and memoizes;
 :func:`require_runtime` raises the friendly
-:class:`~repro.errors.KernelUnavailableError` instead of returning None.
+:class:`~repro.errors.KernelUnavailableError` instead of returning None;
+:func:`probed_provider` reports the memoized choice without probing.
 """
 
 from __future__ import annotations
@@ -60,8 +57,8 @@ NEG_INF = float("-inf")
 
 
 # --------------------------------------------------------------------- #
-# the loop functions (interpreted / numba-compiled; the C source mirrors
-# them statement for statement)
+# the loop functions (the interpreted provider; the C source mirrors them
+# statement for statement)
 # --------------------------------------------------------------------- #
 def _decide_loop(
     active_idx,
@@ -399,19 +396,6 @@ def _python_runtime() -> JitRuntime:
     )
 
 
-def _numba_runtime() -> JitRuntime:
-    import numba  # raises ImportError when the [jit] extra is absent
-
-    opts = dict(cache=True, fastmath=False, nogil=True)
-    return JitRuntime(
-        provider="numba",
-        compile_s=0.0,  # probe fills in the measured warm-up time
-        decide=numba.njit(**opts)(_decide_loop),
-        delta=numba.njit(**opts)(_delta_loop),
-        aggregates=numba.njit(**opts)(_aggregates_loop),
-    )
-
-
 def _cc_runtime() -> JitRuntime:
     lib = _compile_c_library()
 
@@ -501,11 +485,9 @@ def _smoke_compare(rt: JitRuntime) -> None:
 
 
 _PROVIDERS = {
-    "numba": _numba_runtime,
     "cc": _cc_runtime,
     "python": _python_runtime,
 }
-_AUTO_ORDER = ("numba", "cc")
 _cache: dict = {}
 
 
@@ -522,7 +504,7 @@ def _probe(provider: str) -> Optional[JitRuntime]:
     t0 = time.perf_counter()
     try:
         rt = _PROVIDERS[provider]()
-        _smoke_compare(rt)  # also forces numba's lazy compile
+        _smoke_compare(rt)
     except Exception:
         rt = None
     if rt is not None:
@@ -531,26 +513,26 @@ def _probe(provider: str) -> Optional[JitRuntime]:
     return rt
 
 
+def _requested_provider(provider: Optional[str]) -> str:
+    """The provider name a request resolves to (``"auto"`` is ``"cc"``)."""
+    if provider is None:
+        provider = os.environ.get("REPRO_JIT_PROVIDER", "auto") or "auto"
+    provider = provider.lower()
+    return "cc" if provider == "auto" else provider
+
+
 def get_runtime(provider: Optional[str] = None) -> Optional[JitRuntime]:
     """The memoized jit runtime, or None when no provider works.
 
     ``provider`` defaults to ``REPRO_JIT_PROVIDER`` (then ``"auto"``).
-    ``"auto"`` tries ``numba`` then ``cc`` and never returns the
-    interpreted provider; ``"off"``/``"none"`` disables the backend.
-    Every selected runtime has passed the warm-up compile probe — a full
-    bit-exactness smoke comparison against the interpreted reference —
-    which is what licenses the ``auto`` dispatcher to route through it.
+    ``"auto"`` means the compiled ``cc`` provider, never the interpreted
+    one; ``"off"``/``"none"`` disables the backend. Every selected
+    runtime has passed the warm-up compile probe — a full bit-exactness
+    smoke comparison against the interpreted reference — which is what
+    licenses ``kernel="auto"`` to route through it.
     """
-    if provider is None:
-        provider = os.environ.get("REPRO_JIT_PROVIDER", "auto") or "auto"
-    provider = provider.lower()
+    provider = _requested_provider(provider)
     if provider in ("off", "none"):
-        return None
-    if provider == "auto":
-        for name in _AUTO_ORDER:
-            rt = _probe(name)
-            if rt is not None:
-                return rt
         return None
     if provider not in _PROVIDERS:
         raise ValueError(
@@ -560,18 +542,25 @@ def get_runtime(provider: Optional[str] = None) -> Optional[JitRuntime]:
     return _probe(provider)
 
 
+def probed_provider() -> Optional[str]:
+    """The provider :func:`get_runtime` resolves to, read from the probe
+    cache only — never compiles. None when the backend is off, its probe
+    failed, or nothing in this process has probed it yet."""
+    rt = _cache.get(_requested_provider(None))
+    return rt.provider if rt is not None else None
+
+
 def require_runtime(provider: Optional[str] = None) -> JitRuntime:
-    """Like :func:`get_runtime` but raises the friendly install error."""
+    """Like :func:`get_runtime` but raises the friendly setup error."""
     rt = get_runtime(provider)
     if rt is None:
         raise KernelUnavailableError(
             "the 'jit' kernel backend has no working compile provider on "
-            "this machine: numba is not installed and no system C compiler "
-            "was found (or the probe failed). Install the optional extra "
-            "(pip install 'repro[jit]') or make `cc` available, optionally "
-            "pinning a provider with REPRO_JIT_PROVIDER=numba|cc. The "
-            "NumPy backends (kernel='auto'/'vectorized'/...) run everywhere "
-            "and produce bit-identical results."
+            "this host: no system C compiler was found (or its probe "
+            "failed, or REPRO_JIT_PROVIDER disables it). Make `cc` (or "
+            "$CC) available, optionally pinning the provider with "
+            "REPRO_JIT_PROVIDER=cc. kernel='auto'/'vectorized' run "
+            "everywhere and produce bit-identical results."
         )
     return rt
 
@@ -600,26 +589,19 @@ class JitKernel:
     ):
         self.runtime = runtime if runtime is not None else require_runtime(provider)
         self.arena = arena if arena is not None else BufferArena("jit")
+        #: backend that ran on the last call (recorded in ``IterationTrace``)
         self.last_backend: Optional[str] = None
-        self.last_aggregated_edges: int = 0
         self.compile_s = self.runtime.compile_s
-        self._timers = None
         self._n = -1
         self._stamp = 0
 
-    # backend-protocol plumbing (duck-typed, like the NumPy backends)
-    def bind_timers(self, timers) -> None:
-        self._timers = timers
-
+    # backend-protocol plumbing (duck-typed; plain callables skip it)
     def bind_arena(self, arena: BufferArena) -> None:
         self.arena = arena
         self._n = -1
 
     def reset(self, state: CommunityState) -> None:
         self._n = -1
-
-    def notify_moves(self, state, prev_comm, moved, frontier=None) -> None:
-        """Stateless across sweeps — nothing to invalidate."""
 
     def _prepare_scratch(self, graph) -> None:
         n = graph.n
@@ -643,11 +625,9 @@ class JitKernel:
         self.last_backend = self.name
         n_act = len(active_idx)
         if g.total_weight == 0.0 or n_act == 0:
-            self.last_aggregated_edges = 0
             return _trivial_result(state, active_idx, np.zeros(n_act))
         if self._n != g.n:
             self._prepare_scratch(g)
-        self.last_aggregated_edges = int(g.degrees[active_idx].sum())
 
         a = self.arena
         best_comm = a.request(("jit", "best_comm"), n_act, np.int64)

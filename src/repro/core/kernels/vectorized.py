@@ -13,11 +13,14 @@ once using segmented reductions:
 5. apply the movement guards (strictly-positive improvement over staying,
    and the singleton-swap guard that prevents BSP oscillation).
 
-Steps 3-5 live in :func:`_evaluate_pairs` and are shared verbatim by the
-``incremental`` and ``bincount`` backends (:mod:`repro.core.kernels.
-incremental`), which only differ in how they produce the pair table of
-step 2. That sharing — plus the common summation convention — is what makes
-the cross-backend bit-exactness contract hold by construction.
+The compiled ``jit`` backend (:mod:`repro.core.kernels.jit`) replicates
+this arithmetic loop for loop — the common summation convention of step 2
+is what makes the cross-backend bit-exactness contract hold exactly.
+
+:func:`make_kernel` resolves the host backend names of
+:data:`KERNEL_NAMES`: ``"vectorized"`` is this module, ``"jit"`` the
+compiled loop, and ``"auto"`` the compiled loop when a compile provider
+passed its probe on the host, else this module.
 """
 
 from __future__ import annotations
@@ -308,4 +311,52 @@ def decide_moves(
     return _evaluate_pairs(
         state, active_idx, pair_c, d_vc, pair_counts, remove_self,
         seg_of=pair_rows,
+    )
+
+
+#: the host DecideAndMove backend names — the single list the CLI choices,
+#: ``GalaConfig`` validation and :func:`make_kernel` share
+KERNEL_NAMES = ("auto", "vectorized", "jit")
+
+
+class VectorizedKernel:
+    """:func:`decide_moves` behind the host kernel-backend protocol."""
+
+    name = "vectorized"
+    #: backend that ran on the last call (recorded in ``IterationTrace``)
+    last_backend = name
+
+    def __call__(
+        self,
+        state: CommunityState,
+        active_idx: np.ndarray,
+        remove_self: bool = True,
+    ) -> DecideResult:
+        return decide_moves(state, active_idx, remove_self)
+
+
+def make_kernel(spec: str):
+    """Instantiate the host kernel backend named ``spec``.
+
+    An explicit ``"jit"`` raises
+    :class:`~repro.errors.KernelUnavailableError` when no compile provider
+    works here; ``"auto"`` picks ``jit`` when a compiled (non-``python``)
+    provider passed its warm-up probe and ``vectorized`` otherwise — a
+    choice fixed by the platform, and bit-identical either way.
+    """
+    if spec == "vectorized":
+        return VectorizedKernel()
+    if spec in ("auto", "jit"):
+        # lazy: the jit module imports this one
+        from repro.core.kernels.jit import JitKernel, get_runtime
+
+        if spec == "jit":
+            return JitKernel()
+        runtime = get_runtime()
+        if runtime is not None and runtime.provider != "python":
+            return JitKernel(runtime=runtime)
+        return VectorizedKernel()
+    raise ValueError(
+        f"unknown kernel backend {spec!r}; expected one of "
+        f"{list(KERNEL_NAMES)} or a callable"
     )

@@ -21,9 +21,7 @@ Updaters return the **movement frontier** — the boolean mask of vertices
 with at least one moved neighbour — when they derive it anyway (the delta
 scheme scans exactly those incidences), or ``None`` when they don't. The
 frontier is precisely the set of rows whose ``(vertex, neighbour-community)``
-pair table changed, so the incremental DecideAndMove cache uses it as its
-invalidation set; :func:`movement_frontier` computes it standalone for
-updaters that return ``None``.
+pair table changed; :func:`movement_frontier` computes it standalone.
 """
 
 from __future__ import annotations
@@ -52,8 +50,8 @@ def movement_frontier(
     enumerates every affected vertex.
 
     ``out``, when given, is the flag array to fill (must be zeroed, length
-    ``graph.n``) — the engine passes an arena-backed buffer so no frontier
-    is heap-allocated in the steady state.
+    ``graph.n``), e.g. an arena-backed buffer so no frontier is
+    heap-allocated in the steady state.
     """
     frontier = out if out is not None else np.zeros(graph.n, dtype=bool)
     movers = np.flatnonzero(moved)
@@ -219,18 +217,15 @@ def make_jit_delta_updater(runtime, arena):
     sweep over the movers' rows — bit-identical to the NumPy path because
     moved and unmoved vertices receive contributions to *disjoint*
     ``d_comm`` entries, each in the same mover-major adjacency order. The
-    frontier flag array comes from ``arena``, double-buffered on
-    generation parity because the auto dispatcher reads the previous
-    frontier during the *next* iteration's decide step.
+    frontier flag array comes from ``arena`` and is valid until the next
+    call.
     """
 
     def jit_delta(
         state: CommunityState, prev_comm: np.ndarray, moved: np.ndarray
     ) -> np.ndarray:
         g = state.graph
-        frontier = arena.zeros(
-            ("weights", "frontier", arena.generation & 1), g.n, np.bool_
-        )
+        frontier = arena.zeros(("weights", "frontier"), g.n, np.bool_)
         runtime.delta(
             g.indptr,
             g.indices,

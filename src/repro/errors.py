@@ -47,12 +47,11 @@ class ConvergenceError(ReproError):
 class KernelUnavailableError(ReproError):
     """Raised when an explicitly requested kernel backend cannot run here.
 
-    The ``"jit"`` backend needs a compile provider (the optional ``numba``
-    extra, or a system C compiler for the bundled C fallback); when neither
-    is available, an *explicit* ``kernel="jit"`` request raises this error
-    with installation guidance, while the ``kernel="auto"`` dispatcher
-    silently keeps using the NumPy paths. The CLI renders the message
-    without a traceback.
+    The ``"jit"`` backend needs a compile provider (a system C compiler
+    for the bundled C source); when none works, an *explicit*
+    ``kernel="jit"`` request raises this error with setup guidance, while
+    ``kernel="auto"`` silently resolves to the NumPy ``vectorized``
+    backend. The CLI renders the message without a traceback.
     """
 
 

@@ -8,14 +8,14 @@ requires. The shape of an iteration:
 1. the parent (which owns the engine loop and the canonical
    :class:`CommunityState`) publishes the BSP snapshot — ``comm``,
    ``comm_strength``, ``comm_size``, the active mask — into one
-   :mod:`multiprocessing.shared_memory` segment and releases the start
-   barrier;
+   :mod:`multiprocessing.shared_memory` segment and posts every rank's
+   start semaphore;
 2. every rank worker runs DecideAndMove over its *owned ∩ active*
    vertices against that snapshot, in degree-bounded chunks
    (bit-exactness per chunk is the tested ``DecideResult.restrict``
    invariant), and writes movers into the shared ``next_comm`` —
    disjoint owned slots, so no synchronisation is needed beyond the
-   done barrier;
+   shared done semaphore;
 3. the parent commits the move step exactly as the simulated runtime
    does — identical halo-exchange accounting over the same
    :class:`~repro.distributed.halo.RankView` send lists (so
@@ -46,7 +46,6 @@ import time
 import traceback
 import weakref
 from dataclasses import dataclass, field
-from threading import BrokenBarrierError
 
 import numpy as np
 
@@ -76,6 +75,10 @@ from repro.obs import _session as obs
 
 CMD_DECIDE = 1
 CMD_STOP = 2
+
+#: seconds between the parent's liveness checks while it waits for ranks
+#: to report a round done (a dead rank is noticed within one interval)
+POLL_INTERVAL_S = 0.05
 
 #: per-rank cap on collected decide spans (one per engine round); a run
 #: that exceeds it reports the overflow as a dropped count instead of
@@ -109,8 +112,9 @@ class MultiprocessConfig:
     #: else the platform default). Both are supported; ``fork`` starts
     #: ~100x faster, which matters at 8 ranks.
     mp_context: str | None = None
-    #: seconds the parent waits on a barrier before declaring the worker
-    #: pool wedged (a worker death breaks the barrier immediately)
+    #: seconds the parent waits for a round before declaring the worker
+    #: pool wedged (a worker death fails the round within
+    #: ``POLL_INTERVAL_S``)
     sync_timeout: float = 300.0
     #: drop resident store pages after each worker chunk (bounds worker
     #: RSS to O(n + chunk)); ``None`` = on exactly when the graph is
@@ -160,8 +164,8 @@ def _worker_main(
     store_path: str,
     owned: np.ndarray,
     params: dict,
-    start_barrier,
-    done_barrier,
+    go,
+    done,
     err_queue,
     span_queue=None,
 ) -> None:
@@ -170,15 +174,20 @@ def _worker_main(
     With ``params["collect_spans"]`` the worker times each decide round
     and ships the spans on ``span_queue`` when STOP arrives. Span times
     are recorded directly in the *parent's* clock domain via the
-    barrier-release stamp: the parent writes its ``perf_counter`` into
-    the shared ``clock`` slot before releasing the start barrier, so
-    ``stamp + (now − t_wake)`` maps a rank-local instant onto the parent
-    clock with an error of one barrier wake latency — biased early,
-    which keeps rank spans inside the parent's enclosing span.
+    round-release stamp: the parent writes its ``perf_counter`` into
+    the shared ``clock`` slot before posting the ranks' ``go``
+    semaphores, so ``stamp + (now − t_wake)`` maps a rank-local instant
+    onto the parent clock with an error of one wake latency — biased
+    early, which keeps rank spans inside the parent's enclosing span.
+
+    Rounds are driven by semaphores, not barriers: the worker takes
+    ``go`` to start a round and posts ``done`` when it has written its
+    movers. A post or a take holds no lock, so a rank killed at any
+    instant can never leave the parent (or another rank) blocked.
     """
     _set_pdeathsig()
     # the parent owns interrupt handling; a Ctrl-C must not kill workers
-    # mid-barrier before the parent's orderly shutdown reaches them
+    # mid-round before the parent's orderly shutdown reaches them
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     shared = None
     try:
@@ -213,7 +222,7 @@ def _worker_main(
         round_no = 0
 
         while True:
-            start_barrier.wait()
+            go.acquire()
             if control[0] == CMD_STOP:
                 if collect:
                     try:
@@ -239,8 +248,8 @@ def _worker_main(
                     pass
             finally:
                 if collect:
-                    # the parent is still parked on the done barrier, so
-                    # the stamp it wrote for *this* round is still there
+                    # the parent writes the next stamp only after every
+                    # rank posted done, so *this* round's stamp is still there
                     stamp = float(clock_slot[0])
                     if len(spans) < MAX_RANK_SPANS:
                         spans.append(
@@ -257,9 +266,7 @@ def _worker_main(
                     else:
                         dropped += 1
                 round_no += 1
-                done_barrier.wait()
-    except BrokenBarrierError:
-        pass  # the parent aborted the round; exit quietly
+                done.release()
     except KeyboardInterrupt:
         pass
     finally:
@@ -339,7 +346,7 @@ class MultiprocessExecutor(Executor):
             .add("status", (cfg.num_ranks,), np.int64)
             .add("control", (4,), np.int64)
             # clock[0]: parent perf_counter stamp written before each
-            # barrier release — the rank-side clock-alignment reference
+            # round release — the rank-side clock-alignment reference
             .add("clock", (2,), np.float64)
         )
         self._shared = create_shared(layout)
@@ -349,8 +356,8 @@ class MultiprocessExecutor(Executor):
         if method is None:
             method = "fork" if "fork" in mp.get_all_start_methods() else None
         ctx = mp.get_context(method)
-        self._start_barrier = ctx.Barrier(cfg.num_ranks + 1)
-        self._done_barrier = ctx.Barrier(cfg.num_ranks + 1)
+        self._go = [ctx.Semaphore(0) for _ in range(cfg.num_ranks)]
+        self._done = ctx.Semaphore(0)
         self._err_queue = ctx.SimpleQueue()
         self._span_queue = ctx.SimpleQueue() if self._collect_spans else None
         # registered before the first Process.start(): a failure while
@@ -364,8 +371,7 @@ class MultiprocessExecutor(Executor):
             _cleanup,
             self._workers,
             self._shared,
-            self._start_barrier,
-            self._done_barrier,
+            self._go,
             self._spill_dir,
             self._span_queue,
             0,
@@ -388,8 +394,8 @@ class MultiprocessExecutor(Executor):
                     store_path,
                     view.owned,
                     params,
-                    self._start_barrier,
-                    self._done_barrier,
+                    self._go[view.rank],
+                    self._done,
                     self._err_queue,
                     self._span_queue,
                 ),
@@ -411,7 +417,7 @@ class MultiprocessExecutor(Executor):
         shared["status"][:] = -1
         shared["control"][0] = CMD_DECIDE
         if self._collect_spans:
-            # the barrier-release stamp the ranks align their clocks to;
+            # the round-release stamp the ranks align their clocks to;
             # written last so it is as close to the release as possible
             shared["clock"][0] = time.perf_counter()
         self._round()
@@ -426,15 +432,23 @@ class MultiprocessExecutor(Executor):
         return next_comm
 
     def _round(self) -> None:
-        """Release one barrier round; surface worker failures."""
-        try:
-            self._start_barrier.wait(timeout=self.config.sync_timeout)
-            self._done_barrier.wait(timeout=self.config.sync_timeout)
-        except BrokenBarrierError:
-            raise RuntimeError(
-                "multiprocess round failed: "
-                + (self._drain_errors() or self._describe_dead_workers())
-            ) from None
+        """Release one round, wait for every rank's done post; surface
+        worker failures (a dead rank within ``POLL_INTERVAL_S``, a wedged
+        pool after ``sync_timeout``)."""
+        for go in self._go:
+            go.release()
+        deadline = time.monotonic() + self.config.sync_timeout
+        pending = self.config.num_ranks
+        while pending:
+            if self._done.acquire(timeout=POLL_INTERVAL_S):
+                pending -= 1
+                continue
+            dead = not all(p.is_alive() for p in self._workers)
+            if dead or time.monotonic() > deadline:
+                raise RuntimeError(
+                    "multiprocess round failed: "
+                    + (self._drain_errors() or self._describe_dead_workers())
+                )
         status = np.array(self._shared["status"])
         if np.any(status != 0):
             bad = np.flatnonzero(status != 0)
@@ -459,7 +473,9 @@ class MultiprocessExecutor(Executor):
             for i, p in enumerate(self._workers)
             if not p.is_alive()
         ]
-        return "worker(s) died: " + ", ".join(dead) if dead else "barrier timeout"
+        if dead:
+            return "worker(s) died: " + ", ".join(dead)
+        return f"round timeout after {self.config.sync_timeout}s"
 
     # ------------------------------------------------------------------ #
     def apply_and_sync(self, next_comm: np.ndarray, moved: np.ndarray) -> float:
@@ -518,8 +534,7 @@ class MultiprocessExecutor(Executor):
         payloads = _cleanup(
             self._workers,
             self._shared,
-            self._start_barrier,
-            self._done_barrier,
+            self._go,
             self._spill_dir,
             self._span_queue,
             self.config.num_ranks if self._collect_spans else 0,
@@ -541,8 +556,7 @@ class MultiprocessExecutor(Executor):
 def _cleanup(
     workers,
     shared,
-    start_barrier,
-    done_barrier,
+    go,
     spill_dir,
     span_queue=None,
     expected_spans: int = 0,
@@ -562,20 +576,13 @@ def _cleanup(
             shared["control"][0] = CMD_STOP
     except Exception:
         pass
-    # wake workers parked on the start barrier; they read STOP and exit.
-    # If the pool is wedged, abort the barriers instead — workers treat a
-    # broken barrier as an exit signal.
-    try:
-        start_barrier.wait(timeout=5.0)
-    except Exception:
+    # wake every rank; each reads STOP when it next takes ``go`` and
+    # exits (a rank still busy with an abandoned round finishes it first)
+    for sem in go:
         try:
-            start_barrier.abort()
+            sem.release()
         except Exception:
             pass
-    try:
-        done_barrier.abort()
-    except Exception:
-        pass
     payloads: list = []
     if span_queue is not None:
         deadline = time.monotonic() + 5.0

@@ -16,11 +16,11 @@ relative to its parent. Two mechanisms, matched to the two transports:
   interval ``[t_job_recv, t_reply_send]`` strictly inside the parent's
   ``[t_send, t_recv]`` — so worker spans nest under the dispatch span
   by construction, no tolerance required.
-* **barrier-release stamp** (worker ↔ rank): the multiprocess executor
+* **round-release stamp** (worker ↔ rank): the multiprocess executor
   writes its ``perf_counter`` into a shared-memory slot immediately
-  before releasing the round barrier; each rank reads the slot and its
-  own clock right after waking. The rank's offset estimate errs only by
-  the barrier wake latency, and errs in the direction that maps rank
+  before releasing the round; each rank reads the slot and its own
+  clock right after waking. The rank's offset estimate errs only by
+  the wake latency, and errs in the direction that maps rank
   spans slightly *early* — still after the parent wrote the stamp, so
   rank spans stay inside the worker's engine span.
 

@@ -15,6 +15,7 @@ never imports :mod:`repro.core` — the core imports *us*.
 from __future__ import annotations
 
 import dataclasses
+import os
 import platform
 import sys
 import time
@@ -40,18 +41,28 @@ __all__ = [
 MANIFEST_SCHEMA_VERSION = 1
 
 
-def environment_info() -> Dict[str, str]:
-    """Package/interpreter versions that can change a run's numbers."""
+def environment_info() -> Dict[str, Optional[str]]:
+    """Package/interpreter versions that can change a run's numbers, plus
+    the jit provider ``kernel="auto"`` resolved to and the
+    ``REPRO_JIT_PROVIDER`` setting behind that choice.
+
+    The provider is read from the jit module's probe cache (None when
+    nothing in this process probed it), so building a manifest never
+    compiles — and never imports :mod:`repro.core`.
+    """
     import scipy
 
     from repro import __version__ as repro_version
 
+    jit = sys.modules.get("repro.core.kernels.jit")
     return {
         "repro": repro_version,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "platform": sys.platform,
+        "jit_provider": jit.probed_provider() if jit is not None else None,
+        "REPRO_JIT_PROVIDER": os.environ.get("REPRO_JIT_PROVIDER"),
     }
 
 
@@ -86,7 +97,7 @@ class RunManifest:
     config: Dict[str, Any] = field(default_factory=dict)
     seed: Optional[int] = None
     graph: Dict[str, Any] = field(default_factory=dict)
-    environment: Dict[str, str] = field(default_factory=environment_info)
+    environment: Dict[str, Optional[str]] = field(default_factory=environment_info)
     #: one row per hierarchy level (a phase-1-only run has exactly one)
     levels: List[Dict[str, Any]] = field(default_factory=list)
     #: final metrics-registry snapshot (empty when no session was active)

@@ -171,6 +171,11 @@ def render_manifest(manifest: RunManifest) -> str:
         line = "kernel: " + " ".join(
             f"{k}x{v}" for k, v in sorted(backends.items())
         )
+        env = manifest.environment
+        if "jit_provider" in env:
+            line += f" jit_provider={env['jit_provider']}"
+            if env.get("REPRO_JIT_PROVIDER") is not None:
+                line += f" REPRO_JIT_PROVIDER={env['REPRO_JIT_PROVIDER']}"
         if compile_s:
             line += f" (compile {compile_s:.3f}s)"
         lines.append(line)

@@ -149,8 +149,7 @@ def segment_gather(
     segments (in the given order, duplicates allowed). Returns
     ``(sub_offsets, gathered)`` where ``sub_offsets`` is the indptr of the
     gathered selection and each gathered array is the concatenation of the
-    selected segments. The workhorse of the incremental kernel's pair-cache
-    queries.
+    selected segments.
     """
     rows = np.asarray(rows, dtype=np.int64)
     counts = np.diff(offsets)[rows]

@@ -51,6 +51,29 @@ class TestCanonicalForm:
         assert GalaConfig(seed=0).cache_key() == GalaConfig(seed=7).cache_key()
 
 
+class TestExecutionFieldValidation:
+    """Execution fields never reach the cache key, so they are checked
+    when the config is built — the serving layer relies on this to reject
+    a bad value before its cache lookup."""
+
+    @pytest.mark.parametrize("bad", [
+        {"kernel": "incremental"},
+        {"kernel": "bincount"},
+        {"runtime": "mpi"},
+        {"ranks": 0},
+        {"ranks": 2.5},
+        {"ranks": True},
+    ])
+    def test_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            GalaConfig(**bad)
+
+    def test_callable_kernel_accepted(self):
+        from repro.core.kernels import decide_moves
+
+        assert GalaConfig(kernel=decide_moves).kernel is decide_moves
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("config", [
         GalaConfig(),

@@ -12,6 +12,8 @@ segment or spill directory outlives the executor.
 import glob
 import os
 import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -180,6 +182,37 @@ class TestLifecycle:
         ex.close()
         assert shm_segments() - base == set()
         assert ex._spill_dir is None or not os.path.isdir(ex._spill_dir)
+
+    def test_rank_killed_at_any_instant_fails_fast(self, graphs):
+        # sweep the kill across a rank's start-up and its wait for the
+        # round: wherever it dies, the round must fail promptly (a rank
+        # dying while holding a shared lock used to wedge the parent)
+        n = graphs["ring"].n
+
+        def run_round(executor, outcome):
+            try:
+                executor.decide(np.arange(n), np.ones(n, dtype=bool))
+            except RuntimeError as exc:
+                outcome.append(exc)
+
+        for delay in np.linspace(0.0, 0.02, 9):
+            ex = MultiprocessExecutor(
+                graphs["ring"],
+                MultiprocessConfig(num_ranks=2, sync_timeout=60.0),
+            )
+            time.sleep(delay)
+            os.kill(ex._workers[0].pid, signal.SIGKILL)
+            outcome: list = []
+            t0 = time.monotonic()
+            runner = threading.Thread(
+                target=run_round, args=(ex, outcome), daemon=True
+            )
+            runner.start()
+            runner.join(timeout=20.0)
+            assert not runner.is_alive(), f"round wedged (kill after {delay}s)"
+            assert time.monotonic() - t0 < 10.0
+            assert outcome and "worker" in str(outcome[0])
+            ex.close()
 
     def test_rejects_mismatched_partition(self, graphs):
         from repro.graph.partition import partition_contiguous

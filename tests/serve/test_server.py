@@ -82,7 +82,7 @@ class TestDetectPath:
                     fp, config={"resolution": 2.0}, seed=0
                 )
                 r_backend = await client.detect(
-                    fp, config={"kernel": "bincount"}, seed=0
+                    fp, config={"kernel": "vectorized"}, seed=0
                 )
             finally:
                 await client.close()
@@ -125,6 +125,50 @@ class TestDetectPath:
 
         err = run(go())
         assert err.status == 400 and "resolutionn" in str(err)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"kernel": "bogus"},
+            {"kernel": "bincount"},  # a backend older clients may send
+            {"runtime": "bogus"},
+            {"runtime": "multiprocess", "ranks": -3},
+        ],
+    )
+    def test_invalid_execution_field_400_on_miss_and_hit(self, bad):
+        """Execution fields are outside the cache key, so a bad value must
+        be rejected before the lookup: 400 whether or not a result for the
+        semantic config is cached, and the engine never runs for it."""
+        graph = two_triangles()
+
+        async def go():
+            server = DetectionServer(_config())
+            client = await _started(server)
+            try:
+                fp = await client.upload(graph)
+                miss = await client.detect(
+                    fp, config=bad, seed=0, raise_on_error=False
+                )
+                runs_after_miss = server.runner.runs
+                await client.detect(fp, seed=0)  # caches the semantic key
+                hits_before = server.cache.stats()["hits"]
+                hit = await client.detect(
+                    fp, config=bad, seed=0, raise_on_error=False
+                )
+                alive = await client.ping()
+            finally:
+                await client.close()
+                await server.drain()
+            return miss, hit, runs_after_miss, hits_before, alive, server
+
+        miss, hit, runs_after_miss, hits_before, alive, server = run(go())
+        for response in (miss, hit):
+            assert response["status"] == 400
+            assert response["error"] == "bad_request"
+        assert runs_after_miss == 0
+        assert server.runner.runs == 1  # only the valid warm-up ran
+        assert server.cache.stats()["hits"] == hits_before
+        assert alive["ok"]
 
     def test_evict_cascades_to_results(self):
         graph = two_triangles()
