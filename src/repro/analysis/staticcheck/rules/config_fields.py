@@ -16,8 +16,8 @@ Checks, all static:
   ``EXECUTION_FIELDS`` as literal sets;
 * the two sets are disjoint, cover every dataclass field (modulo
   ``seed``), and contain no stale names;
-* every ``Phase1Config`` field maps to a ``GalaConfig`` field (modulo
-  the declared measurement-only extras);
+* every ``Phase1Config`` field — inherited ones included — maps to a
+  ``GalaConfig`` field (modulo the declared measurement-only extras);
 * ``serve/server.py`` only injects *execution* defaults into detect
   configs (``self._config_defaults[...]`` keys ⊆ ``EXECUTION_FIELDS``);
 * ``serve/cache.py`` builds keys via ``.cache_key()`` (no ad-hoc
@@ -29,10 +29,11 @@ Checks, all static:
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.staticcheck.project import (
+    ModuleInfo,
     Project,
     class_constant_strs,
     dataclass_fields,
@@ -155,7 +156,9 @@ def _check_phase1(project: Project, gala_fields: Set[str]) -> List[Finding]:
     cls = find_class(phase1, "Phase1Config")
     if cls is None:
         return findings
-    for name, lineno in sorted(dataclass_fields(cls).items()):
+    for name, (module, lineno) in sorted(
+        _inherited_fields(project, phase1, cls).items()
+    ):
         if name in gala_fields or name in PHASE1_EXTRA_FIELDS:
             continue
         findings.append(
@@ -166,12 +169,49 @@ def _check_phase1(project: Project, gala_fields: Set[str]) -> List[Finding]:
                 "not a declared measurement-only extra — it would be "
                 "unreachable from the public config (and invisible to "
                 "cache keys)",
-                phase1,
+                module,
                 lineno,
                 field=name,
             )
         )
     return findings
+
+
+def _inherited_fields(
+    project: Project, module: ModuleInfo, cls: ast.ClassDef
+) -> Dict[str, Tuple[ModuleInfo, int]]:
+    """Dataclass fields of ``cls`` → (declaring module, line), including
+    fields inherited from base classes defined in ``module`` or imported
+    into it by name from another project module."""
+    fields: Dict[str, Tuple[ModuleInfo, int]] = {}
+    for base in cls.bases:
+        found = _resolve_class(project, module, dotted_name(base) or "")
+        if found is not None:
+            fields.update(_inherited_fields(project, *found))
+    for name, lineno in dataclass_fields(cls).items():
+        fields[name] = (module, lineno)
+    return fields
+
+
+def _resolve_class(
+    project: Project, module: ModuleInfo, name: str
+) -> Optional[Tuple[ModuleInfo, ast.ClassDef]]:
+    cls = find_class(module, name)
+    if cls is not None:
+        return module, cls
+    for node in module.tree.body:
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        for alias in node.names:
+            if (alias.asname or alias.name) != name:
+                continue
+            other = project.get(node.module)
+            if other is None:
+                continue
+            cls = find_class(other, alias.name)
+            if cls is not None:
+                return other, cls
+    return None
 
 
 def _check_server_defaults(

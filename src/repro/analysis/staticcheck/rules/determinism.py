@@ -8,7 +8,7 @@ iteration order of an unordered container (``set``, ``dict.keys()``)
 leak into array contents.
 
 Flagged inside :data:`SCOPES` (``core``/``gpusim``/``multiprocess``/
-``distributed``):
+``distributed``/``multigpu``):
 
 * ``np.random.default_rng()`` / ``random.Random()`` with no arguments,
   calls on the *global* RNGs (``np.random.shuffle``,
@@ -47,6 +47,7 @@ SCOPES = (
     "repro.gpusim",
     "repro.multiprocess",
     "repro.distributed",
+    "repro.multigpu",
 )
 
 #: methods of the *global* numpy RNG — calling them at all is a

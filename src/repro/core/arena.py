@@ -1,8 +1,8 @@
 """Zero-allocation buffer arena for the BSP engine hot loop.
 
 The steady-state phase-1 iteration re-creates the same handful of
-iteration-shaped arrays every sweep — frontier masks, gather buffers,
-per-community accumulators, DecideResult storage. On laptop-scale graphs
+iteration-shaped arrays every sweep — gather buffers, per-community
+accumulators, DecideResult storage. On laptop-scale graphs
 the allocator churn is measurable; on the compiled hot path
 (:mod:`repro.core.kernels.jit`) it would dominate, because the kernels
 themselves are down to nanoseconds per edge.
@@ -13,7 +13,7 @@ buffer once (growing geometrically on the rare size increase), hands out
 
 * ``allocs``       — backing-buffer creations/growths. The engine-loop
   invariant is that this is *flat after iteration 2*: the first sweep
-  sizes every buffer (active sets and movement frontiers only shrink
+  sizes every buffer (active sets and mover sets only shrink
   afterwards), so the steady state performs zero heap allocations for
   every arena-backed array.
 * ``bytes_reused`` — bytes served from existing backing buffers.
@@ -56,14 +56,8 @@ class BufferArena:
         self.bytes_allocated = 0
         #: high-water mark of ``bytes_allocated``
         self.hwm = 0
-        #: engine-iteration counter (bumped by :meth:`tick`)
-        self.generation = 0
 
     # ------------------------------------------------------------------ #
-    def tick(self) -> None:
-        """Mark the start of a new engine iteration."""
-        self.generation += 1
-
     def request(
         self, key: Key, size: int, dtype: np.dtype | type = np.float64
     ) -> np.ndarray:

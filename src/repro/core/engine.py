@@ -27,8 +27,8 @@ multi-GPU, and distributed runtimes.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Union
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -233,8 +233,11 @@ class OracleProbe:
     decide serves both purposes: the active-set proposal is its exact
     restriction (tested invariant) — oracle mode costs one decide over the
     full vertex set per iteration, not two. Works identically on the
-    local, multi-GPU, and distributed executors; cost accounting in oracle
-    mode reflects the full-set decide (measurement-only, as in the paper).
+    local, multi-GPU, and distributed executors. Compute charges in oracle
+    mode reflect the full-set decide (measurement-only, as in the paper);
+    communication covers the committed moves only, because the rank
+    executors take their movers from the ``moved`` mask the engine passes
+    to :meth:`Executor.apply_and_sync`.
     """
 
     def __init__(self, n: int):
@@ -263,8 +266,8 @@ class OracleProbe:
 # --------------------------------------------------------------------- #
 @dataclass
 class EngineConfig:
-    """The loop knobs shared by every runtime (see Phase1Config for the
-    per-knob rationale)."""
+    """The loop knobs shared by every runtime (see :class:`AlgorithmConfig`
+    for the per-knob rationale)."""
 
     pruning: Union[str, PruningStrategy, None] = "none"
     remove_self: bool = True
@@ -273,6 +276,66 @@ class EngineConfig:
     max_iterations: int = 500
     oracle: bool = False
     seed: SeedLike = 0
+
+
+@dataclass
+class AlgorithmConfig:
+    """The algorithmic fields every phase-1 runtime shares.
+
+    :class:`~repro.core.phase1.Phase1Config` and the rank runtimes'
+    configs (distributed, multiprocess, multi-GPU) inherit these and add
+    only their execution knobs; a runtime may override a default (the
+    rank runtimes default to ``pruning="mg"``).
+
+    Attributes
+    ----------
+    pruning:
+        Strategy name (``none``/``sm``/``rm``/``pm``/``mg``/``mg+rm``) or a
+        :class:`PruningStrategy` instance.
+    weight_update:
+        ``"delta"`` (GALA, Section 3.5) or ``"recompute"`` (naive baseline).
+    remove_self:
+        Gain convention; see :func:`repro.core.kernels.vectorized.decide_moves`.
+    resolution:
+        Resolution parameter gamma of the generalised modularity (1.0 =
+        classic Newman; the knob the paper's intro cites for the
+        resolution-limit problem).
+    theta:
+        Modularity-improvement termination threshold (paper: ``1e-6``).
+    patience:
+        Number of consecutive below-``theta`` iterations tolerated before
+        stopping; see :class:`ConvergenceTracker` for the limit-cycle-proof
+        rule. ``patience=1`` reproduces the bare Algorithm 1 termination.
+    max_iterations:
+        Hard iteration cap (safety net; BSP Louvain with the Grappolo
+        guards converges far earlier in practice).
+    oracle:
+        Record ground-truth moved sets for FNR/FPR measurement (one
+        full-set DecideAndMove per iteration serves as both the oracle and
+        the active-set decision — measurement only; see
+        :class:`OracleProbe`).
+    seed:
+        Seed for strategy randomness (PM).
+    """
+
+    pruning: Union[str, PruningStrategy, None] = "none"
+    weight_update: str = "delta"
+    remove_self: bool = True
+    resolution: float = 1.0
+    theta: float = 1e-6
+    patience: int = 3
+    max_iterations: int = 500
+    oracle: bool = False
+    seed: SeedLike = 0
+
+    def engine_config(self) -> EngineConfig:
+        """A fresh :class:`EngineConfig` (callers may mutate it)."""
+        return EngineConfig(
+            **{f.name: getattr(self, f.name) for f in fields(EngineConfig)}
+        )
+
+
+R = TypeVar("R", bound="EngineResult")
 
 
 @dataclass
@@ -297,6 +360,13 @@ class EngineResult:
     #: attached :class:`~repro.obs.manifest.RunManifest` (set by the
     #: top-level entry points — ``gala()``, the CLI — not per engine run)
     manifest: Optional[Any] = None
+
+    @classmethod
+    def from_engine(cls: type[R], result: "EngineResult", **extras: Any) -> R:
+        """``result`` as a runtime's result type ``cls``, with ``extras``
+        filling the fields the runtime adds."""
+        core = {f.name: getattr(result, f.name) for f in fields(EngineResult)}
+        return cls(**core, **extras)
 
 
 # --------------------------------------------------------------------- #

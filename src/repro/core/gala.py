@@ -15,12 +15,16 @@ import dataclasses
 import json
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
+from repro.core.engine import AlgorithmConfig
 from repro.core.kernels.vectorized import KERNEL_NAMES
 from repro.core.louvain import LouvainResult, louvain
 from repro.core.phase1 import Phase1Config, Phase1Result, run_phase1
 from repro.graph.csr import CSRGraph
+
+if TYPE_CHECKING:
+    from repro.multiprocess import MultiprocessConfig
 
 
 @dataclass
@@ -198,17 +202,24 @@ class GalaConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected 'vectorized' or 'gpusim'"
             )
-        return Phase1Config(
-            pruning=self.pruning,
-            weight_update=self.weight_update,
-            remove_self=self.remove_self,
-            resolution=self.resolution,
-            theta=self.theta,
-            patience=self.patience,
-            max_iterations=self.max_iterations,
-            seed=self.seed,
-            kernel=kernel,
-        )
+        return Phase1Config(kernel=kernel, **self._algorithm_fields())
+
+    def multiprocess_config(self) -> "MultiprocessConfig":
+        """The rank-runtime config of ``runtime="multiprocess"`` (its
+        round 0 runs on ``ranks`` worker processes)."""
+        from repro.multiprocess import MultiprocessConfig
+
+        return MultiprocessConfig(num_ranks=self.ranks, **self._algorithm_fields())
+
+    def _algorithm_fields(self) -> dict:
+        """The shared :class:`~repro.core.engine.AlgorithmConfig` fields
+        this config carries (all but the measurement-only ``oracle``)."""
+        own = {f.name for f in dataclasses.fields(self)}
+        return {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(AlgorithmConfig)
+            if f.name in own
+        }
 
 
 def gala(
@@ -250,26 +261,16 @@ def _multiprocess_runner(cfg: GalaConfig):
     so they stay on the local path. Both paths are bit-identical.
     """
     from repro.core.phase1 import run_phase1 as run_local
-    from repro.multiprocess import MultiprocessConfig, run_multiprocess_phase1
+    from repro.multiprocess import run_multiprocess_phase1
 
-    mp_cfg = MultiprocessConfig(
-        num_ranks=cfg.ranks,
-        pruning=cfg.pruning,
-        weight_update=cfg.weight_update,
-        remove_self=cfg.remove_self,
-        resolution=cfg.resolution,
-        theta=cfg.theta,
-        patience=cfg.patience,
-        max_iterations=cfg.max_iterations,
-        seed=cfg.seed,
-    )
+    mp_cfg = cfg.multiprocess_config()
 
     def runner(graph: CSRGraph, p1cfg: Phase1Config, round_idx: int):
         if round_idx == 0:
             return run_multiprocess_phase1(graph, mp_cfg)
         return run_local(graph, p1cfg)
 
-    return runner, mp_cfg
+    return runner
 
 
 def _run_gala(
@@ -282,18 +283,17 @@ def _run_gala(
         )
     p1cfg = cfg.phase1_config()
     if cfg.runtime == "multiprocess":
-        runner, mp_cfg = _multiprocess_runner(cfg)
         if cfg.phase1_only:
             from repro.multiprocess import run_multiprocess_phase1
 
-            result = run_multiprocess_phase1(graph, mp_cfg)
+            result = run_multiprocess_phase1(graph, cfg.multiprocess_config())
         else:
             result = louvain(
                 graph,
                 phase1_config=p1cfg,
                 round_theta=cfg.round_theta,
                 max_rounds=cfg.max_rounds,
-                phase1_runner=runner,
+                phase1_runner=_multiprocess_runner(cfg),
             )
     elif cfg.phase1_only:
         result = run_phase1(graph, p1cfg)

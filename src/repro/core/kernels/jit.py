@@ -137,8 +137,8 @@ def _decide_loop(
     return stamp
 
 
-def _delta_loop(indptr, indices, weights, comm, prev_comm, moved, d_comm, frontier):
-    """Section 3.5 delta update over the movers' rows; fills ``frontier``.
+def _delta_loop(indptr, indices, weights, comm, prev_comm, moved, d_comm):
+    """Section 3.5 delta update over the movers' rows.
 
     Moved and unmoved vertices receive contributions to disjoint
     ``d_comm`` entries, so fusing the two halves into one mover-major,
@@ -157,7 +157,6 @@ def _delta_loop(indptr, indices, weights, comm, prev_comm, moved, d_comm, fronti
         for e in range(indptr[u], indptr[u + 1]):
             v = indices[e]
             w = weights[e]
-            frontier[v] = True
             cv = comm[v]
             joined = cu == cv
             if joined:
@@ -254,7 +253,7 @@ void repro_delta(
     int64_t n,
     const int64_t *indptr, const int64_t *indices, const double *weights,
     const int64_t *comm, const int64_t *prev_comm, const uint8_t *moved,
-    double *d_comm, uint8_t *frontier)
+    double *d_comm)
 {
     for (int64_t v = 0; v < n; v++)
         if (moved[v]) d_comm[v] = 0.0;
@@ -265,7 +264,6 @@ void repro_delta(
         for (int64_t e = indptr[u]; e < indptr[u + 1]; e++) {
             int64_t v = indices[e];
             double w = weights[e];
-            frontier[v] = 1;
             int64_t cv = comm[v];
             int joined = (cu == cv);
             if (joined) d_comm[u] += w;
@@ -357,7 +355,7 @@ def _compile_c_library() -> ctypes.CDLL:
         c_i64,
         ndp(**i64), ndp(**i64), ndp(**f64),
         ndp(**i64), ndp(**i64), ndp(**b8),
-        ndp(**f64), ndp(**b8),
+        ndp(**f64),
     ]
     lib.repro_aggregates.restype = None
     lib.repro_aggregates.argtypes = [
@@ -411,11 +409,10 @@ def _cc_runtime() -> JitRuntime:
             best_comm, best_gain, stay_gain, move,
         )
 
-    def delta(indptr, indices, weights, comm, prev_comm, moved, d_comm,
-              frontier):
+    def delta(indptr, indices, weights, comm, prev_comm, moved, d_comm):
         lib.repro_delta(
             len(moved), indptr, indices, weights, comm, prev_comm, moved,
-            d_comm, frontier,
+            d_comm,
         )
 
     def aggregates(comm, strength, comm_strength, comm_size):
@@ -466,15 +463,14 @@ def _smoke_compare(rt: JitRuntime) -> None:
                      cs, csize, 1.0, 3.0, 6.0, remove_self,
                      acc_w, acc_stamp, acc_comms, 0, bc, bg, sg, mv)
         d_comm = np.zeros(n)
-        frontier = np.zeros(n, dtype=np.bool_)
         moved = np.array([True, False, False, False])
         prev = np.array([2, 1, 1, 3], dtype=np.int64)
-        r.delta(indptr, indices, weights, comm, prev, moved, d_comm, frontier)
+        r.delta(indptr, indices, weights, comm, prev, moved, d_comm)
         agg_s = np.zeros(n)
         agg_n = np.zeros(n, dtype=np.int64)
         r.aggregates(comm, strength, agg_s, agg_n)
         outs[name] = (bc.copy(), bg.copy(), sg.copy(), mv.copy(),
-                      d_comm.copy(), frontier.copy(), agg_s.copy(),
+                      d_comm.copy(), agg_s.copy(),
                       agg_n.copy())
     for a, b in zip(outs["ref"], outs["cand"]):
         if not np.array_equal(a, b):

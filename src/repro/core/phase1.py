@@ -28,7 +28,7 @@ from typing import Callable, Union
 import numpy as np
 
 from repro.core.engine import (
-    EngineConfig,
+    AlgorithmConfig,
     EngineResult,
     Executor,
     IterationTrace,
@@ -36,7 +36,6 @@ from repro.core.engine import (
 )
 from repro.core.arena import BufferArena
 from repro.core.kernels.vectorized import DecideResult, make_kernel
-from repro.core.pruning.base import PruningStrategy
 from repro.core.state import CommunityState
 from repro.core.weights import (
     delta_update,
@@ -45,48 +44,20 @@ from repro.core.weights import (
     refresh_aggregates,
 )
 from repro.graph.csr import CSRGraph
-from repro.utils.rng import SeedLike
 
 KernelFn = Callable[[CommunityState, np.ndarray, bool], DecideResult]
-
-#: the unified per-iteration record (engine schema); kept under its
-#: historical name for existing consumers
-IterationRecord = IterationTrace
 
 #: phase-1 results are plain engine results
 Phase1Result = EngineResult
 
 
 @dataclass
-class Phase1Config:
-    """Configuration of one phase-1 run.
+class Phase1Config(AlgorithmConfig):
+    """Configuration of one phase-1 run: the shared algorithmic fields
+    (see :class:`~repro.core.engine.AlgorithmConfig`) plus the kernel.
 
     Attributes
     ----------
-    pruning:
-        Strategy name (``none``/``sm``/``rm``/``pm``/``mg``/``mg+rm``) or a
-        :class:`PruningStrategy` instance.
-    weight_update:
-        ``"delta"`` (GALA, Section 3.5) or ``"recompute"`` (naive baseline).
-    remove_self:
-        Gain convention; see :func:`repro.core.kernels.vectorized.decide_moves`.
-    theta:
-        Modularity-improvement termination threshold (paper: ``1e-6``).
-    patience:
-        Number of consecutive below-``theta`` iterations tolerated before
-        stopping; see :class:`repro.core.engine.ConvergenceTracker` for the
-        limit-cycle-proof rule. ``patience=1`` reproduces the bare
-        Algorithm 1 termination.
-    max_iterations:
-        Hard iteration cap (safety net; BSP Louvain with the Grappolo
-        guards converges far earlier in practice).
-    oracle:
-        Record ground-truth moved sets for FNR/FPR measurement (one
-        full-set DecideAndMove per iteration serves as both the oracle and
-        the active-set decision — measurement only; see
-        :class:`repro.core.engine.OracleProbe`).
-    seed:
-        Seed for strategy randomness (PM).
     kernel:
         DecideAndMove backend: ``"vectorized"`` (NumPy, the reference),
         ``"jit"`` (the compiled per-vertex loop; raises
@@ -97,30 +68,7 @@ class Phase1Config:
         All named backends return bit-identical decisions.
     """
 
-    pruning: Union[str, PruningStrategy, None] = "none"
-    weight_update: str = "delta"
-    remove_self: bool = True
-    #: resolution parameter gamma of the generalised modularity (1.0 =
-    #: classic Newman; the knob the paper's intro cites for the
-    #: resolution-limit problem)
-    resolution: float = 1.0
-    theta: float = 1e-6
-    patience: int = 3
-    max_iterations: int = 500
-    oracle: bool = False
-    seed: SeedLike = 0
     kernel: Union[str, KernelFn] = "vectorized"
-
-    def engine_config(self) -> EngineConfig:
-        return EngineConfig(
-            pruning=self.pruning,
-            remove_self=self.remove_self,
-            theta=self.theta,
-            patience=self.patience,
-            max_iterations=self.max_iterations,
-            oracle=self.oracle,
-            seed=self.seed,
-        )
 
 
 class LocalExecutor(Executor):
@@ -143,9 +91,9 @@ class LocalExecutor(Executor):
         self.kernel = kernel if callable(kernel) else make_kernel(kernel)
         self.remove_self = config.remove_self
         #: per-level scratch allocator; every iteration-shaped buffer the
-        #: hot loop needs (frontier flags, kernel scratch, DecideResult
-        #: storage, aggregate rebuilds) is served from here, so the
-        #: steady-state loop performs zero heap allocations
+        #: hot loop needs (kernel scratch, DecideResult storage, aggregate
+        #: rebuilds) is served from here, so the steady-state loop
+        #: performs zero heap allocations
         self.arena = BufferArena("engine")
         kernel_bind_arena = getattr(self.kernel, "bind_arena", None)
         if kernel_bind_arena is not None:
@@ -177,25 +125,16 @@ class LocalExecutor(Executor):
         self._cycles_seen = 0.0
 
     def _make_updater(self):
-        """The weight updater, arena-backed where that saves allocations.
+        """The weight updater, compiled where a jit runtime is available.
 
-        The registry lookup stays authoritative: the fast paths (compiled
-        delta, arena-backed frontier) only replace the *stock*
-        ``delta_update`` — a patched registry entry (the sanitizer
-        mutation tests) is used as-is.
+        The registry lookup stays authoritative: the compiled delta only
+        replaces the *stock* ``delta_update`` — a patched registry entry
+        (the sanitizer mutation tests) is used as-is.
         """
         base = make_weight_updater(self.config.weight_update)
-        if base is not delta_update:
-            return base
-        if self._jit_runtime is not None:
-            return make_jit_delta_updater(self._jit_runtime, self.arena)
-        arena = self.arena
-
-        def arena_delta(state, prev_comm, moved):
-            out = arena.zeros(("weights", "frontier"), state.graph.n, np.bool_)
-            return delta_update(state, prev_comm, moved, out=out)
-
-        return arena_delta
+        if base is delta_update and self._jit_runtime is not None:
+            return make_jit_delta_updater(self._jit_runtime)
+        return base
 
     def decide(self, active_idx: np.ndarray, active: np.ndarray) -> np.ndarray:
         result = self.kernel(self.state, active_idx, self.remove_self)
@@ -203,7 +142,6 @@ class LocalExecutor(Executor):
 
     def apply_and_sync(self, next_comm: np.ndarray, moved: np.ndarray) -> float:
         state = self.state
-        self.arena.tick()
         prev_comm = state.comm
         state.comm = next_comm
         with self.timers.measure("weight_update"):

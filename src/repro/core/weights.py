@@ -16,22 +16,13 @@ for the next iteration. Two implementations:
   reports a 7.3x weight-update speedup).
 
 Both leave the state bit-equivalent (a hypothesis-tested invariant).
-
-Updaters return the **movement frontier** — the boolean mask of vertices
-with at least one moved neighbour — when they derive it anyway (the delta
-scheme scans exactly those incidences), or ``None`` when they don't. The
-frontier is precisely the set of rows whose ``(vertex, neighbour-community)``
-pair table changed; :func:`movement_frontier` computes it standalone.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.core.state import CommunityState
-from repro.graph.csr import CSRGraph
 from repro.utils.arrays import repeat_by_counts
 
 #: the delta/recompute equivalence is a bit-exact contract — float
@@ -39,68 +30,75 @@ from repro.utils.arrays import repeat_by_counts
 __bitexact__ = True
 
 
-def movement_frontier(
-    graph: CSRGraph, moved: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Boolean mask of vertices with at least one moved neighbour.
-
-    A vertex's DecideAndMove pair table depends only on the communities of
-    its neighbours, so this mask is exactly the set of rows invalidated by a
-    BSP apply step. The adjacency is symmetric, so scanning the movers' rows
-    enumerates every affected vertex.
-
-    ``out``, when given, is the flag array to fill (must be zeroed, length
-    ``graph.n``), e.g. an arena-backed buffer so no frontier is
-    heap-allocated in the steady state.
-    """
-    frontier = out if out is not None else np.zeros(graph.n, dtype=bool)
-    movers = np.flatnonzero(moved)
-    if len(movers) == 0:
-        return frontier
-    counts = graph.degrees[movers]
-    eidx = repeat_by_counts(graph.indptr[movers], counts)
-    frontier[graph.indices[eidx]] = True
-    return frontier
-
-
 def recompute_all(
     state: CommunityState, prev_comm: np.ndarray, moved: np.ndarray
-) -> Optional[np.ndarray]:
+) -> None:
     """Naive full recomputation of ``d_comm`` (baseline; args unused)."""
     state.recompute_d_comm()
-    return None
 
 
 def delta_update(
-    state: CommunityState,
-    prev_comm: np.ndarray,
-    moved: np.ndarray,
-    out: Optional[np.ndarray] = None,
-) -> Optional[np.ndarray]:
+    state: CommunityState, prev_comm: np.ndarray, moved: np.ndarray
+) -> None:
     """Delta-update ``d_comm`` from the moved-vertex set.
 
     Must be called *after* ``state.comm`` holds the new assignment, with
-    ``prev_comm``/``moved`` describing what changed. Returns the movement
-    frontier (see the module docstring), derived from the single gather of
-    the movers' adjacency rows that both halves of the scheme share.
-    ``out`` is an optional pre-zeroed flag array for the frontier (see
-    :func:`movement_frontier`).
+    ``prev_comm``/``moved`` describing what changed.
     """
-    g = state.graph
-    frontier = out if out is not None else np.zeros(g.n, dtype=bool)
     movers = np.flatnonzero(moved)
-    if len(movers) == 0:
-        return frontier
-
-    counts = g.degrees[movers]
+    counts = state.graph.degrees[movers]
     # integer degree count — exact in any order  # lint: allow[float-accumulation]
     if counts.sum() == 0:
-        return frontier
+        return
+    _delta_apply(state, prev_comm, moved, movers, counts)
+
+
+def delta_update_chunked(
+    state: CommunityState,
+    prev_comm: np.ndarray,
+    moved: np.ndarray,
+    chunk_edges: int,
+    release=None,
+) -> None:
+    """:func:`delta_update` in degree-bounded mover chunks.
+
+    Transient allocations (the gathered adjacency rows of the movers) stay
+    O(``chunk_edges``) instead of O(moved-degree-sum) — the difference
+    between "fits" and "not" when the graph is memory-mapped at 10⁷+
+    edges. Bit-identical to the one-shot path: step 1 targets only moved
+    vertices and step 2 only unmoved ones, so any single ``d_comm`` entry
+    receives all its contributions from one step, in mover-major adjacency
+    order — which ascending mover chunks preserve exactly. ``release``
+    (e.g. ``MmapCSRGraph.release_pages``) is called after each chunk so
+    resident file pages track the chunk size too.
+    """
+    from repro.graph.mmap_store import split_by_edges
+
+    degrees = state.graph.degrees
+    movers = np.flatnonzero(moved)
+    mover_deg = degrees[movers]
+    # integer degree count — exact in any order  # lint: allow[float-accumulation]
+    if mover_deg.sum() == 0:
+        return
+    for sub in split_by_edges(movers, mover_deg, chunk_edges, release=release):
+        _delta_apply(state, prev_comm, moved, sub, degrees[sub])
+
+
+def _delta_apply(
+    state: CommunityState,
+    prev_comm: np.ndarray,
+    moved: np.ndarray,
+    movers: np.ndarray,
+    counts: np.ndarray,
+) -> None:
+    """Both halves of the delta scheme for one mover subset (``counts``
+    are the movers' degrees); they share a single gather of the movers'
+    adjacency rows."""
+    g = state.graph
     eidx = repeat_by_counts(g.indptr[movers], counts)
     u = np.repeat(movers, counts)  # the mover
-    v = g.indices[eidx]  # its neighbour
-    w = g.weights[eidx]
-    frontier[v] = True
+    v = np.asarray(g.indices[eidx])  # its neighbour
+    w = np.asarray(g.weights[eidx])
 
     # (1) moved vertices: their community changed, recompute from scratch —
     # reusing the gather above instead of a second row scan.
@@ -121,72 +119,6 @@ def delta_update(
     if len(rel):
         delta = np.where(joined[rel], w[rel], -w[rel])
         np.add.at(state.d_comm, v[rel], delta)
-    return frontier
-
-
-def delta_update_chunked(
-    state: CommunityState,
-    prev_comm: np.ndarray,
-    moved: np.ndarray,
-    chunk_edges: int,
-    out: Optional[np.ndarray] = None,
-    release=None,
-) -> Optional[np.ndarray]:
-    """:func:`delta_update` in degree-bounded mover chunks.
-
-    Transient allocations (the gathered adjacency rows of the movers) stay
-    O(``chunk_edges``) instead of O(moved-degree-sum) — the difference
-    between "fits" and "not" when the graph is memory-mapped at 10⁷+
-    edges. Bit-identical to the one-shot path: step 1 targets only moved
-    vertices and step 2 only unmoved ones, so any single ``d_comm`` entry
-    receives all its contributions from one step, in mover-major adjacency
-    order — which ascending mover chunks preserve exactly. ``release``
-    (e.g. ``MmapCSRGraph.release_pages``) is called after each chunk so
-    resident file pages track the chunk size too.
-    """
-    g = state.graph
-    frontier = out if out is not None else np.zeros(g.n, dtype=bool)
-    movers = np.flatnonzero(moved)
-    if len(movers) == 0:
-        return frontier
-    from repro.graph.mmap_store import split_by_edges
-
-    degrees = g.degrees
-    mover_deg = degrees[movers]
-    # integer degree count — exact in any order  # lint: allow[float-accumulation]
-    if mover_deg.sum() == 0:
-        return frontier
-    for sub in split_by_edges(movers, degrees[movers], chunk_edges, release=release):
-        _delta_apply(state, prev_comm, moved, sub, degrees[sub], frontier)
-    return frontier
-
-
-def _delta_apply(
-    state: CommunityState,
-    prev_comm: np.ndarray,
-    moved: np.ndarray,
-    movers: np.ndarray,
-    counts: np.ndarray,
-    frontier: np.ndarray,
-) -> None:
-    """Both halves of the delta scheme for one mover subset (see
-    :func:`delta_update` for the algorithm; identical statement order)."""
-    g = state.graph
-    eidx = repeat_by_counts(g.indptr[movers], counts)
-    u = np.repeat(movers, counts)
-    v = np.asarray(g.indices[eidx])
-    w = np.asarray(g.weights[eidx])
-    frontier[v] = True
-    cv = state.comm[v]
-    joined = state.comm[u] == cv
-    state.d_comm[movers] = 0.0
-    if np.any(joined):
-        np.add.at(state.d_comm, u[joined], w[joined])
-    left = prev_comm[u] == cv
-    rel = np.flatnonzero((joined != left) & ~moved[v])
-    if len(rel):
-        delta = np.where(joined[rel], w[rel], -w[rel])
-        np.add.at(state.d_comm, v[rel], delta)
 
 
 def make_chunked_weight_updater(spec: str, chunk_edges: int, release=None):
@@ -200,8 +132,8 @@ def make_chunked_weight_updater(spec: str, chunk_edges: int, release=None):
 
         def updater(
             state: CommunityState, prev_comm: np.ndarray, moved: np.ndarray
-        ) -> Optional[np.ndarray]:
-            return delta_update_chunked(
+        ) -> None:
+            delta_update_chunked(
                 state, prev_comm, moved, chunk_edges, release=release
             )
 
@@ -209,23 +141,20 @@ def make_chunked_weight_updater(spec: str, chunk_edges: int, release=None):
     return make_weight_updater(spec)
 
 
-def make_jit_delta_updater(runtime, arena):
+def make_jit_delta_updater(runtime):
     """A compiled drop-in for :func:`delta_update` (same signature/results).
 
     ``runtime`` is a probed :class:`~repro.core.kernels.jit.JitRuntime`;
     its fused mover-major pass applies both halves of the scheme in one
     sweep over the movers' rows — bit-identical to the NumPy path because
     moved and unmoved vertices receive contributions to *disjoint*
-    ``d_comm`` entries, each in the same mover-major adjacency order. The
-    frontier flag array comes from ``arena`` and is valid until the next
-    call.
+    ``d_comm`` entries, each in the same mover-major adjacency order.
     """
 
     def jit_delta(
         state: CommunityState, prev_comm: np.ndarray, moved: np.ndarray
-    ) -> np.ndarray:
+    ) -> None:
         g = state.graph
-        frontier = arena.zeros(("weights", "frontier"), g.n, np.bool_)
         runtime.delta(
             g.indptr,
             g.indices,
@@ -234,9 +163,7 @@ def make_jit_delta_updater(runtime, arena):
             np.ascontiguousarray(prev_comm, dtype=np.int64),
             np.ascontiguousarray(moved, dtype=np.bool_),
             state.d_comm,
-            frontier,
         )
-        return frontier
 
     return jit_delta
 

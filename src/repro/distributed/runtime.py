@@ -18,99 +18,40 @@ assignment is bit-identical to the single-engine result for any rank
 count and any partition (tested). What differs — and what this module
 measures — is the communication: halo volume is proportional to the
 *boundary* moved vertices, not to n.
+
+Everything but the rank mirrors lives in :mod:`repro.distributed.partitioned`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.engine import (
-    EngineConfig,
-    Executor,
-    IterationTrace,
-    run_engine,
-)
-from repro.core.kernels.vectorized import decide_moves
+from repro.core.engine import AlgorithmConfig
 from repro.core.state import CommunityState
-from repro.core.weights import make_weight_updater
+from repro.distributed.partitioned import HaloExecutor, RankResult
 from repro.graph.csr import CSRGraph
-from repro.graph.partition import VertexPartition, partition_contiguous
-from repro.distributed.halo import RankView, build_rank_views
-from repro.obs import _session as obs
-
-#: bytes per halo update record: vertex id (8) + community id (8)
-HALO_BYTES_PER_UPDATE = 16
-#: simple MPI-ish cost model for the simulated interconnect
-LINK_BANDWIDTH = 25e9  # bytes/s
-MESSAGE_LATENCY = 2e-6  # seconds per point-to-point message
+from repro.graph.partition import VertexPartition
 
 
 @dataclass
-class HaloStats:
-    """Communication accounting for one run."""
+class DistributedConfig(AlgorithmConfig):
+    """:class:`~repro.core.engine.AlgorithmConfig` plus the rank count."""
 
-    messages: int = 0
-    bytes_sent: int = 0
-    #: per-iteration payload bytes (all ranks summed)
-    bytes_per_iteration: list = field(default_factory=list)
-
-    def record(self, iteration_bytes: int, iteration_messages: int) -> None:
-        self.messages += iteration_messages
-        self.bytes_sent += iteration_bytes
-        self.bytes_per_iteration.append(iteration_bytes)
-
-    def comm_seconds(self) -> float:
-        return (
-            self.bytes_sent / LINK_BANDWIDTH
-            + self.messages * MESSAGE_LATENCY
-        )
-
-
-@dataclass
-class DistributedConfig:
-    num_ranks: int = 2
     pruning: str = "mg"
-    #: community-weight update scheme (``delta``/``recompute``) — the same
-    #: factory as the local and multi-GPU runtimes, so the Figure 6
-    #: recompute-vs-delta ablation runs distributed too
-    weight_update: str = "delta"
-    remove_self: bool = True
-    resolution: float = 1.0
-    theta: float = 1e-6
-    patience: int = 3
-    max_iterations: int = 500
-    #: engine-level FNR/FPR instrumentation (measurement only)
-    oracle: bool = False
-    seed: int = 0
-
-    def engine_config(self) -> EngineConfig:
-        return EngineConfig(
-            pruning=self.pruning,
-            remove_self=self.remove_self,
-            theta=self.theta,
-            patience=self.patience,
-            max_iterations=self.max_iterations,
-            oracle=self.oracle,
-            seed=self.seed,
-        )
+    num_ranks: int = 2
 
 
 @dataclass
-class DistributedResult:
-    communities: np.ndarray
-    modularity: float
-    num_iterations: int
-    history: list[IterationTrace]
-    views: list[RankView]
-    stats: HaloStats
-    #: what dense broadcast of the full array every iteration would cost
-    broadcast_bytes_equivalent: int = 0
+class DistributedResult(RankResult):
+    """Result of a simulated distributed run."""
 
 
-class DistributedExecutor(Executor):
+class DistributedExecutor(HaloExecutor):
     """Rank-partitioned executor: local-mirror decide, halo-exchange apply."""
+
+    result_type = DistributedResult
 
     def __init__(
         self,
@@ -118,18 +59,10 @@ class DistributedExecutor(Executor):
         config: DistributedConfig,
         partition: VertexPartition | None = None,
     ):
-        self.config = config
-        part = partition or partition_contiguous(graph, config.num_ranks)
-        if part.num_parts != config.num_ranks:
-            raise ValueError("partition parts must match num_ranks")
-        self.partition = part
-        self.views = build_rank_views(graph, part)
-        self.updater = make_weight_updater(config.weight_update)
-        self.stats = HaloStats()
-
+        super().__init__(graph, config, config.num_ranks, partition)
         # Per-rank local community arrays. Entries outside owned+ghost are
         # poisoned with -1 so any read of a non-mirrored vertex is caught
-        # by the equivalence assertions in apply_and_sync.
+        # by the soundness assertion in _sync.
         self.local_comm: list[np.ndarray] = []
         for view in self.views:
             arr = np.full(graph.n, -1, dtype=np.int64)
@@ -137,68 +70,25 @@ class DistributedExecutor(Executor):
             arr[vis] = vis  # singleton initialisation
             self.local_comm.append(arr)
 
-        # Shared BSP reference state for aggregates/weights. comm_strength
-        # and d_comm are maintained exactly as the single engine does;
-        # per-rank DecideAndMove reads community ids from the rank's own
-        # local array.
-        self.state = CommunityState.singletons(
-            graph, resolution=config.resolution
+    def _rank_state(self, rank: int) -> CommunityState:
+        # the rank decides against ITS OWN mirrored ids; the community
+        # aggregates are the shared (allreduced) ones
+        state = self.state
+        return CommunityState(
+            graph=state.graph,
+            comm=self.local_comm[rank],
+            d_comm=state.d_comm,
+            comm_strength=state.comm_strength,
+            comm_size=state.comm_size,
+            resolution=state.resolution,
         )
-        self._moved_per_rank: list[np.ndarray] = []
-        self._last_bytes = 0
-        self._last_messages = 0
 
-    def decide(self, active_idx: np.ndarray, active: np.ndarray) -> np.ndarray:
-        state = self.state
-        next_comm = state.comm.copy()
-        self._moved_per_rank = []
-        for view in self.views:
-            idx = view.owned[active[view.owned]]
-            if len(idx) == 0:
-                self._moved_per_rank.append(np.empty(0, dtype=np.int64))
-                continue
-            # the rank decides against ITS OWN mirrored ids
-            rank_state = CommunityState(
-                graph=state.graph,
-                comm=self.local_comm[view.rank],
-                d_comm=state.d_comm,
-                comm_strength=state.comm_strength,
-                comm_size=state.comm_size,
-                resolution=self.config.resolution,
-            )
-            result = decide_moves(
-                rank_state, idx, remove_self=self.config.remove_self
-            )
-            movers = idx[result.move]
-            next_comm[movers] = result.best_comm[result.move]
-            self._moved_per_rank.append(movers)
-        return next_comm
-
-    def apply_and_sync(self, next_comm: np.ndarray, moved: np.ndarray) -> float:
-        state = self.state
-
-        # Halo exchange: each rank updates its own mirror with (a) its own
-        # moves and (b) the updates it receives for its ghosts.
-        iteration_bytes = 0
-        iteration_messages = 0
-        halo_span = obs.span("halo/exchange", ranks=len(self.views))
-        with halo_span:
-            for view, movers in zip(self.views, self._moved_per_rank):
-                self.local_comm[view.rank][movers] = next_comm[movers]
-                for dest, send_list in view.send_lists.items():
-                    payload = np.intersect1d(movers, send_list, assume_unique=False)
-                    if len(payload) == 0:
-                        continue
-                    self.local_comm[dest][payload] = next_comm[payload]
-                    iteration_bytes += len(payload) * HALO_BYTES_PER_UPDATE
-                    iteration_messages += 1
-            halo_span.tag(bytes=iteration_bytes, messages=iteration_messages)
-        obs.inc("comm/halo_bytes_total", iteration_bytes)
-        obs.inc("comm/halo_messages_total", iteration_messages)
-        self.stats.record(iteration_bytes, iteration_messages)
-        self._last_bytes = iteration_bytes
-        self._last_messages = iteration_messages
-
+    def _sync(self, next_comm: np.ndarray, movers: list[np.ndarray]) -> np.ndarray:
+        # each rank updates its own mirror with its own moves, then the
+        # halo exchange delivers the updates every rank ghosts
+        for view, rank_movers in zip(self.views, movers):
+            self.local_comm[view.rank][rank_movers] = next_comm[rank_movers]
+        self.exchange_halo(next_comm, movers)
         # Soundness of the mirrors: every rank's visible entries must
         # match the global assignment after the exchange.
         for view in self.views:
@@ -206,17 +96,10 @@ class DistributedExecutor(Executor):
             np.testing.assert_array_equal(
                 self.local_comm[view.rank][vis], next_comm[vis]
             )
+        return next_comm
 
-        # aggregate refresh (the O(#communities) AllReduce)
-        prev_comm = state.comm
-        state.comm = next_comm
-        self.updater(state, prev_comm, moved)
-        state.refresh_community_aggregates()
-        return state.modularity()
-
-    def collect(self, trace: IterationTrace) -> None:
-        trace.comm_bytes = self._last_bytes
-        trace.comm_messages = self._last_messages
+    def _deliver(self, dest: int, payload: np.ndarray, next_comm: np.ndarray) -> None:
+        self.local_comm[dest][payload] = next_comm[payload]
 
 
 def run_distributed_phase1(
@@ -226,16 +109,4 @@ def run_distributed_phase1(
 ) -> DistributedResult:
     """Run phase 1 across simulated ranks with halo-exchange consistency."""
     cfg = config or DistributedConfig()
-    executor = DistributedExecutor(graph, cfg, partition)
-    result = run_engine(executor, cfg.engine_config())
-    return DistributedResult(
-        communities=result.communities,
-        modularity=result.modularity,
-        num_iterations=result.num_iterations,
-        history=result.history,
-        views=executor.views,
-        stats=executor.stats,
-        broadcast_bytes_equivalent=(
-            result.num_iterations * graph.n * 8 * cfg.num_ranks
-        ),
-    )
+    return DistributedExecutor(graph, cfg, partition).run(cfg.engine_config())

@@ -151,8 +151,8 @@ class CSRGraph:
 
         The expansion ``np.repeat(np.arange(n), degrees)`` that every
         whole-graph edge scan needs; cached because it is O(E) to build and
-        several hot paths (full-set DecideAndMove, d_comm recomputation,
-        movement-frontier derivation) want it each iteration.
+        several hot paths (full-set DecideAndMove, d_comm recomputation)
+        want it each iteration.
         """
         if self._row_ids is None:
             object.__setattr__(

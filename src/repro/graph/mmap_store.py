@@ -506,17 +506,6 @@ def open_mmap(
     return graph
 
 
-def row_block_slices(
-    graph: CSRGraph, chunk_edges: int
-) -> Iterator[tuple[int, int, int, int]]:
-    """Yield ``(v0, v1, p0, p1)`` aligned row/adjacency ranges of ≤
-    ``chunk_edges`` entries — the iteration pattern every chunked consumer
-    of a store shares."""
-    indptr = graph.indptr
-    for v0, v1 in iter_row_blocks(indptr, chunk_edges):
-        yield v0, v1, int(indptr[v0]), int(indptr[v1])
-
-
 def split_by_edges(
     vertices: np.ndarray,
     degrees: np.ndarray,

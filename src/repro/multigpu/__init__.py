@@ -11,7 +11,6 @@ from repro.multigpu.sync import SyncMode, SyncPlan, choose_sync_mode
 from repro.multigpu.runtime import (
     MultiGpuConfig,
     MultiGpuExecutor,
-    MultiGpuIteration,
     MultiGpuResult,
     run_multigpu_phase1,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "choose_sync_mode",
     "MultiGpuConfig",
     "MultiGpuExecutor",
-    "MultiGpuIteration",
     "MultiGpuResult",
     "run_multigpu_phase1",
 ]

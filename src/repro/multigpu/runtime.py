@@ -16,6 +16,8 @@ multi-GPU run produces **bit-identical communities** to the single-GPU
 engine (a test invariant); what changes is the simulated time: computation
 shrinks with more devices, communication does not — reproducing Figure
 10(b)'s breakdown.
+
+The loop and the commit step live in :mod:`repro.distributed.partitioned`.
 """
 
 from __future__ import annotations
@@ -24,17 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.engine import (
-    EngineConfig,
-    Executor,
-    IterationTrace,
-    run_engine,
-)
-from repro.core.kernels.vectorized import decide_moves
-from repro.core.state import CommunityState
-from repro.core.weights import make_weight_updater
+from repro.core.engine import AlgorithmConfig, EngineResult, IterationTrace
+from repro.distributed.partitioned import PartitionedExecutor
 from repro.graph.csr import CSRGraph
-from repro.graph.partition import VertexPartition, partition_contiguous
+from repro.graph.partition import VertexPartition
 from repro.gpusim.costmodel import MemoryKind
 from repro.gpusim.device import Device, DeviceConfig
 from repro.gpusim.nccl import Communicator
@@ -47,53 +42,25 @@ from repro.multigpu.sync import (
 )
 from repro.obs import _session as obs
 
-#: the unified per-iteration record (engine schema); kept under the
-#: historical multi-GPU name for existing consumers
-MultiGpuIteration = IterationTrace
-
 
 @dataclass
-class MultiGpuConfig:
-    """Configuration of a multi-GPU phase-1 run."""
+class MultiGpuConfig(AlgorithmConfig):
+    """:class:`~repro.core.engine.AlgorithmConfig` plus the device setup.
+    ``oracle`` charges the full-set decide to the devices, so leave it off
+    for the Figure 10 timing experiments."""
 
+    pruning: str = "mg"
     num_gpus: int = 1
     sync_mode: SyncMode = SyncMode.ADAPTIVE
-    pruning: str = "mg"
-    weight_update: str = "delta"
-    remove_self: bool = True
-    resolution: float = 1.0
-    theta: float = 1e-6
-    patience: int = 3
-    max_iterations: int = 500
-    #: engine-level FNR/FPR instrumentation (measurement only — the
-    #: full-set decide is charged to the devices, so leave this off for
-    #: the Figure 10 timing experiments)
-    oracle: bool = False
-    seed: int = 0
     device_config: DeviceConfig = field(default_factory=DeviceConfig)
-
-    def engine_config(self) -> EngineConfig:
-        return EngineConfig(
-            pruning=self.pruning,
-            remove_self=self.remove_self,
-            theta=self.theta,
-            patience=self.patience,
-            max_iterations=self.max_iterations,
-            oracle=self.oracle,
-            seed=self.seed,
-        )
 
 
 @dataclass
-class MultiGpuResult:
-    """Result plus per-device simulated time breakdown."""
+class MultiGpuResult(EngineResult):
+    """Engine result plus per-device simulated time breakdown."""
 
-    communities: np.ndarray
-    modularity: float
-    num_iterations: int
-    history: list[IterationTrace]
-    devices: list[Device]
-    partition: VertexPartition
+    devices: list[Device] = field(default_factory=list)
+    partition: VertexPartition | None = None
 
     def compute_seconds(self) -> float:
         """Parallel computation time: the slowest device's compute cycles."""
@@ -137,8 +104,10 @@ def _estimate_decide_cycles(
     return cycles
 
 
-class MultiGpuExecutor(Executor):
+class MultiGpuExecutor(PartitionedExecutor):
     """Partitioned executor: per-device decide, NCCL-synchronised apply."""
+
+    config: MultiGpuConfig
 
     def __init__(
         self,
@@ -146,10 +115,7 @@ class MultiGpuExecutor(Executor):
         config: MultiGpuConfig,
         partition: VertexPartition | None = None,
     ):
-        self.config = config
-        self.partition = partition or partition_contiguous(graph, config.num_gpus)
-        if self.partition.num_parts != config.num_gpus:
-            raise ValueError("partition parts must match num_gpus")
+        super().__init__(graph, config, config.num_gpus, partition)
         self.devices = [
             Device(config=config.device_config, device_id=i)
             for i in range(config.num_gpus)
@@ -158,42 +124,21 @@ class MultiGpuExecutor(Executor):
         self.owned_masks = [
             self.partition.owner == i for i in range(config.num_gpus)
         ]
-        self.updater = make_weight_updater(config.weight_update)
-        self.state = CommunityState.singletons(
-            graph, resolution=config.resolution
-        )
-        self._moved_ids_per_rank: list[np.ndarray] = []
         self._last_plan: SyncPlan | None = None
         self._cycles_seen = 0.0
 
-    def decide(self, active_idx: np.ndarray, active: np.ndarray) -> np.ndarray:
-        state = self.state
-        graph = state.graph
-        next_comm = state.comm.copy()
-        self._moved_ids_per_rank = []
-        for dev, mask in zip(self.devices, self.owned_masks):
-            idx = np.flatnonzero(active & mask)
-            if len(idx):
-                result = decide_moves(
-                    state, idx, remove_self=self.config.remove_self
-                )
-                movers = idx[result.move]
-                next_comm[movers] = result.best_comm[result.move]
-                self._moved_ids_per_rank.append(movers)
-            else:
-                self._moved_ids_per_rank.append(np.empty(0, dtype=np.int64))
-            dev.profiler.charge(
-                "compute", _estimate_decide_cycles(graph, idx, dev)
-            )
-        return next_comm
+    def _charge_decide(self, rank: int, idx: np.ndarray) -> None:
+        dev = self.devices[rank]
+        dev.profiler.charge(
+            "compute", _estimate_decide_cycles(self.state.graph, idx, dev)
+        )
 
-    def apply_and_sync(self, next_comm: np.ndarray, moved: np.ndarray) -> float:
+    def _sync(self, next_comm: np.ndarray, movers: list[np.ndarray]) -> np.ndarray:
         cfg = self.config
-        state = self.state
-        num_moved = int(moved.sum())
+        num_moved = sum(len(m) for m in movers)
 
         # synchronise the new assignment across devices
-        plan = choose_sync_mode(state.graph.n, num_moved, cfg.sync_mode)
+        plan = choose_sync_mode(self.state.graph.n, num_moved, cfg.sync_mode)
         self._last_plan = plan
         with obs.span(
             "sync/" + plan.mode.value,
@@ -207,9 +152,7 @@ class MultiGpuExecutor(Executor):
                     [next_comm] * cfg.num_gpus, self.owned_masks, self.communicator
                 )
             else:
-                merged = sparse_sync_comm(
-                    next_comm, self._moved_ids_per_rank, self.communicator
-                )
+                merged = sparse_sync_comm(next_comm, movers, self.communicator)
                 if cfg.num_gpus > 1:
                     # local scatter overhead of the sparse representation — a
                     # bulk rearrangement kernel, so charged at streaming rates
@@ -223,19 +166,14 @@ class MultiGpuExecutor(Executor):
         obs.inc("sync/plan_bytes_total", plan.chosen_bytes)
         np.testing.assert_array_equal(merged, next_comm)  # sync soundness
 
-        # apply + update (every device holds the merged state; charge the
-        # weight-update stream to the owners)
-        prev_comm = state.comm
-        state.comm = merged
-        self.updater(state, prev_comm, moved)
-        state.refresh_community_aggregates()
-        for dev, mask in zip(self.devices, self.owned_masks):
-            movers_owned = int(np.sum(moved & mask))
+        # every device holds the merged state; charge the weight-update
+        # stream of each device's movers to its owner
+        for dev, rank_movers in zip(self.devices, movers):
             dev.profiler.charge(
                 "compute",
-                dev.config.cost.access(MemoryKind.GLOBAL, max(movers_owned, 1)),
+                dev.config.cost.access(MemoryKind.GLOBAL, max(len(rank_movers), 1)),
             )
-        return state.modularity()
+        return merged
 
     def collect(self, trace: IterationTrace) -> None:
         trace.sync_plan = self._last_plan
@@ -248,6 +186,11 @@ class MultiGpuExecutor(Executor):
     def profilers(self) -> dict:
         return {f"dev{d.device_id}": d.profiler for d in self.devices}
 
+    def result(self, result: EngineResult) -> MultiGpuResult:
+        return MultiGpuResult.from_engine(
+            result, devices=self.devices, partition=self.partition
+        )
+
 
 def run_multigpu_phase1(
     graph: CSRGraph,
@@ -256,13 +199,4 @@ def run_multigpu_phase1(
 ) -> MultiGpuResult:
     """Run phase 1 distributed over ``config.num_gpus`` simulated devices."""
     cfg = config or MultiGpuConfig()
-    executor = MultiGpuExecutor(graph, cfg, partition)
-    result = run_engine(executor, cfg.engine_config())
-    return MultiGpuResult(
-        communities=result.communities,
-        modularity=result.modularity,
-        num_iterations=result.num_iterations,
-        history=result.history,
-        devices=executor.devices,
-        partition=executor.partition,
-    )
+    return MultiGpuExecutor(graph, cfg, partition).run(cfg.engine_config())

@@ -16,11 +16,11 @@ requires. The shape of an iteration:
    invariant), and writes movers into the shared ``next_comm`` —
    disjoint owned slots, so no synchronisation is needed beyond the
    shared done semaphore;
-3. the parent commits the move step exactly as the simulated runtime
-   does — identical halo-exchange accounting over the same
-   :class:`~repro.distributed.halo.RankView` send lists (so
-   ``HaloStats`` match the simulation bit for bit), then the community
-   weight update and aggregate refresh.
+3. the parent commits the move step through the shared partitioned core
+   (:mod:`repro.distributed.partitioned`) — the same halo-exchange
+   accounting over the same :class:`~repro.distributed.halo.RankView`
+   send lists as the simulated runtime (so ``HaloStats`` match it bit
+   for bit), then the community weight update and aggregate refresh.
 
 The graph payload crosses process boundaries **zero** times: every
 worker maps the same on-disk store read-only via
@@ -45,22 +45,15 @@ import tempfile
 import time
 import traceback
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.engine import (
-    EngineConfig,
-    EngineResult,
-    Executor,
-    IterationTrace,
-    run_engine,
-)
+from repro.core.engine import AlgorithmConfig
 from repro.core.kernels.vectorized import decide_moves
 from repro.core.state import CommunityState
-from repro.core.weights import make_chunked_weight_updater, make_weight_updater
-from repro.distributed.halo import RankView, build_rank_views
-from repro.distributed.runtime import HALO_BYTES_PER_UPDATE, HaloStats
+from repro.core.weights import make_chunked_weight_updater
+from repro.distributed.partitioned import HaloExecutor, RankResult
 from repro.graph.csr import CSRGraph
 from repro.graph.mmap_store import (
     DEFAULT_CHUNK_EDGES,
@@ -69,7 +62,7 @@ from repro.graph.mmap_store import (
     save_mmap,
     split_by_edges,
 )
-from repro.graph.partition import VertexPartition, partition_contiguous
+from repro.graph.partition import VertexPartition
 from repro.multiprocess.shm import ShmLayout, attach_shared, create_shared
 from repro.obs import _session as obs
 
@@ -87,24 +80,14 @@ MAX_RANK_SPANS = 512
 
 
 @dataclass
-class MultiprocessConfig:
-    """Knobs of the process-parallel runtime.
+class MultiprocessConfig(AlgorithmConfig):
+    """:class:`~repro.core.engine.AlgorithmConfig` with the defaults of
+    :class:`~repro.distributed.runtime.DistributedConfig` (the two runtimes
+    are interchangeable in every experiment), plus process mechanics and
+    memory bounds."""
 
-    The algorithmic fields mirror :class:`DistributedConfig` exactly (the
-    two runtimes must be interchangeable in every experiment); the rest
-    govern process mechanics and memory bounds.
-    """
-
-    num_ranks: int = 2
     pruning: str = "mg"
-    weight_update: str = "delta"
-    remove_self: bool = True
-    resolution: float = 1.0
-    theta: float = 1e-6
-    patience: int = 3
-    max_iterations: int = 500
-    oracle: bool = False
-    seed: int = 0
+    num_ranks: int = 2
     #: adjacency entries per worker decide chunk and per parent
     #: weight-update chunk — the O(chunk) bound on transient allocations
     chunk_edges: int = DEFAULT_CHUNK_EDGES
@@ -121,28 +104,10 @@ class MultiprocessConfig:
     #: memmap-backed or spilled
     release_pages: bool | None = None
 
-    def engine_config(self) -> EngineConfig:
-        return EngineConfig(
-            pruning=self.pruning,
-            remove_self=self.remove_self,
-            theta=self.theta,
-            patience=self.patience,
-            max_iterations=self.max_iterations,
-            oracle=self.oracle,
-            seed=self.seed,
-        )
-
 
 @dataclass
-class MultiprocessResult(EngineResult):
+class MultiprocessResult(RankResult):
     """Engine result plus the rank views and real-exchange accounting."""
-
-    views: list[RankView] = field(default_factory=list)
-    stats: HaloStats = field(default_factory=HaloStats)
-    num_ranks: int = 0
-    #: cumulative halo bytes *sent by each rank* across the run — the
-    #: per-rank split of ``stats.bytes_sent`` (index = rank)
-    rank_halo_bytes: list[int] = field(default_factory=list)
 
 
 def _set_pdeathsig() -> None:
@@ -274,8 +239,11 @@ def _worker_main(
             shared.close()
 
 
-class MultiprocessExecutor(Executor):
+class MultiprocessExecutor(HaloExecutor):
     """Real process-per-rank executor behind the engine's BSP protocol."""
+
+    result_type = MultiprocessResult
+    config: MultiprocessConfig
 
     def __init__(
         self,
@@ -283,16 +251,16 @@ class MultiprocessExecutor(Executor):
         config: MultiprocessConfig | None = None,
         partition: VertexPartition | None = None,
     ):
-        self.config = cfg = config or MultiprocessConfig()
-        if cfg.num_ranks < 1:
-            raise ValueError("num_ranks must be >= 1")
-        part = partition or partition_contiguous(graph, cfg.num_ranks)
-        if part.num_parts != cfg.num_ranks:
-            raise ValueError("partition parts must match num_ranks")
-        self.partition = part
-        self.views = build_rank_views(graph, part)
-        self.stats = HaloStats()
-        self.rank_bytes = [0] * cfg.num_ranks
+        cfg = config or MultiprocessConfig()
+        # chunked delta is bit-identical to the plain path and keeps the
+        # parent's transient allocations at O(chunk) on memmapped graphs
+        # (where it also drops its resident pages per chunk)
+        updater = make_chunked_weight_updater(
+            cfg.weight_update,
+            cfg.chunk_edges,
+            release=graph.release_pages if isinstance(graph, MmapCSRGraph) else None,
+        )
+        super().__init__(graph, cfg, cfg.num_ranks, partition, updater)
         #: collect per-round rank spans only when an obs session is live
         #: at construction — the disabled path costs one flag check per
         #: round in the workers and nothing in the parent
@@ -301,9 +269,6 @@ class MultiprocessExecutor(Executor):
         self._spill_dir: str | None = None
         self._shared = None
         self._workers: list = []
-        self._moved_per_rank: list[np.ndarray] = []
-        self._last_bytes = 0
-        self._last_messages = 0
 
         # workers map the graph from a store directory; an in-RAM input is
         # spilled once (byte-identical arrays, so bit-exactness holds)
@@ -318,21 +283,6 @@ class MultiprocessExecutor(Executor):
             if cfg.release_pages is not None
             else isinstance(graph, MmapCSRGraph)
         )
-
-        self.state = CommunityState.singletons(graph, resolution=cfg.resolution)
-        if cfg.weight_update == "delta":
-            # chunked delta is bit-identical to the plain path and keeps
-            # the parent's transient allocations at O(chunk) on memmapped
-            # graphs (where it also drops its resident pages per chunk)
-            self.updater = make_chunked_weight_updater(
-                cfg.weight_update,
-                cfg.chunk_edges,
-                release=graph.release_pages
-                if isinstance(graph, MmapCSRGraph)
-                else None,
-            )
-        else:
-            self.updater = make_weight_updater(cfg.weight_update)
 
         n = graph.n
         layout = (
@@ -421,15 +371,7 @@ class MultiprocessExecutor(Executor):
             # written last so it is as close to the release as possible
             shared["clock"][0] = time.perf_counter()
         self._round()
-        next_comm = np.array(shared["next_comm"])
-        # per-rank movers for the halo accounting: exactly idx[result.move]
-        # (a committed move always changes the community — the decide
-        # guards require a strictly positive gain over staying)
-        self._moved_per_rank = [
-            view.owned[next_comm[view.owned] != state.comm[view.owned]]
-            for view in self.views
-        ]
-        return next_comm
+        return np.array(shared["next_comm"])
 
     def _round(self) -> None:
         """Release one round, wait for every rank's done post; surface
@@ -478,46 +420,6 @@ class MultiprocessExecutor(Executor):
         return f"round timeout after {self.config.sync_timeout}s"
 
     # ------------------------------------------------------------------ #
-    def apply_and_sync(self, next_comm: np.ndarray, moved: np.ndarray) -> float:
-        state = self.state
-
-        # Halo accounting over the real exchange: each rank's movers reach
-        # exactly the ranks that ghost them — the same per-destination
-        # payload arithmetic as the simulated runtime, so HaloStats match
-        # bit for bit. (The payload itself moved through the shared
-        # mapping during decide; this prices it.)
-        iteration_bytes = 0
-        iteration_messages = 0
-        halo_span = obs.span("halo/exchange", ranks=len(self.views))
-        with halo_span:
-            for view, movers in zip(self.views, self._moved_per_rank):
-                view_bytes = 0
-                for dest, send_list in view.send_lists.items():
-                    payload = np.intersect1d(movers, send_list, assume_unique=False)
-                    if len(payload) == 0:
-                        continue
-                    view_bytes += len(payload) * HALO_BYTES_PER_UPDATE
-                    iteration_messages += 1
-                self.rank_bytes[view.rank] += view_bytes
-                iteration_bytes += view_bytes
-            halo_span.tag(bytes=iteration_bytes, messages=iteration_messages)
-        obs.inc("comm/halo_bytes_total", iteration_bytes)
-        obs.inc("comm/halo_messages_total", iteration_messages)
-        self.stats.record(iteration_bytes, iteration_messages)
-        self._last_bytes = iteration_bytes
-        self._last_messages = iteration_messages
-
-        prev_comm = state.comm
-        state.comm = next_comm
-        self.updater(state, prev_comm, moved)
-        state.refresh_community_aggregates()
-        return state.modularity()
-
-    def collect(self, trace: IterationTrace) -> None:
-        trace.comm_bytes = self._last_bytes
-        trace.comm_messages = self._last_messages
-
-    # ------------------------------------------------------------------ #
     def close(self) -> None:
         """Stop workers, release the shared segment (idempotent).
 
@@ -545,12 +447,6 @@ class MultiprocessExecutor(Executor):
                 tracer.ingest(spans, labels={pid: f"rank[{rank}]"})
                 if dropped:
                     obs.inc("obs/rank_spans_dropped", dropped)
-
-    def __enter__(self) -> "MultiprocessExecutor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
 
 def _cleanup(
@@ -627,22 +523,4 @@ def run_multiprocess_phase1(
     returns, error or not.
     """
     cfg = config or MultiprocessConfig()
-    executor = MultiprocessExecutor(graph, cfg, partition)
-    try:
-        result = run_engine(executor, cfg.engine_config())
-    finally:
-        executor.close()
-    return MultiprocessResult(
-        communities=result.communities,
-        modularity=result.modularity,
-        num_iterations=result.num_iterations,
-        history=result.history,
-        timers=result.timers,
-        state=result.state,
-        processed_vertices=result.processed_vertices,
-        processed_edges=result.processed_edges,
-        views=executor.views,
-        stats=executor.stats,
-        num_ranks=cfg.num_ranks,
-        rank_halo_bytes=list(executor.rank_bytes),
-    )
+    return MultiprocessExecutor(graph, cfg, partition).run(cfg.engine_config())

@@ -182,10 +182,9 @@ def build_manifest(
 ) -> RunManifest:
     """Build a manifest for any runtime's result.
 
-    ``result`` may be a ``LouvainResult`` (multi-level), an
-    ``EngineResult``/``Phase1Result``, or the multi-GPU / distributed
-    result dataclasses — anything carrying ``modularity`` plus either
-    ``levels`` or ``history``.
+    ``result`` may be a ``LouvainResult`` (multi-level) or any runtime's
+    :class:`~repro.core.engine.EngineResult` (every runtime result is
+    one, so each carries ``history`` and ``timers``).
     """
     seed = getattr(config, "seed", None) if config is not None else None
     manifest = RunManifest(
@@ -203,17 +202,7 @@ def build_manifest(
         for i, lvl in enumerate(levels):
             manifest.levels.append(_level_row(i, lvl.graph, lvl.phase1))
     elif getattr(result, "history", None) is not None:
-        row = {
-            "level": 0,
-            "n": int(graph.n),
-            "num_edges": int(graph.num_edges),
-            "modularity": float(result.modularity),
-            "timers": dict(result.timers.totals())
-            if getattr(result, "timers", None) is not None
-            else {},
-        }
-        row.update(_history_totals(result.history))
-        manifest.levels.append(row)
+        manifest.levels.append(_level_row(0, graph, result))
 
     communities = getattr(result, "communities", None)
     manifest.result = {

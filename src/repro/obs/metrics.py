@@ -13,7 +13,7 @@ values, it never re-measures).
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Union
+from typing import Any, Dict, List, Union
 
 Number = Union[int, float]
 
@@ -206,21 +206,6 @@ class MetricsRegistry:
         for name, n in profiler.counters.items():
             self.gauge(f"{prefix}/counters/{name}").set(n)
         self.gauge(f"{prefix}/total_cycles").set(profiler.total_cycles)
-
-    def bridge_devices(self, devices: Iterable, prefix: str = "gpusim") -> None:
-        """Bridge a set of simulated devices: per-device and merged views."""
-        from repro.gpusim.profiler import SimProfiler
-
-        devices = list(devices)
-        merged = SimProfiler()
-        for dev in devices:
-            merged.merge(dev.profiler)
-            if len(devices) > 1:
-                self.bridge_sim_profiler(
-                    dev.profiler, prefix=f"{prefix}/dev{dev.device_id}"
-                )
-        if devices:
-            self.bridge_sim_profiler(merged, prefix=prefix)
 
     def bridge_halo(self, stats, prefix: str = "comm") -> None:
         """Mirror a distributed run's cumulative :class:`HaloStats`."""

@@ -140,70 +140,6 @@ def repeat_by_counts(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) + shift
 
 
-def segment_gather(
-    offsets: np.ndarray, rows: np.ndarray, *arrays: np.ndarray
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Gather the segments of ``rows`` from CSR-style ``arrays``.
-
-    ``offsets`` is the indptr of the segmented arrays; ``rows`` selects
-    segments (in the given order, duplicates allowed). Returns
-    ``(sub_offsets, gathered)`` where ``sub_offsets`` is the indptr of the
-    gathered selection and each gathered array is the concatenation of the
-    selected segments.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    counts = np.diff(offsets)[rows]
-    sub_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    idx = repeat_by_counts(np.asarray(offsets, dtype=np.int64)[rows], counts)
-    return sub_offsets, tuple(a[idx] for a in arrays)
-
-
-def segment_replace(
-    offsets: np.ndarray,
-    arrays: tuple[np.ndarray, ...],
-    rows: np.ndarray,
-    new_counts: np.ndarray,
-    new_arrays: tuple[np.ndarray, ...],
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Replace the segments of ``rows`` with new contents (invalidate+merge).
-
-    ``rows`` must be sorted unique segment ids; ``new_arrays`` hold the
-    replacement segments concatenated in ``rows`` order with per-segment
-    lengths ``new_counts``. Untouched segments are copied through verbatim.
-    Returns ``(out_offsets, out_arrays)`` — a fresh, contiguous segmented
-    layout. O(total output size).
-    """
-    if len(arrays) != len(new_arrays):
-        raise ValueError("arrays and new_arrays must align")
-    rows = np.asarray(rows, dtype=np.int64)
-    new_counts = np.asarray(new_counts, dtype=np.int64)
-    if len(rows) != len(new_counts):
-        raise ValueError("rows and new_counts must have equal length")
-    counts = np.diff(offsets).astype(np.int64)
-    n_seg = len(counts)
-    counts = counts.copy()
-    counts[rows] = new_counts
-    out_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    out_arrays = tuple(
-        np.empty(out_offsets[-1], dtype=a.dtype) for a in arrays
-    )
-    keep = np.ones(n_seg, dtype=bool)
-    keep[rows] = False
-    keep_rows = np.flatnonzero(keep)
-    src = repeat_by_counts(
-        np.asarray(offsets, dtype=np.int64)[keep_rows], counts[keep_rows]
-    )
-    dst = repeat_by_counts(out_offsets[keep_rows], counts[keep_rows])
-    for out, a in zip(out_arrays, arrays):
-        out[dst] = a[src]
-    dst_new = repeat_by_counts(out_offsets[rows], new_counts)
-    for out, na in zip(out_arrays, new_arrays):
-        if len(na) != new_counts.sum():
-            raise ValueError("new_arrays length must equal new_counts total")
-        out[dst_new] = na
-    return out_offsets, out_arrays
-
-
 def compact_relabel(labels: np.ndarray) -> tuple[np.ndarray, int]:
     """Relabel arbitrary integer labels to the compact range ``[0, k)``.
 

@@ -132,6 +132,37 @@ class TestConfigClassification:
         assert kinds(findings) == ["unmapped-phase1-field"]
         assert findings[0].details["field"] == "mystery"
 
+    def test_inherited_phase1_field_fires(self, tmp_path):
+        engine = """
+            from dataclasses import dataclass
+
+            @dataclass
+            class AlgorithmConfig:
+                resolution: float = 1.0
+                mystery: int = 0
+        """
+        phase1 = """
+            from dataclasses import dataclass
+
+            from repro.core.engine import AlgorithmConfig
+
+            @dataclass
+            class Phase1Config(AlgorithmConfig):
+                oracle: bool = False
+        """
+        project = make_project(
+            tmp_path,
+            {
+                "core/gala.py": GOOD_GALA,
+                "core/engine.py": engine,
+                "core/phase1.py": phase1,
+            },
+        )
+        findings = run_rule(self.RULE, project)
+        assert kinds(findings) == ["unmapped-phase1-field"]
+        assert findings[0].details["field"] == "mystery"
+        assert findings[0].details["path"].endswith("engine.py")
+
     def test_server_semantic_default_fires(self, tmp_path):
         server = """
             class Server:
@@ -251,9 +282,19 @@ class TestDeterminism:
         project = make_project(tmp_path, {"core/rand.py": source})
         assert run_rule(self.RULE, project) == []
 
+    def test_multigpu_runtime_in_scope(self, tmp_path):
+        source = """
+            import numpy as np
+
+            def partition_noise():
+                return np.random.default_rng()
+        """
+        project = make_project(tmp_path, {"multigpu/runtime.py": source})
+        assert kinds(run_rule(self.RULE, project)) == ["unseeded-rng"]
+
     def test_out_of_scope_modules_not_checked(self, tmp_path):
         # bench/ is allowed wall-clock randomness; the contract covers
-        # core/gpusim/multiprocess/distributed only
+        # core/gpusim/multiprocess/distributed/multigpu only
         project = make_project(tmp_path, {"bench/rand.py": BAD_RANDOMNESS})
         assert run_rule(self.RULE, project) == []
 

@@ -87,13 +87,6 @@ class TestBufferArena:
         a.request("x", 200, np.uint8)  # grow: old buffer released
         assert a.hwm >= peak and a.hwm == a.bytes_allocated
 
-    def test_tick_advances_generation(self):
-        a = BufferArena()
-        assert a.generation == 0
-        a.tick()
-        a.tick()
-        assert a.generation == 2
-
 
 class TestEngineArenaInvariants:
     @pytest.mark.parametrize("kernel", ["vectorized", "auto"])
@@ -149,8 +142,12 @@ class TestObsBridge:
         assert snap["gauges"]["arena/hwm"] == big.hwm
 
     def test_engine_run_bridges_arena_into_session(self, graph):
+        # the arena's consumers are the jit kernel and its compiled
+        # aggregates; without a compile provider the interpreted jit
+        # kernel still fills the executor's arena
+        kernel = "auto" if get_runtime() is not None else JitKernel(provider="python")
         with obs.session() as sess:
-            run_phase1(graph, Phase1Config(pruning="mg", kernel="auto"))
+            run_phase1(graph, Phase1Config(pruning="mg", kernel=kernel))
         counters = sess.summary()["counters"]
         assert counters["arena/allocs"] > 0
         assert counters["arena/bytes_reused"] > 0

@@ -10,7 +10,6 @@ from repro.core.engine import (
     IterationTrace,
 )
 from repro.core.phase1 import (
-    IterationRecord,
     Phase1Config,
     Phase1Result,
     run_phase1,
@@ -20,6 +19,7 @@ from repro.distributed import DistributedConfig, run_distributed_phase1
 from repro.graph.generators import load_dataset, ring_of_cliques
 from repro.metrics.fnr_fpr import pruning_rates
 from repro.multigpu import MultiGpuConfig, run_multigpu_phase1
+from repro.multiprocess import MultiprocessConfig, run_multiprocess_phase1
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +101,6 @@ class TestConvergenceTracker:
 
 class TestUnifiedTraceSchema:
     def test_phase1_aliases_are_engine_types(self):
-        assert IterationRecord is IterationTrace
         assert Phase1Result is EngineResult
 
     def test_every_runtime_emits_iteration_traces(self, graph):
@@ -162,6 +161,38 @@ class TestEngineOracle:
             assert got.fpr == pytest.approx(ref.fpr, abs=1e-12)
             assert got.total_false_negatives == ref.total_false_negatives
             assert got.total_false_positives == ref.total_false_positives
+
+    @pytest.mark.parametrize("runtime", ["distributed", "multiprocess", "multigpu"])
+    def test_oracle_does_not_change_comm_accounting(self, runtime):
+        """Communication covers committed moves only. PM pruning is lossy,
+        so the oracle's full-set decide proposes moves the engine never
+        commits; the traffic must not count them."""
+        g = load_dataset("LJ", 0.05)
+
+        def run(oracle):
+            common = dict(pruning="pm", oracle=oracle)
+            if runtime == "distributed":
+                return run_distributed_phase1(
+                    g, DistributedConfig(num_ranks=3, **common)
+                )
+            if runtime == "multiprocess":
+                return run_multiprocess_phase1(
+                    g, MultiprocessConfig(num_ranks=3, **common)
+                )
+            return run_multigpu_phase1(g, MultiGpuConfig(num_gpus=3, **common))
+
+        plain, probed = run(False), run(True)
+        assert [h.num_moved for h in plain.history] == [
+            h.num_moved for h in probed.history
+        ]
+        assert [h.comm_bytes for h in plain.history] == [
+            h.comm_bytes for h in probed.history
+        ]
+        assert [h.comm_messages for h in plain.history] == [
+            h.comm_messages for h in probed.history
+        ]
+        if runtime == "multigpu":
+            assert plain.comm_seconds() == probed.comm_seconds()
 
     def test_oracle_does_not_change_trajectory(self, graph):
         plain = run_phase1(graph, Phase1Config(pruning="mg"))

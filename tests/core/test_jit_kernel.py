@@ -29,7 +29,6 @@ from repro.core.state import CommunityState
 from repro.core.weights import (
     delta_update,
     make_jit_delta_updater,
-    movement_frontier,
 )
 from repro.errors import KernelUnavailableError
 from repro.graph.generators import ring_of_cliques
@@ -99,13 +98,10 @@ class TestJitBitExactness:
 
     def test_delta_update_bit_identical(self, graph, runtime):
         """The fused compiled delta pass vs the two-step NumPy scheme:
-        identical d_comm and identical frontier, sweep after sweep."""
-        from repro.core.arena import BufferArena
-
+        identical d_comm, sweep after sweep."""
         state_np = CommunityState.singletons(graph)
         state_jit = CommunityState.singletons(graph)
-        arena = BufferArena()
-        updater = make_jit_delta_updater(runtime, arena)
+        updater = make_jit_delta_updater(runtime)
         for _ in range(4):
             res = decide_moves(state_np, np.arange(graph.n, dtype=np.int64))
             next_comm = res.next_comm(state_np.comm)
@@ -113,11 +109,9 @@ class TestJitBitExactness:
             prev = state_np.comm
             state_np.comm = next_comm.copy()
             state_jit.comm = next_comm.copy()
-            f_np = delta_update(state_np, prev, moved)
-            arena.tick()
-            f_jit = updater(state_jit, prev, moved)
+            delta_update(state_np, prev, moved)
+            updater(state_jit, prev, moved)
             np.testing.assert_array_equal(state_jit.d_comm, state_np.d_comm)
-            np.testing.assert_array_equal(f_jit, f_np)
             state_np.refresh_community_aggregates()
             state_jit.refresh_community_aggregates()
             if not moved.any():
@@ -320,14 +314,3 @@ class TestTraceAccounting:
         assert "kernel:" in text
         assert "jit_provider=" in text
         assert "arena: allocs=" in text
-
-
-def test_movement_frontier_out_param(graph):
-    state = CommunityState.singletons(graph)
-    res = decide_moves(state, np.arange(graph.n, dtype=np.int64))
-    moved = res.next_comm(state.comm) != state.comm
-    plain = movement_frontier(graph, moved)
-    out = np.zeros(graph.n, dtype=bool)
-    got = movement_frontier(graph, moved, out=out)
-    assert got is out
-    np.testing.assert_array_equal(got, plain)

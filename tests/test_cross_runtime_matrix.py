@@ -19,10 +19,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.batched import run_batched_phase1
+from repro.core.engine import EngineResult
 from repro.core.phase1 import Phase1Config, run_phase1
 from repro.distributed import DistributedConfig, run_distributed_phase1
 from repro.graph.generators import load_dataset, ring_of_cliques
 from repro.multigpu import MultiGpuConfig, run_multigpu_phase1
+from repro.obs.manifest import build_manifest
 
 BASELINE_PATH = Path(__file__).parent / "data" / "engine_regression.npz"
 
@@ -48,6 +50,16 @@ def local_results(graphs):
     }
 
 
+def assert_result_parity(result, local):
+    """Every runtime's result is an engine result: same work counters
+    as local, plus the timers and final state."""
+    assert isinstance(result, EngineResult)
+    assert result.timers.totals()
+    np.testing.assert_array_equal(result.state.comm, result.communities)
+    assert result.processed_vertices == local.processed_vertices
+    assert result.processed_edges == local.processed_edges
+
+
 class TestCrossRuntimeMatrix:
     @pytest.mark.parametrize("name", list(MATRIX_GRAPHS))
     @pytest.mark.parametrize("ranks", RANK_COUNTS)
@@ -64,6 +76,7 @@ class TestCrossRuntimeMatrix:
         assert [h.num_moved for h in multi.history] == [
             h.num_moved for h in local.history
         ]
+        assert_result_parity(multi, local)
 
     @pytest.mark.parametrize("name", list(MATRIX_GRAPHS))
     @pytest.mark.parametrize("ranks", RANK_COUNTS)
@@ -80,6 +93,9 @@ class TestCrossRuntimeMatrix:
         assert [h.num_moved for h in dist.history] == [
             h.num_moved for h in local.history
         ]
+        assert_result_parity(dist, local)
+        manifest = build_manifest(dist, graphs[name])
+        assert all(level["timers"] for level in manifest.levels)
 
 
 class TestRecordedAssignmentRegression:

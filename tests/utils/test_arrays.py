@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils.arrays import (
     compact_relabel,
     repeat_by_counts,
     segment_argmax,
-    segment_gather,
     segment_max,
-    segment_replace,
     segment_sum,
 )
 
@@ -155,135 +153,6 @@ class TestRepeatByCounts:
         counts = np.array([p[1] for p in pairs])
         expected = [s + i for s, c in pairs for i in range(c)]
         np.testing.assert_array_equal(repeat_by_counts(starts, counts), expected)
-
-
-class TestSegmentGather:
-    def test_basic(self):
-        offsets = np.array([0, 2, 2, 5])
-        vals = np.array([10.0, 11.0, 20.0, 21.0, 22.0])
-        sub, (g,) = segment_gather(offsets, np.array([2, 0]), vals)
-        np.testing.assert_array_equal(sub, [0, 3, 5])
-        np.testing.assert_array_equal(g, [20.0, 21.0, 22.0, 10.0, 11.0])
-
-    def test_empty_segment_selected(self):
-        offsets = np.array([0, 2, 2, 5])
-        vals = np.arange(5.0)
-        sub, (g,) = segment_gather(offsets, np.array([1]), vals)
-        np.testing.assert_array_equal(sub, [0, 0])
-        assert len(g) == 0
-
-    def test_empty_selection(self):
-        sub, (g,) = segment_gather(
-            np.array([0, 2]), np.empty(0, np.int64), np.arange(2.0)
-        )
-        np.testing.assert_array_equal(sub, [0])
-        assert len(g) == 0
-
-    def test_duplicate_rows_allowed(self):
-        offsets = np.array([0, 1, 3])
-        vals = np.array([5.0, 6.0, 7.0])
-        sub, (g,) = segment_gather(offsets, np.array([1, 1]), vals)
-        np.testing.assert_array_equal(sub, [0, 2, 4])
-        np.testing.assert_array_equal(g, [6.0, 7.0, 6.0, 7.0])
-
-    def test_multiple_arrays_stay_aligned(self):
-        offsets = np.array([0, 2, 4])
-        a = np.array([1, 2, 3, 4])
-        b = np.array([10.0, 20.0, 30.0, 40.0])
-        _, (ga, gb) = segment_gather(offsets, np.array([1, 0]), a, b)
-        np.testing.assert_array_equal(ga, [3, 4, 1, 2])
-        np.testing.assert_array_equal(gb, [30.0, 40.0, 10.0, 20.0])
-
-    @given(st.data())
-    def test_matches_python_reference(self, data):
-        segments = data.draw(_segments)
-        rows = data.draw(
-            st.lists(st.integers(0, len(segments) - 1), max_size=12)
-        )
-        values = np.array(
-            [x for seg in segments for x in seg], dtype=np.int64
-        )
-        offsets = _offsets_from_counts([len(s) for s in segments])
-        sub, (g,) = segment_gather(offsets, np.array(rows, np.int64), values)
-        expected = [x for r in rows for x in segments[r]]
-        np.testing.assert_array_equal(g, expected)
-        np.testing.assert_array_equal(
-            np.diff(sub), [len(segments[r]) for r in rows]
-        )
-
-
-class TestSegmentReplace:
-    def test_basic(self):
-        offsets = np.array([0, 2, 3, 5])
-        vals = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        out_off, (out,) = segment_replace(
-            offsets,
-            (vals,),
-            rows=np.array([1]),
-            new_counts=np.array([3]),
-            new_arrays=(np.array([9.0, 8.0, 7.0]),),
-        )
-        np.testing.assert_array_equal(out_off, [0, 2, 5, 7])
-        np.testing.assert_array_equal(out, [1, 2, 9, 8, 7, 4, 5])
-
-    def test_replace_with_empty_segment(self):
-        offsets = np.array([0, 2, 4])
-        vals = np.arange(4.0)
-        out_off, (out,) = segment_replace(
-            offsets,
-            (vals,),
-            rows=np.array([0]),
-            new_counts=np.array([0]),
-            new_arrays=(np.empty(0),),
-        )
-        np.testing.assert_array_equal(out_off, [0, 0, 2])
-        np.testing.assert_array_equal(out, [2.0, 3.0])
-
-    def test_rejects_misaligned_inputs(self):
-        offsets = np.array([0, 1])
-        with pytest.raises(ValueError):
-            segment_replace(
-                offsets, (np.zeros(1),), np.array([0]),
-                np.array([1, 2]), (np.zeros(3),),
-            )
-        with pytest.raises(ValueError):
-            segment_replace(
-                offsets, (np.zeros(1),), np.array([0]),
-                np.array([2]), (np.zeros(3),),
-            )
-
-    @given(st.data())
-    @settings(max_examples=60)
-    def test_matches_python_reference(self, data):
-        segments = data.draw(_segments)
-        row_set = data.draw(
-            st.sets(st.integers(0, len(segments) - 1), max_size=len(segments))
-        )
-        rows = sorted(row_set)
-        replacements = [
-            data.draw(st.lists(st.integers(-50, 50), max_size=4))
-            for _ in rows
-        ]
-        values = np.array(
-            [x for seg in segments for x in seg], dtype=np.int64
-        )
-        offsets = _offsets_from_counts([len(s) for s in segments])
-        new_counts = np.array([len(r) for r in replacements], np.int64)
-        new_vals = np.array(
-            [x for r in replacements for x in r], dtype=np.int64
-        )
-        out_off, (out,) = segment_replace(
-            offsets, (values,), np.array(rows, np.int64),
-            new_counts, (new_vals,),
-        )
-        expected_segs = list(segments)
-        for r, rep in zip(rows, replacements):
-            expected_segs[r] = rep
-        expected = [x for seg in expected_segs for x in seg]
-        np.testing.assert_array_equal(out, expected)
-        np.testing.assert_array_equal(
-            np.diff(out_off), [len(s) for s in expected_segs]
-        )
 
 
 class TestCompactRelabel:
