@@ -71,7 +71,7 @@ def run(scale: float | None = None, graphs: list[str] | None = None) -> Experime
                     "weight update%": round(100 * buckets["update"] / grand, 1),
                     "other%": round(100 * buckets["other"] / grand, 1),
                     "wall (ms)": round(
-                        1e3 * sum(result.timers.totals().values()), 1
+                        1e3 * sum(result.timers.values()), 1
                     ),
                 }
             )

@@ -19,16 +19,18 @@ by an :class:`Executor`:
 The engine owns everything the three pre-unification runtimes each
 hand-rolled: active-set management and pruning, the limit-cycle-proof
 convergence rule (:class:`ConvergenceTracker`), per-iteration tracing, the
-wall-clock timers, and the oracle/FNR instrumentation
+per-phase wall clock (:class:`PhaseClock`), and the oracle/FNR instrumentation
 (:class:`OracleProbe`) — which therefore works identically on the local,
 multi-GPU, and distributed runtimes.
 """
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Optional, TypeVar, Union
+from typing import Any, Callable, Iterator, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -36,9 +38,8 @@ from repro import analysis
 from repro.core.pruning.base import IterationContext, PruningStrategy, make_strategy
 from repro.core.state import CommunityState
 from repro.obs import _session as obs
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.timer import TimerRegistry
 
 
 # --------------------------------------------------------------------- #
@@ -102,6 +103,34 @@ class ConvergenceTracker:
         if self.best is not None and self.best_q > final_q:
             return self.best_q, self.best
         return final_q, final
+
+
+# --------------------------------------------------------------------- #
+# per-phase wall clock
+# --------------------------------------------------------------------- #
+class PhaseClock:
+    """One run's wall-clock seconds per phase (paper Figure 8).
+
+    Each phase interval is measured once, by one ``perf_counter`` pair:
+    its duration adds to ``seconds[bucket]`` and the same start/end are
+    recorded on ``tracer`` as the span ``span`` (a no-op on the null
+    tracer), so the Figure-8 buckets are exactly the sum of the matching
+    trace spans. Buckets appear in first-measured order.
+    """
+
+    def __init__(self, tracer: Union[Tracer, NullTracer]):
+        self.tracer = tracer
+        self.seconds: dict[str, float] = {}
+
+    @contextmanager
+    def measure(self, bucket: str, span: str, **args: Any) -> Iterator[None]:
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            end = time.perf_counter()
+            self.seconds[bucket] = self.seconds.get(bucket, 0.0) + (end - start)
+            self.tracer.record(span, start, end, args or None)
 
 
 # --------------------------------------------------------------------- #
@@ -188,9 +217,10 @@ class Executor(ABC):
     #: the shared BSP state; set in the constructor
     state: CommunityState
 
-    def setup(self, timers: TimerRegistry) -> None:
-        """Called once before iteration 0 with the engine's timer registry."""
-        self.timers = timers
+    def setup(self, clock: PhaseClock) -> None:
+        """Called once before iteration 0 with the run's phase clock, on
+        which the executor times the phases inside :meth:`apply_and_sync`."""
+        self.clock = clock
 
     @abstractmethod
     def decide(self, active_idx: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -350,7 +380,9 @@ class EngineResult:
     modularity: float
     num_iterations: int
     history: list[IterationTrace]
-    timers: TimerRegistry
+    #: wall-clock seconds per phase (``decide_and_move``, ``pruning``, and
+    #: on the local runtime ``weight_update`` and ``aggregate``)
+    timers: dict[str, float]
     state: CommunityState
     #: total DecideAndMove vertex-processings (sum of active counts); the
     #: work measure pruning reduces
@@ -377,8 +409,12 @@ def run_engine(executor: Executor, config: EngineConfig | None = None) -> Engine
     cfg = config or EngineConfig()
     strategy = make_strategy(cfg.pruning)
     rng = as_generator(cfg.seed)
-    timers = TimerRegistry()
-    executor.setup(timers)
+    # Observability is strictly opt-in: without an active session ``tr``
+    # is the shared no-op tracer and every span below is one branch.
+    sess = obs.current()
+    tr = sess.tracer if sess is not None else NULL_TRACER
+    clock = PhaseClock(tr)
+    executor.setup(clock)
 
     state = executor.state
     graph = state.graph
@@ -415,10 +451,6 @@ def run_engine(executor: Executor, config: EngineConfig | None = None) -> Engine
     processed_vertices = 0
     processed_edges = 0
 
-    # Observability is strictly opt-in: without an active session ``tr``
-    # is the shared no-op tracer and every span below is one branch.
-    sess = obs.current()
-    tr = sess.tracer if sess is not None else NULL_TRACER
     runtime_name = type(executor).__name__
     with tr.span("engine/run", runtime=runtime_name, n=graph.n):
         for it in range(cfg.max_iterations):
@@ -428,8 +460,11 @@ def run_engine(executor: Executor, config: EngineConfig | None = None) -> Engine
                 processed_vertices += len(active_idx)
                 processed_edges += active_edges
 
-                with timers.measure("decide_and_move"), tr.span(
-                    "engine/decide", active=len(active_idx), edges=active_edges
+                with clock.measure(
+                    "decide_and_move",
+                    "engine/decide",
+                    active=len(active_idx),
+                    edges=active_edges,
                 ):
                     if oracle is not None:
                         next_comm = oracle.decide(executor, active)
@@ -482,7 +517,7 @@ def run_engine(executor: Executor, config: EngineConfig | None = None) -> Engine
 
                 tracker.update(next_q, state.copy)
 
-                with timers.measure("pruning"), tr.span("engine/prune"):
+                with clock.measure("pruning", "engine/prune"):
                     ctx = IterationContext(
                         state=state,
                         prev_comm=prev_comm,
@@ -506,7 +541,7 @@ def run_engine(executor: Executor, config: EngineConfig | None = None) -> Engine
         modularity=float(q),
         num_iterations=len(history),
         history=history,
-        timers=timers,
+        timers=clock.seconds,
         state=state,
         processed_vertices=processed_vertices,
         processed_edges=processed_edges,

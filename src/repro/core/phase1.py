@@ -144,9 +144,9 @@ class LocalExecutor(Executor):
         state = self.state
         prev_comm = state.comm
         state.comm = next_comm
-        with self.timers.measure("weight_update"):
+        with self.clock.measure("weight_update", "engine/weight_update"):
             self.updater(state, prev_comm, moved)
-        with self.timers.measure("aggregate"):
+        with self.clock.measure("aggregate", "engine/aggregate"):
             refresh_aggregates(state, arena=self.arena, runtime=self._jit_runtime)
             next_q = state.modularity()
         return next_q

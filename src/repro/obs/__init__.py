@@ -1,15 +1,17 @@
 """``repro.obs`` — unified tracing, metrics, and run manifests.
 
 The repo's cost accounting was historically fragmented: simulated cycles
-in :class:`~repro.gpusim.profiler.SimProfiler`, wall clock in
-:class:`~repro.utils.timer.TimerRegistry`, per-iteration schema in
-:class:`~repro.core.engine.IterationTrace`, NCCL bytes in device
+in :class:`~repro.gpusim.profiler.SimProfiler`, per-phase wall clock in
+the engine's :class:`~repro.core.engine.PhaseClock`, per-iteration schema
+in :class:`~repro.core.engine.IterationTrace`, NCCL bytes in device
 counters. This package is the one layer that sees a run end-to-end:
 
 * :func:`session` activates observability for a scope; inside it, every
   runtime (local, multi-GPU, distributed, gpusim kernels, NCCL
   collectives, halo exchange) emits **spans** into one Chrome trace-event
-  file and **metrics** into one namespaced registry;
+  file and **metrics** into one namespaced registry; the engine's phase
+  spans are the same measurements as its Figure-8 phase seconds (one
+  timing source), and every histogram is a :class:`BucketHistogram`;
 * :func:`span` / :func:`inc` / :func:`observe` are the zero-cost
   accessors instrumented code calls — when no session is active they
   return shared no-op singletons (no allocation on hot paths);
@@ -26,7 +28,7 @@ from repro.obs.manifest import (
     environment_info,
     graph_fingerprint,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.io import (
     MetricsWriter,
     load_manifest,
@@ -90,7 +92,6 @@ __all__ = [
     "MetricsRegistry",
     "Counter",
     "Gauge",
-    "Histogram",
     # manifest / io
     "RunManifest",
     "build_manifest",

@@ -53,8 +53,6 @@ class ObsSession:
         self._c_iterations = m.counter("engine/iterations")
         self._c_moved = m.counter("engine/moved_total")
         self._c_active_edges = m.counter("engine/active_edges_total")
-        self._h_moved = m.histogram("iter/num_moved")
-        self._h_delta_q = m.histogram("iter/delta_q")
 
     # ------------------------------------------------------------------ #
     # hooks called by the engine
@@ -71,8 +69,6 @@ class ObsSession:
             m.inc("comm/messages_total", trace.comm_messages)
         if trace.sim_cycles:
             m.inc("gpusim/iteration_cycles_total", trace.sim_cycles)
-        self._h_moved.observe(trace.num_moved)
-        self._h_delta_q.observe(trace.delta_q)
         if trace.kernel_backend is not None:
             m.inc(f"kernel/backend/{trace.kernel_backend}")
         plan = trace.sync_plan

@@ -14,8 +14,9 @@ Two properties drive the design here:
   computed from a merged histogram equals the quantile of the merged
   stream: p50/p95/p99 reported by the server are exactly what a single
   observer of all workers would have measured (to bucket resolution).
-  The PR-4 reservoir histograms cannot do this — two reservoirs do not
-  merge into the reservoir of the union.
+  A reservoir sample cannot do this — two reservoirs do not merge into
+  the reservoir of the union — so this is the only histogram type; the
+  metrics registry hands out the same class.
 * **"right now", not "since boot"** — :class:`SlidingWindowHistogram`
   keeps the ladder per time slot and expires whole slots, so the p99 the
   SLO monitor evaluates covers the last window, not the whole uptime.

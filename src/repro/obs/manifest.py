@@ -165,7 +165,7 @@ def _level_row(index: int, graph, phase1) -> Dict[str, Any]:
         "n": int(graph.n),
         "num_edges": int(graph.num_edges),
         "modularity": float(phase1.modularity),
-        "timers": dict(phase1.timers.totals()),
+        "timers": dict(phase1.timers),
     }
     row.update(_history_totals(phase1.history))
     return row

@@ -1,19 +1,23 @@
-"""Namespaced metrics registry: counters, gauges, reservoir histograms.
+"""Namespaced metrics registry: counters, gauges, bucket histograms.
 
 One registry per observability session collects every runtime's
 accounting under slash-namespaced names (``engine/iterations``,
-``gpusim/cycles/compute``, ``comm/halo_bytes`` ...). The *bridges* fold
-the repo's pre-existing instrumentation — :class:`SimProfiler` cycle
-buckets, :class:`TimerRegistry` wall-clock totals, NCCL byte counters —
-into the same snapshot, so the numbers in a metrics export are exactly
-the numbers those subsystems report (tested invariant: the bridge copies
-values, it never re-measures).
+``gpusim/cycles/compute``, ``comm/halo_bytes`` ...). Histograms are the
+exactly-mergeable :class:`~repro.obs.live.BucketHistogram` on the shared
+latency ladder. The *bridges* fold the repo's pre-existing
+instrumentation — :class:`SimProfiler` cycle buckets, the engine's
+per-phase seconds, NCCL byte counters — into the same snapshot, so the
+numbers in a metrics export are exactly the numbers those subsystems
+report (tested invariant: the bridge copies values, it never
+re-measures).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Union
+
+from repro.obs.live import BucketHistogram
 
 Number = Union[int, float]
 
@@ -46,78 +50,6 @@ class Gauge:
         self.value = v
 
 
-class Histogram:
-    """Streaming distribution with a bounded deterministic reservoir.
-
-    Keeps exact ``count``/``sum``/``min``/``max`` and a reservoir of up to
-    ``capacity`` samples for percentile estimates. Replacement is
-    deterministic (a multiplicative-congruential index), so two identical
-    runs produce identical snapshots — the property every other accounting
-    layer in this repo guarantees, kept here too.
-    """
-
-    __slots__ = ("name", "capacity", "count", "total", "min", "max",
-                 "_reservoir", "_rng_state")
-
-    def __init__(self, name: str, capacity: int = 512):
-        if capacity < 1:
-            raise ValueError("histogram capacity must be >= 1")
-        self.name = name
-        self.capacity = capacity
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-        self._reservoir: List[float] = []
-        self._rng_state = 0x9E3779B9
-
-    def observe(self, v: Number) -> None:
-        v = float(v)
-        self.count += 1
-        self.total += v
-        if v < self.min:
-            self.min = v
-        if v > self.max:
-            self.max = v
-        if len(self._reservoir) < self.capacity:
-            self._reservoir.append(v)
-            return
-        # deterministic reservoir sampling: LCG draw in [0, count)
-        self._rng_state = (self._rng_state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-        j = self._rng_state % self.count
-        if j < self.capacity:
-            self._reservoir[j] = v
-
-    def percentile(self, q: float) -> float:
-        """Reservoir percentile (``q`` in [0, 100]); 0.0 when empty."""
-        if not self._reservoir:
-            return 0.0
-        if not (0.0 <= q <= 100.0):
-            raise ValueError("percentile must be in [0, 100]")
-        ordered = sorted(self._reservoir)
-        idx = min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1))))
-        return ordered[idx]
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def snapshot(self) -> Dict[str, float]:
-        if not self.count:
-            return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
-                    "mean": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0}
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
-        }
-
-
 class MetricsRegistry:
     """Thread-safe named collection of counters, gauges, and histograms."""
 
@@ -125,7 +57,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
+        self._histograms: Dict[str, BucketHistogram] = {}
 
     # ------------------------------------------------------------------ #
     def counter(self, name: str) -> Counter:
@@ -144,12 +76,12 @@ class MetricsRegistry:
                 g = self._gauges[name] = Gauge(name)
             return g
 
-    def histogram(self, name: str, capacity: int = 512) -> Histogram:
+    def histogram(self, name: str) -> BucketHistogram:
         with self._lock:
             h = self._histograms.get(name)
             if h is None:
                 self._check_free(name, self._histograms)
-                h = self._histograms[name] = Histogram(name, capacity)
+                h = self._histograms[name] = BucketHistogram()
             return h
 
     def _check_free(self, name: str, own: dict) -> None:
@@ -183,16 +115,16 @@ class MetricsRegistry:
             }
 
     # bridges from the pre-existing instrumentation -------------------- #
-    def bridge_timers(self, timers, prefix: str = "time") -> None:
-        """Accumulate a :class:`~repro.utils.timer.TimerRegistry`'s totals.
+    def bridge_timers(self, timers: Dict[str, float], prefix: str = "time") -> None:
+        """Accumulate one engine run's per-phase seconds
+        (``EngineResult.timers``).
 
-        Each engine run owns a fresh registry, so bridging *adds* —
+        Each engine run owns a fresh phase clock, so bridging *adds* —
         multi-round pipelines (Louvain levels) sum to the whole-run total.
-        Values are copied from ``Timer.total`` verbatim, never re-measured.
+        Values are copied verbatim, never re-measured.
         """
-        for name, timer in timers.timers.items():
-            self.counter(f"{prefix}/{name}_seconds").add(timer.total)
-            self.counter(f"{prefix}/{name}_intervals").add(timer.count)
+        for name, seconds in timers.items():
+            self.counter(f"{prefix}/{name}_seconds").add(seconds)
 
     def bridge_sim_profiler(self, profiler, prefix: str = "gpusim") -> None:
         """Mirror a :class:`~repro.gpusim.profiler.SimProfiler` snapshot.
@@ -226,7 +158,7 @@ class MetricsRegistry:
     def bridge_arena(self, arena, prefix: str = "arena") -> None:
         """Accumulate a :class:`~repro.core.arena.BufferArena`'s counters.
 
-        Arenas are per-engine-run (like timer registries), so the bridge
+        Arenas are per-engine-run (like phase clocks), so the bridge
         *adds* the counters — multi-level pipelines sum to the whole-run
         total — while ``hwm`` keeps the maximum across bridged arenas.
         Values are copied from ``arena.stats()`` verbatim, never

@@ -53,8 +53,6 @@ METRIC_NAMES: frozenset = frozenset(
         "engine/iterations",
         "engine/moved_total",
         "engine/active_edges_total",
-        "iter/num_moved",
-        "iter/delta_q",
         # cross-rank communication (distributed / multiprocess runtimes)
         "comm/bytes_total",
         "comm/messages_total",
@@ -109,9 +107,8 @@ METRIC_NAMES: frozenset = frozenset(
 #: a stats-dict key ...). An f-string emission site must collapse to one
 #: of these patterns exactly.
 METRIC_FAMILIES: Tuple[str, ...] = (
-    # wall-clock timers bridged from TimerRegistry
+    # per-phase wall-clock seconds bridged from EngineResult.timers
     "time/*_seconds",
-    "time/*_intervals",
     # per-backend kernel dispatch accounting
     "kernel/backend/*",
     "kernel/*_vertices",

@@ -70,7 +70,7 @@ class _Span:
         return self
 
     def __exit__(self, *exc: object) -> None:
-        self._tracer._record(self.name, self._start, self._tracer._clock(), self.args)
+        self._tracer.record(self.name, self._start, self._tracer._clock(), self.args)
 
 
 class Tracer:
@@ -98,7 +98,9 @@ class Tracer:
         return True
 
     # ------------------------------------------------------------------ #
-    def _record(self, name: str, start: float, end: float, args: Optional[dict]) -> None:
+    def record(self, name: str, start: float, end: float, args: Optional[dict]) -> None:
+        """Record one complete span from ``perf_counter`` times measured
+        by the caller (the engine's phase clock times each phase once)."""
         self._raw.append(("X", name, start, end, threading.get_ident(), args))
 
     # ------------------------------------------------------------------ #
@@ -276,6 +278,9 @@ class NullTracer:
 
     def span(self, name: str, **args: Any) -> _NullSpan:
         return NULL_SPAN
+
+    def record(self, name: str, start: float, end: float, args: Optional[dict]) -> None:
+        return None
 
     def instant(self, name: str, **args: Any) -> None:
         return None

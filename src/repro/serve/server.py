@@ -171,8 +171,12 @@ class DetectionServer:
         # ---- live telemetry: always-on windows, opt-in SLO/traces ---- #
         # sliding-window latency + request/error counters feed the
         # metrics op, the /metrics exposition, and the SLO evaluator;
-        # their fixed log-spaced buckets merge exactly across processes
+        # their fixed log-spaced buckets merge exactly across processes.
+        # The window's cumulative ladder *is* the registry's
+        # serve/latency_ms histogram: every request latency lands in one
+        # ladder that the manifest, its live block and /metrics all read.
         self._live_latency = SlidingWindowHistogram(window_s=cfg.slo_window_s)
+        self._live_latency.cumulative = self._h_latency
         self._w_requests = WindowedCounter(window_s=cfg.slo_window_s)
         self._w_errors = WindowedCounter(window_s=cfg.slo_window_s)
         self._c_slo_violations = m.counter("serve/slo_violations")
@@ -309,7 +313,6 @@ class DetectionServer:
         self._w_requests.add(1)
         response = await self._dispatch_line(line, t0)
         latency_ms = (time.perf_counter() - t0) * 1000.0
-        self._h_latency.observe(latency_ms)
         self._live_latency.observe(latency_ms)
         # the SLO's error rate counts 5xx replies — internal failures,
         # timeouts, and shed load (backpressure is a health signal too)
@@ -646,7 +649,7 @@ class DetectionServer:
         return render_prometheus(
             counters=counters,
             gauges=gauges,
-            histograms={"serve/request_latency_ms": self._live_latency.cumulative},
+            histograms={"serve/request_latency_ms": self._h_latency},
             labeled_gauges=labeled,
             help_text={
                 "serve/request_latency_ms": (
@@ -692,10 +695,11 @@ class DetectionServer:
             "uptime_s": uptime,
             "drained_clean": self._drained_clean,
         }
-        # the live bucket histogram's cumulative percentiles: the same
-        # numbers /metrics exports, so a scrape taken during the session
-        # and the drain manifest agree exactly
-        live = self._live_latency.cumulative
+        # the cumulative latency ladder's percentiles: the same numbers
+        # /metrics exports and latency_p50_ms/latency_p99_ms above, so a
+        # scrape taken during the session and the drain manifest agree
+        # exactly
+        live = self._h_latency
         manifest.result["live"] = {
             "requests": live.count,
             "p50_ms": live.quantile(0.50),

@@ -1,7 +1,6 @@
-"""Small shared utilities: RNG handling, timers, array helpers, logging."""
+"""Small shared utilities: RNG handling, array helpers, logging."""
 
 from repro.utils.rng import as_generator, spawn_children
-from repro.utils.timer import Timer, TimerRegistry
 from repro.utils.arrays import (
     segment_argmax,
     segment_max,
@@ -13,8 +12,6 @@ from repro.utils.arrays import (
 __all__ = [
     "as_generator",
     "spawn_children",
-    "Timer",
-    "TimerRegistry",
     "segment_argmax",
     "segment_max",
     "segment_sum",

@@ -71,7 +71,7 @@ class TestReportedState:
 
     def test_timers_populated(self, karate):
         r = run_phase1(karate)
-        totals = r.timers.totals()
+        totals = r.timers
         assert "decide_and_move" in totals
         assert "weight_update" in totals
         assert totals["decide_and_move"] > 0.0

@@ -117,7 +117,7 @@ class TestBridgeExactness:
         with obs.session() as sess:
             result = run_phase1(karate, Phase1Config())
         counters = sess.summary()["counters"]
-        for name, total in result.timers.totals().items():
+        for name, total in result.timers.items():
             assert counters[f"time/{name}_seconds"] == total
 
     def test_gpusim_cycle_gauges_match_snapshot_exactly(self, karate):
@@ -229,3 +229,56 @@ class TestRuntimeSpans:
             e["name"] for e in json.load(open(path))["traceEvents"]
         }
         assert "kernel/shuffle" in names or "kernel/hash" in names
+
+
+class TestOneTimingSource:
+    """The Figure-8 phase seconds and the engine's phase spans are one
+    measurement: each level's ``timers[bucket]`` is the sum of that
+    level's matching span durations, computed from the same start/end."""
+
+    SPAN_OF = {
+        "decide_and_move": "engine/decide",
+        "weight_update": "engine/weight_update",
+        "aggregate": "engine/aggregate",
+        "pruning": "engine/prune",
+    }
+
+    @pytest.fixture(scope="class")
+    def run(self, graph):
+        from repro import GalaConfig, gala
+
+        with obs.session() as sess:
+            result = gala(graph, GalaConfig(pruning="mg", seed=0))
+        spans = sess.tracer.export_spans(limit=10**9)["spans"]
+        return result, spans
+
+    @staticmethod
+    def _inside(outer, spans, name):
+        return [
+            s for s in spans
+            if s["name"] == name
+            and outer["start"] <= s["start"] and s["end"] <= outer["end"]
+        ]
+
+    def test_level_timers_equal_span_sums(self, run):
+        result, spans = run
+        runs = [s for s in spans if s["name"] == "engine/run"]
+        assert result.num_levels > 1
+        assert len(runs) == result.num_levels
+        for level, engine_run in zip(result.levels, runs):
+            timers = level.phase1.timers
+            assert set(timers) == set(self.SPAN_OF)
+            for bucket, name in self.SPAN_OF.items():
+                total = 0.0
+                for s in self._inside(engine_run, spans, name):
+                    total += s["end"] - s["start"]
+                assert timers[bucket] == total, bucket
+
+    def test_weight_update_and_aggregate_nest_in_apply_sync(self, run):
+        _, spans = run
+        apply_sync = [s for s in spans if s["name"] == "engine/apply_sync"]
+        for name in ("engine/weight_update", "engine/aggregate"):
+            inner = [s for s in spans if s["name"] == name]
+            assert len(inner) == len(apply_sync)
+            for s, outer in zip(inner, apply_sync):
+                assert outer["start"] <= s["start"] and s["end"] <= outer["end"]

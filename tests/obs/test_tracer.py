@@ -113,7 +113,7 @@ class TestDisabledPath:
         assert obs.span("engine/decide") is NULL_SPAN
         # metric updates no-op rather than raise
         obs.inc("engine/iterations")
-        obs.observe("iter/num_moved", 3)
+        obs.observe("serve/latency_ms", 3)
         obs.instant("engine/converged")
 
     def test_null_span_usable_as_context_manager(self):

@@ -219,6 +219,9 @@ class TestManifestLiveSection:
         # every request line lands in the live histogram, so the drain
         # manifest's request count and histogram count agree exactly
         assert manifest.result["requests"] == live["requests"]
+        # one cumulative ladder: the headline percentiles are the live ones
+        assert manifest.result["latency_p50_ms"] == live["p50_ms"]
+        assert manifest.result["latency_p99_ms"] == live["p99_ms"]
 
     def test_slo_report_in_manifest(self, ring):
         async def body(server, client, host, port):
