@@ -10,7 +10,9 @@ the *same* store, collecting:
 * the subprocess's peak RSS (``os.wait4`` → ``ru_maxrss``) and, for the
   multiprocess runtime, the peak RSS over its rank workers
   (``RUSAGE_CHILDREN``),
-* modularity / iterations / a sha256 of the final assignment.
+* modularity / iterations / a sha256 of the final assignment,
+* the kernel backend the run's traces report (every configuration
+  runs ``kernel="auto"``, so local and the ranks run the same backend).
 
 The parent asserts the assignment digest is identical across every
 configuration (the bit-exactness contract) before writing the JSON.
@@ -45,6 +47,8 @@ import time
 FULL_SCALE, FULL_EF = 17, 120.0
 SMOKE_SCALE, SMOKE_EF = 12, 8.0
 RANK_COUNTS = (1, 2, 4, 8)
+#: host kernel of every configuration (``GalaConfig``'s default)
+KERNEL = "auto"
 
 
 def _worker(args) -> None:
@@ -59,13 +63,14 @@ def _worker(args) -> None:
     graph = open_mmap(args.store, validate=False)
     if args.config == "local":
         t0 = time.perf_counter()
-        result = run_phase1(graph, Phase1Config(pruning="mg"))
+        result = run_phase1(graph, Phase1Config(pruning="mg", kernel=KERNEL))
         wall = time.perf_counter() - t0
     else:
         ranks = int(args.config.removeprefix("mp"))
         t0 = time.perf_counter()
         result = run_multiprocess_phase1(
-            graph, MultiprocessConfig(num_ranks=ranks, pruning="mg")
+            graph,
+            MultiprocessConfig(num_ranks=ranks, pruning="mg", kernel=KERNEL),
         )
         wall = time.perf_counter() - t0
     digest = hashlib.sha256(
@@ -77,6 +82,7 @@ def _worker(args) -> None:
         "modularity": result.modularity,
         "iterations": result.num_iterations,
         "comm_sha256": digest,
+        "kernel_backend": sorted({t.kernel_backend for t in result.history}),
         "workers_peak_rss_mb": kib / 1024.0,
     }))
 
@@ -163,13 +169,18 @@ def main() -> None:
     if len(digests) != 1:
         raise SystemExit(f"bit-exactness violated across configs: {rows}")
 
+    from repro.core.kernels.jit import get_runtime
+
+    runtime = get_runtime()
+    jit_provider = runtime.provider if runtime is not None else None
     local_wall = rows["local"]["wall_s"]
     report = {
         "description": (
             "phase-1 wall-clock on an on-disk RMAT store "
             f"(scale={scale}, edge_factor={ef}, n={graph.n}, "
             f"m={graph.num_edges}): local runtime vs multiprocess at "
-            "1/2/4/8 ranks over the same memory-mapped store; peak RSS "
+            f"{args.ranks} ranks over the same memory-mapped store, "
+            f"kernel={KERNEL!r} in every configuration; peak RSS "
             "per run (parent process; workers reported separately). All "
             "configurations produced the bit-identical assignment "
             f"(sha256 {next(iter(digests))[:16]}...)."
@@ -177,6 +188,8 @@ def main() -> None:
         "machine": {
             "cpu_count": os.cpu_count(),
             "affinity": len(os.sched_getaffinity(0)),
+            "python": sys.version.split()[0],
+            "jit_provider": jit_provider,
             "note": (
                 "multiprocess speedup over local requires as many free "
                 "cores as ranks; on fewer cores the ranks time-share and "

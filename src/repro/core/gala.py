@@ -48,7 +48,10 @@ class GalaConfig:
     #: (the default — the compiled ``jit`` loop when a compile provider
     #: passed its warm-up probe, else ``vectorized``), or ``"vectorized"``
     #: / ``"jit"`` to pin one path. All choices are bit-identical; see
-    #: :func:`repro.core.kernels.make_kernel`.
+    #: :func:`repro.core.kernels.make_kernel`. On both runtimes a compiled
+    #: kernel also runs the delta weight update and the aggregate refresh;
+    #: ``runtime="multiprocess"`` resolves it once and runs it in every
+    #: rank worker, so it must be a name there, not a callable.
     kernel: str = "auto"
     #: execution engine for the ``"gpusim"`` backend: ``"batched"``
     #: (structure-of-arrays, the default) or ``"scalar"`` (one vertex per
@@ -58,8 +61,9 @@ class GalaConfig:
     #: phase-1 runtime: ``"local"`` (single process, the default) or
     #: ``"multiprocess"`` (one worker process per rank over shared memory;
     #: see :mod:`repro.multiprocess.runtime`). Multiprocess applies to the
-    #: first round only — coarsened levels are tiny and run locally. Every
-    #: runtime is bit-identical for every rank count.
+    #: first round only — coarsened levels are tiny and run locally. Both
+    #: run ``kernel`` (the ranks in their decide, the parent in the chunked
+    #: weight update). Every runtime is bit-identical for every rank count.
     runtime: str = "local"
     #: rank count for the ``"multiprocess"`` runtime
     ranks: int = 2
@@ -206,10 +210,13 @@ class GalaConfig:
 
     def multiprocess_config(self) -> "MultiprocessConfig":
         """The rank-runtime config of ``runtime="multiprocess"`` (its
-        round 0 runs on ``ranks`` worker processes)."""
+        round 0 runs on ``ranks`` worker processes, each running the
+        host ``kernel`` this config names)."""
         from repro.multiprocess import MultiprocessConfig
 
-        return MultiprocessConfig(num_ranks=self.ranks, **self._algorithm_fields())
+        return MultiprocessConfig(
+            kernel=self.kernel, num_ranks=self.ranks, **self._algorithm_fields()
+        )
 
     def _algorithm_fields(self) -> dict:
         """The shared :class:`~repro.core.engine.AlgorithmConfig` fields
@@ -279,7 +286,8 @@ def _run_gala(
     if cfg.runtime == "multiprocess" and cfg.backend != "vectorized":
         raise ValueError(
             "runtime='multiprocess' requires backend='vectorized' "
-            f"(got {cfg.backend!r}); rank workers run the NumPy kernel"
+            f"(got {cfg.backend!r}); rank workers run the host kernels "
+            f"(vectorized or jit), not the simulated GPU"
         )
     p1cfg = cfg.phase1_config()
     if cfg.runtime == "multiprocess":

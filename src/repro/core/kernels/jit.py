@@ -137,30 +137,28 @@ def _decide_loop(
     return stamp
 
 
-def _delta_loop(indptr, indices, weights, comm, prev_comm, moved, d_comm):
-    """Section 3.5 delta update over the movers' rows.
+def _delta_loop(movers, indptr, indices, weights, comm, prev_comm, moved, d_comm):
+    """Section 3.5 delta update over the rows of ``movers``.
 
-    Moved and unmoved vertices receive contributions to disjoint
-    ``d_comm`` entries, so fusing the two halves into one mover-major,
-    adjacency-ordered pass preserves the reference path's per-element
-    summation order exactly.
+    Each mover's own entry is rebuilt from zero over its row; its unmoved
+    neighbours get the +/- deltas. Moved and unmoved vertices receive
+    contributions to disjoint ``d_comm`` entries, so fusing the two
+    halves into one mover-major, adjacency-ordered pass preserves the
+    reference path's per-element summation order exactly — and any split
+    of an ascending mover list into consecutive calls gives the same bits.
     """
-    n = moved.shape[0]
-    for v in range(n):
-        if moved[v]:
-            d_comm[v] = 0.0
-    for u in range(n):
-        if not moved[u]:
-            continue
+    for i in range(movers.shape[0]):
+        u = movers[i]
         cu = comm[u]
         pu = prev_comm[u]
+        du = 0.0
         for e in range(indptr[u], indptr[u + 1]):
             v = indices[e]
             w = weights[e]
             cv = comm[v]
             joined = cu == cv
             if joined:
-                d_comm[u] += w
+                du += w
             if not moved[v]:
                 left = pu == cv
                 if joined != left:
@@ -168,6 +166,7 @@ def _delta_loop(indptr, indices, weights, comm, prev_comm, moved, d_comm):
                         d_comm[v] += w
                     else:
                         d_comm[v] -= w
+        d_comm[u] = du
 
 
 def _aggregates_loop(comm, strength, comm_strength, comm_size):
@@ -250,23 +249,22 @@ int64_t repro_decide(
 }
 
 void repro_delta(
-    int64_t n,
+    int64_t n_movers, const int64_t *movers,
     const int64_t *indptr, const int64_t *indices, const double *weights,
     const int64_t *comm, const int64_t *prev_comm, const uint8_t *moved,
     double *d_comm)
 {
-    for (int64_t v = 0; v < n; v++)
-        if (moved[v]) d_comm[v] = 0.0;
-    for (int64_t u = 0; u < n; u++) {
-        if (!moved[u]) continue;
+    for (int64_t i = 0; i < n_movers; i++) {
+        int64_t u = movers[i];
         int64_t cu = comm[u];
         int64_t pu = prev_comm[u];
+        double du = 0.0;
         for (int64_t e = indptr[u]; e < indptr[u + 1]; e++) {
             int64_t v = indices[e];
             double w = weights[e];
             int64_t cv = comm[v];
             int joined = (cu == cv);
-            if (joined) d_comm[u] += w;
+            if (joined) du += w;
             if (!moved[v]) {
                 int left = (pu == cv);
                 if (joined != left) {
@@ -275,6 +273,7 @@ void repro_delta(
                 }
             }
         }
+        d_comm[u] = du;
     }
 }
 
@@ -352,7 +351,7 @@ def _compile_c_library() -> ctypes.CDLL:
     ]
     lib.repro_delta.restype = None
     lib.repro_delta.argtypes = [
-        c_i64,
+        c_i64, ndp(**i64),                       # n_movers, movers
         ndp(**i64), ndp(**i64), ndp(**f64),
         ndp(**i64), ndp(**i64), ndp(**b8),
         ndp(**f64),
@@ -409,10 +408,11 @@ def _cc_runtime() -> JitRuntime:
             best_comm, best_gain, stay_gain, move,
         )
 
-    def delta(indptr, indices, weights, comm, prev_comm, moved, d_comm):
+    def delta(movers, indptr, indices, weights, comm, prev_comm, moved,
+              d_comm):
         lib.repro_delta(
-            len(moved), indptr, indices, weights, comm, prev_comm, moved,
-            d_comm,
+            len(movers), movers, indptr, indices, weights, comm, prev_comm,
+            moved, d_comm,
         )
 
     def aggregates(comm, strength, comm_strength, comm_size):
@@ -462,10 +462,18 @@ def _smoke_compare(rt: JitRuntime) -> None:
             r.decide(active, indptr, indices, weights, comm, strength,
                      cs, csize, 1.0, 3.0, 6.0, remove_self,
                      acc_w, acc_stamp, acc_comms, 0, bc, bg, sg, mv)
-        d_comm = np.zeros(n)
-        moved = np.array([True, False, False, False])
-        prev = np.array([2, 1, 1, 3], dtype=np.int64)
-        r.delta(indptr, indices, weights, comm, prev, moved, d_comm)
+        # two movers that each join a neighbour and leave the unmoved
+        # vertex 2's community; the candidate gets them in two calls, so
+        # a provider that gets the chunk boundary wrong (re-zeroing or
+        # re-visiting earlier movers) differs from the one-call reference
+        d_comm = np.array([5.0, 6.0, 7.0, 8.0])
+        movers = np.array([0, 1], dtype=np.int64)
+        moved = np.array([True, True, False, False])
+        comm_after = np.array([1, 1, 0, 3], dtype=np.int64)
+        prev = np.array([0, 0, 0, 3], dtype=np.int64)
+        for sub in ((movers,) if r is ref else (movers[:1], movers[1:])):
+            r.delta(sub, indptr, indices, weights, comm_after, prev, moved,
+                    d_comm)
         agg_s = np.zeros(n)
         agg_n = np.zeros(n, dtype=np.int64)
         r.aggregates(comm, strength, agg_s, agg_n)

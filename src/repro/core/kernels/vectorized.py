@@ -360,3 +360,12 @@ def make_kernel(spec: str):
         f"unknown kernel backend {spec!r}; expected one of "
         f"{list(KERNEL_NAMES)} or a callable"
     )
+
+
+def compiled_runtime(kernel):
+    """The compiled :class:`~repro.core.kernels.jit.JitRuntime` behind a
+    host kernel, for the executor's delta weight update and aggregate
+    refresh; None for a NumPy kernel and for the interpreted provider
+    (whose loops are slower than the NumPy paths)."""
+    rt = getattr(kernel, "runtime", None)
+    return rt if rt is not None and rt.provider != "python" else None

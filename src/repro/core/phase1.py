@@ -35,14 +35,13 @@ from repro.core.engine import (
     run_engine,
 )
 from repro.core.arena import BufferArena
-from repro.core.kernels.vectorized import DecideResult, make_kernel
-from repro.core.state import CommunityState
-from repro.core.weights import (
-    delta_update,
-    make_jit_delta_updater,
-    make_weight_updater,
-    refresh_aggregates,
+from repro.core.kernels.vectorized import (
+    DecideResult,
+    compiled_runtime,
+    make_kernel,
 )
+from repro.core.state import CommunityState
+from repro.core.weights import make_weight_updater, refresh_aggregates
 from repro.graph.csr import CSRGraph
 
 KernelFn = Callable[[CommunityState, np.ndarray, bool], DecideResult]
@@ -112,29 +111,16 @@ class LocalExecutor(Executor):
         # A jit kernel carries its compiled runtime; the executor then also
         # routes the delta weight update and the aggregates refresh through
         # the same runtime — all bit-identical to the NumPy paths.
-        runtime = getattr(self.kernel, "runtime", None)
-        if runtime is not None and runtime.provider == "python":
-            runtime = None  # interpreted provider: NumPy paths are faster
+        runtime = compiled_runtime(self.kernel)
         self._jit_runtime = runtime
         #: one-off compile seconds to charge to the first iteration trace
         self._compile_s_pending = float(getattr(self.kernel, "compile_s", 0.0))
-        self.updater = self._make_updater()
+        # the stock delta update runs compiled, all movers in one call
+        self.updater = make_weight_updater(config.weight_update, runtime=runtime)
         #: simulated device behind a gpusim kernel, if any (per-iteration
         #: cycle deltas feed IterationTrace.sim_cycles)
         self._device = getattr(self.kernel, "device", None)
         self._cycles_seen = 0.0
-
-    def _make_updater(self):
-        """The weight updater, compiled where a jit runtime is available.
-
-        The registry lookup stays authoritative: the compiled delta only
-        replaces the *stock* ``delta_update`` — a patched registry entry
-        (the sanitizer mutation tests) is used as-is.
-        """
-        base = make_weight_updater(self.config.weight_update)
-        if base is delta_update and self._jit_runtime is not None:
-            return make_jit_delta_updater(self._jit_runtime)
-        return base
 
     def decide(self, active_idx: np.ndarray, active: np.ndarray) -> np.ndarray:
         result = self.kernel(self.state, active_idx, self.remove_self)

@@ -20,9 +20,13 @@ Both leave the state bit-equivalent (a hypothesis-tested invariant).
 
 from __future__ import annotations
 
+import functools
+from typing import Iterable
+
 import numpy as np
 
 from repro.core.state import CommunityState
+from repro.graph.mmap_store import split_by_edges
 from repro.utils.arrays import repeat_by_counts
 
 #: the delta/recompute equivalence is a bit-exact contract — float
@@ -38,50 +42,53 @@ def recompute_all(
 
 
 def delta_update(
-    state: CommunityState, prev_comm: np.ndarray, moved: np.ndarray
+    state: CommunityState,
+    prev_comm: np.ndarray,
+    moved: np.ndarray,
+    runtime=None,
+    chunk_edges: int | None = None,
+    release=None,
 ) -> None:
     """Delta-update ``d_comm`` from the moved-vertex set.
 
     Must be called *after* ``state.comm`` holds the new assignment, with
     ``prev_comm``/``moved`` describing what changed.
+
+    ``runtime`` (a probed :class:`~repro.core.kernels.jit.JitRuntime`)
+    runs the compiled mover-list pass, which applies both halves of the
+    scheme in one sweep over the movers' rows. ``chunk_edges`` splits the
+    ascending mover list into degree-bounded chunks, keeping transient
+    allocations O(``chunk_edges``) instead of O(moved-degree-sum) — the
+    difference between "fits" and "not" when the graph is memory-mapped
+    at 10⁷+ edges; ``release`` (e.g. ``MmapCSRGraph.release_pages``) is
+    called after each chunk so resident file pages track the chunk size
+    too. Every combination is bit-identical: step 1 targets only moved
+    vertices and step 2 only unmoved ones, so any single ``d_comm`` entry
+    receives all its contributions from one step, in mover-major
+    adjacency order — which ascending mover chunks preserve exactly.
     """
+    degrees = state.graph.degrees
     movers = np.flatnonzero(moved)
-    counts = state.graph.degrees[movers]
+    counts = degrees[movers]
     # integer degree count — exact in any order  # lint: allow[float-accumulation]
     if counts.sum() == 0:
         return
-    _delta_apply(state, prev_comm, moved, movers, counts)
-
-
-def delta_update_chunked(
-    state: CommunityState,
-    prev_comm: np.ndarray,
-    moved: np.ndarray,
-    chunk_edges: int,
-    release=None,
-) -> None:
-    """:func:`delta_update` in degree-bounded mover chunks.
-
-    Transient allocations (the gathered adjacency rows of the movers) stay
-    O(``chunk_edges``) instead of O(moved-degree-sum) — the difference
-    between "fits" and "not" when the graph is memory-mapped at 10⁷+
-    edges. Bit-identical to the one-shot path: step 1 targets only moved
-    vertices and step 2 only unmoved ones, so any single ``d_comm`` entry
-    receives all its contributions from one step, in mover-major adjacency
-    order — which ascending mover chunks preserve exactly. ``release``
-    (e.g. ``MmapCSRGraph.release_pages``) is called after each chunk so
-    resident file pages track the chunk size too.
-    """
-    from repro.graph.mmap_store import split_by_edges
-
-    degrees = state.graph.degrees
-    movers = np.flatnonzero(moved)
-    mover_deg = degrees[movers]
-    # integer degree count — exact in any order  # lint: allow[float-accumulation]
-    if mover_deg.sum() == 0:
+    if chunk_edges is None:
+        chunks: Iterable[np.ndarray] = (movers,)
+    else:
+        chunks = split_by_edges(movers, counts, chunk_edges, release=release)
+    if runtime is None:
+        for sub in chunks:
+            _delta_apply(state, prev_comm, moved, sub, degrees[sub])
         return
-    for sub in split_by_edges(movers, mover_deg, chunk_edges, release=release):
-        _delta_apply(state, prev_comm, moved, sub, degrees[sub])
+    g = state.graph
+    prev_comm = np.ascontiguousarray(prev_comm, dtype=np.int64)
+    moved = np.ascontiguousarray(moved, dtype=np.bool_)
+    for sub in chunks:
+        runtime.delta(
+            sub, g.indptr, g.indices, g.weights, state.comm, prev_comm, moved,
+            state.d_comm,
+        )
 
 
 def _delta_apply(
@@ -121,53 +128,6 @@ def _delta_apply(
         np.add.at(state.d_comm, v[rel], delta)
 
 
-def make_chunked_weight_updater(spec: str, chunk_edges: int, release=None):
-    """A weight updater with O(``chunk_edges``) transient allocations.
-
-    ``delta`` maps to :func:`delta_update_chunked`; ``recompute`` keeps the
-    plain full recomputation (its ``row_ids`` scratch is inherently O(E) —
-    out-of-core runs should use ``delta``).
-    """
-    if spec == "delta":
-
-        def updater(
-            state: CommunityState, prev_comm: np.ndarray, moved: np.ndarray
-        ) -> None:
-            delta_update_chunked(
-                state, prev_comm, moved, chunk_edges, release=release
-            )
-
-        return updater
-    return make_weight_updater(spec)
-
-
-def make_jit_delta_updater(runtime):
-    """A compiled drop-in for :func:`delta_update` (same signature/results).
-
-    ``runtime`` is a probed :class:`~repro.core.kernels.jit.JitRuntime`;
-    its fused mover-major pass applies both halves of the scheme in one
-    sweep over the movers' rows — bit-identical to the NumPy path because
-    moved and unmoved vertices receive contributions to *disjoint*
-    ``d_comm`` entries, each in the same mover-major adjacency order.
-    """
-
-    def jit_delta(
-        state: CommunityState, prev_comm: np.ndarray, moved: np.ndarray
-    ) -> None:
-        g = state.graph
-        runtime.delta(
-            g.indptr,
-            g.indices,
-            g.weights,
-            state.comm,
-            np.ascontiguousarray(prev_comm, dtype=np.int64),
-            np.ascontiguousarray(moved, dtype=np.bool_),
-            state.d_comm,
-        )
-
-    return jit_delta
-
-
 def refresh_aggregates(state: CommunityState, arena=None, runtime=None) -> None:
     """Rebuild ``comm_strength``/``comm_size`` after a BSP apply step.
 
@@ -196,12 +156,27 @@ WEIGHT_UPDATERS = {
 }
 
 
-def make_weight_updater(spec: str):
-    """Resolve a weight-update mode name to its implementation."""
+def make_weight_updater(
+    spec: str, runtime=None, chunk_edges: int | None = None, release=None
+):
+    """Resolve a weight-update mode name to its implementation.
+
+    For ``delta``, ``runtime``/``chunk_edges``/``release`` select the
+    compiled and/or chunked pass of :func:`delta_update`. The registry
+    lookup stays authoritative: they only apply to the *stock*
+    ``delta_update`` — a patched registry entry (the sanitizer mutation
+    tests) is used as-is, as is ``recompute`` (whose ``row_ids`` scratch
+    is inherently O(E) — out-of-core runs should use ``delta``).
+    """
     try:
-        return WEIGHT_UPDATERS[spec]
+        base = WEIGHT_UPDATERS[spec]
     except KeyError:
         raise ValueError(
             f"unknown weight update mode {spec!r}; expected one of "
             f"{sorted(WEIGHT_UPDATERS)}"
         ) from None
+    if base is delta_update and (runtime is not None or chunk_edges is not None):
+        return functools.partial(
+            delta_update, runtime=runtime, chunk_edges=chunk_edges, release=release
+        )
+    return base

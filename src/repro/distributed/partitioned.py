@@ -32,7 +32,7 @@ from repro.core.engine import (
 )
 from repro.core.kernels.vectorized import decide_moves
 from repro.core.state import CommunityState
-from repro.core.weights import make_weight_updater
+from repro.core.weights import make_weight_updater, refresh_aggregates
 from repro.distributed.halo import RankView, build_rank_views
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import VertexPartition, partition_contiguous
@@ -91,6 +91,11 @@ class PartitionedExecutor(Executor):
     replace :meth:`decide` outright (the multiprocess transport).
     """
 
+    #: compiled runtime and buffer arena for the commit step's aggregate
+    #: refresh; a subclass that runs compiled kernels sets both
+    runtime = None
+    arena = None
+
     def __init__(
         self,
         graph: CSRGraph,
@@ -140,7 +145,7 @@ class PartitionedExecutor(Executor):
         prev_comm = state.comm
         state.comm = next_comm
         self.updater(state, prev_comm, moved)
-        state.refresh_community_aggregates()
+        refresh_aggregates(state, self.arena, self.runtime)
         return state.modularity()
 
     @abstractmethod

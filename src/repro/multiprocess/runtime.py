@@ -15,12 +15,17 @@ requires. The shape of an iteration:
    (bit-exactness per chunk is the tested ``DecideResult.restrict``
    invariant), and writes movers into the shared ``next_comm`` —
    disjoint owned slots, so no synchronisation is needed beyond the
-   shared done semaphore;
+   shared done semaphore. The kernel is the host backend the parent
+   resolved from ``MultiprocessConfig.kernel`` once (``auto`` is the
+   compiled ``jit`` loop when a compile provider passed its probe);
+   each worker builds it once, with its own buffer arena;
 3. the parent commits the move step through the shared partitioned core
    (:mod:`repro.distributed.partitioned`) — the same halo-exchange
    accounting over the same :class:`~repro.distributed.halo.RankView`
    send lists as the simulated runtime (so ``HaloStats`` match it bit
-   for bit), then the community weight update and aggregate refresh.
+   for bit), then the community weight update — the same backend's
+   delta pass, called per degree-bounded mover chunk — and the
+   aggregate refresh.
 
 The graph payload crosses process boundaries **zero** times: every
 worker maps the same on-disk store read-only via
@@ -49,10 +54,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.engine import AlgorithmConfig
-from repro.core.kernels.vectorized import decide_moves
+from repro.core.arena import BufferArena
+from repro.core.engine import AlgorithmConfig, IterationTrace
+from repro.core.kernels.vectorized import (
+    KERNEL_NAMES,
+    compiled_runtime,
+    make_kernel,
+)
 from repro.core.state import CommunityState
-from repro.core.weights import make_chunked_weight_updater
+from repro.core.weights import make_weight_updater
 from repro.distributed.partitioned import HaloExecutor, RankResult
 from repro.graph.csr import CSRGraph
 from repro.graph.mmap_store import (
@@ -87,6 +97,12 @@ class MultiprocessConfig(AlgorithmConfig):
     memory bounds."""
 
     pruning: str = "mg"
+    #: DecideAndMove backend of the rank workers, by name (see
+    #: :class:`~repro.core.phase1.Phase1Config`): the parent resolves it
+    #: once — ``"auto"`` is ``jit`` when a compile provider passed its
+    #: probe — and every worker builds the resolved kernel. A callable is
+    #: rejected: workers are separate processes and need a name.
+    kernel: str = "auto"
     num_ranks: int = 2
     #: adjacency entries per worker decide chunk and per parent
     #: weight-update chunk — the O(chunk) bound on transient allocations
@@ -103,6 +119,14 @@ class MultiprocessConfig(AlgorithmConfig):
     #: RSS to O(n + chunk)); ``None`` = on exactly when the graph is
     #: memmap-backed or spilled
     release_pages: bool | None = None
+
+    def __post_init__(self) -> None:
+        if self.kernel not in KERNEL_NAMES:
+            raise ValueError(
+                f"unknown rank kernel {self.kernel!r}; expected one of "
+                f"{list(KERNEL_NAMES)} (rank workers build their kernel "
+                f"from its name, so a callable cannot be used)"
+            )
 
 
 @dataclass
@@ -172,6 +196,9 @@ def _worker_main(
             comm_size=shared["comm_size"],
             resolution=float(params["resolution"]),
         )
+        # built once per worker; a jit kernel keeps its scratch and
+        # result buffers in its own arena across rounds
+        kernel = make_kernel(params["kernel"])
         degrees = graph.degrees
         remove_self = bool(params["remove_self"])
         chunk_edges = int(params["chunk_edges"])
@@ -201,7 +228,7 @@ def _worker_main(
                 for sub in split_by_edges(
                     idx, degrees[idx], chunk_edges, release=release
                 ):
-                    result = decide_moves(state, sub, remove_self=remove_self)
+                    result = kernel(state, sub, remove_self)
                     movers = sub[result.move]
                     next_comm[movers] = result.best_comm[result.move]
                 status[rank] = 0
@@ -234,6 +261,14 @@ def _worker_main(
                 done.release()
     except KeyboardInterrupt:
         pass
+    except BaseException:
+        # a set-up failure (the store, the kernel's provider probe in a
+        # spawned worker) reaches the parent's round as this traceback
+        try:
+            err_queue.put((rank, traceback.format_exc()))
+        except Exception:
+            pass
+        raise
     finally:
         if shared is not None:
             shared.close()
@@ -252,15 +287,24 @@ class MultiprocessExecutor(HaloExecutor):
         partition: VertexPartition | None = None,
     ):
         cfg = config or MultiprocessConfig()
+        # resolved once here, so every worker runs the same backend
+        kernel = make_kernel(cfg.kernel)
+        #: the backend name every rank worker runs (``vectorized``/``jit``)
+        self.kernel_name: str = kernel.name
+        runtime = compiled_runtime(kernel)
         # chunked delta is bit-identical to the plain path and keeps the
         # parent's transient allocations at O(chunk) on memmapped graphs
         # (where it also drops its resident pages per chunk)
-        updater = make_chunked_weight_updater(
+        updater = make_weight_updater(
             cfg.weight_update,
-            cfg.chunk_edges,
+            runtime=runtime,
+            chunk_edges=cfg.chunk_edges,
             release=graph.release_pages if isinstance(graph, MmapCSRGraph) else None,
         )
         super().__init__(graph, cfg, cfg.num_ranks, partition, updater)
+        if runtime is not None:
+            self.runtime = runtime
+            self.arena = BufferArena("multiprocess")
         #: collect per-round rank spans only when an obs session is live
         #: at construction — the disabled path costs one flag check per
         #: round in the workers and nothing in the parent
@@ -327,6 +371,7 @@ class MultiprocessExecutor(HaloExecutor):
             0,
         )
         params = {
+            "kernel": self.kernel_name,
             "total_weight": graph.total_weight,
             "resolution": cfg.resolution,
             "remove_self": cfg.remove_self,
@@ -372,6 +417,10 @@ class MultiprocessExecutor(HaloExecutor):
             shared["clock"][0] = time.perf_counter()
         self._round()
         return np.array(shared["next_comm"])
+
+    def collect(self, trace: IterationTrace) -> None:
+        super().collect(trace)
+        trace.kernel_backend = self.kernel_name
 
     def _round(self) -> None:
         """Release one round, wait for every rank's done post; surface

@@ -26,10 +26,7 @@ from repro.core.kernels.jit import (
 from repro.core.kernels.vectorized import decide_moves
 from repro.core.phase1 import Phase1Config, run_phase1
 from repro.core.state import CommunityState
-from repro.core.weights import (
-    delta_update,
-    make_jit_delta_updater,
-)
+from repro.core.weights import delta_update, make_weight_updater
 from repro.errors import KernelUnavailableError
 from repro.graph.generators import ring_of_cliques
 from repro.graph.generators.lfr import LFRParams, lfr_graph
@@ -101,7 +98,7 @@ class TestJitBitExactness:
         identical d_comm, sweep after sweep."""
         state_np = CommunityState.singletons(graph)
         state_jit = CommunityState.singletons(graph)
-        updater = make_jit_delta_updater(runtime)
+        updater = make_weight_updater("delta", runtime=runtime)
         for _ in range(4):
             res = decide_moves(state_np, np.arange(graph.n, dtype=np.int64))
             next_comm = res.next_comm(state_np.comm)
@@ -188,6 +185,32 @@ class TestProviders:
             rt.decide = bad_decide
             return rt
 
+        monkeypatch.setitem(jitmod._PROVIDERS, "cc", broken)
+        jitmod._reset_runtime_cache()
+        try:
+            assert jitmod._probe("cc") is None
+        finally:
+            jitmod._reset_runtime_cache()
+
+
+    def test_probe_rejects_wrong_chunk_boundary(self, monkeypatch):
+        """The probe calls the delta with its movers split in two: a
+        provider that re-zeroes every moved entry on each call (right in
+        one call, wrong across chunks) must never be selected."""
+
+        def whole_mask_delta(movers, indptr, indices, weights, comm,
+                             prev_comm, moved, d_comm):
+            d_comm[moved] = 0.0
+            jitmod._delta_loop(movers, indptr, indices, weights, comm,
+                               prev_comm, moved, d_comm)
+
+        def broken():
+            rt = jitmod._python_runtime()
+            rt.delta = whole_mask_delta
+            return rt
+
+        with pytest.raises(RuntimeError, match="smoke probe"):
+            jitmod._smoke_compare(broken())
         monkeypatch.setitem(jitmod._PROVIDERS, "cc", broken)
         jitmod._reset_runtime_cache()
         try:

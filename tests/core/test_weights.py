@@ -91,3 +91,20 @@ class TestMakeWeightUpdater:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown weight update"):
             make_weight_updater("magic")
+
+    def test_patched_registry_entry_wins_over_runtime_and_chunks(
+        self, monkeypatch
+    ):
+        from repro.core import weights
+        from repro.core.kernels.jit import require_runtime
+
+        def patched(state, prev_comm, moved):
+            pass
+
+        monkeypatch.setitem(weights.WEIGHT_UPDATERS, "delta", patched)
+        assert (
+            make_weight_updater(
+                "delta", runtime=require_runtime("python"), chunk_edges=8
+            )
+            is patched
+        )

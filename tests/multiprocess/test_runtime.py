@@ -3,8 +3,9 @@
 The process-per-rank executor must be indistinguishable from the local
 and simulated-distributed runtimes in everything but wall-clock: same
 communities, same per-iteration move counts, same halo accounting — for
-every graph, rank count, and chunk size, including under the sanitizers
-and the observability layer. The lifecycle tests pin the ugly parts:
+every graph, rank count, chunk size and rank kernel (``vectorized`` or
+the compiled ``jit``, also in spawned workers), including under the
+sanitizers and the observability layer. The lifecycle tests pin the ugly parts:
 worker crashes surface as errors (not hangs), and no ``/dev/shm``
 segment or spill directory outlives the executor.
 """
@@ -18,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.kernels import jit as jitmod
 from repro.core.phase1 import Phase1Config, run_phase1
 from repro.distributed import DistributedConfig, run_distributed_phase1
 from repro.graph.generators import load_dataset, ring_of_cliques
@@ -34,6 +36,15 @@ MATRIX_GRAPHS = {
     "ring": lambda: ring_of_cliques(8, 6),
 }
 RANK_COUNTS = [2, 3, 4]
+
+_runtime = jitmod.get_runtime()
+needs_jit = pytest.mark.skipif(
+    _runtime is None, reason="no jit provider works on this host"
+)
+needs_cc = pytest.mark.skipif(
+    _runtime is None or _runtime.provider != "cc",
+    reason="the compiled cc provider does not work on this host",
+)
 
 
 def shm_segments() -> set:
@@ -109,6 +120,94 @@ class TestBitExactMatrix:
         np.testing.assert_array_equal(
             mp.communities, local_results["LJ"].communities
         )
+
+    @pytest.mark.parametrize(
+        "kernel", ["vectorized", pytest.param("jit", marks=needs_jit)]
+    )
+    @pytest.mark.parametrize("name", list(MATRIX_GRAPHS))
+    def test_rank_kernel_matches_local(self, graphs, local_results, name, kernel):
+        """Workers decide and the parent updates weights with the named
+        backend, in 64-edge chunks; the traces name the backend."""
+        mp = run_multiprocess_phase1(
+            graphs[name],
+            MultiprocessConfig(
+                num_ranks=3, pruning="mg", kernel=kernel, chunk_edges=64
+            ),
+        )
+        local = local_results[name]
+        np.testing.assert_array_equal(mp.communities, local.communities)
+        assert mp.modularity == local.modularity
+        assert [h.num_moved for h in mp.history] == [
+            h.num_moved for h in local.history
+        ]
+        assert {h.kernel_backend for h in mp.history} == {kernel}
+
+    def test_auto_kernel_resolves_in_the_parent(self, graphs):
+        compiled = _runtime is not None and _runtime.provider != "python"
+        with MultiprocessExecutor(
+            graphs["ring"], MultiprocessConfig(num_ranks=2)
+        ) as ex:
+            assert ex.kernel_name == ("jit" if compiled else "vectorized")
+
+    def test_rejects_callable_kernel(self):
+        from repro.core.kernels.vectorized import decide_moves
+
+        with pytest.raises(ValueError, match="kernel"):
+            MultiprocessConfig(kernel=decide_moves)
+
+    def test_gala_forwards_kernel(self):
+        from repro.core.gala import GalaConfig
+
+        cfg = GalaConfig(runtime="multiprocess", kernel="vectorized", ranks=3)
+        assert cfg.multiprocess_config().kernel == "vectorized"
+        assert GalaConfig(runtime="multiprocess").multiprocess_config().kernel == "auto"
+
+    @needs_cc
+    def test_spawned_workers_reload_the_cached_library(
+        self, graphs, local_results, tmp_path, monkeypatch
+    ):
+        """Spawned workers start with no probe cache: each loads the
+        library the parent compiled into ``REPRO_JIT_CACHE`` and passes
+        its own smoke probe, without rebuilding it."""
+        monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path))
+        jitmod._reset_runtime_cache()
+        try:
+            with MultiprocessExecutor(
+                graphs["HW"],
+                MultiprocessConfig(
+                    num_ranks=2, pruning="mg", kernel="jit", mp_context="spawn"
+                ),
+            ) as ex:
+                (lib,) = glob.glob(str(tmp_path / "*.so"))
+                built = os.stat(lib).st_mtime_ns
+                from repro.core.engine import run_engine
+
+                result = run_engine(ex, ex.config.engine_config())
+            assert glob.glob(str(tmp_path / "*.so")) == [lib]
+            assert os.stat(lib).st_mtime_ns == built
+        finally:
+            jitmod._reset_runtime_cache()
+        np.testing.assert_array_equal(
+            result.communities, local_results["HW"].communities
+        )
+        assert {h.kernel_backend for h in result.history} == {"jit"}
+
+    @needs_cc
+    def test_worker_probe_failure_surfaces_its_traceback(
+        self, graphs, tmp_path, monkeypatch
+    ):
+        """A spawned worker whose provider probe fails (no library in its
+        cache, no compiler) fails the round with the worker's error."""
+        jitmod.require_runtime()  # the parent's probe, cached in-process
+        monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path))
+        monkeypatch.setenv("CC", "false")
+        n = graphs["ring"].n
+        with MultiprocessExecutor(
+            graphs["ring"],
+            MultiprocessConfig(num_ranks=1, kernel="jit", mp_context="spawn"),
+        ) as ex:
+            with pytest.raises(RuntimeError, match="KernelUnavailableError"):
+                ex.decide(np.arange(n), np.ones(n, dtype=bool))
 
     def test_mmap_graph_input(self, graphs, local_results, tmp_path):
         store = save_mmap(graphs["HW"], tmp_path / "hw.store")

@@ -5,7 +5,9 @@ on, checked over randomly generated graphs and states:
 
 1. modularity identities (range, permutation invariance, Eq. 1 vs state);
 2. coarsening preserves modularity and total weight;
-3. delta weight updates equal recomputation on arbitrary move batches;
+3. delta weight updates equal recomputation on arbitrary move batches,
+   and the compiled mover-list delta equals the NumPy one bit for bit
+   under any degree-bounded chunking of the movers;
 4. the MG bound never produces a false negative (Theorem 6);
 5. one DecideAndMove sweep from singletons never decreases modularity;
 6. FN-free pruning reproduces the unpruned trajectory bit-for-bit.
@@ -18,14 +20,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.kernels.jit import get_runtime, require_runtime
 from repro.core.kernels.vectorized import decide_moves
 from repro.core.modularity import modularity
 from repro.core.phase1 import Phase1Config, run_phase1
 from repro.core.pruning.modularity_gain import ModularityGainPruning
 from repro.core.state import CommunityState
-from repro.core.weights import delta_update
+from repro.core.weights import delta_update, make_weight_updater
 from repro.graph.builder import from_edge_array
 from repro.graph.coarsen import coarsen_graph
+from repro.graph.mmap_store import split_by_edges
+
+_compiled = get_runtime()
+#: the interpreted loops everywhere, plus the compiled provider when one
+#: works on this host
+DELTA_PROVIDERS = ["python"] + ([_compiled.provider] if _compiled else [])
 
 
 @st.composite
@@ -134,6 +143,72 @@ class TestDeltaUpdateProperty:
         delta_update(state, prev, nxt != prev)
         ref = CommunityState.from_assignment(g, nxt)
         np.testing.assert_allclose(state.d_comm, ref.d_comm, atol=1e-9)
+
+
+class TestChunkedCompiledDelta:
+    """The compiled delta takes a mover list, so the multiprocess parent
+    can call it per ``split_by_edges`` chunk; every chunking must give the
+    one-shot NumPy :func:`delta_update` result bit for bit."""
+
+    @staticmethod
+    def _check(g, comm, nxt, runtime, chunk_edges):
+        ref = CommunityState.from_assignment(g, comm)
+        state = ref.copy()
+        prev = ref.comm.copy()
+        moved = nxt != prev
+        ref.comm = nxt.copy()
+        state.comm = nxt.copy()
+        delta_update(ref, prev, moved)
+        releases = []
+        updater = make_weight_updater(
+            "delta",
+            runtime=runtime,
+            chunk_edges=chunk_edges,
+            release=lambda: releases.append(1),
+        )
+        updater(state, prev, moved)
+        np.testing.assert_array_equal(state.d_comm, ref.d_comm)
+        movers = np.flatnonzero(moved)
+        counts = g.degrees[movers]
+        expected_chunks = (
+            len(list(split_by_edges(movers, counts, chunk_edges)))
+            if counts.sum()
+            else 0
+        )
+        assert len(releases) == expected_chunks
+
+    @pytest.mark.parametrize("provider", DELTA_PROVIDERS)
+    @given(graph_with_partition(), st.integers(0, 10_000), st.integers(1, 24))
+    @settings(max_examples=60, deadline=None)
+    def test_any_chunking_is_bit_identical(self, provider, gp, seed, chunk_edges):
+        g, comm = gp
+        rng = np.random.default_rng(seed)
+        # an arbitrary batch of moves to arbitrary labels
+        nxt = comm.copy()
+        movers = rng.choice(g.n, size=rng.integers(1, g.n + 1), replace=False)
+        nxt[movers] = rng.integers(0, g.n, size=len(movers))
+        self._check(g, comm, nxt, require_runtime(provider), chunk_edges)
+
+    @pytest.mark.parametrize("provider", DELTA_PROVIDERS)
+    @pytest.mark.parametrize("chunk_edges", [1, 2, 5])
+    def test_mover_degree_exceeds_chunk(self, provider, chunk_edges):
+        """A hub mover whose row alone exceeds the chunk gets a chunk of
+        its own; the leaf movers around it split at every boundary."""
+        n = 9
+        src = np.zeros(n - 1, dtype=np.int64)
+        dst = np.arange(1, n, dtype=np.int64)
+        w = np.linspace(0.5, 4.0, n - 1)
+        # a star (hub degree 8) plus a path through the leaves
+        g = from_edge_array(
+            n,
+            np.concatenate([src, dst[:-1]]),
+            np.concatenate([dst, dst[1:]]),
+            np.concatenate([w, w[:-1] * 1.5]),
+        )
+        comm = np.array([0, 0, 0, 1, 1, 2, 2, 3, 3], dtype=np.int64)
+        nxt = np.array([1, 0, 1, 1, 2, 2, 3, 3, 0], dtype=np.int64)
+        assert g.degrees[0] > chunk_edges
+        self._check(g, comm, nxt, require_runtime(provider), chunk_edges)
 
 
 class TestDecideProperties:
