@@ -1,9 +1,17 @@
-"""Compiled DecideAndMove + delta-update hot path (the ``jit`` backend).
+"""Compiled Louvain hot paths (the ``jit`` backend).
 
 The NumPy backends stream every step through vectorised temporaries; this
-module compiles the per-vertex decide loop and the Section 3.5 delta
-weight update to native code, writing straight into arena-owned buffers —
-the steady-state iteration then performs zero heap allocations (see
+module compiles four entry points to native code:
+
+* ``decide``     — the per-vertex DecideAndMove loop;
+* ``delta``      — the Section 3.5 delta weight update over a mover list;
+* ``aggregates`` — the ``comm_strength``/``comm_size`` rebuild;
+* ``coarsen``    — the phase-2 contraction: a presence-array relabel, two
+  stable counting sorts and one run-summing pass that writes the
+  exact-size coarse CSR (see :mod:`repro.graph.coarsen`).
+
+The phase-1 loops write straight into arena-owned buffers — the
+steady-state iteration then performs zero heap allocations (see
 :mod:`repro.core.arena`).
 
 Two **providers** run the loops:
@@ -22,11 +30,14 @@ in adjacency order (the shared summation convention of
 :func:`repro.core.kernels.vectorized._aggregate_pairs`), gains are
 evaluated with the same operation order Eq. 2 is coded with in
 :func:`~repro.core.kernels.vectorized._evaluate_pairs`, ties break toward
-the smaller community id, and the movement guards are verbatim. The C
-build disables FP contraction (``-ffp-contract=off``), so the compiled
-arithmetic is IEEE-ordered and bit-identical to ``vectorized`` — enforced
-by the cross-backend matrix tests and by a compile-probe smoke comparison
-before a provider is ever trusted.
+the smaller community id, and the movement guards are verbatim; the
+contraction sums each super-edge's run in ``np.add.reduceat``'s pairwise
+order (:func:`_pairwise_sum`). The C build disables FP contraction
+(``-ffp-contract=off``), so the compiled arithmetic is IEEE-ordered and
+bit-identical to ``vectorized`` and the NumPy contraction — enforced by
+the cross-backend matrix tests and by a compile-probe smoke comparison
+(against the interpreted loops, and for ``coarsen`` against the NumPy
+contraction itself) before a provider is ever trusted.
 
 Provider selection honours ``REPRO_JIT_PROVIDER`` (``auto``/``cc``/
 ``python``/``off``). :func:`get_runtime` probes and memoizes;
@@ -52,6 +63,7 @@ from repro.core.arena import BufferArena
 from repro.core.kernels.vectorized import DecideResult, _trivial_result
 from repro.core.state import CommunityState
 from repro.errors import KernelUnavailableError
+from repro.utils.arrays import compact_relabel
 
 NEG_INF = float("-inf")
 
@@ -182,6 +194,189 @@ def _aggregates_loop(comm, strength, comm_strength, comm_size):
         comm_size[c] += 1
 
 
+def _pairwise_sum(a, lo, n):
+    """Sum of ``a[lo:lo + n]`` in numpy's ``pairwise_sum`` order: below 8
+    elements sequentially from ``-0.0``; up to 128 in 8 strided
+    accumulators combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then
+    the leftover tail in sequence; above 128 split at ``n/2`` rounded down
+    to a multiple of 8. ``np.add.reduceat`` sums a run as
+    ``run[0] + _pairwise_sum(run[1:])``."""
+    if n < 8:
+        res = -0.0
+        for i in range(n):
+            res += a[lo + i]
+        return res
+    if n <= 128:
+        r = [a[lo + j] for j in range(8)]
+        i = 8
+        while i < n - (n % 8):
+            for j in range(8):
+                r[j] += a[lo + i + j]
+            i += 8
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        while i < n:
+            res += a[lo + i]
+            i += 1
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(a, lo, n2) + _pairwise_sum(a, lo + n2, n - n2)
+
+
+def _relabel_loop(comm, present, mapping):
+    """Compact relabel of ids in ``[0, n)`` through a presence array, in
+    ascending id order like ``np.unique``; returns ``k``, or -1 when an id
+    lies outside ``[0, n)`` (the caller then relabels with ``np.unique``)."""
+    n = comm.shape[0]
+    for c in range(n):
+        present[c] = 0
+    for v in range(n):
+        c = comm[v]
+        if c < 0 or c >= n:
+            return -1
+        present[c] = 1
+    k = 0
+    for c in range(n):
+        p = present[c]
+        present[c] = k
+        k += p
+    for v in range(n):
+        mapping[v] = present[comm[v]]
+    return k
+
+
+def _coarsen_sort_loop(indptr, indices, weights, fine_self, mapping, k,
+                       self_weight, dst_end, src_end, last,
+                       a_src, a_w, b_dst, b_w, coarse_indptr):
+    """Route every adjacency entry onto super-vertices and sort the
+    inter-community ones by ``(super-source, super-destination)``.
+
+    Intra entries add ``0.5 * w`` to ``self_weight`` in CSR order, then
+    the fine self-loops follow in vertex order (``np.bincount``'s order
+    over the NumPy path's concatenation). The rest go through two stable
+    counting sorts — by destination into ``a_*``, then by source into
+    ``b_*`` — which is exactly ``np.lexsort((dst, src))``'s order.
+    ``coarse_indptr`` receives the row offsets of the coalesced entries
+    and ``src_end[s]`` the end of row ``s``'s sorted entries in ``b_*``.
+    Returns the number of coalesced entries.
+    """
+    n = indptr.shape[0] - 1
+    coarse_indptr[0] = 0
+    for c in range(k):
+        self_weight[c] = 0.0
+        dst_end[c] = 0
+        src_end[c] = 0
+        last[c] = -1
+        coarse_indptr[c + 1] = 0
+    for u in range(n):
+        cs = mapping[u]
+        for e in range(indptr[u], indptr[u + 1]):
+            cd = mapping[indices[e]]
+            if cs == cd:
+                self_weight[cs] += weights[e] * 0.5
+            else:
+                dst_end[cd] += 1
+                src_end[cs] += 1
+    for v in range(n):
+        self_weight[mapping[v]] += fine_self[v]
+    # bucket starts; each scatter advances a bucket's start to its end
+    td = 0
+    ts = 0
+    for c in range(k):
+        t = dst_end[c]
+        dst_end[c] = td
+        td += t
+        t = src_end[c]
+        src_end[c] = ts
+        ts += t
+    for u in range(n):
+        cs = mapping[u]
+        for e in range(indptr[u], indptr[u + 1]):
+            cd = mapping[indices[e]]
+            if cs != cd:
+                p = dst_end[cd]
+                dst_end[cd] = p + 1
+                a_src[p] = cs
+                a_w[p] = weights[e]
+    # destinations arrive in ascending order per source, so a run starts
+    # wherever a source sees a new destination
+    i = 0
+    for d in range(k):
+        while i < dst_end[d]:
+            s = a_src[i]
+            p = src_end[s]
+            src_end[s] = p + 1
+            b_dst[p] = d
+            b_w[p] = a_w[i]
+            if last[s] != d:
+                last[s] = d
+                coarse_indptr[s + 1] += 1
+            i += 1
+    for c in range(k):
+        coarse_indptr[c + 1] += coarse_indptr[c]
+    return coarse_indptr[k]
+
+
+def _coarsen_sum_loop(k, src_end, b_dst, b_w, out_idx, out_w):
+    """Sum each ``(source, destination)`` run of the sorted entries into
+    the coarse CSR, in ``np.add.reduceat``'s order."""
+    r = 0
+    i = 0
+    for s in range(k):
+        end = src_end[s]
+        while i < end:
+            j = i + 1
+            while j < end and b_dst[j] == b_dst[i]:
+                j += 1
+            out_idx[r] = b_dst[i]
+            out_w[r] = b_w[i] + _pairwise_sum(b_w, i + 1, j - i - 1)
+            r += 1
+            i = j
+
+
+def _coarsen_with(relabel, sort, sum_runs) -> Callable:
+    """The provider-independent ``coarsen`` entry point over one
+    provider's three loops: scratch and exact-size outputs are allocated
+    here, the loops only fill them.
+
+    ``coarsen(indptr, indices, weights, self_weight, communities)``
+    returns the coarse ``(indptr, indices, weights, self_weight)`` and
+    the fine-to-coarse ``mapping``, byte-identical to the NumPy
+    :func:`repro.graph.coarsen.coarsen_graph`.
+    """
+
+    def coarsen(indptr, indices, weights, self_weight, communities):
+        n = indptr.shape[0] - 1
+        k = -1
+        if np.can_cast(communities.dtype, np.int64):
+            mapping = np.empty(n, dtype=np.int64)
+            k = relabel(np.ascontiguousarray(communities, dtype=np.int64),
+                        np.empty(n, dtype=np.int64), mapping)
+        if k < 0:
+            mapping, k = compact_relabel(communities)
+        nnz = indices.shape[0]
+        coarse_self = np.empty(k)
+        dst_end = np.empty(k, dtype=np.int64)
+        src_end = np.empty(k, dtype=np.int64)
+        last = np.empty(k, dtype=np.int64)
+        coarse_indptr = np.empty(k + 1, dtype=np.int64)
+        # sized for every entry; only the inter-community prefix is written
+        a_src = np.empty(nnz, dtype=np.int64)
+        a_w = np.empty(nnz)
+        b_dst = np.empty(nnz, dtype=np.int64)
+        b_w = np.empty(nnz)
+        r = sort(indptr, indices, weights, self_weight, mapping, k,
+                 coarse_self, dst_end, src_end, last,
+                 a_src, a_w, b_dst, b_w, coarse_indptr)
+        del a_src, a_w
+        coarse_indices = np.empty(r, dtype=np.int64)
+        coarse_weights = np.empty(r)
+        sum_runs(k, src_end, b_dst, b_w, coarse_indices, coarse_weights)
+        return coarse_indptr, coarse_indices, coarse_weights, coarse_self, mapping
+
+    return coarsen
+
+
 # --------------------------------------------------------------------- #
 # the C translation (provider "cc")
 # --------------------------------------------------------------------- #
@@ -291,9 +486,137 @@ void repro_aggregates(
         comm_size[c] += 1;
     }
 }
+
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; j++) r[j] = a[j];
+        int64_t i;
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++) r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                   + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+int64_t repro_relabel(
+    int64_t n, const int64_t *comm, int64_t *present, int64_t *mapping)
+{
+    for (int64_t c = 0; c < n; c++) present[c] = 0;
+    for (int64_t v = 0; v < n; v++) {
+        int64_t c = comm[v];
+        if (c < 0 || c >= n) return -1;
+        present[c] = 1;
+    }
+    int64_t k = 0;
+    for (int64_t c = 0; c < n; c++) {
+        int64_t p = present[c];
+        present[c] = k;
+        k += p;
+    }
+    for (int64_t v = 0; v < n; v++) mapping[v] = present[comm[v]];
+    return k;
+}
+
+int64_t repro_coarsen_sort(
+    int64_t n, const int64_t *indptr, const int64_t *indices,
+    const double *weights, const double *fine_self, const int64_t *mapping,
+    int64_t k, double *self_weight, int64_t *dst_end, int64_t *src_end,
+    int64_t *last, int64_t *a_src, double *a_w, int64_t *b_dst, double *b_w,
+    int64_t *coarse_indptr)
+{
+    coarse_indptr[0] = 0;
+    for (int64_t c = 0; c < k; c++) {
+        self_weight[c] = 0.0;
+        dst_end[c] = 0;
+        src_end[c] = 0;
+        last[c] = -1;
+        coarse_indptr[c + 1] = 0;
+    }
+    for (int64_t u = 0; u < n; u++) {
+        int64_t cs = mapping[u];
+        for (int64_t e = indptr[u]; e < indptr[u + 1]; e++) {
+            int64_t cd = mapping[indices[e]];
+            if (cs == cd) {
+                self_weight[cs] += weights[e] * 0.5;
+            } else {
+                dst_end[cd] += 1;
+                src_end[cs] += 1;
+            }
+        }
+    }
+    for (int64_t v = 0; v < n; v++) self_weight[mapping[v]] += fine_self[v];
+    int64_t td = 0, ts = 0;
+    for (int64_t c = 0; c < k; c++) {
+        int64_t t = dst_end[c];
+        dst_end[c] = td;
+        td += t;
+        t = src_end[c];
+        src_end[c] = ts;
+        ts += t;
+    }
+    for (int64_t u = 0; u < n; u++) {
+        int64_t cs = mapping[u];
+        for (int64_t e = indptr[u]; e < indptr[u + 1]; e++) {
+            int64_t cd = mapping[indices[e]];
+            if (cs != cd) {
+                int64_t p = dst_end[cd]++;
+                a_src[p] = cs;
+                a_w[p] = weights[e];
+            }
+        }
+    }
+    int64_t i = 0;
+    for (int64_t d = 0; d < k; d++) {
+        for (; i < dst_end[d]; i++) {
+            int64_t s = a_src[i];
+            int64_t p = src_end[s]++;
+            b_dst[p] = d;
+            b_w[p] = a_w[i];
+            if (last[s] != d) {
+                last[s] = d;
+                coarse_indptr[s + 1] += 1;
+            }
+        }
+    }
+    for (int64_t c = 0; c < k; c++) coarse_indptr[c + 1] += coarse_indptr[c];
+    return coarse_indptr[k];
+}
+
+void repro_coarsen_sum(
+    int64_t k, const int64_t *src_end, const int64_t *b_dst,
+    const double *b_w, int64_t *out_idx, double *out_w)
+{
+    int64_t r = 0, i = 0;
+    for (int64_t s = 0; s < k; s++) {
+        int64_t end = src_end[s];
+        while (i < end) {
+            int64_t j = i + 1;
+            while (j < end && b_dst[j] == b_dst[i]) j++;
+            out_idx[r] = b_dst[i];
+            out_w[r] = b_w[i] + pairwise_sum(b_w + i + 1, j - i - 1);
+            r++;
+            i = j;
+        }
+    }
+}
 """
 
-_CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+#: -O1: the loops are memory-bound and run as fast as at -O2 (measured on
+#: decide, delta and coarsen), while the library compiles in about 60% of
+#: the time — a cost every fresh cache pays before the first detect
+_CFLAGS = ["-O1", "-fPIC", "-shared", "-ffp-contract=off"]
 
 
 def _cache_dir() -> str:
@@ -360,6 +683,20 @@ def _compile_c_library() -> ctypes.CDLL:
     lib.repro_aggregates.argtypes = [
         c_i64, ndp(**i64), ndp(**f64), ndp(**f64), ndp(**i64)
     ]
+    lib.repro_relabel.restype = c_i64
+    lib.repro_relabel.argtypes = [c_i64, ndp(**i64), ndp(**i64), ndp(**i64)]
+    lib.repro_coarsen_sort.restype = c_i64
+    lib.repro_coarsen_sort.argtypes = [
+        c_i64, ndp(**i64), ndp(**i64), ndp(**f64),  # n, indptr, indices, weights
+        ndp(**f64), ndp(**i64), c_i64,           # fine_self, mapping, k
+        ndp(**f64), ndp(**i64), ndp(**i64), ndp(**i64),  # self_weight, dst/src_end, last
+        ndp(**i64), ndp(**f64), ndp(**i64), ndp(**f64),  # a_src, a_w, b_dst, b_w
+        ndp(**i64),                              # coarse_indptr
+    ]
+    lib.repro_coarsen_sum.restype = None
+    lib.repro_coarsen_sum.argtypes = [
+        c_i64, ndp(**i64), ndp(**i64), ndp(**f64), ndp(**i64), ndp(**f64)
+    ]
     return lib
 
 
@@ -368,10 +705,11 @@ def _compile_c_library() -> ctypes.CDLL:
 # --------------------------------------------------------------------- #
 @dataclass
 class JitRuntime:
-    """One compiled (or interpreted) implementation of the three loops.
+    """One compiled (or interpreted) implementation of the loops.
 
     ``decide``/``delta``/``aggregates`` share the loop functions' NumPy
-    signatures regardless of provider; ``compile_s`` is the one-off
+    signatures regardless of provider, and ``coarsen`` is the phase-2
+    contraction built by :func:`_coarsen_with`; ``compile_s`` is the one-off
     compile/warm-up cost the probe measured (0.0 for cache hits and the
     interpreted provider) — surfaced in traces and manifests.
     """
@@ -381,6 +719,7 @@ class JitRuntime:
     decide: Callable
     delta: Callable
     aggregates: Callable
+    coarsen: Callable
 
 
 def _python_runtime() -> JitRuntime:
@@ -390,6 +729,8 @@ def _python_runtime() -> JitRuntime:
         decide=_decide_loop,
         delta=_delta_loop,
         aggregates=_aggregates_loop,
+        coarsen=_coarsen_with(_relabel_loop, _coarsen_sort_loop,
+                              _coarsen_sum_loop),
     )
 
 
@@ -419,9 +760,16 @@ def _cc_runtime() -> JitRuntime:
         lib.repro_aggregates(len(comm), comm, strength, comm_strength,
                              comm_size)
 
+    def relabel(comm, present, mapping):
+        return lib.repro_relabel(len(comm), comm, present, mapping)
+
+    def sort(indptr, *rest):
+        return lib.repro_coarsen_sort(len(indptr) - 1, indptr, *rest)
+
     return JitRuntime(
         provider="cc", compile_s=0.0, decide=decide, delta=delta,
         aggregates=aggregates,
+        coarsen=_coarsen_with(relabel, sort, lib.repro_coarsen_sum),
     )
 
 
@@ -441,10 +789,35 @@ def _smoke_fixture():
     return indptr, indices, weights, comm, strength, comm_strength, comm_size
 
 
+def _coarsen_fixture():
+    """A 30-vertex graph whose contraction has parallel runs of 130, 9 and
+    1 entries (mixed-magnitude weights, so the summation order shows),
+    intra-community edges, a fine self-loop and an isolated vertex; with
+    non-compact ids inside ``[0, n)`` (the presence-array relabel) and
+    the same partition shifted outside it (the ``np.unique`` relabel)."""
+    from repro.graph.builder import from_edge_array
+
+    a, b = np.arange(0, 10), np.arange(10, 23)
+    c, d = np.arange(23, 26), np.arange(26, 29)
+    src = [np.repeat(a, len(b)), np.repeat(c, len(d)), [0, 23, 9, 5]]
+    dst = [np.tile(b, len(a)), np.tile(d, len(c)), [1, 24, 23, 5]]
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    # fixed mixed-magnitude weights: a left-to-right sum differs from the
+    # pairwise one on every run of 9 and of 130 entries
+    i = np.arange(len(src))
+    w = (1.0 + (i * 0.6180339887498949) % 1.0) * 10.0 ** ((i * 11) % 17 - 8)
+    graph = from_edge_array(30, src, dst, w, name="coarsen-probe")
+    comm = np.repeat(np.array([3, 17, 21, 29, 0], dtype=np.int64),
+                     [10, 13, 3, 3, 1])
+    return graph, (comm, comm * 1000 - 5)
+
+
 def _smoke_compare(rt: JitRuntime) -> None:
     """Run the candidate runtime against the interpreted reference on the
-    smoke fixture; raises on any bit difference (a provider producing
-    different floats must never be selected)."""
+    smoke fixtures, and its contraction also against the NumPy
+    :func:`~repro.graph.coarsen.coarsen_graph`; raises on any bit
+    difference (a provider producing different floats must never be
+    selected)."""
     ref = _python_runtime()
     indptr, indices, weights, comm, strength, cs, csize = _smoke_fixture()
     n = len(comm)
@@ -480,8 +853,23 @@ def _smoke_compare(rt: JitRuntime) -> None:
         outs[name] = (bc.copy(), bg.copy(), sg.copy(), mv.copy(),
                       d_comm.copy(), agg_s.copy(),
                       agg_n.copy())
-    for a, b in zip(outs["ref"], outs["cand"]):
-        if not np.array_equal(a, b):
+    pairs = list(zip(outs["ref"], outs["cand"]))
+    # the contraction is checked against the NumPy path itself, so neither
+    # a provider summing runs in another order nor a numpy whose
+    # ``reduceat`` order differs from the loops' is ever selected
+    from repro.graph.coarsen import coarsen_graph
+
+    graph, assignments = _coarsen_fixture()
+    for comm in assignments:
+        coarse, mapping = coarsen_graph(graph, comm)
+        want = (coarse.indptr, coarse.indices, coarse.weights,
+                coarse.self_weight, mapping)
+        for r in (ref, rt):
+            got = r.coarsen(graph.indptr, graph.indices, graph.weights,
+                            graph.self_weight, comm)
+            pairs.extend(zip(want, got))
+    for a, b in pairs:
+        if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
             raise RuntimeError(
                 f"jit provider {rt.provider!r} failed the bit-exactness "
                 f"smoke probe"

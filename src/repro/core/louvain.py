@@ -15,8 +15,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.core.kernels.vectorized import compiled_runtime, make_kernel
 from repro.core.phase1 import Phase1Config, Phase1Result, run_phase1
-from repro.graph.coarsen import coarsen_graph
+from repro.graph.coarsen import coarsen_graph, coarsen_runtime
 from repro.graph.csr import CSRGraph
 from repro.obs import _session as obs
 
@@ -99,25 +100,34 @@ def louvain(
         ``phase1_runner(current, cfg, round_idx)``. Every runtime is
         bit-identical, so swapping runners per round changes execution,
         never the result.
+
+    Phase 2 runs the compiled ``coarsen`` loop when the configured host
+    kernel resolves to a compiled runtime (the rule of
+    :func:`~repro.core.kernels.vectorized.compiled_runtime`), and the NumPy
+    contraction otherwise; the coarse graphs are byte-identical.
     """
     cfg = phase1_config or Phase1Config()
     levels: list[LouvainLevel] = []
     current = graph
     best_q = -np.inf
+    kernel = cfg.kernel
+    runtime = compiled_runtime(kernel if callable(kernel) else make_kernel(kernel))
+    backend = "vectorized" if runtime is None else "jit"
 
     sess = obs.current()
     for round_idx in range(max_rounds):
         if sess is not None:
             sess.context["level"] = round_idx
-        with obs.span(
-            "louvain/level", level=round_idx, n=current.n, edges=current.num_edges
-        ):
+        edges = current.num_edges
+        with obs.span("louvain/level", level=round_idx, n=current.n, edges=edges):
             p1 = (
                 phase1_runner(current, cfg, round_idx)
                 if phase1_runner is not None
                 else run_phase1(current, cfg)
             )
-            with obs.span("louvain/coarsen", n=current.n):
+            with obs.span(
+                "louvain/coarsen", n=current.n, edges=edges, backend=backend
+            ), coarsen_runtime(runtime):
                 coarse, mapping = coarsen_graph(current, p1.communities)
         levels.append(LouvainLevel(graph=current, phase1=p1, mapping=mapping))
         improved = p1.modularity - best_q

@@ -6,9 +6,32 @@ into super-edges, and intra-community weight (including original self-loops)
 becomes the super-vertex's self-loop — such that modularity of any partition
 of the coarse graph equals the modularity of the induced partition of the
 fine graph (tested in ``tests/graph/test_coarsen.py``).
+
+Two implementations produce byte-identical coarse graphs: the NumPy
+contraction below (project, ``np.lexsort``, ``np.add.reduceat``) and the
+counting-sort ``coarsen`` loop of the compiled jit providers
+(:mod:`repro.core.kernels.jit`), which :func:`coarsen_graph` runs when it
+is handed (or bound to, see :func:`coarsen_runtime`) a compiled runtime.
+Summation convention, shared by both:
+
+* a super-vertex's self-loop weight accumulates sequentially from 0.0 —
+  first ``0.5 * w`` of every intra-community entry in CSR order, then
+  every fine self-loop in vertex order (``np.bincount``'s order);
+* a super-edge's weight sums its parallel fine entries in
+  ``np.lexsort((dst, src))`` order (CSR order within a run) the way
+  ``np.add.reduceat`` does: ``run[0] + pairwise_sum(run[1:])``, where
+  ``pairwise_sum`` is numpy's blocked summation (sequential from -0.0
+  below 8 elements, 8 accumulators up to 128, halving above). The probe
+  of a compiled provider checks it against this module's NumPy path, so
+  a numpy with a different ``reduceat`` order disables the compiled path
+  rather than changing results.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
@@ -16,9 +39,36 @@ from repro.graph.csr import CSRGraph
 from repro.graph.builder import coalesce_edges, build_csr
 from repro.utils.arrays import compact_relabel
 
+if TYPE_CHECKING:
+    from repro.core.kernels.jit import JitRuntime
+
+#: the compiled runtime :func:`coarsen_runtime` bound for this context
+_bound_runtime: ContextVar[Optional[JitRuntime]] = ContextVar(
+    "coarsen_runtime", default=None
+)
+
+
+@contextmanager
+def coarsen_runtime(runtime: Optional[JitRuntime]) -> Iterator[None]:
+    """Bind ``runtime`` (a compiled
+    :class:`~repro.core.kernels.jit.JitRuntime`, or None for NumPy) for
+    every :func:`coarsen_graph` call in the block that is not handed one.
+
+    :func:`repro.core.louvain.louvain` binds each contraction this way, so
+    the choice also reaches a wrapper that forwards only ``(graph,
+    communities)`` — such as the timing seam of ``perfbench``.
+    """
+    token = _bound_runtime.set(runtime)
+    try:
+        yield
+    finally:
+        _bound_runtime.reset(token)
+
 
 def coarsen_graph(
-    graph: CSRGraph, communities: np.ndarray
+    graph: CSRGraph,
+    communities: np.ndarray,
+    runtime: Optional[JitRuntime] = None,
 ) -> tuple[CSRGraph, np.ndarray]:
     """Contract ``graph`` by ``communities``.
 
@@ -28,6 +78,11 @@ def coarsen_graph(
         The fine graph.
     communities:
         ``int[n]`` community id per vertex (ids need not be compact).
+    runtime:
+        A compiled :class:`~repro.core.kernels.jit.JitRuntime` whose
+        ``coarsen`` loop builds the coarse graph; None uses the runtime
+        bound by :func:`coarsen_runtime`, else the NumPy contraction.
+        Both give byte-identical results.
 
     Returns
     -------
@@ -38,6 +93,16 @@ def coarsen_graph(
     communities = np.asarray(communities)
     if len(communities) != graph.n:
         raise ValueError("communities must assign every vertex")
+    if runtime is None:
+        runtime = _bound_runtime.get()
+    if runtime is not None:
+        indptr, indices, weights, self_weight, mapping = runtime.coarsen(
+            graph.indptr, graph.indices, graph.weights, graph.self_weight,
+            communities,
+        )
+        coarse = CSRGraph(indptr=indptr, indices=indices, weights=weights,
+                          self_weight=self_weight, name=f"{graph.name}/coarse")
+        return coarse, mapping
     mapping, k = compact_relabel(communities)
 
     # Project every stored (directed) adjacency entry onto super-vertices

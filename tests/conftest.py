@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graph.builder import from_edge_array
+from repro.graph.coarsen import coarsen_graph
 from repro.graph.generators import (
     karate_club,
     lfr_graph,
@@ -54,3 +55,27 @@ def weighted_graph():
     dst = np.array([1, 1, 2, 3, 2, 4, 0])
     w = np.array([1.0, 2.0, 1.5, 1.0, 3.0, 2.5, 0.5])
     return from_edge_array(5, src, dst, w, name="weighted5")
+
+
+@pytest.fixture(scope="session")
+def assert_same_coarse():
+    """Checker: ``coarsen_graph`` under a jit ``runtime`` returns the
+    NumPy contraction's five arrays byte for byte, dtypes included, and a
+    valid coarse graph; returns the compiled result."""
+
+    def check(graph, communities, runtime):
+        ref, ref_map = coarsen_graph(graph, communities)
+        got, got_map = coarsen_graph(graph, communities, runtime=runtime)
+        for name, a, b in [
+            ("indptr", ref.indptr, got.indptr),
+            ("indices", ref.indices, got.indices),
+            ("weights", ref.weights, got.weights),
+            ("self_weight", ref.self_weight, got.self_weight),
+            ("mapping", ref_map, got_map),
+        ]:
+            assert a.dtype == b.dtype, name
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        got.validate()
+        return got, got_map
+
+    return check

@@ -218,6 +218,39 @@ class TestProviders:
         finally:
             jitmod._reset_runtime_cache()
 
+    def test_probe_rejects_sequential_coarsen_sum(self, monkeypatch):
+        """The probe contracts a fixture with parallel runs of 9 and 130
+        mixed-magnitude entries against the NumPy contraction: a provider
+        summing each run left to right instead of in ``np.add.reduceat``'s
+        pairwise order must never be selected."""
+
+        def sequential_sum(k, src_end, b_dst, b_w, out_idx, out_w):
+            r = i = 0
+            for s in range(k):
+                while i < src_end[s]:
+                    j, total = i + 1, b_w[i]
+                    while j < src_end[s] and b_dst[j] == b_dst[i]:
+                        total += b_w[j]
+                        j += 1
+                    out_idx[r], out_w[r] = b_dst[i], total
+                    r, i = r + 1, j
+
+        def broken():
+            rt = jitmod._python_runtime()
+            rt.coarsen = jitmod._coarsen_with(
+                jitmod._relabel_loop, jitmod._coarsen_sort_loop, sequential_sum
+            )
+            return rt
+
+        with pytest.raises(RuntimeError, match="smoke probe"):
+            jitmod._smoke_compare(broken())
+        monkeypatch.setitem(jitmod._PROVIDERS, "cc", broken)
+        jitmod._reset_runtime_cache()
+        try:
+            assert jitmod._probe("cc") is None
+        finally:
+            jitmod._reset_runtime_cache()
+
 
 class TestFallback:
     def test_no_provider_raises_friendly_error(self, monkeypatch):

@@ -1,14 +1,21 @@
-"""Tests for phase-2 graph contraction."""
+"""Tests for phase-2 graph contraction: the NumPy path, and the compiled
+``coarsen`` loop of the jit providers, byte-identical to it."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.kernels.jit import _pairwise_sum, get_runtime, require_runtime
 from repro.core.modularity import modularity
 from repro.graph.builder import from_edge_array
-from repro.graph.coarsen import coarsen_graph, project_communities
+from repro.graph.coarsen import coarsen_graph, coarsen_runtime, project_communities
 from repro.graph.generators import planted_partition, ring_of_cliques
+
+_compiled = get_runtime()
+#: the interpreted loops everywhere, plus the compiled provider when one
+#: works on this host
+PROVIDERS = ["python"] + ([_compiled.provider] if _compiled else [])
 
 
 class TestCoarsenBasics:
@@ -97,3 +104,88 @@ class TestProjectCommunities:
         fine = project_communities(mapping, np.arange(coarse.n))
         # projecting each super-vertex to itself recovers the partition
         np.testing.assert_array_equal(fine, mapping)
+
+
+class TestPairwiseSum:
+    """``np.add.reduceat`` sums a run as ``run[0] + pairwise(run[1:])``;
+    the compiled contraction reproduces that order, so pin it here."""
+
+    @pytest.mark.parametrize(
+        "length", [1, 2, 7, 8, 9, 16, 17, 128, 129, 130, 257, 1000]
+    )
+    def test_matches_reduceat(self, length):
+        rng = np.random.default_rng(length)
+        for _ in range(5):
+            run = rng.random(length) * 10.0 ** rng.integers(-9, 10, length)
+            run *= rng.choice([-1.0, 1.0], length)
+            padded = np.concatenate([[1.5], run, [2.5]])
+            want = np.add.reduceat(padded, [0, 1, 1 + length])[1]
+            got = np.float64(run[0] + _pairwise_sum(run, 1, length - 1))
+            assert got.tobytes() == want.tobytes()
+
+    def test_signed_zeros(self):
+        for run in ([-0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0, -0.0]):
+            run = np.array(run)
+            want = np.add.reduceat(run, [0])[0]
+            got = np.float64(run[0] + _pairwise_sum(run, 1, len(run) - 1))
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("provider", PROVIDERS)
+class TestCompiledContraction:
+    def test_two_triangles(self, triangles, provider, assert_same_coarse):
+        coarse, _ = assert_same_coarse(
+            triangles, np.array([0, 0, 0, 1, 1, 1]), require_runtime(provider)
+        )
+        np.testing.assert_allclose(coarse.self_weight, [3.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [5, 5, 5, 9, 9, 9],  # non-compact, in range [0, n)
+            [50, 50, 50, -9, -9, 7],  # out of range: the np.unique relabel
+            [0, 0, 0, 0, 0, 0],  # one community
+            [0, 1, 2, 3, 4, 5],  # singletons
+            [5, 4, 3, 2, 1, 0],  # singletons, reversed
+        ],
+    )
+    def test_assignments(self, triangles, provider, labels, assert_same_coarse):
+        assert_same_coarse(triangles, np.array(labels), require_runtime(provider))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float64, np.uint64])
+    def test_label_dtypes(self, triangles, provider, dtype, assert_same_coarse):
+        labels = np.array([4, 4, 0, 0, 2, 2], dtype=dtype)
+        assert_same_coarse(triangles, labels, require_runtime(provider))
+
+    def test_fine_self_loops_and_isolated_vertex(self, provider, assert_same_coarse):
+        g = from_edge_array(5, [0, 1, 1, 3], [1, 2, 1, 3], [1.0, 1.0, 2.0, 0.5])
+        coarse, _ = assert_same_coarse(
+            g, np.array([0, 0, 1, 3, 4]), require_runtime(provider)
+        )
+        assert coarse.self_weight[0] == 3.0
+
+    def test_empty_graph(self, provider, assert_same_coarse):
+        g = from_edge_array(0, [], [])
+        coarse, mapping = assert_same_coarse(
+            g, np.empty(0, dtype=np.int64), require_runtime(provider)
+        )
+        assert coarse.n == 0 and len(mapping) == 0
+
+    def test_bound_runtime(self, triangles, provider):
+        rt = require_runtime(provider)
+        calls = []
+
+        class Spy:
+            def coarsen(self, *args):
+                calls.append(len(args))
+                return rt.coarsen(*args)
+
+        comm = np.array([0, 0, 0, 1, 1, 1])
+        with coarsen_runtime(Spy()):
+            coarse, _ = coarsen_graph(triangles, comm)
+        assert calls == [5]
+        coarsen_graph(triangles, comm)
+        assert calls == [5]  # the binding ends with the block
+        np.testing.assert_array_equal(
+            coarse.weights, coarsen_graph(triangles, comm)[0].weights
+        )

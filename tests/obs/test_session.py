@@ -282,3 +282,24 @@ class TestOneTimingSource:
             assert len(inner) == len(apply_sync)
             for s, outer in zip(inner, apply_sync):
                 assert outer["start"] <= s["start"] and s["end"] <= outer["end"]
+
+
+class TestCoarsenSpan:
+    """Phase 2 leaves its automatic backend choice in the trace: the
+    ``louvain/coarsen`` span records ``backend`` and the ``edges`` it
+    contracted."""
+
+    @pytest.mark.parametrize("kernel", ["auto", "vectorized"])
+    def test_backend_and_edges(self, graph, kernel):
+        from repro import GalaConfig, gala
+        from repro.core.kernels.vectorized import compiled_runtime, make_kernel
+
+        with obs.session() as sess:
+            result = gala(graph, GalaConfig(kernel=kernel, seed=0))
+        spans = sess.tracer.export_spans(limit=10**9)["spans"]
+        coarsen = [s for s in spans if s["name"] == "louvain/coarsen"]
+        assert len(coarsen) == result.num_levels > 1
+        compiled = compiled_runtime(make_kernel(kernel)) is not None
+        for span, level in zip(coarsen, result.levels):
+            assert span["args"]["backend"] == ("jit" if compiled else "vectorized")
+            assert span["args"]["edges"] == level.graph.num_edges

@@ -4,7 +4,8 @@ Each property here is one of the theorems/identities the system is built
 on, checked over randomly generated graphs and states:
 
 1. modularity identities (range, permutation invariance, Eq. 1 vs state);
-2. coarsening preserves modularity and total weight;
+2. coarsening preserves modularity and total weight, and the compiled
+   counting-sort contraction equals the NumPy one byte for byte;
 3. delta weight updates equal recomputation on arbitrary move batches,
    and the compiled mover-list delta equals the NumPy one bit for bit
    under any degree-bounded chunking of the movers;
@@ -122,6 +123,63 @@ class TestCoarsenProperties:
         agg = np.zeros(coarse.n)
         np.add.at(agg, mapping, g.strength)
         np.testing.assert_allclose(coarse.strength, agg, atol=1e-9)
+
+
+@st.composite
+def dense_contractions(draw):
+    """Graphs with fine self-loops, isolated vertices (ids past ``used``)
+    and mixed-magnitude weights, dense enough that a coarse run can pass
+    128 entries; assignments with compact, non-compact in-range and
+    out-of-range ids, one community, or singletons."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # sizes come from the seeded stream: drawn directly, they shrink
+    # towards near-empty graphs whose runs never pass 128 entries
+    n = int(rng.integers(1, 49))
+    used = max(1, n - int(rng.integers(0, 3)))
+    m = int(rng.integers(0, 2_000))
+    src = rng.integers(0, used, m)
+    dst = rng.integers(0, used, m)
+    w = rng.random(m) * 10.0 ** rng.integers(-6, 7, m)
+    g = from_edge_array(n, src, dst, w)
+    kind = draw(st.sampled_from(
+        ["compact", "sparse", "out_of_range", "one", "singletons"]
+    ))
+    comm = rng.integers(0, rng.integers(1, 5), n)
+    if kind == "sparse":
+        comm = rng.permutation(n)[comm % n]
+    elif kind == "out_of_range":
+        comm = comm * 1_000 - 7
+    elif kind == "one":
+        comm = np.full(n, draw(st.integers(-3, 3 * n)))
+    elif kind == "singletons":
+        comm = rng.permutation(n)
+    return g, comm.astype(np.int64)
+
+
+class TestCompiledCoarsen:
+    """The jit providers' counting-sort ``coarsen`` loop against the NumPy
+    contraction: ``indptr``, ``indices``, ``weights``, ``self_weight``
+    and ``mapping`` byte-identical, dtypes equal, a valid coarse graph."""
+
+    @pytest.mark.parametrize("provider", DELTA_PROVIDERS)
+    @given(dense_contractions())
+    @settings(max_examples=60, deadline=None)
+    def test_byte_identical_to_numpy(self, provider, assert_same_coarse, case):
+        g, comm = case
+        assert_same_coarse(g, comm, require_runtime(provider))
+
+    @pytest.mark.parametrize("provider", DELTA_PROVIDERS)
+    def test_runs_past_128(self, provider, assert_same_coarse):
+        """Two dense halves: every coarse run holds 20 * 20 = 400 entries."""
+        rng = np.random.default_rng(5)
+        a, b = np.arange(20), np.arange(20, 40)
+        src = np.concatenate([np.repeat(a, 20), a, [3]])
+        dst = np.concatenate([np.tile(b, 20), np.roll(a, 1), [3]])
+        w = rng.random(len(src)) * 10.0 ** rng.integers(-6, 7, len(src))
+        g = from_edge_array(41, src, dst, w)
+        comm = np.repeat([9, 2, 40], [20, 20, 1])
+        coarse, _ = assert_same_coarse(g, comm, require_runtime(provider))
+        assert np.diff(coarse.indptr).tolist() == [1, 1, 0]
 
 
 class TestDeltaUpdateProperty:

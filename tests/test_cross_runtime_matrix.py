@@ -10,7 +10,9 @@ final assignments and per-iteration move counts.
 The regression class additionally pins today's outputs to assignments
 recorded from the pre-unification runtimes (``tests/data/
 engine_regression.npz``), so engine refactors cannot silently change any
-runtime's trajectory.
+runtime's trajectory, and checks that phase 2 contracts those recorded
+assignments — and every level of a full Louvain run — to the same coarse
+graphs, byte for byte, through the compiled and the NumPy paths.
 """
 
 from pathlib import Path
@@ -20,6 +22,8 @@ import pytest
 
 from repro.baselines.batched import run_batched_phase1
 from repro.core.engine import EngineResult
+from repro.core.kernels.jit import get_runtime, require_runtime
+from repro.core.louvain import louvain
 from repro.core.phase1 import Phase1Config, run_phase1
 from repro.distributed import DistributedConfig, run_distributed_phase1
 from repro.graph.generators import load_dataset, ring_of_cliques
@@ -34,6 +38,10 @@ MATRIX_GRAPHS = {
     "ring": lambda: ring_of_cliques(8, 6),
 }
 RANK_COUNTS = [2, 3]
+_compiled = get_runtime()
+#: the interpreted loops everywhere, plus the compiled provider when one
+#: works on this host
+COARSEN_PROVIDERS = ["python"] + ([_compiled.provider] if _compiled else [])
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +169,20 @@ class TestRecordedAssignmentRegression:
         np.testing.assert_array_equal(r.communities, baseline["LJ01_batched3_comm"])
         assert r.modularity == baseline["LJ01_batched3_q"][0]
         assert r.num_iterations == baseline["LJ01_batched3_iters"][0]
+
+    @pytest.mark.parametrize("provider", COARSEN_PROVIDERS)
+    @pytest.mark.parametrize("dataset", ["LJ", "OR", "HW"])
+    def test_coarse_levels_match_numpy(
+        self, baseline, dataset, provider, assert_same_coarse
+    ):
+        runtime = require_runtime(provider)
+        graph = load_dataset(dataset, 0.1)
+        recorded = [k for k in baseline.files
+                    if k.startswith(f"{dataset}01_") and k.endswith("_comm")]
+        assert recorded
+        for key in recorded:
+            assert_same_coarse(graph, baseline[key], runtime)
+        result = louvain(graph, Phase1Config(pruning="mg", kernel="auto"))
+        assert result.num_levels > 1
+        for level in result.levels:
+            assert_same_coarse(level.graph, level.phase1.communities, runtime)
