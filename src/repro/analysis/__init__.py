@@ -4,7 +4,7 @@
 behind one session:
 
 * **racecheck** — epoch-based happens-before hazard detection over the
-  hashtable / atomics / warp layers (:mod:`.racecheck`);
+  hashtable and warp layers (:mod:`.racecheck`);
 * **memcheck** — out-of-bounds bucket indices, uninitialised-slot reads,
   shared-capacity overflow (:mod:`.memcheck`);
 * **synccheck** — barrier divergence and warp-primitive mask mismatches

@@ -2,7 +2,6 @@
 
 * :mod:`sequential` — the original sequential Louvain (Blondel et al.
   2008), with immediate state updates; the quality reference.
-* :mod:`batched` — nido's batched semi-asynchronous phase 1, functional.
 * :mod:`designs` — simulated-GPU re-implementations of the comparators'
   DecideAndMove *designs* on our cost model: Grappolo's global-memory
   hashtable BSP, cuGraph's sort/segmented-reduce formulation, Gunrock's
@@ -12,7 +11,6 @@
 """
 
 from repro.baselines.sequential import SequentialResult, sequential_louvain
-from repro.baselines.batched import BatchedResult, run_batched_phase1
 from repro.baselines.designs import (
     BaselineResult,
     run_baseline,
@@ -23,8 +21,6 @@ from repro.baselines.designs import (
 __all__ = [
     "SequentialResult",
     "sequential_louvain",
-    "BatchedResult",
-    "run_batched_phase1",
     "BaselineResult",
     "run_baseline",
     "run_gala_simulated",

@@ -40,10 +40,6 @@ class GeneratorParameterError(ReproError):
     """
 
 
-class ConvergenceError(ReproError):
-    """Raised when an iterative procedure exceeds its iteration budget."""
-
-
 class KernelUnavailableError(ReproError):
     """Raised when an explicitly requested kernel backend cannot run here.
 

@@ -13,7 +13,6 @@ provides a functional simulator of exactly those mechanisms:
   ``__reduce_add_sync``, ``__reduce_max_sync``, ``__shfl_sync``), scalar
   (:class:`~repro.gpusim.warp.WarpContext`) and batched
   (:class:`~repro.gpusim.warp.WarpBatch`);
-* :mod:`atomics`  — atomicAdd / atomicCAS with serialisation-conflict costs;
 * :mod:`hashtable` — the three hashtable designs the paper compares
   (global-only, unified, hierarchical), plus the batched
   structure-of-arrays execution of many tables at once;

@@ -1,6 +1,6 @@
 """Simulated GPU device configuration.
 
-Defaults approximate the paper's NVIDIA A100-40GB: 108 SMs, warps of 32,
+Defaults approximate the paper's NVIDIA A100-40GB: warps of 32,
 up to 164 KB of shared memory per SM (we model the common 48 KB per-block
 carve-out), and NVLink inter-GPU bandwidth for the multi-GPU runtime.
 """
@@ -19,7 +19,6 @@ class DeviceConfig:
     """Static device parameters."""
 
     name: str = "sim-a100"
-    num_sms: int = 108
     warp_size: int = 32
     max_threads_per_block: int = 1024
     #: shared memory available to one block, in bytes
@@ -36,7 +35,6 @@ class DeviceConfig:
 
     def __post_init__(self) -> None:
         for name in (
-            "num_sms",
             "warp_size",
             "max_threads_per_block",
             "shared_mem_per_block",

@@ -24,7 +24,6 @@ from repro.graph.mmap_store import (
 )
 from repro.graph.external import build_from_edge_chunks, edge_list_to_mmap
 from repro.graph.partition import VertexPartition, partition_contiguous, partition_by_degree
-from repro.graph.reorder import degree_order, bfs_order, relabel_graph
 
 __all__ = [
     "CSRGraph",
@@ -46,7 +45,4 @@ __all__ = [
     "VertexPartition",
     "partition_contiguous",
     "partition_by_degree",
-    "degree_order",
-    "bfs_order",
-    "relabel_graph",
 ]

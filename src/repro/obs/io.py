@@ -12,7 +12,7 @@ Three formats, all plain-text and tool-friendly:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Optional, TextIO, Union
+from typing import Any, Dict, List, Optional, TextIO, Union
 
 import numpy as np
 
@@ -68,13 +68,6 @@ def read_metrics_jsonl(path: str) -> List[Dict[str, Any]]:
     """All records of a metrics JSONL file."""
     with open(path) as fh:
         return [json.loads(line) for line in fh if line.strip()]
-
-
-def iter_metrics_jsonl(path: str) -> Iterator[Dict[str, Any]]:
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                yield json.loads(line)
 
 
 # --------------------------------------------------------------------- #

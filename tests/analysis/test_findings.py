@@ -221,7 +221,6 @@ class TestDeviceConfigValidation:
     @pytest.mark.parametrize(
         "field",
         [
-            "num_sms",
             "warp_size",
             "max_threads_per_block",
             "shared_mem_per_block",

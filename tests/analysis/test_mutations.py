@@ -18,7 +18,6 @@ from repro.core.phase1 import Phase1Config, run_phase1
 from repro.core.pruning.modularity_gain import ModularityGainPruning
 from repro.core.state import CommunityState
 from repro.core.weights import WEIGHT_UPDATERS
-from repro.gpusim import atomics
 from repro.gpusim.costmodel import MemoryKind
 from repro.gpusim.device import Device
 from repro.gpusim.hashtable import GlobalOnlyHashTable, HierarchicalHashTable
@@ -61,15 +60,12 @@ class TestSkippedBarrier:
 class TestPlainWriteRace:
     """Two lanes plain-writing one address races; atomics do not."""
 
+    REGION = ("scatter", MemoryKind.GLOBAL.value)
+
     def test_concurrent_plain_stores_race(self):
-        dev = Device()
-        array = np.zeros(8)
         with analysis.sanitized("fast") as san:
             # lanes 0 and 1 scatter to the same global address unprotected
-            atomics.plain_store(
-                dev, array, np.array([3, 3]), np.array([1.0, 2.0]),
-                MemoryKind.GLOBAL,
-            )
+            san.race.access(self.REGION, [3, 3], [0, 1], "write", kernel="scatter")
             san.race.end_launch()
         assert san.log.by_kind.get("write-write-hazard", 0) == 1
         (f,) = san.log
@@ -77,16 +73,10 @@ class TestPlainWriteRace:
         assert f.lanes == (0, 1)
 
     def test_atomic_adds_to_one_address_do_not_race(self):
-        dev = Device()
-        array = np.zeros(8)
         with analysis.sanitized("fast") as san:
-            atomics.atomic_add(
-                dev, array, np.array([3, 3]), np.array([1.0, 2.0]),
-                MemoryKind.GLOBAL,
-            )
+            san.race.access(self.REGION, [3, 3], [0, 1], "atomic", kernel="scatter")
             san.race.end_launch()
         assert san.log.clean, san.log.render()
-        assert array[3] == 3.0
 
 
 class TestOutOfBoundsProbe:

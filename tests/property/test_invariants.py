@@ -3,7 +3,8 @@
 Each property here is one of the theorems/identities the system is built
 on, checked over randomly generated graphs and states:
 
-1. modularity identities (range, permutation invariance, Eq. 1 vs state);
+1. modularity identities (range, invariance under community and vertex
+   relabelling, Eq. 1 vs state);
 2. coarsening preserves modularity and total weight, and the compiled
    counting-sort contraction equals the NumPy one byte for byte;
 3. delta weight updates equal recomputation on arbitrary move batches,
@@ -28,7 +29,7 @@ from repro.core.phase1 import Phase1Config, run_phase1
 from repro.core.pruning.modularity_gain import ModularityGainPruning
 from repro.core.state import CommunityState
 from repro.core.weights import delta_update, make_weight_updater
-from repro.graph.builder import from_edge_array
+from repro.graph.builder import build_csr, from_edge_array
 from repro.graph.coarsen import coarsen_graph
 from repro.graph.mmap_store import split_by_edges
 
@@ -92,6 +93,27 @@ class TestModularityProperties:
         rng = np.random.default_rng(seed)
         perm = rng.permutation(int(comm.max()) + 1)
         assert modularity(g, perm[comm]) == pytest.approx(
+            modularity(g, comm), abs=1e-12
+        )
+
+    @given(graph_with_partition(), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_vertex_relabel_invariance(self, gp, seed):
+        g, comm = gp
+        rng = np.random.default_rng(seed)
+        new_id = rng.permutation(g.n)
+        src = new_id[np.repeat(np.arange(g.n), np.diff(g.indptr))]
+        dst = new_id[g.indices]
+        order = np.lexsort((dst, src))
+        self_weight = np.empty_like(g.self_weight)
+        self_weight[new_id] = g.self_weight
+        relabelled = build_csr(
+            g.n, src[order], dst[order], g.weights[order], self_weight
+        )
+        relabelled.validate()
+        moved = np.empty_like(comm)
+        moved[new_id] = comm
+        assert modularity(relabelled, moved) == pytest.approx(
             modularity(g, comm), abs=1e-12
         )
 

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.baselines.batched import run_batched_phase1
 from repro.core.engine import EngineResult
 from repro.core.kernels.jit import get_runtime, require_runtime
 from repro.core.louvain import louvain
@@ -163,12 +162,6 @@ class TestRecordedAssignmentRegression:
             r.stats.bytes_per_iteration, baseline[f"{tag}_bytes"]
         )
         assert r.stats.messages == baseline[f"{tag}_msgs"][0]
-
-    def test_batched_baseline(self, baseline, graph):
-        r = run_batched_phase1(graph, num_batches=3)
-        np.testing.assert_array_equal(r.communities, baseline["LJ01_batched3_comm"])
-        assert r.modularity == baseline["LJ01_batched3_q"][0]
-        assert r.num_iterations == baseline["LJ01_batched3_iters"][0]
 
     @pytest.mark.parametrize("provider", COARSEN_PROVIDERS)
     @pytest.mark.parametrize("dataset", ["LJ", "OR", "HW"])
