@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.kernels.vectorized import compiled_runtime
 from repro.core.modularity import modularity
-from repro.graph.coarsen import coarsen_graph
+from repro.graph.coarsen import coarsen_graph, coarsen_runtime
 from repro.graph.csr import CSRGraph
 
 
@@ -85,11 +86,14 @@ def sequential_louvain(
     mappings: list[np.ndarray] = []
     total_passes = 0
     best_q = -np.inf
+    # contraction through the compiled loop where louvain() would use it
+    runtime = compiled_runtime("auto")
 
     for _ in range(max_rounds):
         comm, passes = _one_level(current, theta, max_passes)
         total_passes += passes
-        coarse, mapping = coarsen_graph(current, comm)
+        with coarsen_runtime(runtime):
+            coarse, mapping = coarsen_graph(current, comm)
         levels.append(comm)
         mappings.append(mapping)
         # project down to the original graph to score

@@ -169,6 +169,11 @@ class IterationTrace:
     #: aggregation path the kernel ran this iteration (None for plain
     #: callables that don't report one)
     kernel_backend: Optional[str] = None
+    #: threads the compiled decide ran on (1 on graphs below
+    #: :data:`~repro.core.kernels.jit.PARALLEL_MIN_ENTRIES` entries; the
+    #: largest rank's count on the multiprocess runtime; None for NumPy
+    #: kernels)
+    kernel_threads: Optional[int] = None
     #: one-off jit compile/warm-up seconds charged to this iteration
     #: (nonzero only on the first iteration that used a compiled backend)
     kernel_compile_s: float = 0.0
@@ -216,6 +221,10 @@ class Executor(ABC):
 
     #: the shared BSP state; set in the constructor
     state: CommunityState
+    #: the compiled :class:`~repro.core.kernels.jit.JitRuntime` the
+    #: executor runs its kernels through, if any; the pruning strategy
+    #: gets it on every :class:`IterationContext`
+    runtime: Optional[Any] = None
 
     def setup(self, clock: PhaseClock) -> None:
         """Called once before iteration 0 with the run's phase clock, on
@@ -526,6 +535,7 @@ def run_engine(executor: Executor, config: EngineConfig | None = None) -> Engine
                         iteration=it,
                         rng=rng,
                         remove_self=cfg.remove_self,
+                        runtime=executor.runtime,
                     )
                     active = strategy.next_active(ctx)
 

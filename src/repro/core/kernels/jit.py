@@ -1,14 +1,23 @@
 """Compiled Louvain hot paths (the ``jit`` backend).
 
 The NumPy backends stream every step through vectorised temporaries; this
-module compiles four entry points to native code:
+module compiles six entry points to native code:
 
 * ``decide``     — the per-vertex DecideAndMove loop;
 * ``delta``      — the Section 3.5 delta weight update over a mover list;
 * ``aggregates`` — the ``comm_strength``/``comm_size`` rebuild;
 * ``coarsen``    — the phase-2 contraction: a presence-array relabel, two
   stable counting sorts and one run-summing pass that writes the
-  exact-size coarse CSR (see :mod:`repro.graph.coarsen`).
+  exact-size coarse CSR (see :mod:`repro.graph.coarsen`);
+* ``mg_inactive`` — MG's global-bound Eq. 6 test for every vertex;
+* ``internal_weights`` — the ``D_C(C)`` pass of the final modularity.
+
+``decide`` and ``mg_inactive`` are OpenMP parallel loops over vertices
+(each vertex's outputs depend only on the BSP snapshot, and each thread
+owns its scratch slice), run on :attr:`JitRuntime.threads` threads on a
+graph of at least :data:`PARALLEL_MIN_ENTRIES` adjacency entries; the others
+accumulate floats in a pinned order and stay sequential. The thread
+count is fixed per process (:func:`cap_threads`).
 
 The phase-1 loops write straight into arena-owned buffers — the
 steady-state iteration then performs zero heap allocations (see
@@ -36,8 +45,10 @@ order (:func:`_pairwise_sum`). The C build disables FP contraction
 (``-ffp-contract=off``), so the compiled arithmetic is IEEE-ordered and
 bit-identical to ``vectorized`` and the NumPy contraction — enforced by
 the cross-backend matrix tests and by a compile-probe smoke comparison
-(against the interpreted loops, and for ``coarsen`` against the NumPy
-contraction itself) before a provider is ever trusted.
+(against the interpreted loops; for ``coarsen``, ``mg_inactive`` and
+``internal_weights`` against the NumPy paths themselves, and for
+``decide`` also at two forced threads against ``vectorized``) before a
+provider is ever trusted.
 
 Provider selection honours ``REPRO_JIT_PROVIDER`` (``auto``/``cc``/
 ``python``/``off``). :func:`get_runtime` probes and memoizes;
@@ -66,6 +77,7 @@ from repro.errors import KernelUnavailableError
 from repro.utils.arrays import compact_relabel
 
 NEG_INF = float("-inf")
+INF = float("inf")
 
 
 # --------------------------------------------------------------------- #
@@ -93,60 +105,122 @@ def _decide_loop(
     best_gain,
     stay_gain,
     move,
+    threads=1,
 ):
     """DecideAndMove for ``active_idx``; writes the four output arrays.
 
     ``acc_w``/``acc_stamp`` form a stamp-versioned per-community
     accumulator (O(1) reset per vertex); ``acc_comms`` lists the
     communities touched by the current vertex in first-encounter order.
-    Returns the advanced stamp so the scratch stays valid across calls.
+    The vertex at position ``i`` runs under stamp ``stamp + i + 1``, and
+    the call returns ``stamp + len(active_idx)``, so the scratch stays
+    valid across calls. The C loop splits the positions over ``threads``
+    threads, thread ``t`` using the ``t``-th ``n``-slice of
+    ``acc_w``/``acc_stamp`` and the ``t``-th slice of ``acc_comms``; this
+    interpreted loop is its one-thread case. Every output is indexed by
+    position, so the result does not depend on the thread count.
     """
-    for i in range(active_idx.shape[0]):
-        v = active_idx[i]
-        cur = comm[v]
-        s_v = strength[v]
-        stamp += 1
-        k = 0
-        for e in range(indptr[v], indptr[v + 1]):
-            c = comm[indices[e]]
-            w = weights[e]
-            if acc_stamp[c] == stamp:
-                acc_w[c] += w
-            else:
-                acc_stamp[c] = stamp
-                acc_w[c] = w
-                acc_comms[k] = c
-                k += 1
-        cur_total = comm_strength[cur]
-        if remove_self:
-            cur_total = cur_total - s_v
-        sg = (0.0 - gamma * cur_total * s_v / two_m) / m
+    n_act = active_idx.shape[0]
+    for i in range(n_act):
+        _decide_vertex(i, active_idx, indptr, indices, weights, comm,
+                       strength, comm_strength, comm_size, gamma, m, two_m,
+                       remove_self, acc_w, acc_stamp, acc_comms,
+                       stamp + i + 1, best_comm, best_gain, stay_gain, move)
+    return stamp + n_act
+
+
+def _decide_vertex(i, active_idx, indptr, indices, weights, comm, strength,
+                   comm_strength, comm_size, gamma, m, two_m, remove_self,
+                   acc_w, acc_stamp, acc_comms, stamp,
+                   best_comm, best_gain, stay_gain, move):
+    """The body of :func:`_decide_loop` for position ``i``."""
+    v = active_idx[i]
+    cur = comm[v]
+    s_v = strength[v]
+    k = 0
+    for e in range(indptr[v], indptr[v + 1]):
+        c = comm[indices[e]]
+        w = weights[e]
+        if acc_stamp[c] == stamp:
+            acc_w[c] += w
+        else:
+            acc_stamp[c] = stamp
+            acc_w[c] = w
+            acc_comms[k] = c
+            k += 1
+    cur_total = comm_strength[cur]
+    if remove_self:
+        cur_total = cur_total - s_v
+    sg = (0.0 - gamma * cur_total * s_v / two_m) / m
+    bc = cur
+    bg = NEG_INF
+    found = False
+    for j in range(k):
+        c = acc_comms[j]
+        tot = comm_strength[c]
+        if remove_self and c == cur:
+            tot = tot - s_v
+        g = (acc_w[c] - gamma * tot * s_v / two_m) / m
+        if c == cur:
+            sg = g
+        elif (not found) or g > bg or (g == bg and c < bc):
+            found = True
+            bg = g
+            bc = c
+    if not found:
         bc = cur
         bg = NEG_INF
-        found = False
-        for j in range(k):
-            c = acc_comms[j]
-            tot = comm_strength[c]
-            if remove_self and c == cur:
-                tot = tot - s_v
-            g = (acc_w[c] - gamma * tot * s_v / two_m) / m
-            if c == cur:
-                sg = g
-            elif (not found) or g > bg or (g == bg and c < bc):
-                found = True
-                bg = g
-                bc = c
-        if not found:
-            bc = cur
-            bg = NEG_INF
-        mv = found and bg > sg
-        if mv and comm_size[cur] == 1 and comm_size[bc] == 1 and bc > cur:
-            mv = False
-        best_comm[i] = bc
-        best_gain[i] = bg
-        stay_gain[i] = sg
-        move[i] = mv
-    return stamp
+    mv = found and bg > sg
+    if mv and comm_size[cur] == 1 and comm_size[bc] == 1 and bc > cur:
+        mv = False
+    best_comm[i] = bc
+    best_gain[i] = bg
+    stay_gain[i] = sg
+    move[i] = mv
+
+
+def _mg_inactive_loop(strength, self_weight, d_comm, comm, comm_strength,
+                      comm_size, gamma, two_m, remove_self, threshold, out,
+                      threads=1):
+    """MG's global-bound Eq. 6 test for every vertex into ``out``, with
+    ``min_C D_V(C)`` over the non-empty communities found first — the
+    operations and their order of
+    :meth:`~repro.core.pruning.modularity_gain.ModularityGainPruning.inactive_mask`
+    (``threshold`` is its ``slack * two_m``). The C loop splits the
+    vertices over ``threads`` threads; each writes only its own
+    ``out[v]``."""
+    n = comm.shape[0]
+    # an empty community's total is lifted to +inf (branch-free in C)
+    min_total = INF
+    for c in range(n):
+        total = comm_strength[c] + (0.0 if comm_size[c] > 0 else INF)
+        min_total = total if total < min_total else min_total
+    if min_total == INF:
+        min_total = 0.0
+    for v in range(n):
+        s_v = strength[v]
+        free = s_v - 2.0 * self_weight[v]
+        correction = s_v if remove_self else 0.0
+        lhs = (2.0 * d_comm[v] - free
+               + gamma * (min_total - comm_strength[comm[v]] + correction)
+               * s_v / two_m)
+        out[v] = (lhs >= threshold) | (free == 0.0)
+
+
+def _internal_weights_loop(indptr, indices, weights, self_weight, comm,
+                           internal):
+    """``D_C(C)`` added into the zeroed ``internal`` in ``np.add.at``'s
+    order: the intra-community entries in row order, then ``2 w_loop`` of
+    every vertex in vertex order (see
+    :func:`repro.core.modularity.community_internal_weights`)."""
+    n = comm.shape[0]
+    for u in range(n):
+        cu = comm[u]
+        for e in range(indptr[u], indptr[u + 1]):
+            if comm[indices[e]] == cu:
+                internal[cu] += weights[e]
+    for v in range(n):
+        internal[comm[v]] += 2.0 * self_weight[v]
 
 
 def _delta_loop(movers, indptr, indices, weights, comm, prev_comm, moved, d_comm):
@@ -385,9 +459,27 @@ def _coarsen_with(relabel, sort, sum_runs) -> Callable:
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
+#ifdef _OPENMP
+#include <omp.h>
+#define THREAD_ID() ((int64_t) omp_get_thread_num())
+#else
+#define THREAD_ID() ((int64_t) 0)
+#endif
 
-int64_t repro_decide(
-    int64_t n_act, const int64_t *active_idx,
+/* vertices a decide thread takes per grab of the dynamic schedule */
+#define DECIDE_CHUNK 64
+
+int64_t repro_openmp(void)
+{
+#ifdef _OPENMP
+    return 1;
+#else
+    return 0;
+#endif
+}
+
+static void decide_vertex(
+    int64_t i, const int64_t *active_idx,
     const int64_t *indptr, const int64_t *indices, const double *weights,
     const int64_t *comm, const double *strength,
     const double *comm_strength, const int64_t *comm_size,
@@ -395,52 +487,139 @@ int64_t repro_decide(
     double *acc_w, int64_t *acc_stamp, int64_t *acc_comms, int64_t stamp,
     int64_t *best_comm, double *best_gain, double *stay_gain, uint8_t *move)
 {
-    for (int64_t i = 0; i < n_act; i++) {
-        int64_t v = active_idx[i];
-        int64_t cur = comm[v];
-        double s_v = strength[v];
-        stamp += 1;
-        int64_t k = 0;
-        for (int64_t e = indptr[v]; e < indptr[v + 1]; e++) {
-            int64_t c = comm[indices[e]];
-            double w = weights[e];
-            if (acc_stamp[c] == stamp) {
-                acc_w[c] += w;
-            } else {
-                acc_stamp[c] = stamp;
-                acc_w[c] = w;
-                acc_comms[k++] = c;
-            }
+    int64_t v = active_idx[i];
+    int64_t cur = comm[v];
+    double s_v = strength[v];
+    int64_t k = 0;
+    for (int64_t e = indptr[v]; e < indptr[v + 1]; e++) {
+        int64_t c = comm[indices[e]];
+        double w = weights[e];
+        if (acc_stamp[c] == stamp) {
+            acc_w[c] += w;
+        } else {
+            acc_stamp[c] = stamp;
+            acc_w[c] = w;
+            acc_comms[k++] = c;
         }
-        double cur_total = comm_strength[cur];
-        if (remove_self) cur_total = cur_total - s_v;
-        double sg = (0.0 - gamma_ * cur_total * s_v / two_m) / m;
-        int64_t bc = cur;
-        double bg = -INFINITY;
-        int found = 0;
-        for (int64_t j = 0; j < k; j++) {
-            int64_t c = acc_comms[j];
-            double tot = comm_strength[c];
-            if (remove_self && c == cur) tot = tot - s_v;
-            double g = (acc_w[c] - gamma_ * tot * s_v / two_m) / m;
-            if (c == cur) {
-                sg = g;
-            } else if (!found || g > bg || (g == bg && c < bc)) {
-                found = 1;
-                bg = g;
-                bc = c;
-            }
-        }
-        if (!found) { bc = cur; bg = -INFINITY; }
-        int mv = found && bg > sg;
-        if (mv && comm_size[cur] == 1 && comm_size[bc] == 1 && bc > cur)
-            mv = 0;
-        best_comm[i] = bc;
-        best_gain[i] = bg;
-        stay_gain[i] = sg;
-        move[i] = (uint8_t) mv;
     }
-    return stamp;
+    double cur_total = comm_strength[cur];
+    if (remove_self) cur_total = cur_total - s_v;
+    double sg = (0.0 - gamma_ * cur_total * s_v / two_m) / m;
+    int64_t bc = cur;
+    double bg = -INFINITY;
+    int found = 0;
+    for (int64_t j = 0; j < k; j++) {
+        int64_t c = acc_comms[j];
+        double tot = comm_strength[c];
+        if (remove_self && c == cur) tot = tot - s_v;
+        double g = (acc_w[c] - gamma_ * tot * s_v / two_m) / m;
+        if (c == cur) {
+            sg = g;
+        } else if (!found || g > bg || (g == bg && c < bc)) {
+            found = 1;
+            bg = g;
+            bc = c;
+        }
+    }
+    if (!found) { bc = cur; bg = -INFINITY; }
+    int mv = found && bg > sg;
+    if (mv && comm_size[cur] == 1 && comm_size[bc] == 1 && bc > cur)
+        mv = 0;
+    best_comm[i] = bc;
+    best_gain[i] = bg;
+    stay_gain[i] = sg;
+    move[i] = (uint8_t) mv;
+}
+
+/* thread t uses acc_w/acc_stamp[t*n ...] and acc_comms[t*comms_stride ...] */
+int64_t repro_decide(
+    int64_t n_act, const int64_t *active_idx,
+    const int64_t *indptr, const int64_t *indices, const double *weights,
+    const int64_t *comm, const double *strength,
+    const double *comm_strength, const int64_t *comm_size,
+    double gamma_, double m, double two_m, int64_t remove_self,
+    double *acc_w, int64_t *acc_stamp, int64_t *acc_comms, int64_t stamp,
+    int64_t *best_comm, double *best_gain, double *stay_gain, uint8_t *move,
+    int64_t threads, int64_t n, int64_t comms_stride)
+{
+    if (threads > 1) {
+#ifdef _OPENMP
+        #pragma omp parallel for schedule(dynamic, DECIDE_CHUNK) num_threads(threads)
+#endif
+        for (int64_t i = 0; i < n_act; i++) {
+            int64_t t = THREAD_ID();
+            decide_vertex(i, active_idx, indptr, indices, weights, comm,
+                          strength, comm_strength, comm_size,
+                          gamma_, m, two_m, remove_self,
+                          acc_w + t * n, acc_stamp + t * n,
+                          acc_comms + t * comms_stride, stamp + i + 1,
+                          best_comm, best_gain, stay_gain, move);
+        }
+    } else {
+        for (int64_t i = 0; i < n_act; i++)
+            decide_vertex(i, active_idx, indptr, indices, weights, comm,
+                          strength, comm_strength, comm_size,
+                          gamma_, m, two_m, remove_self,
+                          acc_w, acc_stamp, acc_comms, stamp + i + 1,
+                          best_comm, best_gain, stay_gain, move);
+    }
+    return stamp + n_act;
+}
+
+static void mg_vertex(
+    int64_t v, const double *strength, const double *self_weight,
+    const double *d_comm, const int64_t *comm, const double *comm_strength,
+    double gamma_, double two_m, int64_t remove_self, double threshold,
+    double min_total, uint8_t *out)
+{
+    double s_v = strength[v];
+    double free_ = s_v - 2.0 * self_weight[v];
+    double correction = remove_self ? s_v : 0.0;
+    double lhs = 2.0 * d_comm[v] - free_
+               + gamma_ * (min_total - comm_strength[comm[v]] + correction)
+               * s_v / two_m;
+    out[v] = (uint8_t) ((lhs >= threshold) | (free_ == 0.0));
+}
+
+void repro_mg_inactive(
+    int64_t n, const double *strength, const double *self_weight,
+    const double *d_comm, const int64_t *comm, const double *comm_strength,
+    const int64_t *comm_size, double gamma_, double two_m,
+    int64_t remove_self, double threshold, uint8_t *out, int64_t threads)
+{
+    /* branch-free: an empty community's total is lifted to +inf */
+    const double lift[2] = {INFINITY, 0.0};
+    double min_total = INFINITY;
+    for (int64_t c = 0; c < n; c++) {
+        double total = comm_strength[c] + lift[comm_size[c] > 0];
+        min_total = total < min_total ? total : min_total;
+    }
+    if (min_total == INFINITY) min_total = 0.0;
+    if (threads > 1) {
+#ifdef _OPENMP
+        #pragma omp parallel for schedule(static) num_threads(threads)
+#endif
+        for (int64_t v = 0; v < n; v++)
+            mg_vertex(v, strength, self_weight, d_comm, comm, comm_strength,
+                      gamma_, two_m, remove_self, threshold, min_total, out);
+    } else {
+        for (int64_t v = 0; v < n; v++)
+            mg_vertex(v, strength, self_weight, d_comm, comm, comm_strength,
+                      gamma_, two_m, remove_self, threshold, min_total, out);
+    }
+}
+
+void repro_internal_weights(
+    int64_t n, const int64_t *indptr, const int64_t *indices,
+    const double *weights, const double *self_weight, const int64_t *comm,
+    double *internal)
+{
+    for (int64_t u = 0; u < n; u++) {
+        int64_t cu = comm[u];
+        for (int64_t e = indptr[u]; e < indptr[u + 1]; e++)
+            if (comm[indices[e]] == cu) internal[cu] += weights[e];
+    }
+    for (int64_t v = 0; v < n; v++) internal[comm[v]] += 2.0 * self_weight[v];
 }
 
 void repro_delta(
@@ -626,11 +805,16 @@ def _cache_dir() -> str:
     )
 
 
-def _compile_c_library() -> ctypes.CDLL:
-    """Compile (or reuse) the cached shared library for provider ``cc``."""
-    cc = os.environ.get("CC", "cc")
+#: OpenMP for the threaded loops; a compiler that rejects it builds the
+#: library without (every loop then runs on one thread)
+_OPENMP_FLAGS = ["-fopenmp"]
+
+
+def _build_library(cc: str, flags: list) -> str:
+    """Compile (or reuse) the cached library built with ``flags``;
+    returns its path."""
     tag = hashlib.sha256(
-        (_C_SOURCE + " ".join(_CFLAGS) + cc).encode()
+        (_C_SOURCE + " ".join(flags) + cc).encode()
     ).hexdigest()[:16]
     cache = _cache_dir()
     lib_path = os.path.join(cache, f"reprojit_{tag}.so")
@@ -645,7 +829,7 @@ def _compile_c_library() -> ctypes.CDLL:
         os.close(fd)
         try:
             subprocess.run(
-                [cc, *_CFLAGS, "-o", tmp, src_path],
+                [cc, *flags, "-o", tmp, src_path],
                 check=True,
                 capture_output=True,
             )
@@ -653,7 +837,17 @@ def _compile_c_library() -> ctypes.CDLL:
         finally:
             if os.path.exists(tmp):  # compile failed before the rename
                 os.unlink(tmp)
-    lib = ctypes.CDLL(lib_path)
+    return lib_path
+
+
+def _compile_c_library() -> ctypes.CDLL:
+    """Compile (or reuse) the cached shared library for provider ``cc``,
+    with OpenMP when the compiler (and the loader) accept it."""
+    cc = os.environ.get("CC", "cc")
+    try:
+        lib = ctypes.CDLL(_build_library(cc, _CFLAGS + _OPENMP_FLAGS))
+    except (OSError, subprocess.CalledProcessError):
+        lib = ctypes.CDLL(_build_library(cc, _CFLAGS))
 
     ndp = np.ctypeslib.ndpointer
     i64 = dict(dtype=np.int64, ndim=1, flags="C_CONTIGUOUS")
@@ -671,7 +865,22 @@ def _compile_c_library() -> ctypes.CDLL:
         c_f64, c_f64, c_f64, c_i64,              # gamma, m, two_m, remove_self
         ndp(**f64), ndp(**i64), ndp(**i64), c_i64,  # acc_w/stamp/comms, stamp
         ndp(**i64), ndp(**f64), ndp(**f64), ndp(**b8),  # outputs
+        c_i64, c_i64, c_i64,                     # threads, n, comms_stride
     ]
+    lib.repro_mg_inactive.restype = None
+    lib.repro_mg_inactive.argtypes = [
+        c_i64, ndp(**f64), ndp(**f64),           # n, strength, self_weight
+        ndp(**f64), ndp(**i64), ndp(**f64),      # d_comm, comm, comm_strength
+        ndp(**i64), c_f64, c_f64, c_i64,         # comm_size, gamma, two_m, remove_self
+        c_f64, ndp(**b8), c_i64,                 # threshold, out, threads
+    ]
+    lib.repro_internal_weights.restype = None
+    lib.repro_internal_weights.argtypes = [
+        c_i64, ndp(**i64), ndp(**i64), ndp(**f64),  # n, indptr, indices, weights
+        ndp(**f64), ndp(**i64), ndp(**f64),      # self_weight, comm, internal
+    ]
+    lib.repro_openmp.restype = c_i64
+    lib.repro_openmp.argtypes = []
     lib.repro_delta.restype = None
     lib.repro_delta.argtypes = [
         c_i64, ndp(**i64),                       # n_movers, movers
@@ -707,11 +916,15 @@ def _compile_c_library() -> ctypes.CDLL:
 class JitRuntime:
     """One compiled (or interpreted) implementation of the loops.
 
-    ``decide``/``delta``/``aggregates`` share the loop functions' NumPy
-    signatures regardless of provider, and ``coarsen`` is the phase-2
-    contraction built by :func:`_coarsen_with`; ``compile_s`` is the one-off
-    compile/warm-up cost the probe measured (0.0 for cache hits and the
-    interpreted provider) — surfaced in traces and manifests.
+    ``decide``/``delta``/``aggregates``/``mg_inactive``/``internal_weights``
+    share the loop functions' NumPy signatures regardless of provider, and
+    ``coarsen`` is the phase-2 contraction built by :func:`_coarsen_with`;
+    ``compile_s`` is the one-off compile/warm-up cost the probe measured
+    (0.0 for cache hits and the interpreted provider) — surfaced in traces
+    and manifests. ``openmp`` says whether the library was built with
+    OpenMP; ``threads`` is how many threads ``decide`` and ``mg_inactive``
+    may use in this process (see :func:`cap_threads`; always 1 without
+    OpenMP).
     """
 
     provider: str
@@ -720,6 +933,10 @@ class JitRuntime:
     delta: Callable
     aggregates: Callable
     coarsen: Callable
+    mg_inactive: Callable
+    internal_weights: Callable
+    openmp: bool = False
+    threads: int = 1
 
 
 def _python_runtime() -> JitRuntime:
@@ -731,6 +948,8 @@ def _python_runtime() -> JitRuntime:
         aggregates=_aggregates_loop,
         coarsen=_coarsen_with(_relabel_loop, _coarsen_sort_loop,
                               _coarsen_sum_loop),
+        mg_inactive=_mg_inactive_loop,
+        internal_weights=_internal_weights_loop,
     )
 
 
@@ -740,13 +959,18 @@ def _cc_runtime() -> JitRuntime:
     def decide(active_idx, indptr, indices, weights, comm, strength,
                comm_strength, comm_size, gamma, m, two_m, remove_self,
                acc_w, acc_stamp, acc_comms, stamp,
-               best_comm, best_gain, stay_gain, move):
+               best_comm, best_gain, stay_gain, move, threads=1):
+        n = len(indptr) - 1
+        if len(acc_w) < threads * n or len(acc_stamp) < threads * n:
+            raise ValueError(f"decide scratch holds fewer than {threads} "
+                             f"slices of {n}")
         return lib.repro_decide(
             len(active_idx), active_idx, indptr, indices, weights,
             comm, strength, comm_strength, comm_size,
             gamma, m, two_m, remove_self,
             acc_w, acc_stamp, acc_comms, stamp,
             best_comm, best_gain, stay_gain, move,
+            threads, n, len(acc_comms) // threads,
         )
 
     def delta(movers, indptr, indices, weights, comm, prev_comm, moved,
@@ -766,10 +990,25 @@ def _cc_runtime() -> JitRuntime:
     def sort(indptr, *rest):
         return lib.repro_coarsen_sort(len(indptr) - 1, indptr, *rest)
 
+    def mg_inactive(strength, self_weight, d_comm, comm, comm_strength,
+                    comm_size, gamma, two_m, remove_self, threshold, out,
+                    threads=1):
+        lib.repro_mg_inactive(
+            len(comm), strength, self_weight, d_comm, comm, comm_strength,
+            comm_size, gamma, two_m, remove_self, threshold, out, threads,
+        )
+
+    def internal_weights(indptr, indices, weights, self_weight, comm,
+                         internal):
+        lib.repro_internal_weights(len(comm), indptr, indices, weights,
+                                   self_weight, comm, internal)
+
     return JitRuntime(
         provider="cc", compile_s=0.0, decide=decide, delta=delta,
         aggregates=aggregates,
         coarsen=_coarsen_with(relabel, sort, lib.repro_coarsen_sum),
+        mg_inactive=mg_inactive, internal_weights=internal_weights,
+        openmp=bool(lib.repro_openmp()),
     )
 
 
@@ -810,6 +1049,31 @@ def _coarsen_fixture():
     comm = np.repeat(np.array([3, 17, 21, 29, 0], dtype=np.int64),
                      [10, 13, 3, 3, 1])
     return graph, (comm, comm * 1000 - 5)
+
+
+def _threads_fixture():
+    """A 4,096-vertex state for the threaded and per-vertex entries:
+    8-cliques joined by chords, self-loops on every 97th vertex,
+    mixed-magnitude weights, and a partition that moves every fifth
+    vertex into the next clique's community: 64 dynamic-schedule chunks
+    per decide, so both threads of a two-thread call normally take
+    vertices (measured: half each on an idle machine), and vertices on
+    both sides of MG's threshold."""
+    from repro.graph.builder import from_edge_array
+
+    n = 4096
+    v = np.arange(n)
+    a, b = np.triu_indices(8, 1)
+    base = (v[::8, None] + np.zeros(len(a), dtype=np.int64)).ravel()
+    src = np.concatenate([base + np.tile(a, n // 8), v, v[::97]])
+    dst = np.concatenate([base + np.tile(b, n // 8), (v * 37 + 11) % n,
+                          v[::97]])
+    i = np.arange(len(src))
+    w = (1.0 + (i * 0.6180339887498949) % 1.0) * 10.0 ** ((i * 7) % 9 - 4)
+    graph = from_edge_array(n, src, dst, w, name="threads-probe")
+    group = v // 8
+    comm = np.where(v % 5 == 0, (group + 1) % (n // 8), group) * 8 + 3
+    return CommunityState.from_assignment(graph, comm, resolution=1.5)
 
 
 def _smoke_compare(rt: JitRuntime) -> None:
@@ -868,6 +1132,34 @@ def _smoke_compare(rt: JitRuntime) -> None:
             got = r.coarsen(graph.indptr, graph.indices, graph.weights,
                             graph.self_weight, comm)
             pairs.extend(zip(want, got))
+    # the threaded decide and the per-vertex entries against the NumPy
+    # paths they replace, on a state big enough that both threads of a
+    # two-thread decide normally take vertices
+    from repro.core.kernels.vectorized import decide_moves
+    from repro.core.modularity import community_internal_weights
+    from repro.core.pruning.modularity_gain import ModularityGainPruning
+
+    state = _threads_fixture()
+    g = state.graph
+    threads = _probe_threads()
+    want = decide_moves(state, np.arange(g.n, dtype=np.int64))
+    got = JitKernel(runtime=rt)._run(state, np.arange(g.n, dtype=np.int64),
+                                     True, threads)
+    pairs.extend((getattr(want, f), getattr(got, f))
+                 for f in ("best_comm", "best_gain", "stay_gain", "move"))
+    mg = ModularityGainPruning()
+    for remove_self in (True, False):
+        out = np.empty(g.n, dtype=np.bool_)
+        rt.mg_inactive(g.strength, g.self_weight, state.d_comm, state.comm,
+                       state.comm_strength, state.comm_size,
+                       state.resolution, g.two_m, int(remove_self),
+                       mg.slack * g.two_m, out, threads)
+        pairs.append((mg.inactive_mask(state, remove_self), out))
+    for h, comm in ((g, state.comm), (graph, assignments[0])):
+        got = np.zeros(int(comm.max()) + 1)
+        rt.internal_weights(h.indptr, h.indices, h.weights, h.self_weight,
+                            comm, got)
+        pairs.append((community_internal_weights(h, comm), got))
     for a, b in pairs:
         if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
             raise RuntimeError(
@@ -881,6 +1173,72 @@ _PROVIDERS = {
     "python": _python_runtime,
 }
 _cache: dict = {}
+
+
+# --------------------------------------------------------------------- #
+# threads
+# --------------------------------------------------------------------- #
+#: adjacency entries a graph needs before its threaded loops run on more
+#: than one thread. Smaller graphs (whole detects of tens of ms, like a
+#: serve pool's) stay serial, where threads cost the processes sharing
+#: the cores more than they save; see docs/algorithm.md, "Threads"
+PARALLEL_MIN_ENTRIES = 1 << 17
+
+#: this process's cap on compiled-loop threads (None: no cap)
+_thread_cap: Optional[int] = None
+
+
+def available_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _runtime_threads(rt: JitRuntime) -> int:
+    if not rt.openmp:
+        return 1
+    cpus = available_cpus()
+    return cpus if _thread_cap is None else min(cpus, _thread_cap)
+
+
+def _probe_threads() -> int:
+    """The thread count the probe checks ``decide``/``mg_inactive`` at:
+    two, unless this process is capped at one (a forked child must never
+    enter a parallel region)."""
+    return 1 if _thread_cap == 1 else 2
+
+
+def cap_threads(n: int) -> None:
+    """Cap this process's compiled-loop threads at ``n`` (at least 1); a
+    cap only ever comes down.
+
+    The thread count belongs to the process, not to a config: a
+    ``local`` run uses every CPU the process may run on; multiprocess
+    rank workers and spawned serve pool workers cap at 1 (the workers
+    are the parallelism). Every forked child is
+    capped at 1 automatically, because libgomp is not fork-safe: a
+    parallel region in a child forked from a process that already ran
+    one hangs.
+    """
+    global _thread_cap
+    n = max(1, int(n))
+    _thread_cap = n if _thread_cap is None else min(_thread_cap, n)
+    for rt in _cache.values():
+        if rt is not None:
+            rt.threads = _runtime_threads(rt)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: cap_threads(1))
+
+
+def loop_threads(rt: JitRuntime, entries: int) -> int:
+    """Threads a threaded loop over a graph of ``entries`` adjacency
+    entries runs with: ``rt.threads`` from :data:`PARALLEL_MIN_ENTRIES`
+    up, else 1."""
+    return rt.threads if entries >= PARALLEL_MIN_ENTRIES else 1
 
 
 def _reset_runtime_cache() -> None:
@@ -901,6 +1259,7 @@ def _probe(provider: str) -> Optional[JitRuntime]:
         rt = None
     if rt is not None:
         rt.compile_s = time.perf_counter() - t0
+        rt.threads = _runtime_threads(rt)
     _cache[provider] = rt
     return rt
 
@@ -942,6 +1301,13 @@ def probed_provider() -> Optional[str]:
     return rt.provider if rt is not None else None
 
 
+def probed_threads() -> Optional[int]:
+    """The thread count of the runtime :func:`probed_provider` reports,
+    from the probe cache only; None where that reports None."""
+    rt = _cache.get(_requested_provider(None))
+    return rt.threads if rt is not None else None
+
+
 def require_runtime(provider: Optional[str] = None) -> JitRuntime:
     """Like :func:`get_runtime` but raises the friendly setup error."""
     rt = get_runtime(provider)
@@ -963,12 +1329,14 @@ def require_runtime(provider: Optional[str] = None) -> JitRuntime:
 class JitKernel:
     """Compiled DecideAndMove behind the host kernel-backend protocol.
 
-    Scratch (the stamp-versioned per-community accumulator) and the
-    DecideResult output arrays live in the bound :class:`BufferArena`, so
-    steady-state calls allocate nothing. The returned
-    :class:`DecideResult` views those buffers and is valid until the next
-    call — the engine consumes it immediately; callers that keep results
-    across calls must copy.
+    Scratch (the stamp-versioned per-community accumulator, one slice per
+    thread) and the DecideResult output arrays live in the bound
+    :class:`BufferArena`, so steady-state calls allocate nothing. The
+    returned :class:`DecideResult` views those buffers and is valid until
+    the next call — the engine consumes it immediately; callers that keep
+    results across calls must copy. A call runs on ``runtime.threads``
+    threads when the graph has at least :data:`PARALLEL_MIN_ENTRIES`
+    adjacency entries, else on one; ``last_threads`` records which.
     """
 
     name = "jit"
@@ -983,8 +1351,11 @@ class JitKernel:
         self.arena = arena if arena is not None else BufferArena("jit")
         #: backend that ran on the last call (recorded in ``IterationTrace``)
         self.last_backend: Optional[str] = None
+        #: threads the last call ran on (``IterationTrace.kernel_threads``)
+        self.last_threads: Optional[int] = None
         self.compile_s = self.runtime.compile_s
         self._n = -1
+        self._slices = 0
         self._stamp = 0
 
     # backend-protocol plumbing (duck-typed; plain callables skip it)
@@ -995,16 +1366,17 @@ class JitKernel:
     def reset(self, state: CommunityState) -> None:
         self._n = -1
 
-    def _prepare_scratch(self, graph) -> None:
+    def _prepare_scratch(self, graph, slices: int) -> None:
         n = graph.n
         a = self.arena
-        self._acc_w = a.request(("jit", "acc_w"), n, np.float64)
-        self._acc_stamp = a.zeros(("jit", "acc_stamp"), n, np.int64)
+        self._acc_w = a.request(("jit", "acc_w"), slices * n, np.float64)
+        self._acc_stamp = a.zeros(("jit", "acc_stamp"), slices * n, np.int64)
         max_deg = int(graph.degrees.max()) if n else 0
-        self._acc_comms = a.request(("jit", "acc_comms"), max(max_deg, 1),
-                                    np.int64)
+        self._acc_comms = a.request(("jit", "acc_comms"),
+                                    slices * max(max_deg, 1), np.int64)
         self._stamp = 0
         self._n = n
+        self._slices = slices
 
     def __call__(
         self,
@@ -1012,14 +1384,21 @@ class JitKernel:
         active_idx: np.ndarray,
         remove_self: bool = True,
     ) -> DecideResult:
+        threads = loop_threads(self.runtime, len(state.graph.indices))
+        return self._run(state, np.asarray(active_idx, dtype=np.int64),
+                         remove_self, threads)
+
+    def _run(self, state, active_idx, remove_self, threads) -> DecideResult:
+        """Decide ``active_idx`` on ``threads`` threads, whatever the
+        graph's size (the probe forces two)."""
         g = state.graph
-        active_idx = np.asarray(active_idx, dtype=np.int64)
         self.last_backend = self.name
+        self.last_threads = 1
         n_act = len(active_idx)
         if g.total_weight == 0.0 or n_act == 0:
             return _trivial_result(state, active_idx, np.zeros(n_act))
-        if self._n != g.n:
-            self._prepare_scratch(g)
+        if self._n != g.n or self._slices < threads:
+            self._prepare_scratch(g, threads)
 
         a = self.arena
         best_comm = a.request(("jit", "best_comm"), n_act, np.int64)
@@ -1036,8 +1415,9 @@ class JitKernel:
             float(state.resolution), float(g.total_weight), float(g.two_m),
             1 if remove_self else 0,
             self._acc_w, self._acc_stamp, self._acc_comms, self._stamp,
-            best_comm, best_gain, stay_gain, move,
+            best_comm, best_gain, stay_gain, move, threads,
         )
+        self.last_threads = threads
         return DecideResult(
             active_idx=active_idx,
             best_comm=best_comm,

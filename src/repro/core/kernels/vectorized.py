@@ -364,8 +364,11 @@ def make_kernel(spec: str):
 
 def compiled_runtime(kernel):
     """The compiled :class:`~repro.core.kernels.jit.JitRuntime` behind a
-    host kernel, for the executor's delta weight update and aggregate
-    refresh; None for a NumPy kernel and for the interpreted provider
-    (whose loops are slower than the NumPy paths)."""
+    host kernel (or the kernel a name resolves to), for the executor's
+    delta weight update and aggregate refresh; None for a NumPy kernel
+    and for the interpreted provider (whose loops are slower than the
+    NumPy paths)."""
+    if isinstance(kernel, str):
+        kernel = make_kernel(kernel)
     rt = getattr(kernel, "runtime", None)
     return rt if rt is not None and rt.provider != "python" else None

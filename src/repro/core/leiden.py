@@ -29,9 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.kernels.vectorized import compiled_runtime
 from repro.core.modularity import modularity
 from repro.core.phase1 import Phase1Config, run_phase1
-from repro.graph.coarsen import coarsen_graph
+from repro.graph.coarsen import coarsen_graph, coarsen_runtime
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import SeedLike, as_generator
 
@@ -163,6 +164,8 @@ def leiden(
     best_q = -np.inf
     level_q: list[float] = []
 
+    # the refined partition contracts the way louvain() contracts
+    runtime = compiled_runtime(base_cfg.kernel)
     for _ in range(max_rounds):
         cfg = Phase1Config(
             pruning=base_cfg.pruning,
@@ -180,7 +183,8 @@ def leiden(
             current, p1.communities, resolution=resolution,
             seed=rng, randomness=randomness,
         )
-        coarse, mapping = coarsen_graph(current, refined)
+        with coarsen_runtime(runtime):
+            coarse, mapping = coarsen_graph(current, refined)
 
         # flatten the *local-moving* partition to the original vertices
         flat = p1.communities

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.core.kernels.vectorized import compiled_runtime, make_kernel
+from repro.core.kernels.vectorized import compiled_runtime
 from repro.core.phase1 import Phase1Config, Phase1Result, run_phase1
 from repro.graph.coarsen import coarsen_graph, coarsen_runtime
 from repro.graph.csr import CSRGraph
@@ -104,14 +104,15 @@ def louvain(
     Phase 2 runs the compiled ``coarsen`` loop when the configured host
     kernel resolves to a compiled runtime (the rule of
     :func:`~repro.core.kernels.vectorized.compiled_runtime`), and the NumPy
-    contraction otherwise; the coarse graphs are byte-identical.
+    contraction otherwise; the coarse graphs are byte-identical. The final
+    modularity of the flattened assignment likewise runs the runtime's
+    ``internal_weights`` loop, with the same value.
     """
     cfg = phase1_config or Phase1Config()
     levels: list[LouvainLevel] = []
     current = graph
     best_q = -np.inf
-    kernel = cfg.kernel
-    runtime = compiled_runtime(kernel if callable(kernel) else make_kernel(kernel))
+    runtime = compiled_runtime(cfg.kernel)
     backend = "vectorized" if runtime is None else "jit"
 
     sess = obs.current()
@@ -150,6 +151,8 @@ def louvain(
     resolution = cfg.resolution if cfg is not None else 1.0
     return LouvainResult(
         communities=communities,
-        modularity=float(q_of(graph, communities, resolution=resolution)),
+        modularity=float(
+            q_of(graph, communities, resolution=resolution, runtime=runtime)
+        ),
         levels=levels,
     )

@@ -18,16 +18,35 @@ __bitexact__ = True
 
 
 def community_internal_weights(
-    graph: CSRGraph, communities: np.ndarray, minlength: int | None = None
+    graph: CSRGraph,
+    communities: np.ndarray,
+    minlength: int | None = None,
+    runtime=None,
 ) -> np.ndarray:
     """``D_C(C)`` per community id: internal edge weight, each edge twice.
 
     ``D_C(C) = sum_{v in C} d_C(v)`` — every intra-community non-loop edge
     contributes its weight from both endpoints, and each self-loop
-    contributes ``2 w``.
+    contributes ``2 w``. A compiled ``runtime`` (a
+    :class:`~repro.core.kernels.jit.JitRuntime`) adds the same terms in
+    the same order in one sequential ``internal_weights`` loop, for ids
+    that are non-negative integers.
     """
     communities = np.asarray(communities)
     k = minlength if minlength is not None else int(communities.max()) + 1 if len(communities) else 0
+    if (
+        runtime is not None
+        and len(communities)
+        and np.can_cast(communities.dtype, np.int64)
+        and 0 <= communities.min()
+        and communities.max() < k
+    ):
+        internal = np.zeros(k, dtype=np.float64)
+        runtime.internal_weights(
+            graph.indptr, graph.indices, graph.weights, graph.self_weight,
+            np.ascontiguousarray(communities, dtype=np.int64), internal,
+        )
+        return internal
     row = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
     intra = communities[row] == communities[graph.indices]
     internal = np.zeros(k, dtype=np.float64)
@@ -47,7 +66,10 @@ def community_total_strengths(
 
 
 def modularity(
-    graph: CSRGraph, communities: np.ndarray, resolution: float = 1.0
+    graph: CSRGraph,
+    communities: np.ndarray,
+    resolution: float = 1.0,
+    runtime=None,
 ) -> float:
     """Newman modularity ``Q`` of a community assignment (paper Eq. 1).
 
@@ -57,11 +79,14 @@ def modularity(
     paper's introduction points to for escaping the resolution limit
     ([4, 30]): ``gamma > 1`` favours more, smaller communities;
     ``gamma < 1`` fewer, larger ones; ``gamma = 1`` is Eq. 1 verbatim.
+
+    ``runtime`` is passed to :func:`community_internal_weights`; the
+    value is the same with or without it.
     """
     two_m = graph.two_m
     if two_m == 0.0:
         return 0.0
-    internal = community_internal_weights(graph, communities)
+    internal = community_internal_weights(graph, communities, runtime=runtime)
     totals = community_total_strengths(graph, communities, minlength=len(internal))
     return ordered_sum(internal / two_m - resolution * (totals / two_m) ** 2)
 

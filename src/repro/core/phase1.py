@@ -109,10 +109,11 @@ class LocalExecutor(Executor):
         if kernel_reset is not None:
             kernel_reset(self.state)
         # A jit kernel carries its compiled runtime; the executor then also
-        # routes the delta weight update and the aggregates refresh through
-        # the same runtime — all bit-identical to the NumPy paths.
+        # routes the delta weight update, the aggregates refresh and MG's
+        # test through the same runtime — all bit-identical to the NumPy
+        # paths.
         runtime = compiled_runtime(self.kernel)
-        self._jit_runtime = runtime
+        self.runtime = runtime
         #: one-off compile seconds to charge to the first iteration trace
         self._compile_s_pending = float(getattr(self.kernel, "compile_s", 0.0))
         # the stock delta update runs compiled, all movers in one call
@@ -133,12 +134,13 @@ class LocalExecutor(Executor):
         with self.clock.measure("weight_update", "engine/weight_update"):
             self.updater(state, prev_comm, moved)
         with self.clock.measure("aggregate", "engine/aggregate"):
-            refresh_aggregates(state, arena=self.arena, runtime=self._jit_runtime)
+            refresh_aggregates(state, arena=self.arena, runtime=self.runtime)
             next_q = state.modularity()
         return next_q
 
     def collect(self, trace: IterationTrace) -> None:
         trace.kernel_backend = getattr(self.kernel, "last_backend", None)
+        trace.kernel_threads = getattr(self.kernel, "last_threads", None)
         trace.arena_allocs = self.arena.allocs
         if self._compile_s_pending:
             trace.kernel_compile_s = self._compile_s_pending

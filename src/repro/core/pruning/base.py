@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Any, Optional
 
 import numpy as np
 
@@ -38,6 +39,10 @@ class IterationContext:
         Shared generator (used by the probabilistic strategy).
     remove_self:
         The engine's gain convention, needed by MG to match its bound.
+    runtime:
+        The executor's compiled
+        :class:`~repro.core.kernels.jit.JitRuntime` (None on the NumPy
+        paths); MG's global bound runs its ``mg_inactive`` loop.
     """
 
     state: CommunityState
@@ -47,6 +52,7 @@ class IterationContext:
     iteration: int
     rng: np.random.Generator
     remove_self: bool = True
+    runtime: Optional[Any] = None
 
 
 class PruningStrategy(ABC):

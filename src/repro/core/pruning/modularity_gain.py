@@ -55,8 +55,17 @@ class ModularityGainPruning(PruningStrategy):
         #: which D_V lower bound to use; see _min_strength
         self.bound = bound
 
-    def inactive_mask(self, state: CommunityState, remove_self: bool) -> np.ndarray:
+    def inactive_mask(
+        self, state: CommunityState, remove_self: bool, runtime=None
+    ) -> np.ndarray:
         """Evaluate the Eq. 6 test for every vertex at once.
+
+        With a compiled ``runtime`` (a
+        :class:`~repro.core.kernels.jit.JitRuntime`) the global bound runs
+        its ``mg_inactive`` loop — the same operations in the same order,
+        so the same mask — threaded on graphs of at least
+        :data:`~repro.core.kernels.jit.PARALLEL_MIN_ENTRIES` adjacency
+        entries. ``bound="neighborhood"`` always runs the NumPy path.
 
         Self-loop handling: a vertex's self-loop moves with it, so it
         cancels out of every gain comparison — the engine scores gains with
@@ -73,6 +82,19 @@ class ModularityGainPruning(PruningStrategy):
         two_m = g.two_m
         if two_m == 0.0:
             return np.ones(g.n, dtype=bool)
+        if runtime is not None and self.bound == "global":
+            from repro.core.kernels.jit import loop_threads
+
+            out = np.empty(g.n, dtype=np.bool_)
+            runtime.mg_inactive(
+                g.strength, g.self_weight, state.d_comm, state.comm,
+                np.ascontiguousarray(state.comm_strength, dtype=np.float64),
+                np.ascontiguousarray(state.comm_size, dtype=np.int64),
+                float(state.resolution), float(two_m), int(remove_self),
+                float(self.slack * two_m), out,
+                loop_threads(runtime, len(g.indices)),
+            )
+            return out
         strength = g.strength
         loop_free_degree = strength - 2.0 * g.self_weight
         min_total = self._min_strength(state)
@@ -112,4 +134,4 @@ class ModularityGainPruning(PruningStrategy):
         return np.where(np.isfinite(out), out, 0.0)
 
     def next_active(self, ctx: IterationContext) -> np.ndarray:
-        return ~self.inactive_mask(ctx.state, ctx.remove_self)
+        return ~self.inactive_mask(ctx.state, ctx.remove_self, ctx.runtime)

@@ -91,9 +91,8 @@ class PartitionedExecutor(Executor):
     replace :meth:`decide` outright (the multiprocess transport).
     """
 
-    #: compiled runtime and buffer arena for the commit step's aggregate
-    #: refresh; a subclass that runs compiled kernels sets both
-    runtime = None
+    #: buffer arena for the commit step's aggregate refresh; a subclass
+    #: that runs compiled kernels sets it with ``Executor.runtime``
     arena = None
 
     def __init__(

@@ -18,7 +18,9 @@ requires. The shape of an iteration:
    shared done semaphore. The kernel is the host backend the parent
    resolved from ``MultiprocessConfig.kernel`` once (``auto`` is the
    compiled ``jit`` loop when a compile provider passed its probe);
-   each worker builds it once, with its own buffer arena;
+   each worker builds it once, with its own buffer arena, and runs it on
+   one thread — the ranks are the parallelism, and a forked worker must
+   never enter an OpenMP parallel region (libgomp is not fork-safe);
 3. the parent commits the move step through the shared partitioned core
    (:mod:`repro.distributed.partitioned`) — the same halo-exchange
    accounting over the same :class:`~repro.distributed.halo.RankView`
@@ -56,6 +58,7 @@ import numpy as np
 
 from repro.core.arena import BufferArena
 from repro.core.engine import AlgorithmConfig, IterationTrace
+from repro.core.kernels.jit import cap_threads
 from repro.core.kernels.vectorized import (
     KERNEL_NAMES,
     compiled_runtime,
@@ -178,6 +181,8 @@ def _worker_main(
     # the parent owns interrupt handling; a Ctrl-C must not kill workers
     # mid-round before the parent's orderly shutdown reaches them
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # one compiled-loop thread per rank, also in a spawned worker
+    cap_threads(1)
     shared = None
     try:
         shared = attach_shared(shm_name, layout)
@@ -206,6 +211,7 @@ def _worker_main(
         control = shared["control"]
         status = shared["status"]
         next_comm = shared["next_comm"]
+        threads = shared["threads"]
         active = shared["active"]
         clock_slot = shared["clock"]
         collect = bool(params.get("collect_spans")) and span_queue is not None
@@ -225,12 +231,15 @@ def _worker_main(
             t_wake = time.perf_counter() if collect else 0.0
             try:
                 idx = owned[active[owned]]
+                used = 0
                 for sub in split_by_edges(
                     idx, degrees[idx], chunk_edges, release=release
                 ):
                     result = kernel(state, sub, remove_self)
                     movers = sub[result.move]
                     next_comm[movers] = result.best_comm[result.move]
+                    used = max(used, getattr(kernel, "last_threads", 0) or 0)
+                threads[rank] = used
                 status[rank] = 0
             except BaseException:
                 status[rank] = 1
@@ -338,6 +347,8 @@ class MultiprocessExecutor(HaloExecutor):
             .add("comm_size", (n,), np.int64)
             .add("strength", (n,), np.float64)
             .add("status", (cfg.num_ranks,), np.int64)
+            # threads each rank's kernel ran on last round (0: NumPy or idle)
+            .add("threads", (cfg.num_ranks,), np.int64)
             .add("control", (4,), np.int64)
             # clock[0]: parent perf_counter stamp written before each
             # round release — the rank-side clock-alignment reference
@@ -410,6 +421,7 @@ class MultiprocessExecutor(HaloExecutor):
         shared["comm_strength"][:] = state.comm_strength
         shared["comm_size"][:] = state.comm_size
         shared["status"][:] = -1
+        shared["threads"][:] = 0
         shared["control"][0] = CMD_DECIDE
         if self._collect_spans:
             # the round-release stamp the ranks align their clocks to;
@@ -421,6 +433,7 @@ class MultiprocessExecutor(HaloExecutor):
     def collect(self, trace: IterationTrace) -> None:
         super().collect(trace)
         trace.kernel_backend = self.kernel_name
+        trace.kernel_threads = int(self._shared["threads"].max()) or None
 
     def _round(self) -> None:
         """Release one round, wait for every rank's done post; surface

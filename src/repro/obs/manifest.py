@@ -43,12 +43,13 @@ MANIFEST_SCHEMA_VERSION = 1
 
 def environment_info() -> Dict[str, Optional[str]]:
     """Package/interpreter versions that can change a run's numbers, plus
-    the jit provider ``kernel="auto"`` resolved to and the
+    the jit provider ``kernel="auto"`` resolved to, the threads its
+    compiled loops may use in this process, and the
     ``REPRO_JIT_PROVIDER`` setting behind that choice.
 
-    The provider is read from the jit module's probe cache (None when
-    nothing in this process probed it), so building a manifest never
-    compiles — and never imports :mod:`repro.core`.
+    The provider and its threads are read from the jit module's probe
+    cache (None when nothing in this process probed it), so building a
+    manifest never compiles — and never imports :mod:`repro.core`.
     """
     import scipy
 
@@ -62,6 +63,7 @@ def environment_info() -> Dict[str, Optional[str]]:
         "scipy": scipy.__version__,
         "platform": sys.platform,
         "jit_provider": jit.probed_provider() if jit is not None else None,
+        "jit_threads": jit.probed_threads() if jit is not None else None,
         "REPRO_JIT_PROVIDER": os.environ.get("REPRO_JIT_PROVIDER"),
     }
 

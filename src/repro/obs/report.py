@@ -174,6 +174,8 @@ def render_manifest(manifest: RunManifest) -> str:
         env = manifest.environment
         if "jit_provider" in env:
             line += f" jit_provider={env['jit_provider']}"
+            if env.get("jit_threads") is not None:
+                line += f" jit_threads={env['jit_threads']}"
             if env.get("REPRO_JIT_PROVIDER") is not None:
                 line += f" REPRO_JIT_PROVIDER={env['REPRO_JIT_PROVIDER']}"
         if compile_s:

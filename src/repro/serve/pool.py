@@ -269,6 +269,10 @@ def _worker_main(conn, graph_cache_size: int) -> None:
 
     _set_pdeathsig()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # one compiled-loop thread per worker: the workers are the parallelism
+    from repro.core.kernels.jit import cap_threads
+
+    cap_threads(1)
 
     from repro import obs
     from repro.core.gala import GalaConfig, gala

@@ -328,6 +328,29 @@ class TestTraceAccounting:
         # compile time is charged exactly once, on the first trace
         assert r.history[0].kernel_compile_s >= 0.0
         assert all(h.kernel_compile_s == 0.0 for h in r.history[1:])
+        # these graphs are far below the threshold: every decide is serial
+        assert {h.kernel_threads for h in r.history} == {1}
+
+    def test_threads_in_trace_above_threshold(self):
+        """A graph above the threshold decides on the runtime's threads in
+        every iteration; its coarse levels, below it, on one."""
+        if _compiled is None:
+            pytest.skip("no compile provider on this machine")
+        from repro.core.louvain import louvain
+
+        g = rmat_graph(13, edge_factor=16.0, seed=5)
+        assert len(g.indices) >= jitmod.PARALLEL_MIN_ENTRIES
+        r = louvain(g, Phase1Config(pruning="mg", kernel="auto"))
+        assert r.num_levels > 1
+        for level in r.levels:
+            big = len(level.graph.indices) >= jitmod.PARALLEL_MIN_ENTRIES
+            want = _compiled.threads if big else 1
+            assert {h.kernel_threads for h in level.phase1.history
+                    if h.num_active} == {want}
+
+    def test_vectorized_kernel_reports_no_threads(self, graph):
+        r = run_phase1(graph, Phase1Config(kernel="vectorized"))
+        assert {h.kernel_threads for h in r.history} == {None}
 
     def test_manifest_records_backend_and_arena(self, graph):
         from repro.obs.manifest import build_manifest
@@ -343,6 +366,9 @@ class TestTraceAccounting:
         # the provider auto resolved to is part of the environment record
         expected = _compiled.provider if _compiled is not None else None
         assert m.environment["jit_provider"] == expected
+        # so is the thread count its compiled loops may use here
+        threads = _compiled.threads if _compiled is not None else None
+        assert m.environment["jit_threads"] == threads
 
     def test_manifest_environment_never_probes(self, monkeypatch):
         """The provider is read from the probe cache: building the
@@ -355,6 +381,7 @@ class TestTraceAccounting:
         try:
             env = environment_info()
             assert env["jit_provider"] is None
+            assert env["jit_threads"] is None
             assert env["REPRO_JIT_PROVIDER"] == "cc"
             assert not jitmod._cache
         finally:
@@ -369,4 +396,186 @@ class TestTraceAccounting:
         text = render_manifest(m)
         assert "kernel:" in text
         assert "jit_provider=" in text
+        if _compiled is not None:
+            assert f"jit_threads={_compiled.threads}" in text
         assert "arena: allocs=" in text
+
+
+def _forced_decide(rt, state, idx, remove_self, threads, stamp=0):
+    """The runtime's decide at exactly ``threads`` threads, whatever the
+    entry count, with fresh scratch of ``threads`` slices; returns the
+    four outputs and the returned stamp."""
+    g = state.graph
+    n, n_act = g.n, len(idx)
+    slots = threads * max(int(g.degrees.max()), 1)
+    outs = (np.empty(n_act, dtype=np.int64), np.empty(n_act),
+            np.empty(n_act), np.empty(n_act, dtype=np.bool_))
+    end = rt.decide(
+        idx, g.indptr, g.indices, g.weights, state.comm, g.strength,
+        np.ascontiguousarray(state.comm_strength, dtype=np.float64),
+        np.ascontiguousarray(state.comm_size, dtype=np.int64),
+        float(state.resolution), float(g.total_weight), float(g.two_m),
+        int(remove_self), np.zeros(threads * n),
+        np.zeros(threads * n, dtype=np.int64),
+        np.zeros(slots, dtype=np.int64), stamp, *outs, threads,
+    )
+    return outs, end
+
+
+@pytest.mark.skipif(_compiled is None, reason="no compile provider here")
+class TestThreadedDecide:
+    """The C decide at 1, 2 and 3 forced threads against the interpreted
+    loop, on the recorded-assignment inputs of ``engine_regression.npz``."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        from pathlib import Path
+
+        return np.load(Path(__file__).parents[1] / "data" / "engine_regression.npz")
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("dataset", ["LJ", "OR", "HW"])
+    def test_recorded_states_match_interpreted(self, baseline, dataset, threads):
+        from repro.graph.generators import load_dataset
+
+        g = load_dataset(dataset, 0.1)
+        ref = require_runtime("python")
+        rng = np.random.default_rng(11)
+        for key in (f"{dataset}01_rs1_local_comm", f"{dataset}01_rs0_dist2_comm"):
+            state = CommunityState.from_assignment(g, baseline[key],
+                                                   resolution=1.25)
+            for remove_self in (True, False):
+                idx = np.flatnonzero(rng.random(g.n) < 0.7)
+                want, w_end = _forced_decide(ref, state, idx, remove_self, 1, 9)
+                got, g_end = _forced_decide(_compiled, state, idx, remove_self,
+                                            threads, 9)
+                assert g_end == w_end == 9 + len(idx)
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes()
+
+    def test_scratch_must_hold_every_thread_slice(self):
+        g = ring_of_cliques(4, 5)
+        state = CommunityState.singletons(g)
+        idx = np.arange(g.n, dtype=np.int64)
+        with pytest.raises(ValueError, match="slices"):
+            _compiled.decide(
+                idx, g.indptr, g.indices, g.weights, state.comm, g.strength,
+                state.comm_strength, state.comm_size, 1.0,
+                float(g.total_weight), float(g.two_m), 1, np.zeros(g.n),
+                np.zeros(g.n, dtype=np.int64), np.zeros(8, dtype=np.int64), 0,
+                np.empty(g.n, dtype=np.int64), np.empty(g.n), np.empty(g.n),
+                np.empty(g.n, dtype=np.bool_), 2,
+            )
+
+    def test_kernel_switches_threads_at_the_threshold(self, monkeypatch):
+        """On a graph of at least :data:`PARALLEL_MIN_ENTRIES` entries a
+        call runs on the runtime's threads, whatever its active set; on a
+        smaller graph on one, with one scratch slice whatever the
+        runtime's threads. Both give the reference decisions."""
+        big = rmat_graph(10, edge_factor=8.0, seed=2)
+        small = ring_of_cliques(8, 6)
+        monkeypatch.setattr(jitmod, "PARALLEL_MIN_ENTRIES", len(big.indices))
+        monkeypatch.setattr(_compiled, "threads", 2)
+        k = JitKernel(runtime=_compiled)
+        for g, threads in ((big, 2), (small, 1), (big, 2)):
+            state = CommunityState.singletons(g)
+            k.reset(state)
+            all_idx = np.arange(g.n, dtype=np.int64)
+            for idx in (all_idx, all_idx[: g.n // 8]):
+                _assert_results_equal(k(state, idx, True),
+                                      decide_moves(state, idx))
+                assert k.last_threads == threads
+                assert k._slices == threads
+
+
+class TestProbeCoverage:
+    def test_probe_rejects_mg_without_self_correction(self, monkeypatch):
+        """A provider whose MG test drops the ``+ d(v)`` self-correction
+        (Eq. 6 verbatim under ``remove_self=True``) prunes vertices that
+        can still move; the probe compares it with the NumPy mask, so it
+        is never selected."""
+
+        def no_correction(strength, self_weight, d_comm, comm, comm_strength,
+                          comm_size, gamma, two_m, remove_self, threshold, out,
+                          threads=1):
+            jitmod._mg_inactive_loop(strength, self_weight, d_comm, comm,
+                                     comm_strength, comm_size, gamma, two_m,
+                                     0, threshold, out)
+
+        def broken():
+            rt = jitmod._python_runtime()
+            rt.mg_inactive = no_correction
+            return rt
+
+        with pytest.raises(RuntimeError, match="smoke probe"):
+            jitmod._smoke_compare(broken())
+        monkeypatch.setitem(jitmod._PROVIDERS, "cc", broken)
+        jitmod._reset_runtime_cache()
+        try:
+            assert jitmod._probe("cc") is None
+        finally:
+            jitmod._reset_runtime_cache()
+
+    def test_probe_rejects_unordered_internal_weights(self, monkeypatch):
+        """Adding the self-loop terms before the edges changes the float
+        sums on the fixtures; the probe compares against
+        ``community_internal_weights`` and rejects it."""
+
+        def loops_first(indptr, indices, weights, self_weight, comm, internal):
+            for v in range(comm.shape[0]):
+                internal[comm[v]] += 2.0 * self_weight[v]
+            for u in range(comm.shape[0]):
+                for e in range(indptr[u], indptr[u + 1]):
+                    if comm[indices[e]] == comm[u]:
+                        internal[comm[u]] += weights[e]
+
+        def broken():
+            rt = jitmod._python_runtime()
+            rt.internal_weights = loops_first
+            return rt
+
+        with pytest.raises(RuntimeError, match="smoke probe"):
+            jitmod._smoke_compare(broken())
+
+
+@pytest.mark.skipif(_compiled is None, reason="no compile provider here")
+class TestNoOpenMP:
+    def test_build_without_openmp_runs_on_one_thread(self, tmp_path, monkeypatch):
+        """A compiler that rejects ``-fopenmp`` still gives a working,
+        bit-identical provider, one that reports one thread."""
+        import os
+        import shlex
+        import shutil
+        import stat
+
+        real = shutil.which(os.environ.get("CC", "cc"))
+        wrapper = tmp_path / "cc-without-openmp"
+        wrapper.write_text(
+            "#!/bin/sh\n"
+            'for a in "$@"; do [ "$a" = -fopenmp ] && exit 1; done\n'
+            f'exec {shlex.quote(real)} "$@"\n'
+        )
+        wrapper.chmod(wrapper.stat().st_mode | stat.S_IXUSR)
+        monkeypatch.setenv("CC", str(wrapper))
+        monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path / "cache"))
+        jitmod._reset_runtime_cache()
+        try:
+            rt = jitmod._probe("cc")
+            assert rt is not None
+            assert not rt.openmp and rt.threads == 1
+            g = rmat_graph(10, edge_factor=8.0, seed=4)
+            state = CommunityState.singletons(g)
+            idx = np.arange(g.n, dtype=np.int64)
+            got, _ = _forced_decide(rt, state, idx, True, 2)
+            ref = decide_moves(state, idx)
+            for a, b in zip(got, (ref.best_comm, ref.best_gain,
+                                  ref.stay_gain, ref.move)):
+                assert a.tobytes() == b.tobytes()
+            cfg = dict(pruning="mg")
+            r = run_phase1(g, Phase1Config(kernel=JitKernel(runtime=rt), **cfg))
+            want = run_phase1(g, Phase1Config(kernel="vectorized", **cfg))
+            np.testing.assert_array_equal(r.communities, want.communities)
+            assert r.modularity == want.modularity
+            assert {h.kernel_threads for h in r.history} == {1}
+        finally:
+            jitmod._reset_runtime_cache()

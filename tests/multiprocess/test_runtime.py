@@ -141,6 +141,11 @@ class TestBitExactMatrix:
             h.num_moved for h in local.history
         ]
         assert {h.kernel_backend for h in mp.history} == {kernel}
+        # the ranks report the threads their kernel ran on: one per rank
+        # for jit, none for NumPy (None also marks a round with no work)
+        threads = {h.kernel_threads for h in mp.history}
+        assert threads <= ({1, None} if kernel == "jit" else {None})
+        assert (1 in threads) == (kernel == "jit")
 
     def test_auto_kernel_resolves_in_the_parent(self, graphs):
         compiled = _runtime is not None and _runtime.provider != "python"

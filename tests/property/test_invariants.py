@@ -338,6 +338,96 @@ class TestMGSoundnessProperty:
         assert not np.any(moved & inactive)
 
 
+@pytest.mark.skipif(_compiled is None, reason="no compile provider here")
+class TestThreadedCompiledEntries:
+    """The compiled per-vertex entries against their references: decide
+    at 1, 2 and 3 forced threads against the interpreted loop, the MG
+    mask against the NumPy ``inactive_mask``, and the final-modularity
+    ``internal_weights`` against ``modularity()``, byte for byte."""
+
+    @given(
+        graph_with_partition(max_n=300, max_edges=1200),
+        st.sampled_from([1, 2, 3]),
+        st.booleans(),
+        st.sampled_from([0.5, 1.0, 1.7]),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_decide_at_any_thread_count(self, gp, threads, remove_self,
+                                        gamma, seed):
+        from repro.core.kernels.jit import _decide_loop
+
+        g, comm = gp
+        state = CommunityState.from_assignment(g, comm, resolution=gamma)
+        n = g.n
+        rng = np.random.default_rng(seed)
+        slots = max(int(g.degrees.max()), 1)
+
+        def run(decide, t):
+            scratch = (np.zeros(t * n), np.zeros(t * n, dtype=np.int64),
+                       np.zeros(t * slots, dtype=np.int64))
+            stamp, outs = 0, []
+            # two calls through one scratch: the stamps carry over
+            for idx in (np.arange(n, dtype=np.int64),
+                        np.flatnonzero(rng.random(n) < 0.5)):
+                out = (np.empty(len(idx), dtype=np.int64), np.empty(len(idx)),
+                       np.empty(len(idx)), np.empty(len(idx), dtype=np.bool_))
+                stamp = decide(
+                    idx, g.indptr, g.indices, g.weights, state.comm,
+                    g.strength, state.comm_strength, state.comm_size, gamma,
+                    float(g.total_weight), float(g.two_m), int(remove_self),
+                    *scratch, stamp, *out, t,
+                )
+                outs.extend(out)
+            return stamp, outs
+
+        want_stamp, want = run(_decide_loop, 1)
+        rng = np.random.default_rng(seed)
+        got_stamp, got = run(_compiled.decide, threads)
+        assert got_stamp == want_stamp
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @given(
+        graph_with_partition(),
+        st.booleans(),
+        st.sampled_from([0.5, 1.3, 2.0]),
+        st.sampled_from([1, 2, 3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mg_mask_matches_numpy(self, gp, remove_self, gamma, threads):
+        g, comm = gp
+        state = CommunityState.from_assignment(g, comm, resolution=gamma)
+        mg = ModularityGainPruning()
+        want = mg.inactive_mask(state, remove_self)
+        for provider in DELTA_PROVIDERS:
+            rt = require_runtime(provider)
+            got = mg.inactive_mask(state, remove_self, runtime=rt)
+            assert got.tobytes() == want.tobytes()
+            forced = np.empty(g.n, dtype=np.bool_)
+            rt.mg_inactive(g.strength, g.self_weight, state.d_comm,
+                           state.comm, state.comm_strength, state.comm_size,
+                           gamma, g.two_m, int(remove_self),
+                           mg.slack * g.two_m, forced, threads)
+            assert forced.tobytes() == want.tobytes()
+
+    @given(graph_with_partition(), st.sampled_from([0.5, 1.0, 1.7]))
+    @settings(max_examples=60, deadline=None)
+    def test_final_modularity_matches(self, gp, gamma):
+        from repro.core.modularity import community_internal_weights
+
+        g, comm = gp
+        want = community_internal_weights(g, comm)
+        for provider in DELTA_PROVIDERS:
+            rt = require_runtime(provider)
+            got = community_internal_weights(g, comm, runtime=rt)
+            assert got.tobytes() == want.tobytes()
+            q = modularity(g, comm, resolution=gamma, runtime=rt)
+            assert np.float64(q).tobytes() == np.float64(
+                modularity(g, comm, resolution=gamma)
+            ).tobytes()
+
+
 class TestTrajectoryProperty:
     @given(random_graphs(max_n=14, max_edges=30, loops=False))
     @settings(max_examples=25, deadline=None)
