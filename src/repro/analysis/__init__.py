@@ -151,8 +151,6 @@ class Sanitizer:
         self.race = RaceChecker(self.log)
         self.mem = MemChecker(self.log)
         self.sync = SyncChecker(self.log)
-        self._launches = 0
-        self._launch_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def _on_finding(self, finding: Finding) -> None:
@@ -163,15 +161,6 @@ class Sanitizer:
         obs.inc(f"sanitizer/kind/{finding.kind}")
         if self.config.on_finding == "raise":
             raise finding.to_error()
-
-    # ------------------------------------------------------------------ #
-    # launch bookkeeping
-    # ------------------------------------------------------------------ #
-    def next_launch(self) -> int:
-        """A fresh launch ordinal for tagging findings."""
-        with self._launch_lock:
-            self._launches += 1
-            return self._launches
 
     # ------------------------------------------------------------------ #
     # invariant-audit entry points (thin wrappers adding log + gating)

@@ -302,17 +302,3 @@ def collapse_fstring(
             if not parts or parts[-1] != "*":
                 parts.append("*")
     return "".join(parts)
-
-
-def string_arg(
-    call: ast.Call, substitutions: Optional[Dict[str, str]] = None
-) -> Optional[str]:
-    """First positional argument as a (possibly collapsed) string."""
-    if not call.args:
-        return None
-    arg = call.args[0]
-    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-        return arg.value
-    if isinstance(arg, ast.JoinedStr):
-        return collapse_fstring(arg, substitutions)
-    return None

@@ -66,7 +66,7 @@ def format_series(
 #: IterationTrace columns every runtime populates, in display order
 _TRACE_BASE_COLUMNS = ("iteration", "num_active", "num_moved", "modularity")
 #: optional IterationTrace columns, shown only when some record carries a
-#: non-default value (kernel accounting on the local runtime, sync/comm
+#: non-default value (kernel accounting on every runtime, sync/comm
 #: accounting on the multi-GPU and distributed ones)
 _TRACE_OPTIONAL_COLUMNS = (
     "kernel_backend",

@@ -18,7 +18,6 @@ from repro.core.modularity import modularity, modularity_gain_matrix
 from repro.core.state import CommunityState
 from repro.core.engine import (
     ConvergenceTracker,
-    EngineConfig,
     EngineResult,
     Executor,
     IterationTrace,
@@ -40,7 +39,6 @@ __all__ = [
     "modularity_gain_matrix",
     "CommunityState",
     "ConvergenceTracker",
-    "EngineConfig",
     "EngineResult",
     "Executor",
     "IterationTrace",

@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Iterator, Optional, TypeVar, Union
 
 import numpy as np
@@ -301,22 +301,8 @@ class OracleProbe:
 
 
 # --------------------------------------------------------------------- #
-# engine configuration / result
+# algorithm configuration / result
 # --------------------------------------------------------------------- #
-@dataclass
-class EngineConfig:
-    """The loop knobs shared by every runtime (see :class:`AlgorithmConfig`
-    for the per-knob rationale)."""
-
-    pruning: Union[str, PruningStrategy, None] = "none"
-    remove_self: bool = True
-    theta: float = 1e-6
-    patience: int = 3
-    max_iterations: int = 500
-    oracle: bool = False
-    seed: SeedLike = 0
-
-
 @dataclass
 class AlgorithmConfig:
     """The algorithmic fields every phase-1 runtime shares.
@@ -367,11 +353,10 @@ class AlgorithmConfig:
     oracle: bool = False
     seed: SeedLike = 0
 
-    def engine_config(self) -> EngineConfig:
-        """A fresh :class:`EngineConfig` (callers may mutate it)."""
-        return EngineConfig(
-            **{f.name: getattr(self, f.name) for f in fields(EngineConfig)}
-        )
+    def engine_config(self) -> "AlgorithmConfig":
+        """A copy of this config for :func:`run_engine` (callers may
+        mutate it)."""
+        return replace(self)
 
 
 R = TypeVar("R", bound="EngineResult")
@@ -389,8 +374,8 @@ class EngineResult:
     modularity: float
     num_iterations: int
     history: list[IterationTrace]
-    #: wall-clock seconds per phase (``decide_and_move``, ``pruning``, and
-    #: on the local runtime ``weight_update`` and ``aggregate``)
+    #: wall-clock seconds per phase (``decide_and_move``, ``weight_update``,
+    #: ``aggregate`` and ``pruning``, on every runtime)
     timers: dict[str, float]
     state: CommunityState
     #: total DecideAndMove vertex-processings (sum of active counts); the
@@ -413,9 +398,12 @@ class EngineResult:
 # --------------------------------------------------------------------- #
 # the loop
 # --------------------------------------------------------------------- #
-def run_engine(executor: Executor, config: EngineConfig | None = None) -> EngineResult:
-    """Drive ``executor`` through the BSP phase-1 loop to convergence."""
-    cfg = config or EngineConfig()
+def run_engine(
+    executor: Executor, config: AlgorithmConfig | None = None
+) -> EngineResult:
+    """Drive ``executor`` through the BSP phase-1 loop to convergence; of
+    ``config`` it reads the loop knobs (pruning, convergence, oracle, seed)."""
+    cfg = config or AlgorithmConfig()
     strategy = make_strategy(cfg.pruning)
     rng = as_generator(cfg.seed)
     # Observability is strictly opt-in: without an active session ``tr``

@@ -267,7 +267,6 @@ def _multiprocess_runner(cfg: GalaConfig):
     are orders of magnitude smaller, where worker startup would dominate,
     so they stay on the local path. Both paths are bit-identical.
     """
-    from repro.core.phase1 import run_phase1 as run_local
     from repro.multiprocess import run_multiprocess_phase1
 
     mp_cfg = cfg.multiprocess_config()
@@ -275,7 +274,7 @@ def _multiprocess_runner(cfg: GalaConfig):
     def runner(graph: CSRGraph, p1cfg: Phase1Config, round_idx: int):
         if round_idx == 0:
             return run_multiprocess_phase1(graph, mp_cfg)
-        return run_local(graph, p1cfg)
+        return run_phase1(graph, p1cfg)
 
     return runner
 
@@ -290,27 +289,17 @@ def _run_gala(
             f"(vectorized or jit), not the simulated GPU"
         )
     p1cfg = cfg.phase1_config()
-    if cfg.runtime == "multiprocess":
-        if cfg.phase1_only:
-            from repro.multiprocess import run_multiprocess_phase1
-
-            result = run_multiprocess_phase1(graph, cfg.multiprocess_config())
-        else:
-            result = louvain(
-                graph,
-                phase1_config=p1cfg,
-                round_theta=cfg.round_theta,
-                max_rounds=cfg.max_rounds,
-                phase1_runner=_multiprocess_runner(cfg),
-            )
-    elif cfg.phase1_only:
-        result = run_phase1(graph, p1cfg)
+    runner = _multiprocess_runner(cfg) if cfg.runtime == "multiprocess" else None
+    if cfg.phase1_only:
+        result = runner(graph, p1cfg, 0) if runner else run_phase1(graph, p1cfg)
     else:
+        # through the module global, which tracing harnesses may swap
         result = louvain(
             graph,
             phase1_config=p1cfg,
             round_theta=cfg.round_theta,
             max_rounds=cfg.max_rounds,
+            phase1_runner=runner,
         )
 
     # Every GALA result carries a run manifest: config, seed, graph

@@ -13,6 +13,11 @@ distributed Louvain:
 Send lists are the transpose of ghost sets, so a rank only ever sends an
 update to ranks that actually mirror the vertex — the communication-
 volume property that distinguishes halo exchange from broadcast.
+
+:class:`HaloExecutor` adds that exchange, with its byte and message
+accounting, to the executor core
+(:class:`~repro.core.phase1.PartitionedExecutor`) for the distributed and
+multiprocess runtimes, so their :class:`HaloStats` match bit for bit.
 """
 
 from __future__ import annotations
@@ -21,9 +26,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.engine import AlgorithmConfig, EngineResult, IterationTrace
+from repro.core.phase1 import PartitionedExecutor
 from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import VertexPartition
+from repro.obs import _session as obs
+
+#: bytes per halo update record: vertex id (8) + community id (8)
+HALO_BYTES_PER_UPDATE = 16
+#: simple MPI-ish cost model for the simulated interconnect
+LINK_BANDWIDTH = 25e9  # bytes/s
+MESSAGE_LATENCY = 2e-6  # seconds per point-to-point message
 
 
 @dataclass
@@ -99,3 +113,115 @@ def build_rank_views(
             if len(mine_ghosted_there):
                 view.send_lists[other.rank] = mine_ghosted_there
     return views
+
+
+@dataclass
+class HaloStats:
+    """Communication accounting for one run."""
+
+    messages: int = 0
+    bytes_sent: int = 0
+    #: per-iteration payload bytes (all ranks summed)
+    bytes_per_iteration: list = field(default_factory=list)
+    #: per-iteration point-to-point messages (all ranks summed)
+    messages_per_iteration: list = field(default_factory=list)
+
+    def record(self, iteration_bytes: int, iteration_messages: int) -> None:
+        self.messages += iteration_messages
+        self.bytes_sent += iteration_bytes
+        self.bytes_per_iteration.append(iteration_bytes)
+        self.messages_per_iteration.append(iteration_messages)
+
+    def comm_seconds(self) -> float:
+        return (
+            self.bytes_sent / LINK_BANDWIDTH
+            + self.messages * MESSAGE_LATENCY
+        )
+
+
+@dataclass
+class RankResult(EngineResult):
+    """Engine result plus the rank views and halo-exchange accounting."""
+
+    views: list[RankView] = field(default_factory=list)
+    stats: HaloStats = field(default_factory=HaloStats)
+    num_ranks: int = 0
+    #: cumulative halo bytes *sent by each rank* across the run — the
+    #: per-rank split of ``stats.bytes_sent`` (index = rank)
+    rank_halo_bytes: list[int] = field(default_factory=list)
+    #: what dense broadcast of the full array every iteration would cost
+    broadcast_bytes_equivalent: int = 0
+
+
+class HaloExecutor(PartitionedExecutor):
+    """Partitioned executor that exchanges moves as Vite-style halo
+    messages: each rank sends each neighbouring rank exactly the movers
+    that rank ghosts."""
+
+    result_type: type[RankResult] = RankResult
+
+    def __init__(
+        self,
+        graph: CSRGraph,
+        config: AlgorithmConfig,
+        num_ranks: int,
+        partition: VertexPartition | None = None,
+        kernel=None,
+        updater=None,
+    ):
+        super().__init__(
+            graph, config, num_ranks, partition, kernel=kernel, updater=updater
+        )
+        self.views = build_rank_views(graph, self.partition)
+        self.stats = HaloStats()
+        #: cumulative halo bytes sent by each rank
+        self.rank_bytes = [0] * num_ranks
+
+    def _sync(self, next_comm: np.ndarray, moved: np.ndarray) -> np.ndarray:
+        self.exchange_halo(next_comm, self.rank_movers(moved))
+        return next_comm
+
+    def exchange_halo(self, next_comm: np.ndarray, movers: list[np.ndarray]) -> None:
+        """Price one iteration's halo exchange (and deliver it through
+        :meth:`_deliver`): per-destination payloads, span, counters,
+        :class:`HaloStats` and per-rank bytes."""
+        iteration_bytes = 0
+        iteration_messages = 0
+        halo_span = obs.span("halo/exchange", ranks=len(self.views))
+        with halo_span:
+            for view, rank_movers in zip(self.views, movers):
+                view_bytes = 0
+                for dest, send_list in view.send_lists.items():
+                    payload = np.intersect1d(rank_movers, send_list)
+                    if len(payload) == 0:
+                        continue
+                    self._deliver(dest, payload, next_comm)
+                    view_bytes += len(payload) * HALO_BYTES_PER_UPDATE
+                    iteration_messages += 1
+                self.rank_bytes[view.rank] += view_bytes
+                iteration_bytes += view_bytes
+            halo_span.tag(bytes=iteration_bytes, messages=iteration_messages)
+        obs.inc("comm/halo_bytes_total", iteration_bytes)
+        obs.inc("comm/halo_messages_total", iteration_messages)
+        self.stats.record(iteration_bytes, iteration_messages)
+
+    def _deliver(self, dest: int, payload: np.ndarray, next_comm: np.ndarray) -> None:
+        """Transport hook: rank ``dest`` receives ``payload``'s new ids.
+        (The multiprocess payload already moved through shared memory.)"""
+
+    def collect(self, trace: IterationTrace) -> None:
+        super().collect(trace)
+        trace.comm_bytes = self.stats.bytes_per_iteration[-1]
+        trace.comm_messages = self.stats.messages_per_iteration[-1]
+
+    def result(self, result: EngineResult) -> RankResult:
+        return self.result_type.from_engine(
+            result,
+            views=self.views,
+            stats=self.stats,
+            num_ranks=self.num_ranks,
+            rank_halo_bytes=list(self.rank_bytes),
+            broadcast_bytes_equivalent=(
+                result.num_iterations * self.state.graph.n * 8 * self.num_ranks
+            ),
+        )

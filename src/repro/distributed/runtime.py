@@ -19,7 +19,9 @@ count and any partition (tested). What differs — and what this module
 measures — is the communication: halo volume is proportional to the
 *boundary* moved vertices, not to n.
 
-Everything but the rank mirrors lives in :mod:`repro.distributed.partitioned`.
+Everything but the rank mirrors lives in the executor core
+(:class:`~repro.core.phase1.PartitionedExecutor`) and the halo exchange
+(:class:`~repro.distributed.halo.HaloExecutor`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from repro.core.engine import AlgorithmConfig
 from repro.core.state import CommunityState
-from repro.distributed.partitioned import HaloExecutor, RankResult
+from repro.distributed.halo import HaloExecutor, RankResult
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import VertexPartition
 
@@ -83,9 +85,10 @@ class DistributedExecutor(HaloExecutor):
             resolution=state.resolution,
         )
 
-    def _sync(self, next_comm: np.ndarray, movers: list[np.ndarray]) -> np.ndarray:
+    def _sync(self, next_comm: np.ndarray, moved: np.ndarray) -> np.ndarray:
         # each rank updates its own mirror with its own moves, then the
         # halo exchange delivers the updates every rank ghosts
+        movers = self.rank_movers(moved)
         for view, rank_movers in zip(self.views, movers):
             self.local_comm[view.rank][rank_movers] = next_comm[rank_movers]
         self.exchange_halo(next_comm, movers)
@@ -109,4 +112,4 @@ def run_distributed_phase1(
 ) -> DistributedResult:
     """Run phase 1 across simulated ranks with halo-exchange consistency."""
     cfg = config or DistributedConfig()
-    return DistributedExecutor(graph, cfg, partition).run(cfg.engine_config())
+    return DistributedExecutor(graph, cfg, partition).run()

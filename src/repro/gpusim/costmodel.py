@@ -58,20 +58,15 @@ class CostModel:
             return base * transactions
         return base * n
 
-    def atomic(self, kind: MemoryKind, n: int = 1, max_conflict: int = 1) -> float:
-        """Cycles for ``n`` atomics, serialised ``max_conflict`` deep.
-
-        When several lanes hit the same address simultaneously the hardware
-        serialises them; the worst chain dominates the warp's latency, so
-        the cost scales with ``max_conflict``.
-        """
+    def atomic(self, kind: MemoryKind, n: int = 1) -> float:
+        """Cycles for ``n`` atomics."""
         if kind is MemoryKind.SHARED:
             per = self.shared_cycles + self.shared_atomic_cycles
         elif kind is MemoryKind.GLOBAL:
             per = self.global_cycles + self.global_atomic_cycles
         else:
             raise ValueError("atomics operate on shared or global memory")
-        return per * n * max(1, max_conflict)
+        return per * n
 
     def warp_primitive(self, n: int = 1) -> float:
         return self.warp_primitive_cycles * n

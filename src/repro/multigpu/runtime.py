@@ -17,7 +17,8 @@ engine (a test invariant); what changes is the simulated time: computation
 shrinks with more devices, communication does not — reproducing Figure
 10(b)'s breakdown.
 
-The loop and the commit step live in :mod:`repro.distributed.partitioned`.
+The loop and the commit step live in the executor core
+(:class:`~repro.core.phase1.PartitionedExecutor`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.engine import AlgorithmConfig, EngineResult, IterationTrace
-from repro.distributed.partitioned import PartitionedExecutor
+from repro.core.phase1 import PartitionedExecutor
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import VertexPartition
 from repro.gpusim.costmodel import MemoryKind
@@ -125,7 +126,6 @@ class MultiGpuExecutor(PartitionedExecutor):
             self.partition.owner == i for i in range(config.num_gpus)
         ]
         self._last_plan: SyncPlan | None = None
-        self._cycles_seen = 0.0
 
     def _charge_decide(self, rank: int, idx: np.ndarray) -> None:
         dev = self.devices[rank]
@@ -133,8 +133,9 @@ class MultiGpuExecutor(PartitionedExecutor):
             "compute", _estimate_decide_cycles(self.state.graph, idx, dev)
         )
 
-    def _sync(self, next_comm: np.ndarray, movers: list[np.ndarray]) -> np.ndarray:
+    def _sync(self, next_comm: np.ndarray, moved: np.ndarray) -> np.ndarray:
         cfg = self.config
+        movers = self.rank_movers(moved)
         num_moved = sum(len(m) for m in movers)
 
         # synchronise the new assignment across devices
@@ -176,12 +177,10 @@ class MultiGpuExecutor(PartitionedExecutor):
         return merged
 
     def collect(self, trace: IterationTrace) -> None:
+        super().collect(trace)
         trace.sync_plan = self._last_plan
         if self._last_plan is not None:
             trace.comm_bytes = self._last_plan.chosen_bytes
-        total = sum(d.profiler.total_cycles for d in self.devices)
-        trace.sim_cycles = total - self._cycles_seen
-        self._cycles_seen = total
 
     def profilers(self) -> dict:
         return {f"dev{d.device_id}": d.profiler for d in self.devices}
@@ -199,4 +198,4 @@ def run_multigpu_phase1(
 ) -> MultiGpuResult:
     """Run phase 1 distributed over ``config.num_gpus`` simulated devices."""
     cfg = config or MultiGpuConfig()
-    return MultiGpuExecutor(graph, cfg, partition).run(cfg.engine_config())
+    return MultiGpuExecutor(graph, cfg, partition).run()

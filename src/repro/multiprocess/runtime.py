@@ -21,8 +21,8 @@ requires. The shape of an iteration:
    each worker builds it once, with its own buffer arena, and runs it on
    one thread — the ranks are the parallelism, and a forked worker must
    never enter an OpenMP parallel region (libgomp is not fork-safe);
-3. the parent commits the move step through the shared partitioned core
-   (:mod:`repro.distributed.partitioned`) — the same halo-exchange
+3. the parent commits the move step through the executor core
+   (:class:`~repro.core.phase1.PartitionedExecutor`) — the same halo-exchange
    accounting over the same :class:`~repro.distributed.halo.RankView`
    send lists as the simulated runtime (so ``HaloStats`` match it bit
    for bit), then the community weight update — the same backend's
@@ -56,7 +56,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.arena import BufferArena
 from repro.core.engine import AlgorithmConfig, IterationTrace
 from repro.core.kernels.jit import cap_threads
 from repro.core.kernels.vectorized import (
@@ -66,7 +65,7 @@ from repro.core.kernels.vectorized import (
 )
 from repro.core.state import CommunityState
 from repro.core.weights import make_weight_updater
-from repro.distributed.partitioned import HaloExecutor, RankResult
+from repro.distributed.halo import HaloExecutor, RankResult
 from repro.graph.csr import CSRGraph
 from repro.graph.mmap_store import (
     DEFAULT_CHUNK_EDGES,
@@ -300,20 +299,18 @@ class MultiprocessExecutor(HaloExecutor):
         kernel = make_kernel(cfg.kernel)
         #: the backend name every rank worker runs (``vectorized``/``jit``)
         self.kernel_name: str = kernel.name
-        runtime = compiled_runtime(kernel)
         # chunked delta is bit-identical to the plain path and keeps the
         # parent's transient allocations at O(chunk) on memmapped graphs
         # (where it also drops its resident pages per chunk)
         updater = make_weight_updater(
             cfg.weight_update,
-            runtime=runtime,
+            runtime=compiled_runtime(kernel),
             chunk_edges=cfg.chunk_edges,
             release=graph.release_pages if isinstance(graph, MmapCSRGraph) else None,
         )
-        super().__init__(graph, cfg, cfg.num_ranks, partition, updater)
-        if runtime is not None:
-            self.runtime = runtime
-            self.arena = BufferArena("multiprocess")
+        super().__init__(
+            graph, cfg, cfg.num_ranks, partition, kernel=kernel, updater=updater
+        )
         #: collect per-round rank spans only when an obs session is live
         #: at construction — the disabled path costs one flag check per
         #: round in the workers and nothing in the parent
@@ -585,4 +582,4 @@ def run_multiprocess_phase1(
     returns, error or not.
     """
     cfg = config or MultiprocessConfig()
-    return MultiprocessExecutor(graph, cfg, partition).run(cfg.engine_config())
+    return MultiprocessExecutor(graph, cfg, partition).run()

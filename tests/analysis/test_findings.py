@@ -192,10 +192,6 @@ class TestSession:
             san.raise_if_findings()
         assert exc.value.findings[0].kind == "oob-access"
 
-    def test_next_launch_monotone(self):
-        san = Sanitizer()
-        assert [san.next_launch() for _ in range(3)] == [1, 2, 3]
-
     def test_summary_and_report_carry_mode(self):
         with analysis.sanitized("strict") as san:
             pass

@@ -10,16 +10,27 @@ from repro.core.engine import (
     IterationTrace,
 )
 from repro.core.phase1 import (
+    LocalExecutor,
+    PartitionedExecutor,
     Phase1Config,
     Phase1Result,
     run_phase1,
 )
 from repro.bench.reporting import format_table, trace_rows
-from repro.distributed import DistributedConfig, run_distributed_phase1
+from repro.distributed import (
+    DistributedConfig,
+    DistributedExecutor,
+    run_distributed_phase1,
+)
 from repro.graph.generators import load_dataset, ring_of_cliques
+from repro.graph.partition import partition_by_degree
 from repro.metrics.fnr_fpr import pruning_rates
-from repro.multigpu import MultiGpuConfig, run_multigpu_phase1
-from repro.multiprocess import MultiprocessConfig, run_multiprocess_phase1
+from repro.multigpu import MultiGpuConfig, MultiGpuExecutor, run_multigpu_phase1
+from repro.multiprocess import (
+    MultiprocessConfig,
+    MultiprocessExecutor,
+    run_multiprocess_phase1,
+)
 
 
 @pytest.fixture(scope="module")
@@ -132,13 +143,51 @@ class TestUnifiedTraceSchema:
         lrows = trace_rows(local.history)
         drows = trace_rows(dist.history)
         assert "kernel_backend" in lrows[0] and "comm_bytes" not in lrows[0]
-        assert "comm_bytes" in drows[0] and "kernel_backend" not in drows[0]
+        assert "comm_bytes" in drows[0]
+        # the rank runtimes decide through the core's NumPy kernel
+        assert drows[0]["kernel_backend"] == "vectorized"
         assert format_table(lrows) and format_table(drows)
 
     def test_multigpu_trace_records_sync_volume(self, graph):
         multi = run_multigpu_phase1(graph, MultiGpuConfig(num_gpus=2))
         for h in multi.history:
             assert h.comm_bytes == h.sync_plan.chosen_bytes
+
+
+class TestOneExecutorCore:
+    """Every runtime is the partitioned executor core plus its sync: the
+    local runtime is its one-rank case."""
+
+    RUNTIMES = (LocalExecutor, DistributedExecutor, MultiGpuExecutor, MultiprocessExecutor)
+
+    def test_runtimes_share_the_commit_step(self):
+        for cls in self.RUNTIMES:
+            assert issubclass(cls, PartitionedExecutor)
+            assert cls.apply_and_sync is PartitionedExecutor.apply_and_sync
+        # only the multiprocess transport replaces the per-rank decide
+        for cls in self.RUNTIMES[:3]:
+            assert cls.decide is PartitionedExecutor.decide
+
+    def test_every_runtime_reports_the_same_buckets(self, graph):
+        results = {
+            "local": run_phase1(graph, Phase1Config(pruning="mg")),
+            "distributed": run_distributed_phase1(
+                graph,
+                DistributedConfig(num_ranks=3),
+                partition=partition_by_degree(graph, 3),
+            ),
+            "multigpu": run_multigpu_phase1(graph, MultiGpuConfig(num_gpus=2)),
+            "multiprocess": run_multiprocess_phase1(
+                graph, MultiprocessConfig(num_ranks=2)
+            ),
+        }
+        buckets = {"decide_and_move", "pruning", "weight_update", "aggregate"}
+        for name, result in results.items():
+            assert set(result.timers) == buckets, name
+            assert all(h.kernel_backend is not None for h in result.history), name
+            np.testing.assert_array_equal(
+                result.communities, results["local"].communities
+            )
 
 
 class TestEngineOracle:

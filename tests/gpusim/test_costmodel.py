@@ -35,12 +35,6 @@ class TestCostModel:
         assert c.atomic(MemoryKind.GLOBAL) > c.access(MemoryKind.GLOBAL)
         assert c.atomic(MemoryKind.SHARED) > c.access(MemoryKind.SHARED)
 
-    def test_atomic_conflict_serialisation(self):
-        c = CostModel()
-        assert c.atomic(MemoryKind.SHARED, max_conflict=4) == pytest.approx(
-            4 * c.atomic(MemoryKind.SHARED)
-        )
-
     def test_register_atomics_rejected(self):
         with pytest.raises(ValueError):
             CostModel().atomic(MemoryKind.REGISTER)

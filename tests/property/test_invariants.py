@@ -438,6 +438,33 @@ class TestTrajectoryProperty:
         assert base.modularity == pytest.approx(mg.modularity, abs=1e-12)
 
 
+class TestRankSplitProperty:
+    @given(
+        random_graphs(max_n=40, max_edges=80),
+        st.integers(1, 5),
+        st.sampled_from(["contiguous", "degree"]),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_split_equals_owned_mask_form(self, g, k, kind, data):
+        """The executor core splits the sorted active ids (and movers) by
+        owner in O(active); each share must equal the O(n) mask form."""
+        from repro.core.phase1 import split_by_owner
+        from repro.graph.partition import partition_by_degree, partition_contiguous
+
+        split = partition_contiguous if kind == "contiguous" else partition_by_degree
+        part = split(g, k)
+        mask = np.array(
+            data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)),
+            dtype=bool,
+        )
+        shares = split_by_owner(np.flatnonzero(mask), part)
+        assert len(shares) == k
+        for rank, share in enumerate(shares):
+            owned = part.vertices_of(rank)
+            np.testing.assert_array_equal(share, owned[mask[owned]])
+
+
 class TestDistributedEquivalenceProperty:
     @given(st.integers(0, 10_000), st.integers(2, 5))
     @settings(max_examples=15, deadline=None)
