@@ -175,7 +175,8 @@ class IterationTrace:
     #: kernels)
     kernel_threads: Optional[int] = None
     #: one-off jit compile/warm-up seconds charged to this iteration
-    #: (nonzero only on the first iteration that used a compiled backend)
+    #: (nonzero only on the first iteration in the process that used a
+    #: compiled backend)
     kernel_compile_s: float = 0.0
     #: running buffer-arena allocation count after this iteration (None
     #: when the executor has no arena); flat after iteration 2 — the

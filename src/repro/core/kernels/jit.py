@@ -919,12 +919,14 @@ class JitRuntime:
     ``decide``/``delta``/``aggregates``/``mg_inactive``/``internal_weights``
     share the loop functions' NumPy signatures regardless of provider, and
     ``coarsen`` is the phase-2 contraction built by :func:`_coarsen_with`;
-    ``compile_s`` is the one-off compile/warm-up cost the probe measured
-    (0.0 for cache hits and the interpreted provider) — surfaced in traces
-    and manifests. ``openmp`` says whether the library was built with
-    OpenMP; ``threads`` is how many threads ``decide`` and ``mg_inactive``
-    may use in this process (see :func:`cap_threads`; always 1 without
-    OpenMP).
+    ``compile_s`` is the one-off cost the probe measured: building the
+    provider (a compile, or the load of a cached library) plus the smoke
+    comparison, so it is never 0.0 once probed. The first kernel on this
+    runtime to report a trace takes it (``compile_charged``), so a
+    process charges it to one iteration trace and manifest. ``openmp``
+    says whether the library was built with OpenMP; ``threads`` is how
+    many threads ``decide`` and ``mg_inactive`` may use in this process
+    (see :func:`cap_threads`; always 1 without OpenMP).
     """
 
     provider: str
@@ -937,6 +939,7 @@ class JitRuntime:
     internal_weights: Callable
     openmp: bool = False
     threads: int = 1
+    compile_charged: bool = False
 
 
 def _python_runtime() -> JitRuntime:
@@ -1353,7 +1356,6 @@ class JitKernel:
         self.last_backend: Optional[str] = None
         #: threads the last call ran on (``IterationTrace.kernel_threads``)
         self.last_threads: Optional[int] = None
-        self.compile_s = self.runtime.compile_s
         self._n = -1
         self._slices = 0
         self._stamp = 0
@@ -1365,6 +1367,16 @@ class JitKernel:
 
     def reset(self, state: CommunityState) -> None:
         self._n = -1
+
+    def take_compile_s(self) -> float:
+        """The runtime's probe seconds on the first call for that runtime
+        in this process, else 0.0: every level and every later run share
+        the one compile, so it is charged to one iteration trace."""
+        rt = self.runtime
+        if rt.compile_charged:
+            return 0.0
+        rt.compile_charged = True
+        return rt.compile_s
 
     def _prepare_scratch(self, graph, slices: int) -> None:
         n = graph.n

@@ -99,9 +99,8 @@ class PartitionedExecutor(Executor):
     jit kernel, which also runs the delta weight update, the aggregate
     refresh and MG's test — all bit-identical to the NumPy paths. The
     kernel backend protocol is duck-typed so plain callables keep working:
-    arena binding, per-graph ``reset``, and the
-    ``runtime``/``last_backend``/``last_threads``/``compile_s``/``device``
-    attributes.
+    arena binding, per-graph ``reset``, ``take_compile_s``, and the
+    ``runtime``/``last_backend``/``last_threads``/``device`` attributes.
 
     Subclasses supply the synchronisation (:meth:`_sync`) and may hook the
     per-rank decide (:meth:`_rank_state`, :meth:`_charge_decide`) or
@@ -149,8 +148,6 @@ class PartitionedExecutor(Executor):
         if kernel_reset is not None:
             kernel_reset(self.state)
         self.runtime = compiled_runtime(self.kernel)
-        #: one-off compile seconds to charge to the first iteration trace
-        self._compile_s_pending = float(getattr(self.kernel, "compile_s", 0.0))
         # the stock delta update runs compiled, all movers in one call
         self.updater = updater or make_weight_updater(
             config.weight_update, runtime=self.runtime
@@ -203,9 +200,9 @@ class PartitionedExecutor(Executor):
         trace.kernel_backend = getattr(self.kernel, "last_backend", None)
         trace.kernel_threads = getattr(self.kernel, "last_threads", None)
         trace.arena_allocs = self.arena.allocs
-        if self._compile_s_pending:
-            trace.kernel_compile_s = self._compile_s_pending
-            self._compile_s_pending = 0.0
+        take_compile_s = getattr(self.kernel, "take_compile_s", None)
+        if take_compile_s is not None:
+            trace.kernel_compile_s = take_compile_s()
         profilers = self.profilers()
         if profilers:
             total = sum(p.total_cycles for p in profilers.values())

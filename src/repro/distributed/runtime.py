@@ -62,13 +62,15 @@ class DistributedExecutor(HaloExecutor):
         partition: VertexPartition | None = None,
     ):
         super().__init__(graph, config, config.num_ranks, partition)
+        #: each rank's owned + ghost ids; the views never change, so the
+        #: sorted union is built once
+        self.visible: list[np.ndarray] = [view.visible() for view in self.views]
         # Per-rank local community arrays. Entries outside owned+ghost are
         # poisoned with -1 so any read of a non-mirrored vertex is caught
         # by the soundness assertion in _sync.
         self.local_comm: list[np.ndarray] = []
-        for view in self.views:
+        for vis in self.visible:
             arr = np.full(graph.n, -1, dtype=np.int64)
-            vis = view.visible()
             arr[vis] = vis  # singleton initialisation
             self.local_comm.append(arr)
 
@@ -94,11 +96,8 @@ class DistributedExecutor(HaloExecutor):
         self.exchange_halo(next_comm, movers)
         # Soundness of the mirrors: every rank's visible entries must
         # match the global assignment after the exchange.
-        for view in self.views:
-            vis = view.visible()
-            np.testing.assert_array_equal(
-                self.local_comm[view.rank][vis], next_comm[vis]
-            )
+        for local, vis in zip(self.local_comm, self.visible):
+            np.testing.assert_array_equal(local[vis], next_comm[vis])
         return next_comm
 
     def _deliver(self, dest: int, payload: np.ndarray, next_comm: np.ndarray) -> None:

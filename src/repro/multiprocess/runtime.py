@@ -52,7 +52,7 @@ import tempfile
 import time
 import traceback
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -299,18 +299,27 @@ class MultiprocessExecutor(HaloExecutor):
         kernel = make_kernel(cfg.kernel)
         #: the backend name every rank worker runs (``vectorized``/``jit``)
         self.kernel_name: str = kernel.name
+        # The parent's compiled loops run on one thread while the ranks
+        # live: MG's test between rounds would otherwise open an OpenMP
+        # region whose spinning worker (libgomp's active wait) holds a
+        # rank's core into the next round. A copy, so the process's
+        # runtime keeps its threads for later ``local`` runs.
+        runtime = compiled_runtime(kernel)
+        if runtime is not None:
+            runtime = replace(runtime, threads=1)
         # chunked delta is bit-identical to the plain path and keeps the
         # parent's transient allocations at O(chunk) on memmapped graphs
         # (where it also drops its resident pages per chunk)
         updater = make_weight_updater(
             cfg.weight_update,
-            runtime=compiled_runtime(kernel),
+            runtime=runtime,
             chunk_edges=cfg.chunk_edges,
             release=graph.release_pages if isinstance(graph, MmapCSRGraph) else None,
         )
         super().__init__(
             graph, cfg, cfg.num_ranks, partition, kernel=kernel, updater=updater
         )
+        self.runtime = runtime
         #: collect per-round rank spans only when an obs session is live
         #: at construction — the disabled path costs one flag check per
         #: round in the workers and nothing in the parent

@@ -331,6 +331,30 @@ class TestTraceAccounting:
         # these graphs are far below the threshold: every decide is serial
         assert {h.kernel_threads for h in r.history} == {1}
 
+    def test_compile_time_charged_once_per_process(self):
+        """Every level of every run shares the one probe: over two
+        multi-level ``gala()`` calls after a fresh probe, the traces sum
+        to the probe's seconds, all on the first trace."""
+        if _compiled is None:
+            pytest.skip("no compile provider on this machine")
+        from repro.core.gala import GalaConfig, gala
+        from repro.graph.generators import load_dataset
+
+        g = load_dataset("LJ", 0.1)
+        jitmod._reset_runtime_cache()
+        try:
+            rt = get_runtime()
+            traces = []
+            for _ in range(2):
+                r = gala(g, GalaConfig(kernel="auto"))
+                assert r.num_levels > 1
+                traces += [h for lvl in r.levels for h in lvl.phase1.history]
+        finally:
+            jitmod._reset_runtime_cache()
+        assert rt.compile_s > 0.0
+        assert traces[0].kernel_compile_s == rt.compile_s
+        assert sum(h.kernel_compile_s for h in traces) == rt.compile_s
+
     def test_threads_in_trace_above_threshold(self):
         """A graph above the threshold decides on the runtime's threads in
         every iteration; its coarse levels, below it, on one."""

@@ -6,9 +6,11 @@ import pytest
 from repro.core.phase1 import Phase1Config, run_phase1
 from repro.distributed import (
     DistributedConfig,
+    DistributedExecutor,
     build_rank_views,
     run_distributed_phase1,
 )
+from repro.distributed.halo import HALO_BYTES_PER_UPDATE
 from repro.errors import PartitionError
 from repro.graph.generators import load_dataset, ring_of_cliques
 from repro.graph.partition import (
@@ -122,3 +124,46 @@ class TestHaloVolume:
     def test_comm_seconds_positive_for_multirank(self, graph):
         r = run_distributed_phase1(graph, DistributedConfig(num_ranks=2))
         assert r.stats.comm_seconds() > 0.0
+
+
+class _MoveLog(DistributedExecutor):
+    """Records each iteration's committed ``moved`` mask."""
+
+    def _sync(self, next_comm, moved):
+        self.moved_log.append(moved.copy())
+        return super()._sync(next_comm, moved)
+
+
+class TestHaloVolumeReference:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_counts_match_brute_force(self, graph, k):
+        """Rebuild every iteration's payloads from the graph alone — the
+        movers owned by r with a neighbour owned by d — and check the
+        runtime's bytes, messages and per-rank bytes against them."""
+        part = partition_contiguous(graph, k)
+        owner = part.owner
+        foreign = [
+            sorted({int(owner[u]) for u in graph.neighbors(v)} - {int(owner[v])})
+            for v in range(graph.n)
+        ]
+        ex = _MoveLog(graph, DistributedConfig(num_ranks=k), part)
+        ex.moved_log = []
+        r = ex.run()
+
+        want_bytes, want_messages = [], []
+        want_rank = [0] * k
+        for moved in ex.moved_log:
+            sizes = {}
+            for v in np.flatnonzero(moved).tolist():
+                for d in foreign[v]:
+                    pair = (int(owner[v]), d)
+                    sizes[pair] = sizes.get(pair, 0) + 1
+            for (sender, _), size in sizes.items():
+                want_rank[sender] += size * HALO_BYTES_PER_UPDATE
+            want_bytes.append(sum(sizes.values()) * HALO_BYTES_PER_UPDATE)
+            want_messages.append(len(sizes))
+        assert len(ex.moved_log) == r.num_iterations
+        assert sum(want_messages) > 0
+        assert r.stats.bytes_per_iteration == want_bytes
+        assert r.stats.messages_per_iteration == want_messages
+        assert r.rank_halo_bytes == want_rank

@@ -167,6 +167,44 @@ class TestBitExactMatrix:
         assert cfg.multiprocess_config().kernel == "vectorized"
         assert GalaConfig(runtime="multiprocess").multiprocess_config().kernel == "auto"
 
+    @pytest.mark.skipif(
+        _runtime is None or _runtime.provider != "cc" or not _runtime.openmp,
+        reason="the cc provider has no OpenMP threads on this host",
+    )
+    def test_parent_runs_one_thread_while_ranks_live(
+        self, graphs, monkeypatch
+    ):
+        """MG's compiled test in the parent runs on one thread between
+        rounds (the ranks hold the cores); a later ``local`` run in the
+        same process still gets the runtime's threads, with the same bits."""
+        # the runtime the kernels get now (an earlier test may have reset
+        # the probe cache since import)
+        rt = jitmod.get_runtime()
+        seen = []
+        real = rt.mg_inactive
+
+        def recording(*args):
+            seen.append(args[-1])  # the thread count, passed last
+            return real(*args)
+
+        monkeypatch.setattr(rt, "mg_inactive", recording)
+        # every graph is "large" and the runtime has two threads, so any
+        # thread count but 1 would show
+        monkeypatch.setattr(jitmod, "PARALLEL_MIN_ENTRIES", 0)
+        monkeypatch.setattr(rt, "threads", 2)
+        g = graphs["LJ"]
+        mp = run_multiprocess_phase1(
+            g, MultiprocessConfig(num_ranks=2, pruning="mg", kernel="jit")
+        )
+        mp_threads, seen[:] = set(seen), []
+        local = run_phase1(g, Phase1Config(pruning="mg", kernel="jit"))
+        assert mp_threads == {1}
+        assert set(seen) == {rt.threads} == {2}
+        np.testing.assert_array_equal(mp.communities, local.communities)
+        assert [h.modularity for h in mp.history] == [
+            h.modularity for h in local.history
+        ]
+
     @needs_cc
     def test_spawned_workers_reload_the_cached_library(
         self, graphs, local_results, tmp_path, monkeypatch

@@ -12,7 +12,9 @@ on, checked over randomly generated graphs and states:
    under any degree-bounded chunking of the movers;
 4. the MG bound never produces a false negative (Theorem 6);
 5. one DecideAndMove sweep from singletons never decreases modularity;
-6. FN-free pruning reproduces the unpruned trajectory bit-for-bit.
+6. FN-free pruning reproduces the unpruned trajectory bit-for-bit;
+7. a halo payload read off the destination's ghost mask is the sorted
+   intersection of the sender's movers with its send list.
 """
 
 from __future__ import annotations
@@ -463,6 +465,51 @@ class TestRankSplitProperty:
         for rank, share in enumerate(shares):
             owned = part.vertices_of(rank)
             np.testing.assert_array_equal(share, owned[mask[owned]])
+
+
+class TestHaloPayloadProperty:
+    @given(
+        random_graphs(max_n=40, max_edges=80),
+        st.integers(1, 5),
+        st.sampled_from(["contiguous", "degree"]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ghost_mask_payload_equals_intersection(self, g, k, kind, data):
+        """Every (rank, dest) message of one exchange carries exactly
+        ``intersect1d(rank_movers, send_list)``, in rank then send-list
+        order, and the bytes and messages count those payloads."""
+        from repro.core.engine import AlgorithmConfig
+        from repro.distributed.halo import HALO_BYTES_PER_UPDATE, HaloExecutor
+        from repro.graph.partition import partition_by_degree, partition_contiguous
+
+        class Recording(HaloExecutor):
+            def _deliver(self, dest, payload, next_comm):
+                self.sent.append((dest, payload.copy()))
+
+        split = partition_contiguous if kind == "contiguous" else partition_by_degree
+        ex = Recording(g, AlgorithmConfig(), k, split(g, k))
+        ex.sent = []
+        moved = np.array(
+            data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)),
+            dtype=bool,
+        )
+        movers = ex.rank_movers(moved)
+        ex.exchange_halo(ex.state.comm, movers)
+
+        expected = []
+        for view, rank_movers in zip(ex.views, movers):
+            for dest, send_list in view.send_lists.items():
+                payload = np.intersect1d(rank_movers, send_list)
+                if len(payload):
+                    expected.append((dest, payload))
+        assert [d for d, _ in ex.sent] == [d for d, _ in expected]
+        for (_, got), (_, want) in zip(ex.sent, expected):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        sent = sum(len(p) for _, p in expected) * HALO_BYTES_PER_UPDATE
+        assert ex.stats.bytes_per_iteration == [sent]
+        assert ex.stats.messages_per_iteration == [len(expected)]
 
 
 class TestDistributedEquivalenceProperty:
