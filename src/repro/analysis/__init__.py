@@ -48,8 +48,6 @@ if TYPE_CHECKING:  # only for annotations; keep the import graph light
     from repro.core.state import CommunityState
     from repro.graph.csr import CSRGraph
 
-from repro.errors import SanitizerError
-
 from .findings import CHECKERS, Finding, FindingLog
 from .invariants import audit_lemma5, audit_weight_update, validate_csr
 from .memcheck import MemChecker
@@ -89,7 +87,8 @@ class SanitizerConfig:
     community-weight bit-compare and the Lemma-5 oracle audit. Individual
     checkers can be switched off for bisection. ``on_finding`` is
     ``record`` (default: collect and report) or ``raise`` (abort on the
-    first finding with the matching :class:`SanitizerError` subclass).
+    first finding with the matching
+    :class:`~repro.errors.SanitizerError` subclass).
     """
 
     mode: str = "fast"
@@ -209,18 +208,6 @@ class Sanitizer:
         out = {"mode": self.config.mode}
         out.update(self.log.as_report())
         return out
-
-    def raise_if_findings(self) -> None:
-        """Raise a :class:`SanitizerError` when the log is non-empty."""
-        if self.log.clean:
-            return
-        first = self.log.findings[0] if self.log.findings else None
-        err_cls = type(first.to_error()) if first is not None else SanitizerError
-        raise err_cls(
-            f"sanitizer recorded {self.log.total} finding(s); "
-            f"first: {first}",
-            findings=list(self.log.findings),
-        )
 
 
 # --------------------------------------------------------------------- #

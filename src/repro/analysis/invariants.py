@@ -65,6 +65,12 @@ def validate_csr(graph: "CSRGraph", source: Optional[str] = None) -> List[Findin
     if indptr.ndim != 1 or indptr.shape[0] < 1:
         add("csr-malformed", "indptr must be 1-D with >= 1 entries")
         return findings  # nothing else is decidable
+    for name, arr in (
+        ("indices", indices), ("weights", weights), ("self_weight", self_weight)
+    ):
+        if arr.ndim != 1:
+            add("csr-malformed", f"{name} must be 1-D, got {arr.ndim}-D")
+            return findings
     if indptr[0] != 0:
         add("csr-malformed", f"indptr[0] is {int(indptr[0])}, expected 0")
         return findings  # row boundaries are shifted; nothing else aligns
@@ -107,7 +113,7 @@ def validate_csr(graph: "CSRGraph", source: Optional[str] = None) -> List[Findin
         where = np.flatnonzero(oob)
         add(
             "csr-index-range",
-            f"{where.shape[0]} neighbour id(s) outside [0, {n})",
+            f"{where.shape[0]} neighbour id(s) out of range [0, {n})",
             rows=row_ids[where[:_MAX_DETAIL]].tolist(),
             values=indices[where[:_MAX_DETAIL]].tolist(),
         )

@@ -9,11 +9,8 @@ registered rules (or a subset), strips findings carrying an inline
 folds everything into a :class:`LintReport`.
 
 Findings are ordinary :class:`~repro.analysis.findings.Finding` records
-with ``checker="staticcheck"`` — they ride the same
-:class:`~repro.analysis.findings.FindingLog`, obs metric bridge
-(``sanitizer/findings/staticcheck``), and manifest plumbing as the
-runtime sanitizers, so ``repro report`` and the metrics exposition see
-static findings with zero extra wiring.
+with ``checker="staticcheck"``: the same record type, JSON form and
+rendering as the runtime sanitizers' findings.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.findings import Finding, FindingLog
+from repro.analysis.findings import Finding
 from repro.analysis.staticcheck.project import Project
 from repro.analysis.staticcheck.rules import all_rules, get_rule, rule_doc
 from repro.analysis.staticcheck.waivers import WaiverFile, inline_waiver
@@ -53,12 +50,6 @@ class LintReport:
     @property
     def total(self) -> int:
         return len(self.findings)
-
-    def to_log(self) -> FindingLog:
-        """The unwaived findings as a standard :class:`FindingLog`."""
-        log = FindingLog()
-        log.extend(self.findings)
-        return log
 
     def by_rule(self) -> Dict[str, int]:
         out: Dict[str, int] = {}

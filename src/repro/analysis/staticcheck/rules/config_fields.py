@@ -17,7 +17,9 @@ Checks, all static:
 * the two sets are disjoint, cover every dataclass field (modulo
   ``seed``), and contain no stale names;
 * every ``Phase1Config`` field — inherited ones included — maps to a
-  ``GalaConfig`` field (modulo the declared measurement-only extras);
+  ``GalaConfig`` field of the same name or the one
+  :data:`PHASE1_FIELD_MAP` names (modulo the declared measurement-only
+  extras);
 * ``serve/server.py`` only injects *execution* defaults into detect
   configs (``self._config_defaults[...]`` keys ⊆ ``EXECUTION_FIELDS``);
 * ``serve/cache.py`` builds keys via ``.cache_key()`` (no ad-hoc
@@ -54,6 +56,10 @@ PROTOCOL_MODULE = "repro.serve.protocol"
 #: ``oracle`` is a measurement-only instrument (exhaustive pruning
 #: oracle for Lemma-5 audits), never part of the public config surface.
 PHASE1_EXTRA_FIELDS: Set[str] = {"oracle"}
+
+#: Phase1Config fields that ``GalaConfig.phase1_config()`` fills from a
+#: GalaConfig field of another name: ``backend`` selects the kernel.
+PHASE1_FIELD_MAP: Dict[str, str] = {"kernel": "backend"}
 
 
 @rule(
@@ -159,7 +165,8 @@ def _check_phase1(project: Project, gala_fields: Set[str]) -> List[Finding]:
     for name, (module, lineno) in sorted(
         _inherited_fields(project, phase1, cls).items()
     ):
-        if name in gala_fields or name in PHASE1_EXTRA_FIELDS:
+        mapped = PHASE1_FIELD_MAP.get(name, name)
+        if mapped in gala_fields or name in PHASE1_EXTRA_FIELDS:
             continue
         findings.append(
             lint_finding(

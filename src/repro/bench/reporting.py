@@ -100,19 +100,3 @@ def trace_rows(history: Sequence) -> list[dict]:
             row[c] = getattr(h, c)
         rows.append(row)
     return rows
-
-
-def format_speedups(base_key: str, rows: Sequence[dict], time_key: str) -> list[dict]:
-    """Augment rows with a 'speedup vs <base>' column.
-
-    ``rows`` must contain one row whose ``system`` equals ``base_key``.
-    """
-    base = next(r for r in rows if r.get("system") == base_key)
-    out = []
-    for r in rows:
-        r = dict(r)
-        r["slowdown_vs_" + base_key] = (
-            r[time_key] / base[time_key] if base[time_key] else float("inf")
-        )
-        out.append(r)
-    return out

@@ -33,7 +33,7 @@ import time
 import numpy as np
 
 from repro import GalaConfig, gala, leiden
-from repro.core.kernels import KERNEL_NAMES
+from repro.core.gala import BACKENDS
 from repro.errors import KernelUnavailableError
 from repro.graph.generators import lfr_graph, LFRParams, rmat_graph
 from repro.graph.io import load_graph, save_edge_list
@@ -119,16 +119,12 @@ def _add_detect(sub: argparse._SubParsersAction) -> None:
                    help="phase-1 convergence threshold")
     p.add_argument("--phase1-only", action="store_true",
                    help="run only phase 1 of the first round")
-    p.add_argument("--backend", default="vectorized",
-                   choices=["vectorized", "gpusim"],
-                   help="DecideAndMove backend (gpusim = simulated GPU "
-                        "with workload-aware kernel dispatch)")
-    p.add_argument("--kernel", default=None,
-                   choices=KERNEL_NAMES,
-                   help="host kernel path for --backend=vectorized "
-                        "(default: auto, or REPRO_KERNEL; jit = compiled "
-                        "hot path via the system C compiler; auto = jit "
-                        "when it compiles here, else vectorized)")
+    p.add_argument("--backend", default="auto",
+                   choices=BACKENDS,
+                   help="DecideAndMove backend (default: auto = jit when "
+                        "it compiles here, else vectorized; jit = compiled "
+                        "hot path via the system C compiler; gpusim = "
+                        "simulated GPU with workload-aware kernel dispatch)")
     p.add_argument("--gpusim-engine", default=None,
                    choices=["scalar", "batched"],
                    help="execution engine for --backend=gpusim "
@@ -456,11 +452,8 @@ def _manifest_config(cfg):
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    import os
-
     from repro import analysis, obs
 
-    kernel = args.kernel or os.environ.get("REPRO_KERNEL") or "auto"
     sanitize = args.sanitize
     if sanitize is None and args.sanitize_report:
         sanitize = "fast"
@@ -505,20 +498,18 @@ def cmd_detect(args: argparse.Namespace) -> int:
                             phase1_only=args.phase1_only,
                             backend=args.backend,
                             gpusim_engine=args.gpusim_engine,
-                            kernel=kernel,
                             runtime=args.runtime,
                             ranks=args.ranks,
                         )
                     except ValueError as exc:
-                        # e.g. --ranks 0 or a bad REPRO_KERNEL value
+                        # e.g. --ranks 0, or multiprocess with gpusim
                         print(f"error: {exc}", file=sys.stderr)
                         return 2
                     try:
                         result = gala(graph, cfg)
                     except KernelUnavailableError as exc:
-                        # explicit --kernel jit (or REPRO_KERNEL=jit)
-                        # without a compile provider: a message, not a
-                        # traceback
+                        # explicit --backend jit without a compile
+                        # provider: a message, not a traceback
                         print(f"error: {exc}", file=sys.stderr)
                         return 2
             elapsed = time.perf_counter() - start

@@ -2,8 +2,7 @@
 
 :class:`Dendrogram` wraps a :class:`~repro.core.louvain.LouvainResult`
 into the tree structure users actually want to query: cut it at any level,
-walk a community's subtree, list each super-community's children, and
-export to Newick for external tree tooling.
+walk a community's subtree, and list each super-community's children.
 
 The node id convention: ``(level, community_id)`` where level -1 denotes
 the leaves (original vertices).
@@ -70,9 +69,6 @@ class Dendrogram:
         """Original vertices of ``community`` at ``level``."""
         return np.flatnonzero(self.cut(level) == community)
 
-    def community_sizes(self, level: int) -> np.ndarray:
-        return np.bincount(self.cut(level))
-
     def is_refinement_chain(self) -> bool:
         """Whether every level is a coarsening of the previous one (a core
         Louvain invariant; exposed for auditing custom hierarchies)."""
@@ -84,31 +80,6 @@ class Dendrogram:
             if len(np.unique(pair_ids)) != len(np.unique(prev)):
                 return False
         return True
-
-    def to_newick(self, max_leaves: int = 500) -> str:
-        """Newick string of the merge tree (vertex leaves labelled ``v<i>``).
-
-        Refuses to serialise beyond ``max_leaves`` leaves — Newick of a
-        million-vertex dendrogram helps nobody.
-        """
-        if self.n > max_leaves:
-            raise ValueError(
-                f"{self.n} leaves exceed max_leaves={max_leaves}; "
-                "raise the limit explicitly if you really want this"
-            )
-
-        def subtree(level: int, community: int) -> str:
-            if level == -1:
-                return f"v{community}"
-            kids = self.children(level, community)
-            inner = ",".join(subtree(level - 1, k) for k in kids)
-            return f"({inner})"
-
-        top = self.cut(self.num_levels - 1) if self.num_levels else self.cut(-1)
-        roots = [
-            subtree(self.num_levels - 1, c) for c in range(int(top.max()) + 1)
-        ]
-        return "(" + ",".join(roots) + ");"
 
 
 def dendrogram_from_graph(graph: CSRGraph, **gala_kwargs) -> Dendrogram:

@@ -26,6 +26,10 @@ from repro.graph.csr import CSRGraph
 if TYPE_CHECKING:
     from repro.multiprocess import MultiprocessConfig
 
+#: the DecideAndMove backends :attr:`GalaConfig.backend` names: the host
+#: kernels of :func:`~repro.core.kernels.make_kernel`, then the simulated GPU
+BACKENDS = (*KERNEL_NAMES, "gpusim")
+
 
 @dataclass
 class GalaConfig:
@@ -40,19 +44,17 @@ class GalaConfig:
     pruning: str = "mg"
     #: community-weight update scheme (``delta`` = paper Section 3.5)
     weight_update: str = "delta"
-    #: DecideAndMove backend: ``"vectorized"`` (pure NumPy) or
-    #: ``"gpusim"`` (simulated GPU with workload-aware kernel dispatch)
-    backend: str = "vectorized"
-    #: host kernel for the vectorized backend, one of
-    #: :data:`~repro.core.kernels.KERNEL_NAMES` or a callable: ``"auto"``
-    #: (the default — the compiled ``jit`` loop when a compile provider
-    #: passed its warm-up probe, else ``vectorized``), or ``"vectorized"``
-    #: / ``"jit"`` to pin one path. All choices are bit-identical; see
-    #: :func:`repro.core.kernels.make_kernel`. On both runtimes a compiled
-    #: kernel also runs the delta weight update and the aggregate refresh;
-    #: ``runtime="multiprocess"`` resolves it once and runs it in every
-    #: rank worker, so it must be a name there, not a callable.
-    kernel: str = "auto"
+    #: DecideAndMove backend, one of :data:`BACKENDS`: ``"auto"`` (the
+    #: default — the compiled ``jit`` loop when a compile provider passed
+    #: its warm-up probe, else ``vectorized``), ``"vectorized"`` (pure
+    #: NumPy), ``"jit"`` (the compiled loop; raises
+    #: :class:`~repro.errors.KernelUnavailableError` when none compiles
+    #: here) or ``"gpusim"`` (simulated GPU with workload-aware kernel
+    #: dispatch). All are bit-identical; see
+    #: :func:`repro.core.kernels.make_kernel`. A host backend also runs the
+    #: delta weight update and the aggregate refresh; ``runtime=
+    #: "multiprocess"`` resolves it once and runs it in every rank worker.
+    backend: str = "auto"
     #: execution engine for the ``"gpusim"`` backend: ``"batched"``
     #: (structure-of-arrays, the default) or ``"scalar"`` (one vertex per
     #: Python iteration — the bit-exact reference). ``None`` defers to the
@@ -62,8 +64,9 @@ class GalaConfig:
     #: ``"multiprocess"`` (one worker process per rank over shared memory;
     #: see :mod:`repro.multiprocess.runtime`). Multiprocess applies to the
     #: first round only — coarsened levels are tiny and run locally. Both
-    #: run ``kernel`` (the ranks in their decide, the parent in the chunked
-    #: weight update). Every runtime is bit-identical for every rank count.
+    #: run ``backend`` (the ranks in their decide, the parent in the chunked
+    #: weight update), which must be a host backend there. Every runtime
+    #: is bit-identical for every rank count.
     runtime: str = "local"
     #: rank count for the ``"multiprocess"`` runtime
     ranks: int = 2
@@ -93,13 +96,13 @@ class GalaConfig:
     sanitize: Union[str, bool, None] = None
 
     #: fields that select *how* a run executes, not *what* it computes.
-    #: Every backend/kernel/engine combination is bit-identical (the
+    #: Every backend/engine combination is bit-identical (the
     #: cross-backend exactness matrix from PRs 1/2/6 pins this), and the
     #: sanitizers observe without perturbing, so two configs differing
     #: only here produce the same assignment — the result cache must
     #: treat them as the same key.
     EXECUTION_FIELDS = frozenset(
-        {"backend", "kernel", "gpusim_engine", "sanitize", "runtime", "ranks"}
+        {"backend", "gpusim_engine", "sanitize", "runtime", "ranks"}
     )
 
     #: fields that select *what* a run computes — exactly the fields
@@ -128,15 +131,25 @@ class GalaConfig:
         # Execution fields are checked here, not when the run starts, so a
         # bad value fails the same way whether or not a cached result for
         # the semantic config exists (the server turns it into a 400).
-        if not callable(self.kernel) and self.kernel not in KERNEL_NAMES:
+        if self.backend not in BACKENDS:
             raise ValueError(
-                f"unknown kernel backend {self.kernel!r}; expected one of "
-                f"{list(KERNEL_NAMES)} or a callable"
+                f"unknown backend {self.backend!r}; expected one of "
+                f"{list(BACKENDS)}"
             )
+        if self.gpusim_engine is not None:
+            from repro.gpusim import resolve_engine
+
+            resolve_engine(self.gpusim_engine)
         if self.runtime not in ("local", "multiprocess"):
             raise ValueError(
                 f"unknown runtime {self.runtime!r}; expected 'local' or "
                 f"'multiprocess'"
+            )
+        if self.runtime == "multiprocess" and self.backend == "gpusim":
+            raise ValueError(
+                "runtime='multiprocess' needs a host backend (auto, "
+                "vectorized or jit); its rank workers do not run the "
+                "simulated GPU"
             )
         if (
             not isinstance(self.ranks, numbers.Integral)
@@ -197,25 +210,21 @@ class GalaConfig:
         return cls(**fields)
 
     def phase1_config(self) -> Phase1Config:
-        kernel: Union[str, object] = self.kernel
+        kernel: Union[str, object] = self.backend
         if self.backend == "gpusim":
             from repro.core.kernels.dispatch import make_gpusim_kernel
 
             kernel = make_gpusim_kernel(engine=self.gpusim_engine)
-        elif self.backend != "vectorized":
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected 'vectorized' or 'gpusim'"
-            )
         return Phase1Config(kernel=kernel, **self._algorithm_fields())
 
     def multiprocess_config(self) -> "MultiprocessConfig":
         """The rank-runtime config of ``runtime="multiprocess"`` (its
         round 0 runs on ``ranks`` worker processes, each running the
-        host ``kernel`` this config names)."""
+        host ``backend`` this config names)."""
         from repro.multiprocess import MultiprocessConfig
 
         return MultiprocessConfig(
-            kernel=self.kernel, num_ranks=self.ranks, **self._algorithm_fields()
+            kernel=self.backend, num_ranks=self.ranks, **self._algorithm_fields()
         )
 
     def _algorithm_fields(self) -> dict:
@@ -282,12 +291,6 @@ def _multiprocess_runner(cfg: GalaConfig):
 def _run_gala(
     graph: CSRGraph, cfg: GalaConfig, san
 ) -> Union[LouvainResult, Phase1Result]:
-    if cfg.runtime == "multiprocess" and cfg.backend != "vectorized":
-        raise ValueError(
-            "runtime='multiprocess' requires backend='vectorized' "
-            f"(got {cfg.backend!r}); rank workers run the host kernels "
-            f"(vectorized or jit), not the simulated GPU"
-        )
     p1cfg = cfg.phase1_config()
     runner = _multiprocess_runner(cfg) if cfg.runtime == "multiprocess" else None
     if cfg.phase1_only:

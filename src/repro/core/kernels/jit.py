@@ -1320,8 +1320,8 @@ def require_runtime(provider: Optional[str] = None) -> JitRuntime:
             "this host: no system C compiler was found (or its probe "
             "failed, or REPRO_JIT_PROVIDER disables it). Make `cc` (or "
             "$CC) available, optionally pinning the provider with "
-            "REPRO_JIT_PROVIDER=cc. kernel='auto'/'vectorized' run "
-            "everywhere and produce bit-identical results."
+            "REPRO_JIT_PROVIDER=cc. The 'auto' and 'vectorized' backends "
+            "run everywhere and produce bit-identical results."
         )
     return rt
 

@@ -314,8 +314,9 @@ def decide_moves(
     )
 
 
-#: the host DecideAndMove backend names — the single list the CLI choices,
-#: ``GalaConfig`` validation and :func:`make_kernel` share
+#: the host DecideAndMove backend names — the single list
+#: :data:`repro.core.gala.BACKENDS` (the CLI choices and ``GalaConfig``
+#: validation), the rank runtime and :func:`make_kernel` share
 KERNEL_NAMES = ("auto", "vectorized", "jit")
 
 

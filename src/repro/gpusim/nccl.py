@@ -97,27 +97,6 @@ class Communicator:
         obs.inc("nccl/collectives")
         return out
 
-    def all_reduce_sum(
-        self, buffers: list[np.ndarray], bucket: str = "comm_dense"
-    ) -> np.ndarray:
-        """Element-wise sum-AllReduce (for aggregate arrays)."""
-        self._validate_buffers(buffers)
-        out = buffers[0].astype(np.float64, copy=True)
-        seconds = self._ring_allreduce_seconds(out.nbytes)
-        with obs.span(
-            "nccl/allreduce_sum",
-            bytes=int(out.nbytes),
-            ranks=self.size,
-            simulated_seconds=seconds,
-            bucket=bucket,
-        ):
-            for buf in buffers[1:]:
-                out += buf
-        self._charge_all(seconds, bucket)
-        self._count_bytes(out.nbytes, dense=True)
-        obs.inc("nccl/collectives")
-        return out
-
     def all_gather(
         self, chunks: list[np.ndarray], bucket: str = "comm_sparse"
     ) -> np.ndarray:

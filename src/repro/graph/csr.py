@@ -23,8 +23,6 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.errors import GraphValidationError
-
 
 @dataclass
 class CSRGraph:
@@ -192,50 +190,18 @@ class CSRGraph:
     # Validation
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
-        """Check all structural invariants; raise GraphValidationError."""
-        if self.indptr.ndim != 1 or len(self.indptr) < 1:
-            raise GraphValidationError("indptr must be 1-D with >= 1 entries")
-        if self.indptr[0] != 0:
-            raise GraphValidationError("indptr[0] must be 0")
-        if np.any(np.diff(self.indptr) < 0):
-            raise GraphValidationError("indptr must be non-decreasing")
-        if self.indptr[-1] != len(self.indices):
-            raise GraphValidationError("indptr[-1] must equal len(indices)")
-        if len(self.indices) != len(self.weights):
-            raise GraphValidationError("indices and weights must align")
-        if len(self.self_weight) != self.n:
-            raise GraphValidationError("self_weight must have one entry per vertex")
-        if len(self.indices) and (
-            self.indices.min() < 0 or self.indices.max() >= self.n
-        ):
-            raise GraphValidationError("neighbour id out of range")
-        if np.any(self.weights < 0) or np.any(self.self_weight < 0):
-            raise GraphValidationError("negative edge weight")
-        row_ids = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        if np.any(self.indices == row_ids):
-            raise GraphValidationError(
-                "self-loop found in adjacency; loops belong in self_weight"
-            )
-        # Symmetry: the multiset of (u, v, w) must equal that of (v, u, w).
-        order_fwd = np.lexsort((self.indices, row_ids))
-        order_rev = np.lexsort((row_ids, self.indices))
-        if not (
-            np.array_equal(row_ids[order_fwd], self.indices[order_rev])
-            and np.array_equal(self.indices[order_fwd], row_ids[order_rev])
-            and np.allclose(self.weights[order_fwd], self.weights[order_rev])
-        ):
-            raise GraphValidationError("adjacency is not symmetric")
-        # Rows sorted by neighbour id (builder guarantees this; generators
-        # constructing CSR manually must too — binary search relies on it).
-        for v in range(self.n):
-            row = self.neighbors(v)
-            if len(row) > 1 and np.any(np.diff(row) < 0):
-                raise GraphValidationError(f"row {v} not sorted")
-            if len(row) > 1 and np.any(np.diff(row) == 0):
-                raise GraphValidationError(f"row {v} has duplicate neighbours")
+        """Check all structural invariants; raise
+        :class:`~repro.errors.GraphValidationError`.
+
+        The checks are :func:`repro.analysis.validate_csr`'s, raised by
+        :func:`repro.graph.builder.validate_graph` with their findings.
+        """
+        from repro.graph.builder import validate_graph
+
+        validate_graph(self)
 
     # ------------------------------------------------------------------ #
-    # Conversion helpers (tests / examples)
+    # Conversion helper (tests / examples)
     # ------------------------------------------------------------------ #
     def to_networkx(self):
         """Convert to a ``networkx.Graph`` (weights on the ``weight`` key)."""
@@ -246,21 +212,6 @@ class CSRGraph:
         for u, v, w in self.iter_edges():
             g.add_edge(u, v, weight=w)
         return g
-
-    @classmethod
-    def from_networkx(cls, g, name: str = "graph") -> "CSRGraph":
-        """Build from a ``networkx.Graph`` with integer nodes ``0..n-1``."""
-        from repro.graph.builder import from_edge_array
-
-        n = g.number_of_nodes()
-        edges = np.array(
-            [(u, v, d.get("weight", 1.0)) for u, v, d in g.edges(data=True)],
-            dtype=np.float64,
-        ).reshape(-1, 3)
-        src = edges[:, 0].astype(np.int64)
-        dst = edges[:, 1].astype(np.int64)
-        w = edges[:, 2]
-        return from_edge_array(n, src, dst, w, name=name)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.builder import from_edge_array, validate_graph
+from repro.graph.builder import validate_graph
 from repro.graph.csr import CSRGraph
 
 PathLike = Union[str, os.PathLike]
@@ -116,61 +116,6 @@ def load_npz(path: PathLike) -> CSRGraph:
     return validate_graph(graph, source=os.fspath(path))
 
 
-def load_metis(path: PathLike, name: str | None = None) -> CSRGraph:
-    """Load a METIS-format graph file.
-
-    Header line: ``n m [fmt]`` where fmt 1 means edge weights follow each
-    neighbour id (fmt 0/absent means unweighted; vertex-weight formats are
-    rejected). Vertex ids in the file are 1-based; comment lines start
-    with ``%``.
-    """
-    with open(path) as fh:
-        lines = [ln for ln in fh if not ln.startswith("%")]
-    if not lines:
-        raise GraphFormatError(f"METIS file {path!r} is empty")
-    header = lines[0].split()
-    if len(header) < 2:
-        raise GraphFormatError(f"bad METIS header in {path!r}: {lines[0]!r}")
-    n, m = int(header[0]), int(header[1])
-    fmt = header[2] if len(header) > 2 else "0"
-    if fmt not in ("0", "00", "1", "01"):
-        raise GraphFormatError(
-            f"unsupported METIS fmt {fmt!r} (vertex weights not supported)"
-        )
-    weighted = fmt in ("1", "01")
-    if len(lines) - 1 != n:
-        raise GraphFormatError(
-            f"METIS file {path!r} declares {n} vertices but has "
-            f"{len(lines) - 1} adjacency lines"
-        )
-    srcs, dsts, ws = [], [], []
-    for v, line in enumerate(lines[1:]):
-        tokens = line.split()
-        step = 2 if weighted else 1
-        if weighted and len(tokens) % 2:
-            raise GraphFormatError(
-                f"odd token count on weighted METIS line {v + 2}"
-            )
-        for i in range(0, len(tokens), step):
-            u = int(tokens[i]) - 1
-            if not (0 <= u < n):
-                raise GraphFormatError(
-                    f"neighbour id {u + 1} out of range on line {v + 2}"
-                )
-            srcs.append(v)
-            dsts.append(u)
-            ws.append(float(tokens[i + 1]) if weighted else 1.0)
-    gname = name or os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    # METIS lists each undirected edge from both endpoints
-    return validate_graph(
-        from_edge_array(
-            n, np.array(srcs, dtype=np.int64), np.array(dsts, dtype=np.int64),
-            np.array(ws) / 1.0, name=gname, already_symmetric=True,
-        ),
-        source=os.fspath(path),
-    )
-
-
 def load_graph(
     path: PathLike,
     weighted: bool = False,
@@ -237,20 +182,3 @@ def _edge_list_store(path: str, weighted: bool, name: str | None) -> CSRGraph:
     graph._update_meta(source=stamp)
     return graph
 
-
-def save_metis(graph: CSRGraph, path: PathLike, weighted: bool = False) -> None:
-    """Write METIS format (loops are dropped: the format has no loops)."""
-    with open(path, "w") as fh:
-        fh.write(f"% {graph.name}\n")
-        fmt = " 1" if weighted else ""
-        fh.write(f"{graph.n} {graph.num_directed_edges // 2}{fmt}\n")
-        for v in range(graph.n):
-            nbrs = graph.neighbors(v)
-            ws = graph.neighbor_weights(v)
-            if weighted:
-                fh.write(
-                    " ".join(f"{u + 1} {w:.10g}" for u, w in zip(nbrs, ws))
-                    + "\n"
-                )
-            else:
-                fh.write(" ".join(str(u + 1) for u in nbrs) + "\n")

@@ -64,17 +64,6 @@ def compute_stats(graph: CSRGraph) -> GraphStats:
     )
 
 
-def degree_histogram(graph: CSRGraph, bins: int = 20) -> tuple[np.ndarray, np.ndarray]:
-    """Log-binned degree histogram ``(bin_edges, counts)``."""
-    deg = np.diff(graph.indptr)
-    max_deg = max(int(deg.max()), 1) if len(deg) else 1
-    edges = np.unique(
-        np.round(np.logspace(0, np.log10(max_deg + 1), bins + 1)).astype(np.int64)
-    )
-    counts, _ = np.histogram(deg, bins=edges)
-    return edges, counts
-
-
 def connected_components(graph: CSRGraph) -> np.ndarray:
     """Component label per vertex, via scipy's CSR connected components."""
     import scipy.sparse as sp

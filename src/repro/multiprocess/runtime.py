@@ -117,10 +117,6 @@ class MultiprocessConfig(AlgorithmConfig):
     #: pool wedged (a worker death fails the round within
     #: ``POLL_INTERVAL_S``)
     sync_timeout: float = 300.0
-    #: drop resident store pages after each worker chunk (bounds worker
-    #: RSS to O(n + chunk)); ``None`` = on exactly when the graph is
-    #: memmap-backed or spilled
-    release_pages: bool | None = None
 
     def __post_init__(self) -> None:
         if self.kernel not in KERNEL_NAMES:
@@ -337,11 +333,6 @@ class MultiprocessExecutor(HaloExecutor):
             self._spill_dir = tempfile.mkdtemp(prefix="repro-mp-graph-")
             save_mmap(graph, self._spill_dir)
             store_path = self._spill_dir
-        release_pages = (
-            cfg.release_pages
-            if cfg.release_pages is not None
-            else isinstance(graph, MmapCSRGraph)
-        )
 
         n = graph.n
         layout = (
@@ -393,7 +384,10 @@ class MultiprocessExecutor(HaloExecutor):
             "resolution": cfg.resolution,
             "remove_self": cfg.remove_self,
             "chunk_edges": cfg.chunk_edges,
-            "release_pages": release_pages,
+            # workers drop their resident store pages after each decide
+            # chunk (worker RSS stays O(n + chunk)) when the input graph
+            # is a memmapped store; a spilled in-RAM graph keeps them
+            "release_pages": isinstance(graph, MmapCSRGraph),
             "collect_spans": self._collect_spans,
         }
         for view in self.views:

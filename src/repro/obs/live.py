@@ -8,15 +8,17 @@ tiers (server, subprocess workers, rank processes).
 
 Two properties drive the design here:
 
-* **exact cross-process merging** — :class:`BucketHistogram` uses one
-  fixed, log-spaced bucket ladder shared by every process. Merging two
+* **exact merging** — :class:`BucketHistogram` uses one fixed,
+  log-spaced bucket ladder shared by every histogram. Merging two
   histograms is element-wise addition of bucket counts, so a quantile
   computed from a merged histogram equals the quantile of the merged
-  stream: p50/p95/p99 reported by the server are exactly what a single
-  observer of all workers would have measured (to bucket resolution).
-  A reservoir sample cannot do this — two reservoirs do not merge into
-  the reservoir of the union — so this is the only histogram type; the
-  metrics registry hands out the same class.
+  stream (to bucket resolution): a window's p99 is exactly what one
+  histogram over the window's samples would report. A reservoir sample
+  cannot do this — two reservoirs do not merge into the reservoir of
+  the union — so this is the only histogram type; the metrics registry
+  hands out the same class. Histograms never cross a process boundary:
+  the server times every request itself, and workers ship per-run
+  counters and spans with each reply (``repro.serve.pool``).
 * **"right now", not "since boot"** — :class:`SlidingWindowHistogram`
   keeps the ladder per time slot and expires whole slots, so the p99 the
   SLO monitor evaluates covers the last window, not the whole uptime.
@@ -62,13 +64,14 @@ def _log_bounds(lo: float, hi: float, per_decade: int) -> List[float]:
 #: the shared bucket ladder for latency-in-milliseconds histograms:
 #: 1 µs .. 10 min in 8 log-spaced buckets per decade (ratio ~1.33x —
 #: a quantile read off the ladder is within one bucket, <= 33%, of the
-#: exact stream quantile). Every process uses this exact ladder, which
-#: is what makes cross-process percentile merging exact.
+#: exact stream quantile). Every histogram uses this exact ladder, which
+#: is what makes percentile merging exact.
 BUCKET_BOUNDS_MS: tuple = tuple(_log_bounds(1e-3, 6e5, 8))
 
 
 class BucketHistogram:
-    """Fixed-bound bucket histogram; merges exactly across processes.
+    """Fixed-bound bucket histogram; merges exactly with any other on the
+    same ladder.
 
     ``bounds[i]`` is the *upper* bound of bucket ``i`` (Prometheus
     ``le`` semantics); one overflow bucket catches the rest. Counts,
@@ -143,26 +146,6 @@ class BucketHistogram:
             "p95": self.quantile(0.95),
             "p99": self.quantile(0.99),
         }
-
-    def to_wire(self) -> Dict[str, Any]:
-        """Compact cross-process form (sparse: only non-zero buckets)."""
-        return {
-            "counts": {
-                str(i): c for i, c in enumerate(self.counts) if c
-            },
-            "count": self.count,
-            "sum": self.total,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, Any],
-                  bounds: Sequence[float] = BUCKET_BOUNDS_MS) -> "BucketHistogram":
-        h = cls(bounds)
-        for i, c in wire.get("counts", {}).items():
-            h.counts[int(i)] = int(c)
-        h.count = int(wire.get("count", 0))
-        h.total = float(wire.get("sum", 0.0))
-        return h
 
 
 class SlidingWindowHistogram:

@@ -110,6 +110,37 @@ def run_counters(result) -> Dict[str, Any]:
     return counters
 
 
+def run_detection(
+    graph: CSRGraph, config: GalaConfig, spans: bool, process_name: str
+) -> Dict[str, Any]:
+    """Run :func:`~repro.core.gala.gala` once and build the reply both
+    runners ship: :func:`result_payload` plus a ``telemetry`` record with
+    the pid, the :func:`run_counters` and — when ``spans`` — the spans of
+    an obs session named ``process_name`` around the run, in this
+    process's clock."""
+    from repro import obs
+    from repro.core.gala import gala
+
+    if spans:
+        with obs.session(process_name=process_name) as sess:
+            result = gala(graph, config)
+        exported = sess.tracer.export_spans()
+    else:
+        result = gala(graph, config)
+        exported = None
+    payload = result_payload(result)
+    telemetry: Dict[str, Any] = {
+        "pid": os.getpid(),
+        "counters": run_counters(result),
+    }
+    if exported is not None:
+        telemetry["spans"] = exported["spans"]
+        telemetry["labels"] = exported["labels"]
+        telemetry["dropped"] = exported["dropped"]
+    payload["telemetry"] = telemetry
+    return payload
+
+
 # --------------------------------------------------------------------- #
 # the runner seam
 # --------------------------------------------------------------------- #
@@ -176,42 +207,24 @@ class InlineRunner(DetectionRunner):
         timeout: Optional[float] = None,
         collect_spans: bool = False,
     ) -> Dict[str, Any]:
-        from repro.core.gala import gala
-
         self.runs += 1
         loop = asyncio.get_running_loop()
 
         def _work() -> Dict[str, Any]:
             t_start = time.perf_counter()
-            if collect_spans:
-                from repro import obs
-
-                with obs.session(process_name="serve-inline") as sess:
-                    result = gala(graph, config)
-                exported = sess.tracer.export_spans()
-            else:
-                result = gala(graph, config)
-                exported = None
-            payload = result_payload(result)
+            payload = run_detection(graph, config, collect_spans, "serve-inline")
             # same clock, same process: spans need no offset, and the
-            # detect span brackets the engine run exactly
+            # detect span brackets the engine run
             t_end = time.perf_counter()
-            telemetry: Dict[str, Any] = {
-                "pid": os.getpid(),
-                "counters": run_counters(result),
-            }
-            if exported is not None:
-                spans = [
+            telemetry = payload["telemetry"]
+            if collect_spans:
+                telemetry["spans"] = [
                     make_span(
                         "worker/detect", t_start, t_end,
                         args={"runner": "inline"},
-                    )
+                    ),
+                    *telemetry["spans"],
                 ]
-                spans.extend(exported["spans"])
-                telemetry["spans"] = spans
-                telemetry["labels"] = exported["labels"]
-                telemetry["dropped"] = exported["dropped"]
-            payload["telemetry"] = telemetry
             return payload
 
         try:
@@ -274,9 +287,6 @@ def _worker_main(conn, graph_cache_size: int) -> None:
 
     cap_threads(1)
 
-    from repro import obs
-    from repro.core.gala import GalaConfig, gala
-
     clock = time.perf_counter
     graphs: "OrderedDict[str, CSRGraph]" = OrderedDict()
     while True:
@@ -321,25 +331,12 @@ def _worker_main(conn, graph_cache_size: int) -> None:
                 continue
             graphs.move_to_end(fp)
             want_spans = bool((msg.get("telemetry") or {}).get("spans"))
-            if want_spans:
-                with obs.session(process_name="serve-worker") as sess:
-                    result = gala(graph, GalaConfig(**msg["config"]))
-                exported = sess.tracer.export_spans()
-            else:
-                result = gala(graph, GalaConfig(**msg["config"]))
-                exported = None
-            reply = result_payload(result)
+            reply = run_detection(
+                graph, GalaConfig(**msg["config"]), want_spans, "serve-worker"
+            )
             reply["ok"] = True
-            telemetry: Dict[str, Any] = {
-                "pid": os.getpid(),
-                "t_job_recv": t_job_recv,
-                "counters": run_counters(result),
-            }
-            if exported is not None:
-                telemetry["spans"] = exported["spans"]
-                telemetry["labels"] = exported["labels"]
-                telemetry["dropped"] = exported["dropped"]
-            reply["telemetry"] = telemetry
+            telemetry = reply["telemetry"]
+            telemetry["t_job_recv"] = t_job_recv
             telemetry["t_reply_send"] = clock()
             conn.send(reply)
         except Exception as exc:  # noqa: BLE001 - the reply IS the report

@@ -184,14 +184,6 @@ class TestSession:
         with pytest.raises(RaceHazardError):
             san.log.add(_finding())
 
-    def test_raise_if_findings(self):
-        san = Sanitizer()
-        san.raise_if_findings()  # clean: no-op
-        san.log.add(_finding(checker="memcheck", kind="oob-access"))
-        with pytest.raises(MemcheckError) as exc:
-            san.raise_if_findings()
-        assert exc.value.findings[0].kind == "oob-access"
-
     def test_summary_and_report_carry_mode(self):
         with analysis.sanitized("strict") as san:
             pass

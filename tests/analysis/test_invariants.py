@@ -84,6 +84,14 @@ class TestValidateCsr:
         g.self_weight = g.self_weight[:-1]
         assert "csr-malformed" in kinds(validate_csr(g))
 
+    @pytest.mark.parametrize("name", ["indices", "weights", "self_weight"])
+    def test_multi_dimensional_payload(self, name):
+        g = clone(small_graph())
+        setattr(g, name, getattr(g, name)[:, None])
+        found = validate_csr(g)
+        assert kinds(found) == {"csr-malformed"}
+        assert name in found[0].message
+
     def test_out_of_range_neighbour(self):
         g = clone(small_graph())
         g.indices[0] = 99

@@ -132,6 +132,31 @@ class TestConfigClassification:
         assert kinds(findings) == ["unmapped-phase1-field"]
         assert findings[0].details["field"] == "mystery"
 
+    def test_phase1_kernel_maps_to_backend(self, tmp_path):
+        # Phase1Config.kernel is filled from GalaConfig.backend; a field
+        # with neither a same-name nor a mapped counterpart still fires
+        phase1 = """
+            from dataclasses import dataclass
+
+            @dataclass
+            class Phase1Config:
+                resolution: float = 1.0
+                kernel: str = "vectorized"
+                mystery: int = 0
+        """
+        project = make_project(
+            tmp_path, {"core/gala.py": GOOD_GALA, "core/phase1.py": phase1}
+        )
+        findings = run_rule(self.RULE, project)
+        assert kinds(findings) == ["unmapped-phase1-field"]
+        assert findings[0].details["field"] == "mystery"
+        no_backend = GOOD_GALA.replace("backend", "engine")
+        project = make_project(
+            tmp_path, {"core/gala.py": no_backend, "core/phase1.py": phase1}
+        )
+        fields = [f.details["field"] for f in run_rule(self.RULE, project)]
+        assert fields == ["kernel", "mystery"]
+
     def test_inherited_phase1_field_fires(self, tmp_path):
         engine = """
             from dataclasses import dataclass

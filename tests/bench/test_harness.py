@@ -9,7 +9,7 @@ from repro.bench.harness import (
     list_experiments,
     run_experiment,
 )
-from repro.bench.reporting import format_series, format_speedups, format_table
+from repro.bench.reporting import format_series, format_table
 from repro.bench.workloads import bench_scale, lfr_suite, load_suite
 from repro.errors import ExperimentError
 
@@ -45,14 +45,6 @@ class TestReporting:
 
     def test_format_series_empty(self):
         assert "(empty)" in format_series("s", [])
-
-    def test_format_speedups(self):
-        rows = [
-            {"system": "base", "t": 1.0},
-            {"system": "slow", "t": 3.0},
-        ]
-        out = format_speedups("base", rows, "t")
-        assert out[1]["slowdown_vs_base"] == pytest.approx(3.0)
 
 
 class TestHarness:

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.core.gala import GalaConfig
+from repro.core.phase1 import Phase1Config
 
 
 class TestCanonicalForm:
@@ -43,7 +44,7 @@ class TestCanonicalForm:
     def test_execution_fields_do_not_change_key(self):
         base = GalaConfig().cache_key()
         assert GalaConfig(backend="gpusim").cache_key() == base
-        assert GalaConfig(kernel="jit").cache_key() == base
+        assert GalaConfig(backend="jit").cache_key() == base
         assert GalaConfig(gpusim_engine="scalar").cache_key() == base
         assert GalaConfig(sanitize="fast").cache_key() == base
 
@@ -57,21 +58,28 @@ class TestExecutionFieldValidation:
     a bad value before its cache lookup."""
 
     @pytest.mark.parametrize("bad", [
-        {"kernel": "incremental"},
-        {"kernel": "bincount"},
+        {"backend": "incremental"},
+        {"backend": "bincount"},
         {"runtime": "mpi"},
         {"ranks": 0},
         {"ranks": 2.5},
         {"ranks": True},
+        {"backend": "bogus"},
+        {"gpusim_engine": "warp"},
+        {"runtime": "multiprocess", "backend": "gpusim"},
     ])
     def test_rejected_at_construction(self, bad):
         with pytest.raises(ValueError):
             GalaConfig(**bad)
 
     def test_callable_kernel_accepted(self):
+        # a callable kernel is a Phase1Config value only: GalaConfig
+        # names its backend
         from repro.core.kernels import decide_moves
 
-        assert GalaConfig(kernel=decide_moves).kernel is decide_moves
+        assert Phase1Config(kernel=decide_moves).kernel is decide_moves
+        with pytest.raises(TypeError):
+            GalaConfig(kernel=decide_moves)
 
 
 class TestRoundTrip:
@@ -93,10 +101,10 @@ class TestRoundTrip:
 
     def test_execution_fields_come_back_default(self):
         rebuilt = GalaConfig.from_cache_key(
-            GalaConfig(backend="gpusim", kernel="jit", seed=5).cache_key()
+            GalaConfig(backend="gpusim", gpusim_engine="scalar", seed=5).cache_key()
         )
-        assert rebuilt.backend == "vectorized"
-        assert rebuilt.kernel == "auto"
+        assert rebuilt.backend == "auto"
+        assert rebuilt.gpusim_engine is None
         assert rebuilt.seed == 0
 
     def test_unknown_field_rejected(self):

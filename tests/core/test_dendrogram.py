@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import gala, louvain
 from repro.core.dendrogram import Dendrogram, dendrogram_from_graph
-from repro.graph.generators import karate_club, load_dataset, ring_of_cliques
+from repro.graph.generators import load_dataset
 
 
 @pytest.fixture(scope="module")
@@ -64,24 +64,6 @@ class TestTreeStructure:
             n=4,
         )
         assert not bad.is_refinement_chain()
-
-    def test_community_sizes(self, dendro):
-        sizes = dendro.community_sizes(dendro.num_levels - 1)
-        assert sizes.sum() == dendro.n
-
-
-class TestNewick:
-    def test_karate_newick(self):
-        d = dendrogram_from_graph(karate_club())
-        s = d.to_newick()
-        assert s.endswith(");")
-        assert s.count("v") == 34
-        assert s.count("(") == s.count(")")
-
-    def test_leaf_limit(self):
-        d = dendrogram_from_graph(ring_of_cliques(4, 4))
-        with pytest.raises(ValueError):
-            d.to_newick(max_leaves=3)
 
 
 class TestFromResult:

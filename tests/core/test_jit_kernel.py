@@ -295,28 +295,12 @@ class TestFallback:
         monkeypatch.setenv("REPRO_JIT_PROVIDER", "off")
         jitmod._reset_runtime_cache()
         try:
-            code = main(["detect", str(edges), "--kernel", "jit"])
+            code = main(["detect", str(edges), "--backend", "jit"])
         finally:
             jitmod._reset_runtime_cache()
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "no working compile provider" in err
-
-    def test_cli_kernel_env_override(self, tmp_path, monkeypatch, capsys):
-        from repro.cli import main
-
-        edges = tmp_path / "g.txt"
-        from repro.graph.io import save_edge_list
-
-        save_edge_list(ring_of_cliques(4, 5), str(edges))
-        monkeypatch.setenv("REPRO_KERNEL", "jit")
-        monkeypatch.setenv("REPRO_JIT_PROVIDER", "off")
-        jitmod._reset_runtime_cache()
-        try:
-            code = main(["detect", str(edges)])
-        finally:
-            jitmod._reset_runtime_cache()
-        assert code == 2  # env override reached the engine config
 
 
 class TestTraceAccounting:
@@ -346,7 +330,7 @@ class TestTraceAccounting:
             rt = get_runtime()
             traces = []
             for _ in range(2):
-                r = gala(g, GalaConfig(kernel="auto"))
+                r = gala(g, GalaConfig(backend="auto"))
                 assert r.num_levels > 1
                 traces += [h for lvl in r.levels for h in lvl.phase1.history]
         finally:

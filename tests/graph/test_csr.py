@@ -125,7 +125,8 @@ class TestValidation:
 class TestNetworkxRoundtrip:
     def test_roundtrip(self, karate):
         nxg = karate.to_networkx()
-        back = CSRGraph.from_networkx(nxg)
+        src, dst, w = zip(*nxg.edges(data="weight"))
+        back = from_edge_array(nxg.number_of_nodes(), src, dst, w)
         back.validate()
         assert back.n == karate.n
         assert back.num_edges == karate.num_edges

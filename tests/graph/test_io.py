@@ -63,67 +63,3 @@ class TestNpzRoundtrip:
         np.savez(path, foo=np.arange(3))
         with pytest.raises(GraphFormatError):
             load_npz(path)
-
-
-class TestMetis:
-    def test_roundtrip_unweighted(self, karate, tmp_path):
-        from repro.graph.io import load_metis, save_metis
-
-        path = tmp_path / "karate.metis"
-        save_metis(karate, path)
-        back = load_metis(path)
-        back.validate()
-        assert back.n == karate.n
-        np.testing.assert_array_equal(back.indptr, karate.indptr)
-        np.testing.assert_array_equal(back.indices, karate.indices)
-
-    def test_roundtrip_weighted(self, tmp_path):
-        from repro.graph.builder import from_edge_array
-        from repro.graph.io import load_metis, save_metis
-
-        g = from_edge_array(4, [0, 1, 2], [1, 2, 3], [1.5, 2.0, 0.25])
-        path = tmp_path / "w.metis"
-        save_metis(g, path, weighted=True)
-        back = load_metis(path)
-        assert back.total_weight == pytest.approx(g.total_weight)
-        np.testing.assert_allclose(back.weights, g.weights)
-
-    def test_rejects_bad_header(self, tmp_path):
-        from repro.graph.io import load_metis
-
-        path = tmp_path / "bad.metis"
-        path.write_text("justone\n")
-        with pytest.raises(GraphFormatError):
-            load_metis(path)
-
-    def test_rejects_wrong_line_count(self, tmp_path):
-        from repro.graph.io import load_metis
-
-        path = tmp_path / "bad.metis"
-        path.write_text("3 1\n2\n1\n")  # says 3 vertices, gives 2 lines
-        with pytest.raises(GraphFormatError, match="adjacency lines"):
-            load_metis(path)
-
-    def test_rejects_out_of_range(self, tmp_path):
-        from repro.graph.io import load_metis
-
-        path = tmp_path / "bad.metis"
-        path.write_text("2 1\n5\n1\n")
-        with pytest.raises(GraphFormatError, match="out of range"):
-            load_metis(path)
-
-    def test_rejects_vertex_weight_fmt(self, tmp_path):
-        from repro.graph.io import load_metis
-
-        path = tmp_path / "bad.metis"
-        path.write_text("2 1 11\n2 1\n1 1\n")
-        with pytest.raises(GraphFormatError, match="fmt"):
-            load_metis(path)
-
-    def test_comment_lines_skipped(self, tmp_path):
-        from repro.graph.io import load_metis
-
-        path = tmp_path / "c.metis"
-        path.write_text("% hello\n2 1\n2\n1\n")
-        g = load_metis(path)
-        assert g.n == 2 and g.num_edges == 1

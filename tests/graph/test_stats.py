@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.graph.builder import from_edge_array
-from repro.graph.generators import karate_club, rmat_graph, star
-from repro.graph.stats import (
-    compute_stats,
-    connected_components,
-    degree_histogram,
-)
+from repro.graph.generators import star
+from repro.graph.stats import compute_stats, connected_components
 
 
 class TestComputeStats:
@@ -37,20 +33,6 @@ class TestComputeStats:
         assert row["graph"] == "karate"
         assert row["deg<32"].endswith("%")
         assert "/" in row["deg(min/mean/max)"]
-
-
-class TestDegreeHistogram:
-    def test_counts_cover_all_vertices(self):
-        g = rmat_graph(9, seed=1)
-        edges, counts = degree_histogram(g)
-        assert counts.sum() == np.sum(
-            (g.degrees >= edges[0]) & (g.degrees < edges[-1])
-        ) or counts.sum() <= g.n
-
-    def test_log_binning_monotone_edges(self, karate):
-        edges, counts = degree_histogram(karate, bins=8)
-        assert np.all(np.diff(edges) > 0)
-        assert len(counts) == len(edges) - 1
 
 
 class TestConnectedComponents:

@@ -163,7 +163,7 @@ class TestBitExactMatrix:
     def test_gala_forwards_kernel(self):
         from repro.core.gala import GalaConfig
 
-        cfg = GalaConfig(runtime="multiprocess", kernel="vectorized", ranks=3)
+        cfg = GalaConfig(runtime="multiprocess", backend="vectorized", ranks=3)
         assert cfg.multiprocess_config().kernel == "vectorized"
         assert GalaConfig(runtime="multiprocess").multiprocess_config().kernel == "auto"
 

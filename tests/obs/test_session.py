@@ -295,7 +295,7 @@ class TestCoarsenSpan:
         from repro.core.kernels.vectorized import compiled_runtime, make_kernel
 
         with obs.session() as sess:
-            result = gala(graph, GalaConfig(kernel=kernel, seed=0))
+            result = gala(graph, GalaConfig(backend=kernel, seed=0))
         spans = sess.tracer.export_spans(limit=10**9)["spans"]
         coarsen = [s for s in spans if s["name"] == "louvain/coarsen"]
         assert len(coarsen) == result.num_levels > 1

@@ -82,7 +82,7 @@ class TestDetectPath:
                     fp, config={"resolution": 2.0}, seed=0
                 )
                 r_backend = await client.detect(
-                    fp, config={"kernel": "vectorized"}, seed=0
+                    fp, config={"backend": "vectorized"}, seed=0
                 )
             finally:
                 await client.close()
@@ -94,6 +94,32 @@ class TestDetectPath:
         assert not r_field["cached"]
         # execution-only fields share the cache key (bit-exact backends)
         assert r_backend["cached"]
+
+    @pytest.mark.parametrize("field", ["indices", "weights", "self_weight"])
+    def test_malformed_csr_upload_400(self, field):
+        """An uploaded CSR array that is not 1-D is a ``bad_request``
+        from the CSR validator, never an internal error or a
+        registered graph."""
+        from repro.serve.protocol import graph_to_payload
+
+        message = {"op": "upload", **graph_to_payload(two_triangles())}
+        message["csr"][field] = [[x] for x in message["csr"][field]]
+
+        async def go():
+            server = DetectionServer(_config())
+            client = await _started(server)
+            try:
+                reply = await client.request(message)
+                alive = await client.ping()
+            finally:
+                await client.close()
+                await server.drain()
+            return reply, alive
+
+        reply, alive = run(go())
+        assert reply["error"] == "bad_request" and reply["status"] == 400
+        assert "1-D" in reply["message"]
+        assert alive["ok"]
 
     def test_unknown_fingerprint_404(self):
         async def go():
@@ -133,6 +159,12 @@ class TestDetectPath:
             {"kernel": "bincount"},  # a backend older clients may send
             {"runtime": "bogus"},
             {"runtime": "multiprocess", "ranks": -3},
+            # the backend is named by ``backend`` alone; ``kernel`` is
+            # not a GalaConfig field, whatever its value
+            {"kernel": "vectorized"},
+            {"backend": "bogus"},
+            {"gpusim_engine": "warp"},
+            {"runtime": "multiprocess", "backend": "gpusim"},
         ],
     )
     def test_invalid_execution_field_400_on_miss_and_hit(self, bad):
