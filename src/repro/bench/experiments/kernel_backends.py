@@ -5,7 +5,7 @@ host-side DecideAndMove backends on MG-pruned phase-1 runs:
 
 * ``vectorized`` — NumPy segmented reductions (the reference);
 * ``jit`` — the compiled per-vertex loop with a flat per-community
-  accumulator over the zero-allocation buffer arena; included only when a
+  accumulator the kernel keeps across calls; included only when a
   compile provider passes its warm-up probe on the host.
 
 ``kernel="auto"`` resolves to ``jit`` exactly when that probe passed, else

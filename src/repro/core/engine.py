@@ -63,14 +63,7 @@ class ConvergenceTracker:
         initial_q: float,
         snapshot: Any = None,
     ):
-        # Reject silently-broken configurations up front: patience < 1
-        # stops after every iteration regardless of progress, and
-        # theta < 0 counts every iteration as progress, so a limit cycle
-        # never converges and runs to max_iterations.
-        if patience < 1:
-            raise ValueError(f"patience must be >= 1, got {patience}")
-        if theta < 0:
-            raise ValueError(f"theta must be >= 0, got {theta}")
+        self.check(theta, patience)
         self.theta = theta
         self.patience = patience
         #: best modularity seen so far (seeded with the initial state's, so
@@ -81,6 +74,17 @@ class ConvergenceTracker:
         self.best = snapshot
         #: consecutive iterations without a >= theta improvement
         self.bad_streak = 0
+
+    @staticmethod
+    def check(theta: float, patience: int) -> None:
+        """Reject silently-broken configurations up front: patience < 1
+        stops after every iteration regardless of progress, and a negative
+        (or NaN) theta counts every iteration as progress, so a limit cycle
+        never converges and runs to max_iterations."""
+        if patience < 1:
+            raise ValueError(f"patience must be >= 1, got {patience}")
+        if not theta >= 0:
+            raise ValueError(f"theta must be >= 0, got {theta}")
 
     def update(self, next_q: float, snapshot: Callable[[], Any]) -> bool:
         """Observe one iteration's modularity; returns whether it counted
@@ -178,10 +182,6 @@ class IterationTrace:
     #: (nonzero only on the first iteration in the process that used a
     #: compiled backend)
     kernel_compile_s: float = 0.0
-    #: running buffer-arena allocation count after this iteration (None
-    #: when the executor has no arena); flat after iteration 2 — the
-    #: zero-steady-state-allocation invariant
-    arena_allocs: Optional[int] = None
     # number of inactive vertices, set by the engine
     num_inactive: int = 0
     #: dense/sparse synchronisation decision (multi-GPU runtime)

@@ -19,9 +19,9 @@ graph of at least :data:`PARALLEL_MIN_ENTRIES` adjacency entries; the others
 accumulate floats in a pinned order and stay sequential. The thread
 count is fixed per process (:func:`cap_threads`).
 
-The phase-1 loops write straight into arena-owned buffers — the
-steady-state iteration then performs zero heap allocations (see
-:mod:`repro.core.arena`).
+:class:`JitKernel` owns its scratch and output arrays and the aggregate
+refresh writes into the state's own arrays, so a steady-state iteration
+allocates no per-vertex buffer for either.
 
 Two **providers** run the loops:
 
@@ -70,7 +70,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.core.arena import BufferArena
 from repro.core.kernels.vectorized import DecideResult, _trivial_result
 from repro.core.state import CommunityState
 from repro.errors import KernelUnavailableError
@@ -1332,14 +1331,18 @@ def require_runtime(provider: Optional[str] = None) -> JitRuntime:
 class JitKernel:
     """Compiled DecideAndMove behind the host kernel-backend protocol.
 
-    Scratch (the stamp-versioned per-community accumulator, one slice per
-    thread) and the DecideResult output arrays live in the bound
-    :class:`BufferArena`, so steady-state calls allocate nothing. The
-    returned :class:`DecideResult` views those buffers and is valid until
-    the next call — the engine consumes it immediately; callers that keep
-    results across calls must copy. A call runs on ``runtime.threads``
-    threads when the graph has at least :data:`PARALLEL_MIN_ENTRIES`
-    adjacency entries, else on one; ``last_threads`` records which.
+    The kernel owns its scratch (the stamp-versioned per-community
+    accumulator, one slice per thread) and the DecideResult output arrays.
+    The scratch is sized when a call first sees a graph (the graph object,
+    not just its ``n``: a graph of the same size may have a larger maximum
+    degree) and again when the thread count grows; the outputs grow to the
+    largest active set seen (a rank's decide chunk stays O(chunk)). Later
+    calls on the same graph allocate nothing. The returned
+    :class:`DecideResult` views those arrays and is valid until the next
+    call — the engine consumes it immediately; callers that keep results
+    across calls must copy. A call runs on ``runtime.threads`` threads
+    when the graph has at least :data:`PARALLEL_MIN_ENTRIES` adjacency
+    entries, else on one; ``last_threads`` records which.
     """
 
     name = "jit"
@@ -1348,25 +1351,16 @@ class JitKernel:
         self,
         provider: Optional[str] = None,
         runtime: Optional[JitRuntime] = None,
-        arena: Optional[BufferArena] = None,
     ):
         self.runtime = runtime if runtime is not None else require_runtime(provider)
-        self.arena = arena if arena is not None else BufferArena("jit")
         #: backend that ran on the last call (recorded in ``IterationTrace``)
         self.last_backend: Optional[str] = None
         #: threads the last call ran on (``IterationTrace.kernel_threads``)
         self.last_threads: Optional[int] = None
-        self._n = -1
+        self._graph = None
         self._slices = 0
         self._stamp = 0
-
-    # backend-protocol plumbing (duck-typed; plain callables skip it)
-    def bind_arena(self, arena: BufferArena) -> None:
-        self.arena = arena
-        self._n = -1
-
-    def reset(self, state: CommunityState) -> None:
-        self._n = -1
+        self._size_outputs(0)
 
     def take_compile_s(self) -> float:
         """The runtime's probe seconds on the first call for that runtime
@@ -1378,17 +1372,21 @@ class JitKernel:
         rt.compile_charged = True
         return rt.compile_s
 
-    def _prepare_scratch(self, graph, slices: int) -> None:
+    def _size_scratch(self, graph, slices: int) -> None:
         n = graph.n
-        a = self.arena
-        self._acc_w = a.request(("jit", "acc_w"), slices * n, np.float64)
-        self._acc_stamp = a.zeros(("jit", "acc_stamp"), slices * n, np.int64)
         max_deg = int(graph.degrees.max()) if n else 0
-        self._acc_comms = a.request(("jit", "acc_comms"),
-                                    slices * max(max_deg, 1), np.int64)
+        self._acc_w = np.empty(slices * n, dtype=np.float64)
+        self._acc_stamp = np.zeros(slices * n, dtype=np.int64)
+        self._acc_comms = np.empty(slices * max(max_deg, 1), dtype=np.int64)
         self._stamp = 0
-        self._n = n
+        self._graph = graph
         self._slices = slices
+
+    def _size_outputs(self, size: int) -> None:
+        self._best_comm = np.empty(size, dtype=np.int64)
+        self._best_gain = np.empty(size, dtype=np.float64)
+        self._stay_gain = np.empty(size, dtype=np.float64)
+        self._move = np.empty(size, dtype=np.bool_)
 
     def __call__(
         self,
@@ -1409,14 +1407,15 @@ class JitKernel:
         n_act = len(active_idx)
         if g.total_weight == 0.0 or n_act == 0:
             return _trivial_result(state, active_idx, np.zeros(n_act))
-        if self._n != g.n or self._slices < threads:
-            self._prepare_scratch(g, threads)
+        if self._graph is not g or self._slices < threads:
+            self._size_scratch(g, threads)
+        if len(self._move) < n_act:
+            self._size_outputs(n_act)
 
-        a = self.arena
-        best_comm = a.request(("jit", "best_comm"), n_act, np.int64)
-        best_gain = a.request(("jit", "best_gain"), n_act, np.float64)
-        stay_gain = a.request(("jit", "stay_gain"), n_act, np.float64)
-        move = a.request(("jit", "move"), n_act, np.bool_)
+        best_comm = self._best_comm[:n_act]
+        best_gain = self._best_gain[:n_act]
+        stay_gain = self._stay_gain[:n_act]
+        move = self._move[:n_act]
 
         self._stamp = self.runtime.decide(
             np.ascontiguousarray(active_idx),

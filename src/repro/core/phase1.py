@@ -37,7 +37,6 @@ from repro.core.engine import (
     IterationTrace,
     run_engine,
 )
-from repro.core.arena import BufferArena
 from repro.core.kernels.vectorized import (
     DecideResult,
     VectorizedKernel,
@@ -95,12 +94,12 @@ class PartitionedExecutor(Executor):
     against the shared snapshot, then one commit step.
 
     It owns the kernel (the NumPy ``VectorizedKernel`` unless one is
-    given), the buffer arena, the state and the compiled runtime behind a
-    jit kernel, which also runs the delta weight update, the aggregate
-    refresh and MG's test — all bit-identical to the NumPy paths. The
-    kernel backend protocol is duck-typed so plain callables keep working:
-    arena binding, per-graph ``reset``, ``take_compile_s``, and the
-    ``runtime``/``last_backend``/``last_threads``/``device`` attributes.
+    given), the state and the compiled runtime behind a jit kernel, which
+    also runs the delta weight update, the aggregate refresh and MG's
+    test — all bit-identical to the NumPy paths. The kernel backend
+    protocol is duck-typed so plain callables keep working:
+    ``take_compile_s`` and the ``runtime``/``last_backend``/
+    ``last_threads``/``device`` attributes.
 
     Subclasses supply the synchronisation (:meth:`_sync`) and may hook the
     per-rank decide (:meth:`_rank_state`, :meth:`_charge_decide`) or
@@ -128,14 +127,6 @@ class PartitionedExecutor(Executor):
         self.partition = part
         self.remove_self = config.remove_self
         self.kernel = kernel if kernel is not None else VectorizedKernel()
-        #: per-level scratch allocator; every iteration-shaped buffer the
-        #: hot loop needs (kernel scratch, DecideResult storage, aggregate
-        #: rebuilds) is served from here, so the steady-state loop
-        #: performs zero heap allocations
-        self.arena = BufferArena("engine")
-        kernel_bind_arena = getattr(self.kernel, "bind_arena", None)
-        if kernel_bind_arena is not None:
-            kernel_bind_arena(self.arena)
         if initial_communities is None:
             self.state = CommunityState.singletons(
                 graph, resolution=config.resolution
@@ -144,9 +135,6 @@ class PartitionedExecutor(Executor):
             self.state = CommunityState.from_assignment(
                 graph, initial_communities, resolution=config.resolution
             )
-        kernel_reset = getattr(self.kernel, "reset", None)
-        if kernel_reset is not None:
-            kernel_reset(self.state)
         self.runtime = compiled_runtime(self.kernel)
         # the stock delta update runs compiled, all movers in one call
         self.updater = updater or make_weight_updater(
@@ -179,7 +167,7 @@ class PartitionedExecutor(Executor):
         with self.clock.measure("weight_update", "engine/weight_update"):
             self.updater(state, prev_comm, moved)
         with self.clock.measure("aggregate", "engine/aggregate"):
-            refresh_aggregates(state, arena=self.arena, runtime=self.runtime)
+            refresh_aggregates(state, runtime=self.runtime)
             next_q = state.modularity()
         return next_q
 
@@ -199,7 +187,6 @@ class PartitionedExecutor(Executor):
     def collect(self, trace: IterationTrace) -> None:
         trace.kernel_backend = getattr(self.kernel, "last_backend", None)
         trace.kernel_threads = getattr(self.kernel, "last_threads", None)
-        trace.arena_allocs = self.arena.allocs
         take_compile_s = getattr(self.kernel, "take_compile_s", None)
         if take_compile_s is not None:
             trace.kernel_compile_s = take_compile_s()

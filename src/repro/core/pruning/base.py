@@ -119,6 +119,8 @@ def make_strategy(spec: "str | PruningStrategy | None", **kwargs) -> PruningStra
         return NoPruning()
     if isinstance(spec, PruningStrategy):
         return spec
+    if not isinstance(spec, str):
+        raise TypeError(f"pruning must be a strategy name, got {spec!r}")
     registry = {
         "none": NoPruning,
         "sm": StrictMovementPruning,

@@ -128,24 +128,18 @@ def _delta_apply(
         np.add.at(state.d_comm, v[rel], delta)
 
 
-def refresh_aggregates(state: CommunityState, arena=None, runtime=None) -> None:
+def refresh_aggregates(state: CommunityState, runtime=None) -> None:
     """Rebuild ``comm_strength``/``comm_size`` after a BSP apply step.
 
-    The plain path allocates two fresh ``np.bincount`` outputs per
-    iteration; with an arena *and* a jit runtime the rebuild instead runs
-    the compiled sequential loop into pooled buffers (``np.bincount``
-    summation order, so bit-identical), making the refresh allocation-free
-    in the steady state. Without a runtime the NumPy path is kept as-is —
-    ``np.add.at`` into a reused buffer would be far slower than
-    ``np.bincount``.
+    With a jit runtime the rebuild runs the compiled sequential loop in
+    place into the state's own arrays (``np.bincount`` summation order, so
+    bit-identical), as the delta update writes ``d_comm`` in place.
+    Without one the plain path allocates two fresh ``np.bincount``
+    outputs — ``np.add.at`` into the existing arrays would be far slower.
     """
-    if arena is not None and runtime is not None:
-        n = state.graph.n
-        comm_strength = arena.request(("weights", "comm_strength"), n, np.float64)
-        comm_size = arena.request(("weights", "comm_size"), n, np.int64)
-        runtime.aggregates(state.comm, state.graph.strength, comm_strength, comm_size)
-        state.comm_strength = comm_strength
-        state.comm_size = comm_size
+    if runtime is not None:
+        runtime.aggregates(state.comm, state.graph.strength,
+                           state.comm_strength, state.comm_size)
     else:
         state.refresh_community_aggregates()
 

@@ -110,7 +110,6 @@ def from_edge_array(
     dst: np.ndarray,
     w: np.ndarray | float | None = None,
     name: str = "graph",
-    already_symmetric: bool = False,
 ) -> CSRGraph:
     """Build a graph from a raw edge list (the main public entry point).
 
@@ -119,10 +118,9 @@ def from_edge_array(
     n:
         Number of vertices; edges must reference ids in ``[0, n)``.
     src, dst:
-        Edge endpoint arrays. Each undirected edge may appear once (in either
-        direction) or in both directions with equal weight if
-        ``already_symmetric=True``. Parallel edges are summed; self-loops are
-        routed into ``self_weight``.
+        Edge endpoint arrays, one undirected edge per entry (in either
+        direction). Parallel edges are summed — an edge listed in both
+        directions counts twice; self-loops are routed into ``self_weight``.
     w:
         Edge weights; a scalar (or None, meaning 1.0) is broadcast.
     """
@@ -142,20 +140,8 @@ def from_edge_array(
             raise GraphValidationError("w must match src/dst shape")
     if np.any(w < 0):
         raise GraphValidationError("negative edge weight")
-    if not already_symmetric:
-        src, dst, w = symmetrize_edges(src, dst, w)
+    src, dst, w = symmetrize_edges(src, dst, w)
     s, d, ww, self_w = coalesce_edges(n, src, dst, w)
-    if already_symmetric:
-        # Trust-but-verify: symmetric input must coalesce to a symmetric set.
-        rev = np.lexsort((s, d))
-        if not (
-            np.array_equal(s, d[rev])
-            and np.array_equal(d, s[rev])
-            and np.allclose(ww, ww[rev])
-        ):
-            raise GraphValidationError(
-                "already_symmetric=True but edge list is not symmetric"
-            )
     graph = build_csr(n, s, d, ww, self_w, name=name)
     # Under an active sanitizer session every constructed graph gets the
     # full CSR audit — the generators and phase-2 contraction all funnel

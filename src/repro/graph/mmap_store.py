@@ -82,6 +82,11 @@ def _splitmix(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+def _finite_non_negative(w: np.ndarray) -> bool:
+    """Whether every weight in ``w`` is finite and >= 0 (NaN fails)."""
+    return bool(np.all((w >= 0) & (w < np.inf)))
+
+
 def _edge_hash(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """64-bit orientation-insensitive mix of each directed edge's endpoints.
 
@@ -184,7 +189,7 @@ class MmapCSRGraph(CSRGraph):
         """Chunk-wise structural audit; raises GraphValidationError.
 
         Checks the same invariants as the in-RAM validator — indptr
-        shape/monotonicity, index range, non-negative weights, sorted
+        shape/monotonicity, index range, finite non-negative weights, sorted
         duplicate-free rows, no loops in the adjacency — in O(n) heap.
         Symmetry, which the in-RAM path checks with an O(E) double
         lexsort, is checked in two streaming accumulators: an XOR fold of
@@ -214,8 +219,8 @@ class MmapCSRGraph(CSRGraph):
                 raise GraphValidationError("indptr must be non-decreasing")
         for lo in range(0, self.n, step):
             hi = min(lo + step, self.n)
-            if np.any(self.self_weight[lo:hi] < 0):
-                raise GraphValidationError("negative edge weight")
+            if not _finite_non_negative(self.self_weight[lo:hi]):
+                raise GraphValidationError("edge weight must be finite and >= 0")
 
         acc = np.uint64(0)
         wsig = 0.0
@@ -228,8 +233,8 @@ class MmapCSRGraph(CSRGraph):
                 continue
             if ids.min() < 0 or ids.max() >= self.n:
                 raise GraphValidationError("neighbour id out of range")
-            if np.any(w < 0):
-                raise GraphValidationError("negative edge weight")
+            if not _finite_non_negative(w):
+                raise GraphValidationError("edge weight must be finite and >= 0")
             deg = np.diff(indptr[v0:v1 + 1]).astype(np.int64)
             rows = np.repeat(np.arange(v0, v1, dtype=np.int64), deg)
             if np.any(ids == rows):

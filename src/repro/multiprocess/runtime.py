@@ -18,9 +18,10 @@ requires. The shape of an iteration:
    shared done semaphore. The kernel is the host backend the parent
    resolved from ``MultiprocessConfig.kernel`` once (``auto`` is the
    compiled ``jit`` loop when a compile provider passed its probe);
-   each worker builds it once, with its own buffer arena, and runs it on
-   one thread — the ranks are the parallelism, and a forked worker must
-   never enter an OpenMP parallel region (libgomp is not fork-safe);
+   each worker builds it once (a jit kernel keeps its own buffers across
+   rounds) and runs it on one thread — the ranks are the parallelism, and
+   a forked worker must never enter an OpenMP parallel region (libgomp is
+   not fork-safe);
 3. the parent commits the move step through the executor core
    (:class:`~repro.core.phase1.PartitionedExecutor`) — the same halo-exchange
    accounting over the same :class:`~repro.distributed.halo.RankView`
@@ -85,6 +86,10 @@ CMD_STOP = 2
 #: to report a round done (a dead rank is noticed within one interval)
 POLL_INTERVAL_S = 0.05
 
+#: seconds the parent waits for a round before declaring the worker pool
+#: wedged (a worker death fails the round within ``POLL_INTERVAL_S``)
+SYNC_TIMEOUT_S = 300.0
+
 #: per-rank cap on collected decide spans (one per engine round); a run
 #: that exceeds it reports the overflow as a dropped count instead of
 #: growing the STOP-time payload without bound
@@ -113,10 +118,6 @@ class MultiprocessConfig(AlgorithmConfig):
     #: else the platform default). Both are supported; ``fork`` starts
     #: ~100x faster, which matters at 8 ranks.
     mp_context: str | None = None
-    #: seconds the parent waits for a round before declaring the worker
-    #: pool wedged (a worker death fails the round within
-    #: ``POLL_INTERVAL_S``)
-    sync_timeout: float = 300.0
 
     def __post_init__(self) -> None:
         if self.kernel not in KERNEL_NAMES:
@@ -197,7 +198,7 @@ def _worker_main(
             resolution=float(params["resolution"]),
         )
         # built once per worker; a jit kernel keeps its scratch and
-        # result buffers in its own arena across rounds
+        # result buffers across rounds
         kernel = make_kernel(params["kernel"])
         degrees = graph.degrees
         remove_self = bool(params["remove_self"])
@@ -438,10 +439,10 @@ class MultiprocessExecutor(HaloExecutor):
     def _round(self) -> None:
         """Release one round, wait for every rank's done post; surface
         worker failures (a dead rank within ``POLL_INTERVAL_S``, a wedged
-        pool after ``sync_timeout``)."""
+        pool after ``SYNC_TIMEOUT_S``)."""
         for go in self._go:
             go.release()
-        deadline = time.monotonic() + self.config.sync_timeout
+        deadline = time.monotonic() + SYNC_TIMEOUT_S
         pending = self.config.num_ranks
         while pending:
             if self._done.acquire(timeout=POLL_INTERVAL_S):
@@ -479,7 +480,7 @@ class MultiprocessExecutor(HaloExecutor):
         ]
         if dead:
             return "worker(s) died: " + ", ".join(dead)
-        return f"round timeout after {self.config.sync_timeout}s"
+        return f"round timeout after {SYNC_TIMEOUT_S}s"
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:

@@ -110,9 +110,6 @@ class ObsSession:
         stats = getattr(executor, "stats", None)
         if stats is not None and hasattr(stats, "bytes_sent"):
             self.metrics.bridge_halo(stats)
-        arena = getattr(executor, "arena", None)
-        if arena is not None and hasattr(arena, "stats"):
-            self.metrics.bridge_arena(arena)
 
     # ------------------------------------------------------------------ #
     def summary(self) -> Dict[str, Any]:

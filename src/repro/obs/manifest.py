@@ -150,14 +150,6 @@ def _history_totals(history) -> Dict[str, Any]:
             backends[b] = backends.get(b, 0) + 1
     if backends:
         totals["kernel_backends"] = backends
-    # arena_allocs is a running count: the last trace carries the total
-    arena = [
-        t.arena_allocs
-        for t in history
-        if getattr(t, "arena_allocs", None) is not None
-    ]
-    if arena:
-        totals["arena_allocs"] = int(arena[-1])
     return totals
 
 

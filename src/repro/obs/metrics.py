@@ -154,20 +154,3 @@ class MetricsRegistry:
         """
         for name, value in cache.stats().items():
             self.gauge(f"{prefix}/{name}").set(value)
-
-    def bridge_arena(self, arena, prefix: str = "arena") -> None:
-        """Accumulate a :class:`~repro.core.arena.BufferArena`'s counters.
-
-        Arenas are per-engine-run (like phase clocks), so the bridge
-        *adds* the counters — multi-level pipelines sum to the whole-run
-        total — while ``hwm`` keeps the maximum across bridged arenas.
-        Values are copied from ``arena.stats()`` verbatim, never
-        re-measured.
-        """
-        stats = arena.stats()
-        self.counter(f"{prefix}/allocs").add(stats["allocs"])
-        self.counter(f"{prefix}/reuses").add(stats["reuses"])
-        self.counter(f"{prefix}/bytes_reused").add(stats["bytes_reused"])
-        hwm = self.gauge(f"{prefix}/hwm")
-        if stats["hwm"] > hwm.value:
-            hwm.set(stats["hwm"])

@@ -68,11 +68,6 @@ METRIC_NAMES: frozenset = frozenset(
         "nccl/collectives",
         # observability internals
         "obs/rank_spans_dropped",
-        # zero-allocation buffer arena
-        "arena/allocs",
-        "arena/reuses",
-        "arena/bytes_reused",
-        "arena/hwm",
         # serving layer: request lifecycle
         "serve/requests_total",
         "serve/cache_hits",

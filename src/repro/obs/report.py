@@ -160,13 +160,10 @@ def render_manifest(manifest: RunManifest) -> str:
     lines.append(headline)
     backends: Dict[str, int] = {}
     compile_s = 0.0
-    arena_allocs = None
     for lvl in manifest.levels:
         for name, count in (lvl.get("kernel_backends") or {}).items():
             backends[name] = backends.get(name, 0) + count
         compile_s += lvl.get("kernel_compile_s") or 0.0
-        if lvl.get("arena_allocs") is not None:
-            arena_allocs = (arena_allocs or 0) + lvl["arena_allocs"]
     if backends:
         line = "kernel: " + " ".join(
             f"{k}x{v}" for k, v in sorted(backends.items())
@@ -181,17 +178,6 @@ def render_manifest(manifest: RunManifest) -> str:
         if compile_s:
             line += f" (compile {compile_s:.3f}s)"
         lines.append(line)
-    counters = manifest.metrics.get("counters", {})
-    gauges = manifest.metrics.get("gauges", {})
-    if "arena/allocs" in counters:
-        lines.append(
-            f"arena: allocs={counters['arena/allocs']} "
-            f"reuses={counters.get('arena/reuses', 0)} "
-            f"bytes_reused={counters.get('arena/bytes_reused', 0)} "
-            f"hwm={gauges.get('arena/hwm', 0)}"
-        )
-    elif arena_allocs is not None:
-        lines.append(f"arena: allocs={arena_allocs}")
     if manifest.levels:
         lines += ["", format_table(_level_rows(manifest), title="per-level breakdown")]
     phase = _phase_rows(manifest)

@@ -24,10 +24,11 @@ from repro.core.kernels.jit import (
     require_runtime,
 )
 from repro.core.kernels.vectorized import decide_moves
-from repro.core.phase1 import Phase1Config, run_phase1
+from repro.core.phase1 import LocalExecutor, Phase1Config, run_phase1
 from repro.core.state import CommunityState
 from repro.core.weights import delta_update, make_weight_updater
 from repro.errors import KernelUnavailableError
+from repro.graph.builder import from_edge_array
 from repro.graph.generators import ring_of_cliques
 from repro.graph.generators.lfr import LFRParams, lfr_graph
 from repro.graph.generators.rmat import rmat_graph
@@ -70,7 +71,6 @@ class TestJitBitExactness:
         driven through 4 BSP sweeps with shrinking active sets."""
         k = JitKernel(runtime=runtime)
         state = CommunityState.singletons(graph, resolution=gamma)
-        k.reset(state)
         rng = np.random.default_rng(7)
         for it in range(4):
             if it == 0:
@@ -90,7 +90,6 @@ class TestJitBitExactness:
         state = CommunityState.singletons(graph)
         idx = np.empty(0, dtype=np.int64)
         k = JitKernel(runtime=runtime)
-        k.reset(state)
         _assert_results_equal(k(state, idx, True), decide_moves(state, idx))
 
     def test_delta_update_bit_identical(self, graph, runtime):
@@ -147,6 +146,65 @@ class TestJitBitExactness:
             assert ha.num_moved == hb.num_moved
             assert ha.modularity == hb.modularity
             assert ha.kernel_backend == "jit"
+
+
+class TestKernelBuffers:
+    """The jit kernel owns its scratch and DecideResult arrays: sized on a
+    graph's first call, reused from the second call on, never aliased."""
+
+    @staticmethod
+    def _buffers(k):
+        return [k._acc_w, k._acc_stamp, k._acc_comms,
+                k._best_comm, k._best_gain, k._stay_gain, k._move]
+
+    def test_buffers_keep_their_memory_and_never_alias(self, runtime):
+        g = ring_of_cliques(8, 6)
+        state = CommunityState.singletons(g)
+        all_idx = np.arange(g.n, dtype=np.int64)
+        k = JitKernel(runtime=runtime)
+        first = k(state, all_idx, True)
+        ptrs = [b.ctypes.data for b in self._buffers(k)]
+        out_ptrs = [first.best_comm.ctypes.data, first.best_gain.ctypes.data,
+                    first.stay_gain.ctypes.data, first.move.ctypes.data]
+        for idx in (all_idx, all_idx[::3], all_idx[5:9]):
+            res = k(state, idx, True)
+            _assert_results_equal(res, decide_moves(state, idx))
+            assert [b.ctypes.data for b in self._buffers(k)] == ptrs
+            assert [res.best_comm.ctypes.data, res.best_gain.ctypes.data,
+                    res.stay_gain.ctypes.data, res.move.ctypes.data] == out_ptrs
+        bufs = self._buffers(k)
+        for i in range(len(bufs)):
+            for j in range(i + 1, len(bufs)):
+                assert not np.shares_memory(bufs[i], bufs[j])
+
+    def test_new_graph_with_larger_max_degree_resizes_scratch(self, runtime):
+        """A second graph of the same ``n`` whose maximum degree is larger
+        gets a per-community list sized for it."""
+        ring = ring_of_cliques(8, 6)
+        hub = np.zeros(ring.n - 1, dtype=np.int64)
+        star = from_edge_array(ring.n, hub, np.arange(1, ring.n))
+        assert star.degrees.max() > ring.degrees.max()
+        k = JitKernel(runtime=runtime)
+        for g in (ring, star):
+            state = CommunityState.singletons(g)
+            idx = np.arange(g.n, dtype=np.int64)
+            _assert_results_equal(k(state, idx, True), decide_moves(state, idx))
+            assert len(k._acc_comms) >= k._slices * g.degrees.max()
+
+    @pytest.mark.skipif(_compiled is None, reason="no compile provider here")
+    def test_executor_refreshes_aggregates_in_place(self, graph):
+        """With a compiled runtime the aggregate refresh writes into the
+        state's own arrays, and the run matches the NumPy one."""
+        cfg = Phase1Config(pruning="mg", kernel=JitKernel(runtime=_compiled))
+        ex = LocalExecutor(graph, cfg)
+        comm_strength, comm_size = ex.state.comm_strength, ex.state.comm_size
+        r = ex.run()
+        assert len(r.history) > 1
+        assert ex.state.comm_strength is comm_strength
+        assert ex.state.comm_size is comm_size
+        want = run_phase1(graph, Phase1Config(pruning="mg", kernel="vectorized"))
+        np.testing.assert_array_equal(r.communities, want.communities)
+        assert r.modularity == want.modularity
 
 
 class TestProviders:
@@ -367,7 +425,6 @@ class TestTraceAccounting:
         m = build_manifest(r, graph)
         lvl = m.levels[0]
         assert "kernel_backends" in lvl and sum(lvl["kernel_backends"].values()) == len(r.history)
-        assert lvl["arena_allocs"] == r.history[-1].arena_allocs
         assert lvl["kernel_compile_s"] == pytest.approx(
             sum(h.kernel_compile_s for h in r.history)
         )
@@ -406,7 +463,6 @@ class TestTraceAccounting:
         assert "jit_provider=" in text
         if _compiled is not None:
             assert f"jit_threads={_compiled.threads}" in text
-        assert "arena: allocs=" in text
 
 
 def _forced_decide(rt, state, idx, remove_self, threads, stamp=0):
@@ -487,7 +543,6 @@ class TestThreadedDecide:
         k = JitKernel(runtime=_compiled)
         for g, threads in ((big, 2), (small, 1), (big, 2)):
             state = CommunityState.singletons(g)
-            k.reset(state)
             all_idx = np.arange(g.n, dtype=np.int64)
             for idx in (all_idx, all_idx[: g.n // 8]):
                 _assert_results_equal(k(state, idx, True),

@@ -77,16 +77,6 @@ class TestFromEdgeArray:
         assert g.total_weight == pytest.approx(2.0)
         np.testing.assert_allclose(g.weights, [2.0, 2.0])
 
-    def test_already_symmetric_accepted(self):
-        g = from_edge_array(
-            2, [0, 1], [1, 0], [3.0, 3.0], already_symmetric=True
-        )
-        assert g.total_weight == pytest.approx(3.0)
-
-    def test_already_symmetric_rejects_asymmetric(self):
-        with pytest.raises(GraphValidationError, match="not symmetric"):
-            from_edge_array(3, [0], [1], [1.0], already_symmetric=True)
-
     @given(
         st.integers(2, 12),
         st.lists(

@@ -79,6 +79,25 @@ class TestValidation:
         with pytest.raises(GraphValidationError, match="symmetric|sorted|dup"):
             open_mmap(tmp_path / "g.store", chunk_edges=17)
 
+    @pytest.mark.parametrize(
+        "file, value",
+        [("weights.bin", np.nan), ("self_weight.bin", np.inf),
+         ("self_weight.bin", np.nan)],
+    )
+    def test_non_finite_weight_rejected(self, graph, tmp_path, file, value):
+        save_mmap(graph, tmp_path / "g.store")
+        arr = np.memmap(tmp_path / "g.store" / file, dtype="<f8", mode="r+")
+        if file == "weights.bin":
+            # both directions of one edge, so symmetry still holds
+            u, v = 0, int(graph.indices[0])
+            mirror = graph.indptr[v] + np.searchsorted(graph.neighbors(v), u)
+            arr[[0, mirror]] = value
+        else:
+            arr[1] = value
+        arr.flush()
+        with pytest.raises(GraphValidationError, match="finite"):
+            open_mmap(tmp_path / "g.store", chunk_edges=17)
+
     def test_truncated_file_rejected(self, graph, tmp_path):
         save_mmap(graph, tmp_path / "g.store")
         with open(tmp_path / "g.store" / "weights.bin", "r+b") as fh:

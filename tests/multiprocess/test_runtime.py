@@ -29,6 +29,7 @@ from repro.multiprocess import (
     MultiprocessExecutor,
     run_multiprocess_phase1,
 )
+from repro.multiprocess import runtime as mp_runtime
 
 MATRIX_GRAPHS = {
     "LJ": lambda: load_dataset("LJ", 0.05),
@@ -311,11 +312,11 @@ class TestLifecycle:
         assert not os.path.isdir(spill)
         assert all(not p.is_alive() for p in ex._workers)
 
-    def test_worker_crash_raises_and_cleans_up(self, graphs):
+    def test_worker_crash_raises_and_cleans_up(self, graphs, monkeypatch):
+        monkeypatch.setattr(mp_runtime, "SYNC_TIMEOUT_S", 3.0)
         base = shm_segments()
         ex = MultiprocessExecutor(
-            graphs["ring"],
-            MultiprocessConfig(num_ranks=2, sync_timeout=3.0),
+            graphs["ring"], MultiprocessConfig(num_ranks=2)
         )
         os.kill(ex._workers[0].pid, signal.SIGKILL)
         n = graphs["ring"].n
@@ -325,7 +326,7 @@ class TestLifecycle:
         assert shm_segments() - base == set()
         assert ex._spill_dir is None or not os.path.isdir(ex._spill_dir)
 
-    def test_rank_killed_at_any_instant_fails_fast(self, graphs):
+    def test_rank_killed_at_any_instant_fails_fast(self, graphs, monkeypatch):
         # sweep the kill across a rank's start-up and its wait for the
         # round: wherever it dies, the round must fail promptly (a rank
         # dying while holding a shared lock used to wedge the parent)
@@ -337,10 +338,10 @@ class TestLifecycle:
             except RuntimeError as exc:
                 outcome.append(exc)
 
+        monkeypatch.setattr(mp_runtime, "SYNC_TIMEOUT_S", 60.0)
         for delay in np.linspace(0.0, 0.02, 9):
             ex = MultiprocessExecutor(
-                graphs["ring"],
-                MultiprocessConfig(num_ranks=2, sync_timeout=60.0),
+                graphs["ring"], MultiprocessConfig(num_ranks=2)
             )
             time.sleep(delay)
             os.kill(ex._workers[0].pid, signal.SIGKILL)

@@ -40,6 +40,14 @@ class TestResultPayload:
         )
 
 
+def _failing_config() -> GalaConfig:
+    """A config whose run fails: ``GalaConfig`` rejects an unknown
+    pruning name when built, so it is set afterwards."""
+    cfg = GalaConfig()
+    cfg.pruning = "bogus"
+    return cfg
+
+
 class TestInlineRunner:
     def test_run_matches_direct_gala(self, graph):
         async def go():
@@ -58,7 +66,7 @@ class TestInlineRunner:
         async def go():
             runner = InlineRunner()
             with pytest.raises(DetectionFailed):
-                await runner.run(graph, GalaConfig(pruning="bogus"))
+                await runner.run(graph, _failing_config())
 
         asyncio.run(go())
 
@@ -89,9 +97,9 @@ class TestWorkerPool:
                     gala(graph, GalaConfig(seed=1)).communities,
                 )
 
-                # an engine error is a reply, not a crash: same worker
+                # an error in the worker is a reply, not a crash: same worker
                 with pytest.raises(DetectionFailed):
-                    await pool.run(graph, GalaConfig(pruning="bogus"))
+                    await pool.run(graph, _failing_config())
                 assert pool.respawns == 0
 
                 # an impossible deadline kills the worker and respawns

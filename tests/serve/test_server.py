@@ -37,6 +37,37 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def _assert_rejected_on_miss_and_hit(bad):
+    """``bad`` gets ``bad_request`` before and after a valid run of the
+    same graph and seed was cached, and the engine never runs for it."""
+    graph = two_triangles()
+
+    async def go():
+        server = DetectionServer(_config())
+        client = await _started(server)
+        try:
+            fp = await client.upload(graph)
+            miss = await client.detect(fp, config=bad, seed=0, raise_on_error=False)
+            runs_after_miss = server.runner.runs
+            await client.detect(fp, seed=0)  # caches the semantic key
+            hits_before = server.cache.stats()["hits"]
+            hit = await client.detect(fp, config=bad, seed=0, raise_on_error=False)
+            alive = await client.ping()
+        finally:
+            await client.close()
+            await server.drain()
+        return miss, hit, runs_after_miss, hits_before, alive, server
+
+    miss, hit, runs_after_miss, hits_before, alive, server = run(go())
+    for response in (miss, hit):
+        assert response["status"] == 400
+        assert response["error"] == "bad_request"
+    assert runs_after_miss == 0
+    assert server.runner.runs == 1  # only the valid warm-up ran
+    assert server.cache.stats()["hits"] == hits_before
+    assert alive["ok"]
+
+
 class TestDetectPath:
     def test_upload_detect_hit_bit_identical(self):
         graph = ring_of_cliques(4, 5)
@@ -171,36 +202,29 @@ class TestDetectPath:
         """Execution fields are outside the cache key, so a bad value must
         be rejected before the lookup: 400 whether or not a result for the
         semantic config is cached, and the engine never runs for it."""
-        graph = two_triangles()
+        _assert_rejected_on_miss_and_hit(bad)
 
-        async def go():
-            server = DetectionServer(_config())
-            client = await _started(server)
-            try:
-                fp = await client.upload(graph)
-                miss = await client.detect(
-                    fp, config=bad, seed=0, raise_on_error=False
-                )
-                runs_after_miss = server.runner.runs
-                await client.detect(fp, seed=0)  # caches the semantic key
-                hits_before = server.cache.stats()["hits"]
-                hit = await client.detect(
-                    fp, config=bad, seed=0, raise_on_error=False
-                )
-                alive = await client.ping()
-            finally:
-                await client.close()
-                await server.drain()
-            return miss, hit, runs_after_miss, hits_before, alive, server
-
-        miss, hit, runs_after_miss, hits_before, alive, server = run(go())
-        for response in (miss, hit):
-            assert response["status"] == 400
-            assert response["error"] == "bad_request"
-        assert runs_after_miss == 0
-        assert server.runner.runs == 1  # only the valid warm-up ran
-        assert server.cache.stats()["hits"] == hits_before
-        assert alive["ok"]
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"pruning": "bogus"},
+            {"pruning": 5},
+            {"weight_update": "nope"},
+            {"resolution": "x"},
+            {"resolution": float("nan")},
+            {"patience": 0},
+            {"theta": -1},
+            {"max_rounds": 0},
+            {"max_iterations": 0},
+            {"max_iterations": -1},
+            {"remove_self": "yes"},
+        ],
+    )
+    def test_invalid_semantic_field_400_on_miss_and_hit(self, bad):
+        """A bad semantic value is rejected when the config is built: it
+        neither fails midway through a run (an ``internal`` error) nor
+        runs to a nonsense result the cache would then serve."""
+        _assert_rejected_on_miss_and_hit(bad)
 
     def test_evict_cascades_to_results(self):
         graph = two_triangles()
