@@ -214,12 +214,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--slo-window", type=float, default=60.0,
                    help="rolling window (seconds) for the SLO evaluator "
                         "and the live p50/p95/p99")
-    p.add_argument("--runtime", default=None,
-                   choices=["local", "multiprocess"],
-                   help="default execution runtime for detect requests "
-                        "that don't set one (never changes cache keys)")
-    p.add_argument("--ranks", type=int, default=None,
-                   help="default rank count for the multiprocess runtime")
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -244,8 +238,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         trace_keep=args.trace_keep,
         slo=args.slo,
         slo_window_s=args.slo_window,
-        default_runtime=args.runtime,
-        default_ranks=args.ranks,
     )
     return asyncio.run(_serve_main(args, cfg))
 

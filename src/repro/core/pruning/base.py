@@ -9,9 +9,10 @@ refers to in Section 3.1).
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -107,35 +108,45 @@ def make_strategy(spec: "str | PruningStrategy | None", **kwargs) -> PruningStra
 
     Recognised names: ``none``, ``sm``, ``rm``, ``pm``, ``mg``, ``mg+rm``.
     Keyword arguments are forwarded to the constructor (e.g. ``alpha`` for
-    ``pm``).
+    ``pm``). Every call returns a fresh instance: strategies carry
+    per-run state.
     """
-    from repro.core.pruning.strict import StrictMovementPruning
-    from repro.core.pruning.relaxed import RelaxedMovementPruning
-    from repro.core.pruning.probabilistic import ProbabilisticMovementPruning
-    from repro.core.pruning.modularity_gain import ModularityGainPruning
-    from repro.core.pruning.combined import CombinedPruning
-
     if spec is None:
         return NoPruning()
     if isinstance(spec, PruningStrategy):
         return spec
     if not isinstance(spec, str):
         raise TypeError(f"pruning must be a strategy name, got {spec!r}")
-    registry = {
+    registry = _strategy_table()
+    key = spec.lower()
+    if key not in registry:
+        raise ValueError(
+            f"unknown pruning strategy {spec!r}; expected one of "
+            f"{sorted(registry)}"
+        )
+    return registry[key](**kwargs)
+
+
+@functools.lru_cache(maxsize=None)
+def _strategy_table() -> Dict[str, Callable[..., PruningStrategy]]:
+    """Name → constructor, built on first use (the strategy modules
+    import this one, so the table cannot be built at import time)."""
+    from repro.core.pruning.strict import StrictMovementPruning
+    from repro.core.pruning.relaxed import RelaxedMovementPruning
+    from repro.core.pruning.probabilistic import ProbabilisticMovementPruning
+    from repro.core.pruning.modularity_gain import ModularityGainPruning
+    from repro.core.pruning.combined import CombinedPruning
+
+    def mg_rm() -> PruningStrategy:
+        return CombinedPruning(
+            ModularityGainPruning(), RelaxedMovementPruning(), name="mg+rm"
+        )
+
+    return {
         "none": NoPruning,
         "sm": StrictMovementPruning,
         "rm": RelaxedMovementPruning,
         "pm": ProbabilisticMovementPruning,
         "mg": ModularityGainPruning,
+        "mg+rm": mg_rm,
     }
-    key = spec.lower()
-    if key == "mg+rm":
-        return CombinedPruning(
-            ModularityGainPruning(), RelaxedMovementPruning(), name="mg+rm"
-        )
-    if key not in registry:
-        raise ValueError(
-            f"unknown pruning strategy {spec!r}; expected one of "
-            f"{sorted(registry) + ['mg+rm']}"
-        )
-    return registry[key](**kwargs)

@@ -10,8 +10,8 @@ fine graph (tested in ``tests/graph/test_coarsen.py``).
 Two implementations produce byte-identical coarse graphs: the NumPy
 contraction below (project, ``np.lexsort``, ``np.add.reduceat``) and the
 counting-sort ``coarsen`` loop of the compiled jit providers
-(:mod:`repro.core.kernels.jit`), which :func:`coarsen_graph` runs when it
-is handed (or bound to, see :func:`coarsen_runtime`) a compiled runtime.
+(:mod:`repro.core.kernels.jit`), which :func:`coarsen_graph` runs when
+:func:`coarsen_runtime` has bound a compiled runtime.
 Summation convention, shared by both:
 
 * a super-vertex's self-loop weight accumulates sequentially from 0.0 —
@@ -52,11 +52,11 @@ _bound_runtime: ContextVar[Optional[JitRuntime]] = ContextVar(
 def coarsen_runtime(runtime: Optional[JitRuntime]) -> Iterator[None]:
     """Bind ``runtime`` (a compiled
     :class:`~repro.core.kernels.jit.JitRuntime`, or None for NumPy) for
-    every :func:`coarsen_graph` call in the block that is not handed one.
+    every :func:`coarsen_graph` call in the block.
 
-    :func:`repro.core.louvain.louvain` binds each contraction this way, so
-    the choice also reaches a wrapper that forwards only ``(graph,
-    communities)`` — such as the timing seam of ``perfbench``.
+    Every caller binds its contraction this way, so the choice also
+    reaches a wrapper that forwards only ``(graph, communities)`` — such
+    as the timing seam of ``perfbench``.
     """
     token = _bound_runtime.set(runtime)
     try:
@@ -66,11 +66,13 @@ def coarsen_runtime(runtime: Optional[JitRuntime]) -> Iterator[None]:
 
 
 def coarsen_graph(
-    graph: CSRGraph,
-    communities: np.ndarray,
-    runtime: Optional[JitRuntime] = None,
+    graph: CSRGraph, communities: np.ndarray
 ) -> tuple[CSRGraph, np.ndarray]:
     """Contract ``graph`` by ``communities``.
+
+    The compiled ``coarsen`` loop of the runtime bound by
+    :func:`coarsen_runtime` builds the coarse graph, else the NumPy
+    contraction; both give byte-identical results.
 
     Parameters
     ----------
@@ -78,11 +80,6 @@ def coarsen_graph(
         The fine graph.
     communities:
         ``int[n]`` community id per vertex (ids need not be compact).
-    runtime:
-        A compiled :class:`~repro.core.kernels.jit.JitRuntime` whose
-        ``coarsen`` loop builds the coarse graph; None uses the runtime
-        bound by :func:`coarsen_runtime`, else the NumPy contraction.
-        Both give byte-identical results.
 
     Returns
     -------
@@ -93,8 +90,7 @@ def coarsen_graph(
     communities = np.asarray(communities)
     if len(communities) != graph.n:
         raise ValueError("communities must assign every vertex")
-    if runtime is None:
-        runtime = _bound_runtime.get()
+    runtime = _bound_runtime.get()
     if runtime is not None:
         indptr, indices, weights, self_weight, mapping = runtime.coarsen(
             graph.indptr, graph.indices, graph.weights, graph.self_weight,

@@ -78,6 +78,7 @@ from repro.graph.mmap_store import (
 from repro.graph.partition import VertexPartition
 from repro.multiprocess.shm import ShmLayout, attach_shared, create_shared
 from repro.obs import _session as obs
+from repro.utils import set_pdeathsig
 
 CMD_DECIDE = 1
 CMD_STOP = 2
@@ -133,18 +134,6 @@ class MultiprocessResult(RankResult):
     """Engine result plus the rank views and real-exchange accounting."""
 
 
-def _set_pdeathsig() -> None:
-    """Ask Linux to SIGTERM this worker if the parent dies (best effort)."""
-    try:
-        import ctypes
-
-        libc = ctypes.CDLL(None, use_errno=True)
-        PR_SET_PDEATHSIG = 1
-        libc.prctl(PR_SET_PDEATHSIG, signal.SIGTERM)
-    except Exception:
-        pass
-
-
 def _worker_main(
     rank: int,
     shm_name: str,
@@ -173,7 +162,7 @@ def _worker_main(
     movers. A post or a take holds no lock, so a rank killed at any
     instant can never leave the parent (or another rank) blocked.
     """
-    _set_pdeathsig()
+    set_pdeathsig()
     # the parent owns interrupt handling; a Ctrl-C must not kill workers
     # mid-round before the parent's orderly shutdown reaches them
     signal.signal(signal.SIGINT, signal.SIG_IGN)

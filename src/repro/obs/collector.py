@@ -1,10 +1,12 @@
 """Cross-process trace collection: clock sync, span transport, merging.
 
-The serve stack spans three process tiers — asyncio server, subprocess
-worker, rank processes — each recording spans against its *own*
-``time.perf_counter``. ``perf_counter`` origins are arbitrary per
-process, so merging requires estimating each child's clock offset
-relative to its parent. Two mechanisms, matched to the two transports:
+Two process trees record spans against their *own*
+``time.perf_counter``: a served request spans the asyncio server and one
+subprocess pool worker (which runs the ``local`` runtime in-process), and
+a ``runtime="multiprocess"`` run spans the engine's process and its rank
+processes. ``perf_counter`` origins are arbitrary per process, so
+merging requires estimating each child's clock offset relative to its
+parent. Two mechanisms, matched to the two transports:
 
 * **request/reply handshake** (server ↔ worker): the job carries the
   parent's send timestamp; the reply carries the worker's receive and
@@ -16,13 +18,13 @@ relative to its parent. Two mechanisms, matched to the two transports:
   interval ``[t_job_recv, t_reply_send]`` strictly inside the parent's
   ``[t_send, t_recv]`` — so worker spans nest under the dispatch span
   by construction, no tolerance required.
-* **round-release stamp** (worker ↔ rank): the multiprocess executor
+* **round-release stamp** (parent ↔ rank): the multiprocess executor
   writes its ``perf_counter`` into a shared-memory slot immediately
   before releasing the round; each rank reads the slot and its own
   clock right after waking. The rank's offset estimate errs only by
   the wake latency, and errs in the direction that maps rank
   spans slightly *early* — still after the parent wrote the stamp, so
-  rank spans stay inside the worker's engine span.
+  rank spans stay inside the parent's engine span.
 
 Spans travel as plain "wire dicts" (:meth:`Tracer.export_spans`):
 ``{name, ph, start, end, pid, tid, args?}`` with times in absolute
@@ -138,14 +140,13 @@ def build_request_trace(
 ) -> Dict[str, Any]:
     """The merged per-request Chrome trace with cross-pid flow links.
 
-    Takes the request's tracer (server spans local, worker/rank spans
+    Takes the request's tracer (server spans local, worker spans
     ingested) and appends one flow chain: a flow-start (``ph: "s"``) on
     the earliest span of the server pid, flow-steps (``"t"``) on the
     earliest span of each other pid in time order, and a flow-end
     (``"f"``) on the last of those — all sharing the id derived from
     ``trace_id``, which is how Perfetto draws the arrows connecting
-    ``serve.request → worker.detect → rank[k].decide`` across process
-    tracks.
+    ``serve.request → worker.detect`` across process tracks.
     """
     chrome = tracer.to_chrome()
     events = chrome["traceEvents"]

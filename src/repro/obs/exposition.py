@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from .live import BucketHistogram
 
@@ -58,21 +58,10 @@ def _fmt_value(v: float) -> str:
     return repr(float(v)) if isinstance(v, float) else str(v)
 
 
-def _fmt_labels(labels: Mapping[str, Any]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{k}="{str(v).replace(chr(92), chr(92) * 2).replace(chr(34), chr(92) + chr(34))}"'
-        for k, v in sorted(labels.items())
-    )
-    return "{" + inner + "}"
-
-
 def render_prometheus(
     counters: Mapping[str, float] = (),
     gauges: Mapping[str, float] = (),
     histograms: Mapping[str, BucketHistogram] = (),
-    labeled_gauges: Mapping[str, Iterable[Tuple[Mapping[str, Any], float]]] = (),
     help_text: Mapping[str, str] = (),
     prefix: str = PREFIX,
 ) -> str:
@@ -85,13 +74,10 @@ def render_prometheus(
       ``le`` labels (cumulative counts, ``+Inf`` last), ``_sum``,
       ``_count``. These merge correctly under Prometheus aggregation
       because every process shares the same bucket ladder.
-    * ``labeled_gauges`` → gauge families with per-sample labels, e.g.
-      per-rank halo bytes: ``name -> [({"rank": 0}, 123.0), ...]``.
     """
     counters = dict(counters)
     gauges = dict(gauges)
     histograms = dict(histograms)
-    labeled_gauges = dict(labeled_gauges)
     help_text = dict(help_text)
     out: List[str] = []
 
@@ -109,16 +95,6 @@ def render_prometheus(
     for name in sorted(gauges):
         full = sanitize_metric_name(name, prefix)
         emit(name, "gauge", [f"{full} {_fmt_value(float(gauges[name]))}"])
-    for name, series in sorted(labeled_gauges.items()):
-        full = sanitize_metric_name(name, prefix)
-        emit(
-            name,
-            "gauge",
-            [
-                f"{full}{_fmt_labels(labels)} {_fmt_value(float(value))}"
-                for labels, value in series
-            ],
-        )
     for name in sorted(histograms):
         hist = histograms[name]
         full = sanitize_metric_name(name, prefix)

@@ -93,7 +93,6 @@ METRIC_NAMES: frozenset = frozenset(
         "serve/backlog_depth",
         "serve/healthy",
         "serve/request_latency_ms",
-        "serve/rank_halo_bytes",
     }
 )
 

@@ -150,9 +150,8 @@ class Tracer:
         Wire times are absolute ``perf_counter`` seconds in *this*
         process's clock domain; the receiver shifts them by its clock
         offset and hands them to :meth:`ingest` on its own tracer.
-        Already-ingested foreign spans are passed through unchanged (a
-        worker relays its ranks' spans to the server this way), so the
-        payload may span several pids. At most ``limit`` spans ship;
+        Already-ingested foreign spans are passed through unchanged, so
+        the payload may span several pids. At most ``limit`` spans ship;
         the rest are counted in ``dropped``.
         """
         own_pid = os.getpid()

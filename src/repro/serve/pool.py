@@ -74,11 +74,10 @@ def run_counters(result) -> Dict[str, Any]:
 
     Everything here comes off the result's iteration history — no obs
     session required, so an untraced worker still reports the kernel
-    backends it used, the iterations it ran, and (for multiprocess
-    runs) per-rank halo bytes. This is what keeps the server-side
-    aggregates exact: before this record existed, worker subprocesses
-    dropped their accounting on the floor unless a manifest was
-    requested, and server totals undercounted every normal request.
+    backends it used and the iterations it ran. This is what keeps the
+    server-side aggregates exact: before this record existed, worker
+    subprocesses dropped their accounting on the floor unless a manifest
+    was requested, and server totals undercounted every normal request.
     """
     levels = getattr(result, "levels", None)
     if levels is not None:
@@ -89,24 +88,15 @@ def run_counters(result) -> Dict[str, Any]:
         "detections": 1,
         "levels": len(phase1s),
         "iterations": 0,
-        "comm_bytes": 0,
         "kernel_backends": {},
     }
-    rank_halo: Dict[int, int] = {}
     for phase1 in phase1s:
         for trace in getattr(phase1, "history", []):
             counters["iterations"] += 1
-            counters["comm_bytes"] += int(getattr(trace, "comm_bytes", 0) or 0)
             backend = getattr(trace, "kernel_backend", None)
             if backend is not None:
                 kb = counters["kernel_backends"]
                 kb[backend] = kb.get(backend, 0) + 1
-        per_rank = getattr(phase1, "rank_halo_bytes", None)
-        if per_rank:
-            for rank, nbytes in enumerate(per_rank):
-                rank_halo[rank] = rank_halo.get(rank, 0) + int(nbytes)
-    if rank_halo:
-        counters["rank_halo_bytes"] = {str(k): v for k, v in rank_halo.items()}
     return counters
 
 
@@ -152,7 +142,6 @@ class DetectionRunner(ABC):
         #: counters — the server bridges these into its metrics
         self.worker_totals: Dict[str, int] = {}
         self.kernel_backends: Dict[str, int] = {}
-        self.rank_halo_bytes: Dict[str, int] = {}
 
     async def start(self) -> None:
         """Bring up whatever the runner needs (worker processes)."""
@@ -182,14 +171,11 @@ class DetectionRunner(ABC):
         if not counters:
             return
         totals = self.worker_totals
-        for key in ("detections", "levels", "iterations", "comm_bytes"):
+        for key in ("detections", "levels", "iterations"):
             totals[key] = totals.get(key, 0) + int(counters.get(key, 0) or 0)
         for backend, count in (counters.get("kernel_backends") or {}).items():
             kb = self.kernel_backends
             kb[backend] = kb.get(backend, 0) + int(count)
-        for rank, nbytes in (counters.get("rank_halo_bytes") or {}).items():
-            rh = self.rank_halo_bytes
-            rh[str(rank)] = rh.get(str(rank), 0) + int(nbytes)
 
 
 class InlineRunner(DetectionRunner):
@@ -250,7 +236,6 @@ class InlineRunner(DetectionRunner):
             "runs": self.runs,
             "worker_totals": dict(self.worker_totals),
             "kernel_backends": dict(self.kernel_backends),
-            "rank_halo_bytes": dict(self.rank_halo_bytes),
         }
 
 
@@ -263,24 +248,21 @@ def _worker_main(conn, graph_cache_size: int) -> None:
     Runs in a fresh (spawned) interpreter. SIGINT is ignored — a Ctrl+C
     in the server's terminal reaches the whole process group, and
     shutdown must stay the parent's decision (it drains, then sends
-    ``stop``). Workers are *not* daemonic (a multiprocess-runtime job
-    spawns rank children, which daemonic processes may not do), so they
-    arm PDEATHSIG instead: if the server dies without draining, the
-    kernel reaps the worker.
+    ``stop``). PDEATHSIG reaps the worker if the server dies without
+    draining.
 
     Every reply carries a ``telemetry`` record: the worker-clock receive
     and send stamps that drive the parent's clock sync, plus the run
     counters (:func:`run_counters`) on success. When the job asks for
     spans, the run executes under an obs session and the session's spans
-    (including any rank spans the multiprocess executor ingested) ship
-    back in the worker's clock domain.
+    ship back in the worker's clock domain.
     """
     import signal
     from collections import OrderedDict
 
-    from repro.multiprocess.runtime import _set_pdeathsig
+    from repro.utils import set_pdeathsig
 
-    _set_pdeathsig()
+    set_pdeathsig()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     # one compiled-loop thread per worker: the workers are the parallelism
     from repro.core.kernels.jit import cap_threads
@@ -356,14 +338,14 @@ class _WorkerHandle:
 
     def __init__(self, ctx, graph_cache_size: int):
         self.conn, child = ctx.Pipe(duplex=True)
-        # daemon=False: a daemonic process may not have children, and a
-        # worker running a runtime="multiprocess" job spawns one process
-        # per rank. Orphan protection comes from PDEATHSIG in the worker
-        # (and from the pipe: a closed parent end reads as EOF → exit).
+        # daemonic: a worker runs its detections in-process and may not
+        # spawn children. A SIGKILLed server skips the daemon cleanup, so
+        # PDEATHSIG in the worker and the pipe (a closed parent end reads
+        # as EOF → exit) reap it then.
         self.process = ctx.Process(
             target=_worker_main,
             args=(child, graph_cache_size),
-            daemon=False,
+            daemon=True,
         )
         self.process.start()
         child.close()
@@ -552,7 +534,7 @@ class WorkerPool(DetectionRunner):
 
         The NTP bounds guarantee the synthesized ``worker/detect`` span
         — exactly the worker's service interval — lands strictly inside
-        ``[t_send, t_recv]``, so worker (and relayed rank) spans nest
+        ``[t_send, t_recv]``, so worker spans nest
         under the caller's dispatch span with no tolerance games.
         """
         t_job_recv = telemetry["t_job_recv"]
@@ -606,5 +588,4 @@ class WorkerPool(DetectionRunner):
             "respawns": self.respawns,
             "worker_totals": dict(self.worker_totals),
             "kernel_backends": dict(self.kernel_backends),
-            "rank_halo_bytes": dict(self.rank_halo_bytes),
         }

@@ -157,10 +157,7 @@ def graph_to_payload(graph: CSRGraph) -> Dict[str, Any]:
 # --------------------------------------------------------------------- #
 # detect requests
 # --------------------------------------------------------------------- #
-def parse_detect_config(
-    message: Dict[str, Any],
-    defaults: Optional[Dict[str, Any]] = None,
-) -> "GalaConfig":
+def parse_detect_config(message: Dict[str, Any]) -> "GalaConfig":
     """Build the :class:`~repro.core.gala.GalaConfig` for one request.
 
     The request's ``config`` object maps straight onto ``GalaConfig``
@@ -168,11 +165,10 @@ def parse_detect_config(
     are a ``bad_request`` — silently ignoring a typoed knob would cache
     the result under the key the caller *thinks* they asked for.
 
-    ``defaults`` are server-side config fields (e.g. the ``repro serve
-    --runtime multiprocess --ranks 2`` execution defaults) applied only
-    where the request is silent — and since execution fields are
-    excluded from ``GalaConfig.cache_key()``, they never fork the
-    result-cache keyspace.
+    A served detection runs in its pool worker on the ``local`` runtime,
+    so ``runtime: "multiprocess"`` is a ``bad_request`` too — checked
+    here, before the cache lookup, because execution fields are outside
+    ``GalaConfig.cache_key()`` and would otherwise hit a cached result.
     """
     import dataclasses
 
@@ -187,9 +183,13 @@ def parse_detect_config(
         raise ProtocolError(
             "bad_request", f"unknown config fields: {sorted(unknown)}"
         )
+    if raw.get("runtime", "local") != "local":
+        raise ProtocolError(
+            "bad_request",
+            f"runtime {raw['runtime']!r} is not served; detections run "
+            "on the 'local' runtime in the pool worker",
+        )
     raw = dict(raw)
-    for key, value in (defaults or {}).items():
-        raw.setdefault(key, value)
     seed = message.get("seed")
     if seed is not None:
         raw["seed"] = int(seed)

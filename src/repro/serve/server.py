@@ -120,10 +120,6 @@ class ServeConfig:
     slo: Optional[str] = None
     #: rolling window for the SLO evaluator and the live p50/p95/p99
     slo_window_s: float = 60.0
-    #: server-side execution defaults applied to detect configs that
-    #: don't set them (execution fields never change cache keys)
-    default_runtime: Optional[str] = None
-    default_ranks: Optional[int] = None
 
 
 class DetectionServer:
@@ -194,11 +190,6 @@ class DetectionServer:
             if cfg.trace_dir
             else None
         )
-        self._config_defaults: Dict[str, Any] = {}
-        if cfg.default_runtime:
-            self._config_defaults["runtime"] = cfg.default_runtime
-        if cfg.default_ranks:
-            self._config_defaults["ranks"] = int(cfg.default_ranks)
         self._request_seq = 0
         self._http = None  # TelemetryHTTPServer when metrics_port is set
         self.metrics_port: Optional[int] = None
@@ -417,7 +408,7 @@ class DetectionServer:
 
     async def _detect(self, message: Dict[str, Any], t0: float) -> Dict[str, Any]:
         fingerprint = require_fingerprint(message)
-        config = parse_detect_config(message, defaults=self._config_defaults)
+        config = parse_detect_config(message)
         include_assignment = bool(message.get("include_assignment", False))
         self._request_seq += 1
         request_id = f"req-{self._request_seq:06d}"
@@ -503,7 +494,7 @@ class DetectionServer:
         telemetry: Optional[Dict[str, Any]],
         fingerprint: str,
     ) -> Optional[str]:
-        """Merge server + worker (+rank) spans into one Chrome trace.
+        """Merge server + worker spans into one Chrome trace.
 
         Everything here is already in the *server's* perf_counter domain:
         the pool shifted the worker's spans by the handshake-bounded clock
@@ -639,18 +630,10 @@ class DetectionServer:
                 "serve/healthy": float(self.health()[0]),
             }
         )
-        labeled: Dict[str, Any] = {}
-        pool = self.runner.stats()
-        halo = pool.get("rank_halo_bytes") or {}
-        if halo:
-            labeled["serve/rank_halo_bytes"] = [
-                ({"rank": rank}, float(bytes_)) for rank, bytes_ in sorted(halo.items())
-            ]
         return render_prometheus(
             counters=counters,
             gauges=gauges,
             histograms={"serve/request_latency_ms": self._h_latency},
-            labeled_gauges=labeled,
             help_text={
                 "serve/request_latency_ms": (
                     "request latency (ms), fixed log-spaced buckets"

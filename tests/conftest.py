@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graph.builder import from_edge_array
-from repro.graph.coarsen import coarsen_graph
+from repro.graph.coarsen import coarsen_graph, coarsen_runtime
 from repro.graph.generators import (
     karate_club,
     lfr_graph,
@@ -65,7 +65,8 @@ def assert_same_coarse():
 
     def check(graph, communities, runtime):
         ref, ref_map = coarsen_graph(graph, communities)
-        got, got_map = coarsen_graph(graph, communities, runtime=runtime)
+        with coarsen_runtime(runtime):
+            got, got_map = coarsen_graph(graph, communities)
         for name, a, b in [
             ("indptr", ref.indptr, got.indptr),
             ("indices", ref.indices, got.indices),

@@ -29,6 +29,12 @@ class TestMakeStrategy:
         assert isinstance(make_strategy("mg"), ModularityGainPruning)
         assert isinstance(make_strategy("mg+rm"), CombinedPruning)
 
+    @pytest.mark.parametrize("name", ["none", "sm", "rm", "pm", "mg", "mg+rm"])
+    def test_every_call_builds_a_fresh_instance(self, name):
+        # strategies carry per-run state, so the cached name table must
+        # hand out constructors, never shared instances
+        assert make_strategy(name) is not make_strategy(name)
+
     def test_none_spec(self):
         assert isinstance(make_strategy(None), NoPruning)
 

@@ -283,6 +283,39 @@ class TestUnderObservation:
         assert san.log.clean
         assert os.path.getsize(tmp_path / "trace.json") > 0
 
+    def test_rank_spans_nest_in_the_parent_engine_run(self):
+        """A traced multiprocess run carries each rank's ``rank/decide``
+        spans on its own ``rank[k]`` process track, clock-aligned into
+        the parent's domain so they land inside the parent's
+        ``engine/run`` span."""
+        from repro import obs
+        from repro.core import gala
+        from repro.core.gala import GalaConfig
+
+        with obs.session() as sess:
+            gala(ring_of_cliques(8, 6), GalaConfig(runtime="multiprocess", ranks=2))
+        exported = sess.tracer.export_spans()
+        spans, labels = exported["spans"], exported["labels"]
+        assert exported["dropped"] == 0
+        rank_pids = {
+            pid for pid, label in labels.items() if label.startswith("rank[")
+        }
+        assert sorted(labels[pid] for pid in rank_pids) == ["rank[0]", "rank[1]"]
+        parent = os.getpid()
+        assert parent not in rank_pids
+        runs = [
+            (s["start"], s["end"])
+            for s in spans
+            if s["name"] == "engine/run" and s["pid"] == parent
+        ]
+        decides = [s for s in spans if s["name"] == "rank/decide"]
+        assert {s["pid"] for s in decides} == rank_pids
+        for span in decides:
+            assert any(
+                start <= span["start"] <= span["end"] <= end
+                for start, end in runs
+            ), span
+
     def test_cache_key_ignores_runtime(self):
         from repro.core.gala import GalaConfig
 

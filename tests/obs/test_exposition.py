@@ -57,23 +57,6 @@ class TestRender:
         assert sample_value(fams, "repro_serve_latency", suffix="_sum") == \
             pytest.approx(h.total)
 
-    def test_labeled_gauges(self):
-        text = render_prometheus(
-            labeled_gauges={
-                "serve/rank_halo_bytes": [
-                    ({"rank": 0}, 128.0),
-                    ({"rank": 1}, 192.0),
-                ]
-            }
-        )
-        fams = parse_prometheus_text(text)
-        assert sample_value(
-            fams, "repro_serve_rank_halo_bytes", labels={"rank": "0"}
-        ) == 128
-        assert sample_value(
-            fams, "repro_serve_rank_halo_bytes", labels={"rank": "1"}
-        ) == 192
-
     def test_special_values(self):
         text = render_prometheus(gauges={"g/inf": math.inf, "g/nan": math.nan})
         fams = parse_prometheus_text(text)
@@ -89,7 +72,6 @@ class TestParse:
             counters={"c/total": 1},
             gauges={"g/x": 2},
             histograms={"h/lat": h},
-            labeled_gauges={"l/y": [({"k": "v"}, 3.0)]},
         )
         fams = parse_prometheus_text(text)
         assert fams["repro_c_total"]["type"] == "counter"

@@ -1,7 +1,7 @@
 """Live telemetry at the server: metrics op, HTTP endpoints, SLO, traces.
 
 Everything here runs the InlineRunner over real loopback sockets — the
-cross-process trace e2e (subprocess pool + multiprocess ranks) lives in
+cross-process trace e2e (subprocess pool) lives in
 ``test_trace_e2e.py``.
 """
 
@@ -235,24 +235,3 @@ class TestManifestLiveSection:
         report = server.manifest().result["slo"]
         assert report["healthy"] is True
         assert report["policy"]["p99_ms"] == 100000
-
-
-class TestExecutionDefaults:
-    def test_defaults_do_not_fork_cache_keys(self, ring):
-        """A server-side runtime default must hit the same cache entry a
-        default-config request warms (execution fields are excluded from
-        cache keys)."""
-        async def body(server, client, host, port):
-            fingerprint = await client.upload(ring)
-            miss = await client.detect(fingerprint, seed=1)
-            hit = await client.detect(fingerprint, seed=1)
-            return miss, hit
-
-        # default_runtime=local exercises the defaults path without the
-        # multiprocess boot cost; cache key must not see it
-        miss, hit = asyncio.run(
-            _serve(_config(default_runtime="local"), body)
-        )
-        assert miss["cached"] is False
-        assert hit["cached"] is True
-        assert hit["assignment_sha256"] == miss["assignment_sha256"]

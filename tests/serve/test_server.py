@@ -196,12 +196,15 @@ class TestDetectPath:
             {"backend": "bogus"},
             {"gpusim_engine": "warp"},
             {"runtime": "multiprocess", "backend": "gpusim"},
+            # valid for gala(), but a pool worker never spawns ranks
+            {"runtime": "multiprocess"},
         ],
     )
     def test_invalid_execution_field_400_on_miss_and_hit(self, bad):
         """Execution fields are outside the cache key, so a bad value must
         be rejected before the lookup: 400 whether or not a result for the
-        semantic config is cached, and the engine never runs for it."""
+        semantic config is cached, and the engine never runs for it. A
+        served detection runs only the local runtime."""
         _assert_rejected_on_miss_and_hit(bad)
 
     @pytest.mark.parametrize(

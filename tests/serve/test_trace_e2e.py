@@ -1,15 +1,15 @@
-"""E2E: one request's merged trace spans three process tiers.
+"""E2E: one request's merged trace spans both serve process tiers.
 
 The acceptance path of the live-telemetry work: a detect request against
-``serve --trace-dir ... --runtime multiprocess --ranks 2`` must produce a
-single Chrome trace containing spans from the server (pid 0), the
-subprocess worker, and each rank process — clock-aligned so the tiers
-nest strictly, flow-linked by the trace id — and tracing must not change
-the result by a bit.
+``serve --trace-dir ...`` must produce a single Chrome trace containing
+spans from the server (pid 0) and the subprocess worker — clock-aligned
+so the tiers nest strictly, flow-linked by the trace id — and tracing
+must not change the result by a bit.
 
-These tests boot a real spawned worker which itself spawns rank
-processes, so they share one server session (same pattern as
-``test_pool.py``).
+These tests boot a real spawned worker, so they share one server session
+(same pattern as ``test_pool.py``). Rank-process spans, which only
+``runtime="multiprocess"`` outside the server produces, are checked in
+``tests/multiprocess/test_runtime.py``.
 """
 
 import asyncio
@@ -31,7 +31,7 @@ def _spans(events, name, pid=None):
 
 
 class TestCrossProcessTrace:
-    def test_three_tiers_nested_and_flow_linked(self, tmp_path):
+    def test_two_tiers_nested_and_flow_linked(self, tmp_path):
         graph = ring_of_cliques(8, 6)
 
         async def traced():
@@ -40,8 +40,6 @@ class TestCrossProcessTrace:
                 runner="subprocess",
                 workers=1,
                 trace_dir=str(tmp_path),
-                default_runtime="multiprocess",
-                default_ranks=2,
             )
             server = DetectionServer(cfg)
             host, port = await server.start()
@@ -69,10 +67,7 @@ class TestCrossProcessTrace:
                 try:
                     fingerprint = await client.upload(graph)
                     return await client.detect(
-                        fingerprint,
-                        seed=7,
-                        config={"runtime": "multiprocess", "ranks": 2},
-                        timeout_s=120,
+                        fingerprint, seed=7, timeout_s=120
                     )
                 finally:
                     await client.close()
@@ -86,23 +81,20 @@ class TestCrossProcessTrace:
         validate_chrome_trace(chrome)
         events = chrome["traceEvents"]
 
-        # ---- tier inventory: server + worker + both ranks ------------- #
+        # ---- tier inventory: server + worker, no rank processes ------- #
         labels = {
             e["pid"]: e["args"]["name"]
             for e in events
             if e.get("ph") == "M" and e.get("name") == "process_name"
         }
-        rank_pids = sorted(
-            pid for pid, label in labels.items() if label.startswith("rank[")
-        )
         worker_pids = [
             pid for pid, label in labels.items() if label == "serve-worker"
         ]
         assert labels.get(0) == "serve"
         assert len(worker_pids) == 1
-        assert sorted(labels[p] for p in rank_pids) == ["rank[0]", "rank[1]"]
-        # real OS pids, all distinct from the server's pseudo-pid 0
-        assert 0 not in rank_pids and 0 not in worker_pids
+        assert set(labels) == {0, *worker_pids}
+        # a real OS pid, distinct from the server's pseudo-pid 0
+        assert 0 not in worker_pids
 
         # ---- strict nesting after clock alignment --------------------- #
         (req0, req1), = _spans(events, "serve/request", pid=0)
@@ -113,11 +105,10 @@ class TestCrossProcessTrace:
         # the NTP-style handshake bounds guarantee the worker's service
         # interval lands inside the dispatch bracket — no tolerance
         assert disp0 <= det0 <= det1 <= disp1
-        rank_spans = [
-            span for pid in rank_pids for span in _spans(events, "rank/decide", pid)
-        ]
-        assert len(rank_spans) >= 2 * 2  # >=2 rounds on each of 2 ranks
-        for start, end in rank_spans:
+        # the worker's engine ran in-process, inside its detect interval
+        engine_runs = _spans(events, "engine/run", pid=worker_pids[0])
+        assert engine_runs  # one per Louvain level
+        for start, end in engine_runs:
             assert det0 <= start <= end <= det1
 
         # ---- flow chain links the tiers by trace id ------------------- #
@@ -128,7 +119,7 @@ class TestCrossProcessTrace:
         assert [f["ph"] for f in flow] == ["s"] + ["t"] * (len(flow) - 2) + ["f"]
         assert len({f["id"] for f in flow}) == 1
         assert flow[0]["pid"] == 0
-        assert {f["pid"] for f in flow} == {0, worker_pids[0], *rank_pids}
+        assert {f["pid"] for f in flow} == {0, worker_pids[0]}
         assert chrome["metadata"]["trace_id"] == reply["trace_id"]
 
         # ---- satellite: worker telemetry flows even on cold requests -- #
@@ -138,9 +129,6 @@ class TestCrossProcessTrace:
         assert totals["iterations"] > 0
         assert pool["kernel_backends"]  # worker-side kernel counters
         assert sum(pool["kernel_backends"].values()) > 0
-        halo = pool["rank_halo_bytes"]
-        assert set(halo) == {"0", "1"}
-        assert all(v > 0 for v in halo.values())
 
         # ---- tracing changes nothing about the answer ----------------- #
         plain = asyncio.run(untraced())
