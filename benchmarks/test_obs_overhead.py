@@ -87,9 +87,12 @@ def test_serve_telemetry_overhead_under_5pct(benchmark):
     Hits are the right probe: they are pure serve-layer work (parse,
     cache lookup, reply), so any per-request telemetry cost shows up
     undiluted by engine time. Same interleaved min-of-ratios estimator
-    as the engine-path test.
+    as the engine-path test: both servers live in one event loop, and
+    each round times one batch on each, adjacent in time (the order
+    alternates between rounds).
     """
     import asyncio
+    import contextlib
     import tempfile
 
     from repro.graph.generators import ring_of_cliques
@@ -98,39 +101,47 @@ def test_serve_telemetry_overhead_under_5pct(benchmark):
     graph = ring_of_cliques(8, 6)
     hits_per_sample = 50
 
-    async def hit_latency(cfg: "ServeConfig") -> list:
-        server = DetectionServer(cfg)
-        host, port = await server.start()
-        try:
-            async with await ServeClient.connect(host, port) as client:
+    async def measure_async(trace_dir):
+        configs = [
+            ServeConfig(port=0, runner="inline"),
+            ServeConfig(
+                port=0,
+                runner="inline",
+                metrics_port=0,
+                trace_dir=trace_dir,
+                slo="p99_ms=10000,error_rate=0.5",
+            ),
+        ]
+        async with contextlib.AsyncExitStack() as stack:
+            sessions = []
+            for cfg in configs:
+                server = DetectionServer(cfg)
+                host, port = await server.start()
+                stack.push_async_callback(server.drain)
+                client = await stack.enter_async_context(
+                    await ServeClient.connect(host, port)
+                )
                 fingerprint = await client.upload(graph)
                 await client.detect(fingerprint, seed=0)  # warm the cache
-                samples = []
-                for _ in range(2 + ROUNDS):
-                    start = time.perf_counter()
-                    for _ in range(hits_per_sample):
-                        await client.detect(fingerprint, seed=0)
-                    samples.append(
-                        (time.perf_counter() - start) / hits_per_sample
-                    )
-                return samples[2:]  # first two samples are warmup
-        finally:
-            await server.drain()
+                sessions.append((client, fingerprint))
+
+            async def sample(client, fingerprint):
+                start = time.perf_counter()
+                for _ in range(hits_per_sample):
+                    await client.detect(fingerprint, seed=0)
+                return (time.perf_counter() - start) / hits_per_sample
+
+            plain, telemetry = [], []
+            for r in range(2 + ROUNDS):  # the first two rounds warm up
+                order = (0, 1) if r % 2 == 0 else (1, 0)
+                got = {i: await sample(*sessions[i]) for i in order}
+                plain.append(got[0])
+                telemetry.append(got[1])
+            return plain[2:], telemetry[2:]
 
     def measure():
         with tempfile.TemporaryDirectory() as trace_dir:
-            plain = asyncio.run(
-                hit_latency(ServeConfig(port=0, runner="inline"))
-            )
-            telemetry = asyncio.run(
-                hit_latency(ServeConfig(
-                    port=0,
-                    runner="inline",
-                    metrics_port=0,
-                    trace_dir=trace_dir,
-                    slo="p99_ms=10000,error_rate=0.5",
-                ))
-            )
+            plain, telemetry = asyncio.run(measure_async(trace_dir))
         ratios = [t / p for p, t in zip(plain, telemetry)]
         return float(np.min(plain)), float(np.min(ratios))
 

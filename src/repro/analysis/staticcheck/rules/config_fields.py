@@ -20,8 +20,6 @@ Checks, all static:
   ``GalaConfig`` field of the same name or the one
   :data:`PHASE1_FIELD_MAP` names (modulo the declared measurement-only
   extras);
-* ``serve/server.py`` only injects *execution* defaults into detect
-  configs (``self._config_defaults[...]`` keys ⊆ ``EXECUTION_FIELDS``);
 * ``serve/cache.py`` builds keys via ``.cache_key()`` (no ad-hoc
   serialization);
 * ``serve/protocol.py`` keeps the unknown-config-field guard, so a
@@ -48,7 +46,6 @@ RULE = "config-classification"
 
 GALA_MODULE = "repro.core.gala"
 PHASE1_MODULE = "repro.core.phase1"
-SERVER_MODULE = "repro.serve.server"
 CACHE_MODULE = "repro.serve.cache"
 PROTOCOL_MODULE = "repro.serve.protocol"
 
@@ -148,7 +145,6 @@ def check(project: Project) -> List[Finding]:
         )
 
     findings.extend(_check_phase1(project, set(fields)))
-    findings.extend(_check_server_defaults(project, execution))
     findings.extend(_check_cache_key_usage(project))
     findings.extend(_check_protocol_guard(project))
     return findings
@@ -219,48 +215,6 @@ def _resolve_class(
             if cls is not None:
                 return other, cls
     return None
-
-
-def _check_server_defaults(
-    project: Project, execution: Set[str]
-) -> List[Finding]:
-    """``self._config_defaults["x"] = ...`` keys must be execution-only."""
-    findings: List[Finding] = []
-    server = project.get(SERVER_MODULE)
-    if server is None:
-        return findings
-    for node in ast.walk(server.tree):
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            key = _config_defaults_key(target)
-            if key is None or key in execution:
-                continue
-            findings.append(
-                lint_finding(
-                    RULE,
-                    "semantic-server-default",
-                    f"server injects default for {key!r}, which is not in "
-                    "EXECUTION_FIELDS — a server-side semantic default "
-                    "would fork results from what clients asked for",
-                    server,
-                    node.lineno,
-                    field=key,
-                )
-            )
-    return findings
-
-
-def _config_defaults_key(target: ast.expr) -> Optional[str]:
-    if not isinstance(target, ast.Subscript):
-        return None
-    base = dotted_name(target.value)
-    if base is None or not base.endswith("_config_defaults"):
-        return None
-    sl = target.slice
-    if isinstance(sl, ast.Constant) and isinstance(sl.value, str):
-        return sl.value
-    return "<dynamic>"
 
 
 def _check_cache_key_usage(project: Project) -> List[Finding]:

@@ -52,7 +52,6 @@ _RENDER_KWARGS = {
     "counters",
     "gauges",
     "histograms",
-    "labeled_gauges",
     "help_text",
 }
 

@@ -4,8 +4,8 @@
   reference for correctness, and home of :func:`make_kernel`, which
   resolves the host backend names in :data:`KERNEL_NAMES`.
 * :mod:`jit` — the same per-vertex loop compiled with the system C
-  compiler (or run interpreted for the bit-exactness tests);
-  ``kernel="auto"`` uses it whenever a compile provider passed its probe.
+  compiler; ``kernel="auto"`` uses it whenever the compiled library
+  passed its probe against the NumPy paths.
 * :mod:`shuffle` — warp-level shuffle-based kernel (paper Algorithm 2) on
   the simulated GPU; charges register/warp-primitive costs.
 * :mod:`hash` — block-level hash-based kernel (paper Algorithm 3) on the

@@ -23,15 +23,11 @@ count is fixed per process (:func:`cap_threads`).
 refresh writes into the state's own arrays, so a steady-state iteration
 allocates no per-vertex buffer for either.
 
-Two **providers** run the loops:
-
-* ``cc``     — a bundled C translation of the loop functions below,
-  compiled once with the system C compiler into a cached shared library
-  and called via :mod:`ctypes`. No dependency beyond a working ``cc``.
-* ``python`` — the identical loop functions, interpreted — far too slow
-  for real graphs, but it lets the bit-exactness matrix validate the
-  kernel *semantics* on machines with no compiler at all (it is never
-  selected automatically).
+The loops are a bundled C source, compiled once with the system C
+compiler (``$CC``, else ``cc``) into a cached shared library and called
+via :mod:`ctypes` — the one **provider**, ``cc``. No dependency beyond a
+working compiler; without one the backend is unavailable and ``auto``
+resolves to ``vectorized``.
 
 Bit-exactness contract: the loops replicate the reference backend's
 arithmetic exactly — per-``(v, C)`` weights are accumulated sequentially
@@ -41,18 +37,21 @@ evaluated with the same operation order Eq. 2 is coded with in
 :func:`~repro.core.kernels.vectorized._evaluate_pairs`, ties break toward
 the smaller community id, and the movement guards are verbatim; the
 contraction sums each super-edge's run in ``np.add.reduceat``'s pairwise
-order (:func:`_pairwise_sum`). The C build disables FP contraction
-(``-ffp-contract=off``), so the compiled arithmetic is IEEE-ordered and
-bit-identical to ``vectorized`` and the NumPy contraction — enforced by
-the cross-backend matrix tests and by a compile-probe smoke comparison
-(against the interpreted loops; for ``coarsen``, ``mg_inactive`` and
-``internal_weights`` against the NumPy paths themselves, and for
-``decide`` also at two forced threads against ``vectorized``) before a
-provider is ever trusted.
+order. The C build disables FP contraction (``-ffp-contract=off``), so
+the compiled arithmetic is IEEE-ordered and bit-identical to the NumPy
+paths — enforced by the cross-backend matrix tests and by a compile-probe
+smoke comparison of every entry against its NumPy twin (``decide``
+against :func:`~repro.core.kernels.vectorized.decide_moves`, also at two
+forced threads; ``delta`` against :func:`~repro.core.weights.delta_update`;
+``aggregates`` against the ``np.bincount`` refresh; ``coarsen`` against
+:func:`~repro.graph.coarsen.coarsen_graph`; ``mg_inactive`` against
+``ModularityGainPruning.inactive_mask``; ``internal_weights`` against
+:func:`~repro.core.modularity.community_internal_weights`) before the
+library is ever trusted.
 
-Provider selection honours ``REPRO_JIT_PROVIDER`` (``auto``/``cc``/
-``python``/``off``). :func:`get_runtime` probes and memoizes;
-:func:`require_runtime` raises the friendly
+``REPRO_JIT_PROVIDER`` is ``auto`` (the default) or ``cc`` to use the
+library, ``off`` (or ``none``) to disable the backend. :func:`get_runtime`
+probes and memoizes; :func:`require_runtime` raises the friendly
 :class:`~repro.errors.KernelUnavailableError` instead of returning None;
 :func:`probed_provider` reports the memoized choice without probing.
 """
@@ -75,386 +74,11 @@ from repro.core.state import CommunityState
 from repro.errors import KernelUnavailableError
 from repro.utils.arrays import compact_relabel
 
-NEG_INF = float("-inf")
-INF = float("inf")
-
-
 # --------------------------------------------------------------------- #
-# the loop functions (the interpreted provider; the C source mirrors them
-# statement for statement)
+# the C source (provider "cc")
 # --------------------------------------------------------------------- #
-def _decide_loop(
-    active_idx,
-    indptr,
-    indices,
-    weights,
-    comm,
-    strength,
-    comm_strength,
-    comm_size,
-    gamma,
-    m,
-    two_m,
-    remove_self,
-    acc_w,
-    acc_stamp,
-    acc_comms,
-    stamp,
-    best_comm,
-    best_gain,
-    stay_gain,
-    move,
-    threads=1,
-):
-    """DecideAndMove for ``active_idx``; writes the four output arrays.
-
-    ``acc_w``/``acc_stamp`` form a stamp-versioned per-community
-    accumulator (O(1) reset per vertex); ``acc_comms`` lists the
-    communities touched by the current vertex in first-encounter order.
-    The vertex at position ``i`` runs under stamp ``stamp + i + 1``, and
-    the call returns ``stamp + len(active_idx)``, so the scratch stays
-    valid across calls. The C loop splits the positions over ``threads``
-    threads, thread ``t`` using the ``t``-th ``n``-slice of
-    ``acc_w``/``acc_stamp`` and the ``t``-th slice of ``acc_comms``; this
-    interpreted loop is its one-thread case. Every output is indexed by
-    position, so the result does not depend on the thread count.
-    """
-    n_act = active_idx.shape[0]
-    for i in range(n_act):
-        _decide_vertex(i, active_idx, indptr, indices, weights, comm,
-                       strength, comm_strength, comm_size, gamma, m, two_m,
-                       remove_self, acc_w, acc_stamp, acc_comms,
-                       stamp + i + 1, best_comm, best_gain, stay_gain, move)
-    return stamp + n_act
-
-
-def _decide_vertex(i, active_idx, indptr, indices, weights, comm, strength,
-                   comm_strength, comm_size, gamma, m, two_m, remove_self,
-                   acc_w, acc_stamp, acc_comms, stamp,
-                   best_comm, best_gain, stay_gain, move):
-    """The body of :func:`_decide_loop` for position ``i``."""
-    v = active_idx[i]
-    cur = comm[v]
-    s_v = strength[v]
-    k = 0
-    for e in range(indptr[v], indptr[v + 1]):
-        c = comm[indices[e]]
-        w = weights[e]
-        if acc_stamp[c] == stamp:
-            acc_w[c] += w
-        else:
-            acc_stamp[c] = stamp
-            acc_w[c] = w
-            acc_comms[k] = c
-            k += 1
-    cur_total = comm_strength[cur]
-    if remove_self:
-        cur_total = cur_total - s_v
-    sg = (0.0 - gamma * cur_total * s_v / two_m) / m
-    bc = cur
-    bg = NEG_INF
-    found = False
-    for j in range(k):
-        c = acc_comms[j]
-        tot = comm_strength[c]
-        if remove_self and c == cur:
-            tot = tot - s_v
-        g = (acc_w[c] - gamma * tot * s_v / two_m) / m
-        if c == cur:
-            sg = g
-        elif (not found) or g > bg or (g == bg and c < bc):
-            found = True
-            bg = g
-            bc = c
-    if not found:
-        bc = cur
-        bg = NEG_INF
-    mv = found and bg > sg
-    if mv and comm_size[cur] == 1 and comm_size[bc] == 1 and bc > cur:
-        mv = False
-    best_comm[i] = bc
-    best_gain[i] = bg
-    stay_gain[i] = sg
-    move[i] = mv
-
-
-def _mg_inactive_loop(strength, self_weight, d_comm, comm, comm_strength,
-                      comm_size, gamma, two_m, remove_self, threshold, out,
-                      threads=1):
-    """MG's global-bound Eq. 6 test for every vertex into ``out``, with
-    ``min_C D_V(C)`` over the non-empty communities found first — the
-    operations and their order of
-    :meth:`~repro.core.pruning.modularity_gain.ModularityGainPruning.inactive_mask`
-    (``threshold`` is its ``slack * two_m``). The C loop splits the
-    vertices over ``threads`` threads; each writes only its own
-    ``out[v]``."""
-    n = comm.shape[0]
-    # an empty community's total is lifted to +inf (branch-free in C)
-    min_total = INF
-    for c in range(n):
-        total = comm_strength[c] + (0.0 if comm_size[c] > 0 else INF)
-        min_total = total if total < min_total else min_total
-    if min_total == INF:
-        min_total = 0.0
-    for v in range(n):
-        s_v = strength[v]
-        free = s_v - 2.0 * self_weight[v]
-        correction = s_v if remove_self else 0.0
-        lhs = (2.0 * d_comm[v] - free
-               + gamma * (min_total - comm_strength[comm[v]] + correction)
-               * s_v / two_m)
-        out[v] = (lhs >= threshold) | (free == 0.0)
-
-
-def _internal_weights_loop(indptr, indices, weights, self_weight, comm,
-                           internal):
-    """``D_C(C)`` added into the zeroed ``internal`` in ``np.add.at``'s
-    order: the intra-community entries in row order, then ``2 w_loop`` of
-    every vertex in vertex order (see
-    :func:`repro.core.modularity.community_internal_weights`)."""
-    n = comm.shape[0]
-    for u in range(n):
-        cu = comm[u]
-        for e in range(indptr[u], indptr[u + 1]):
-            if comm[indices[e]] == cu:
-                internal[cu] += weights[e]
-    for v in range(n):
-        internal[comm[v]] += 2.0 * self_weight[v]
-
-
-def _delta_loop(movers, indptr, indices, weights, comm, prev_comm, moved, d_comm):
-    """Section 3.5 delta update over the rows of ``movers``.
-
-    Each mover's own entry is rebuilt from zero over its row; its unmoved
-    neighbours get the +/- deltas. Moved and unmoved vertices receive
-    contributions to disjoint ``d_comm`` entries, so fusing the two
-    halves into one mover-major, adjacency-ordered pass preserves the
-    reference path's per-element summation order exactly — and any split
-    of an ascending mover list into consecutive calls gives the same bits.
-    """
-    for i in range(movers.shape[0]):
-        u = movers[i]
-        cu = comm[u]
-        pu = prev_comm[u]
-        du = 0.0
-        for e in range(indptr[u], indptr[u + 1]):
-            v = indices[e]
-            w = weights[e]
-            cv = comm[v]
-            joined = cu == cv
-            if joined:
-                du += w
-            if not moved[v]:
-                left = pu == cv
-                if joined != left:
-                    if joined:
-                        d_comm[v] += w
-                    else:
-                        d_comm[v] -= w
-        d_comm[u] = du
-
-
-def _aggregates_loop(comm, strength, comm_strength, comm_size):
-    """``comm_strength``/``comm_size`` rebuild into caller-owned buffers
-    (``np.bincount`` summation order, so bit-identical to the reference)."""
-    n = comm.shape[0]
-    for c in range(n):
-        comm_strength[c] = 0.0
-        comm_size[c] = 0
-    for v in range(n):
-        c = comm[v]
-        comm_strength[c] += strength[v]
-        comm_size[c] += 1
-
-
-def _pairwise_sum(a, lo, n):
-    """Sum of ``a[lo:lo + n]`` in numpy's ``pairwise_sum`` order: below 8
-    elements sequentially from ``-0.0``; up to 128 in 8 strided
-    accumulators combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then
-    the leftover tail in sequence; above 128 split at ``n/2`` rounded down
-    to a multiple of 8. ``np.add.reduceat`` sums a run as
-    ``run[0] + _pairwise_sum(run[1:])``."""
-    if n < 8:
-        res = -0.0
-        for i in range(n):
-            res += a[lo + i]
-        return res
-    if n <= 128:
-        r = [a[lo + j] for j in range(8)]
-        i = 8
-        while i < n - (n % 8):
-            for j in range(8):
-                r[j] += a[lo + i + j]
-            i += 8
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        while i < n:
-            res += a[lo + i]
-            i += 1
-        return res
-    n2 = n // 2
-    n2 -= n2 % 8
-    return _pairwise_sum(a, lo, n2) + _pairwise_sum(a, lo + n2, n - n2)
-
-
-def _relabel_loop(comm, present, mapping):
-    """Compact relabel of ids in ``[0, n)`` through a presence array, in
-    ascending id order like ``np.unique``; returns ``k``, or -1 when an id
-    lies outside ``[0, n)`` (the caller then relabels with ``np.unique``)."""
-    n = comm.shape[0]
-    for c in range(n):
-        present[c] = 0
-    for v in range(n):
-        c = comm[v]
-        if c < 0 or c >= n:
-            return -1
-        present[c] = 1
-    k = 0
-    for c in range(n):
-        p = present[c]
-        present[c] = k
-        k += p
-    for v in range(n):
-        mapping[v] = present[comm[v]]
-    return k
-
-
-def _coarsen_sort_loop(indptr, indices, weights, fine_self, mapping, k,
-                       self_weight, dst_end, src_end, last,
-                       a_src, a_w, b_dst, b_w, coarse_indptr):
-    """Route every adjacency entry onto super-vertices and sort the
-    inter-community ones by ``(super-source, super-destination)``.
-
-    Intra entries add ``0.5 * w`` to ``self_weight`` in CSR order, then
-    the fine self-loops follow in vertex order (``np.bincount``'s order
-    over the NumPy path's concatenation). The rest go through two stable
-    counting sorts — by destination into ``a_*``, then by source into
-    ``b_*`` — which is exactly ``np.lexsort((dst, src))``'s order.
-    ``coarse_indptr`` receives the row offsets of the coalesced entries
-    and ``src_end[s]`` the end of row ``s``'s sorted entries in ``b_*``.
-    Returns the number of coalesced entries.
-    """
-    n = indptr.shape[0] - 1
-    coarse_indptr[0] = 0
-    for c in range(k):
-        self_weight[c] = 0.0
-        dst_end[c] = 0
-        src_end[c] = 0
-        last[c] = -1
-        coarse_indptr[c + 1] = 0
-    for u in range(n):
-        cs = mapping[u]
-        for e in range(indptr[u], indptr[u + 1]):
-            cd = mapping[indices[e]]
-            if cs == cd:
-                self_weight[cs] += weights[e] * 0.5
-            else:
-                dst_end[cd] += 1
-                src_end[cs] += 1
-    for v in range(n):
-        self_weight[mapping[v]] += fine_self[v]
-    # bucket starts; each scatter advances a bucket's start to its end
-    td = 0
-    ts = 0
-    for c in range(k):
-        t = dst_end[c]
-        dst_end[c] = td
-        td += t
-        t = src_end[c]
-        src_end[c] = ts
-        ts += t
-    for u in range(n):
-        cs = mapping[u]
-        for e in range(indptr[u], indptr[u + 1]):
-            cd = mapping[indices[e]]
-            if cs != cd:
-                p = dst_end[cd]
-                dst_end[cd] = p + 1
-                a_src[p] = cs
-                a_w[p] = weights[e]
-    # destinations arrive in ascending order per source, so a run starts
-    # wherever a source sees a new destination
-    i = 0
-    for d in range(k):
-        while i < dst_end[d]:
-            s = a_src[i]
-            p = src_end[s]
-            src_end[s] = p + 1
-            b_dst[p] = d
-            b_w[p] = a_w[i]
-            if last[s] != d:
-                last[s] = d
-                coarse_indptr[s + 1] += 1
-            i += 1
-    for c in range(k):
-        coarse_indptr[c + 1] += coarse_indptr[c]
-    return coarse_indptr[k]
-
-
-def _coarsen_sum_loop(k, src_end, b_dst, b_w, out_idx, out_w):
-    """Sum each ``(source, destination)`` run of the sorted entries into
-    the coarse CSR, in ``np.add.reduceat``'s order."""
-    r = 0
-    i = 0
-    for s in range(k):
-        end = src_end[s]
-        while i < end:
-            j = i + 1
-            while j < end and b_dst[j] == b_dst[i]:
-                j += 1
-            out_idx[r] = b_dst[i]
-            out_w[r] = b_w[i] + _pairwise_sum(b_w, i + 1, j - i - 1)
-            r += 1
-            i = j
-
-
-def _coarsen_with(relabel, sort, sum_runs) -> Callable:
-    """The provider-independent ``coarsen`` entry point over one
-    provider's three loops: scratch and exact-size outputs are allocated
-    here, the loops only fill them.
-
-    ``coarsen(indptr, indices, weights, self_weight, communities)``
-    returns the coarse ``(indptr, indices, weights, self_weight)`` and
-    the fine-to-coarse ``mapping``, byte-identical to the NumPy
-    :func:`repro.graph.coarsen.coarsen_graph`.
-    """
-
-    def coarsen(indptr, indices, weights, self_weight, communities):
-        n = indptr.shape[0] - 1
-        k = -1
-        if np.can_cast(communities.dtype, np.int64):
-            mapping = np.empty(n, dtype=np.int64)
-            k = relabel(np.ascontiguousarray(communities, dtype=np.int64),
-                        np.empty(n, dtype=np.int64), mapping)
-        if k < 0:
-            mapping, k = compact_relabel(communities)
-        nnz = indices.shape[0]
-        coarse_self = np.empty(k)
-        dst_end = np.empty(k, dtype=np.int64)
-        src_end = np.empty(k, dtype=np.int64)
-        last = np.empty(k, dtype=np.int64)
-        coarse_indptr = np.empty(k + 1, dtype=np.int64)
-        # sized for every entry; only the inter-community prefix is written
-        a_src = np.empty(nnz, dtype=np.int64)
-        a_w = np.empty(nnz)
-        b_dst = np.empty(nnz, dtype=np.int64)
-        b_w = np.empty(nnz)
-        r = sort(indptr, indices, weights, self_weight, mapping, k,
-                 coarse_self, dst_end, src_end, last,
-                 a_src, a_w, b_dst, b_w, coarse_indptr)
-        del a_src, a_w
-        coarse_indices = np.empty(r, dtype=np.int64)
-        coarse_weights = np.empty(r)
-        sum_runs(k, src_end, b_dst, b_w, coarse_indices, coarse_weights)
-        return coarse_indptr, coarse_indices, coarse_weights, coarse_self, mapping
-
-    return coarsen
-
-
-# --------------------------------------------------------------------- #
-# the C translation (provider "cc")
-# --------------------------------------------------------------------- #
-#: mirrors the loop functions above statement for statement; compiled with
-#: -ffp-contract=off so the float arithmetic is IEEE-ordered like NumPy's
+#: compiled with -ffp-contract=off so the float arithmetic is IEEE-ordered
+#: like NumPy's; each entry's comment names the NumPy path it reproduces
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
@@ -477,6 +101,13 @@ int64_t repro_openmp(void)
 #endif
 }
 
+/* DecideAndMove for the vertex at position i of active_idx, writing the
+ * four outputs at position i (vectorized.decide_moves, bit for bit).
+ * acc_w/acc_stamp form a stamp-versioned per-community accumulator (O(1)
+ * reset per vertex: an entry is live iff its stamp equals this vertex's
+ * stamp); acc_comms lists the communities the vertex touches in
+ * first-encounter order, which is the order the candidates are scanned
+ * in, with ties broken toward the smaller community id. */
 static void decide_vertex(
     int64_t i, const int64_t *active_idx,
     const int64_t *indptr, const int64_t *indices, const double *weights,
@@ -531,6 +162,11 @@ static void decide_vertex(
 }
 
 /* thread t uses acc_w/acc_stamp[t*n ...] and acc_comms[t*comms_stride ...] */
+/* The stamp rule: the vertex at position i runs under stamp stamp + i + 1,
+ * whichever thread takes it, and the call returns stamp + n_act, so one
+ * scratch stays valid across calls (the caller passes the returned stamp
+ * back in). Every output is indexed by position, so the result does not
+ * depend on the thread count. */
 int64_t repro_decide(
     int64_t n_act, const int64_t *active_idx,
     const int64_t *indptr, const int64_t *indices, const double *weights,
@@ -565,6 +201,11 @@ int64_t repro_decide(
     return stamp + n_act;
 }
 
+/* MG's global-bound Eq. 6 test for every vertex into out, with the
+ * minimum total over the non-empty communities found first: the operations
+ * and their order of ModularityGainPruning.inactive_mask, whose threshold
+ * (slack * two_m) the caller passes. Each thread writes only its own
+ * out[v]. */
 static void mg_vertex(
     int64_t v, const double *strength, const double *self_weight,
     const double *d_comm, const int64_t *comm, const double *comm_strength,
@@ -608,6 +249,9 @@ void repro_mg_inactive(
     }
 }
 
+/* D_C(C) added into the zeroed internal in np.add.at's order: the
+ * intra-community entries in row order, then 2 w_loop of every vertex in
+ * vertex order (modularity.community_internal_weights). */
 void repro_internal_weights(
     int64_t n, const int64_t *indptr, const int64_t *indices,
     const double *weights, const double *self_weight, const int64_t *comm,
@@ -621,6 +265,13 @@ void repro_internal_weights(
     for (int64_t v = 0; v < n; v++) internal[comm[v]] += 2.0 * self_weight[v];
 }
 
+/* Section 3.5 delta update over the rows of movers (weights.delta_update).
+ * Each mover's own entry is rebuilt from zero over its row; its unmoved
+ * neighbours get the +/- deltas. Moved and unmoved vertices receive
+ * contributions to disjoint d_comm entries, so fusing the two NumPy
+ * halves into one mover-major, adjacency-ordered pass keeps the reference
+ * path's per-element summation order, and any split of an ascending
+ * mover list into consecutive calls gives the same bits. */
 void repro_delta(
     int64_t n_movers, const int64_t *movers,
     const int64_t *indptr, const int64_t *indices, const double *weights,
@@ -650,6 +301,8 @@ void repro_delta(
     }
 }
 
+/* comm_strength/comm_size rebuilt into caller-owned buffers in
+ * np.bincount's summation order (vertex order). */
 void repro_aggregates(
     int64_t n, const int64_t *comm, const double *strength,
     double *comm_strength, int64_t *comm_size)
@@ -665,6 +318,11 @@ void repro_aggregates(
     }
 }
 
+/* Sum of a[0:n] in numpy's pairwise_sum order: below 8 elements
+ * sequentially from -0.0; up to 128 in 8 strided accumulators combined as
+ * ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover tail in sequence;
+ * above 128 split at n/2 rounded down to a multiple of 8. np.add.reduceat
+ * sums a run as run[0] + pairwise_sum(run + 1, len - 1). */
 static double pairwise_sum(const double *a, int64_t n)
 {
     if (n < 8) {
@@ -688,6 +346,9 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
+/* Compact relabel of ids in [0, n) through a presence array, in ascending
+ * id order like np.unique; returns k, or -1 when an id lies outside
+ * [0, n) (the caller then relabels with np.unique). */
 int64_t repro_relabel(
     int64_t n, const int64_t *comm, int64_t *present, int64_t *mapping)
 {
@@ -707,6 +368,15 @@ int64_t repro_relabel(
     return k;
 }
 
+/* Route every adjacency entry onto super-vertices and sort the
+ * inter-community ones by (super-source, super-destination). Intra
+ * entries add 0.5 * w to self_weight in CSR order, then the fine
+ * self-loops follow in vertex order (np.bincount's order over the NumPy
+ * path's concatenation). The rest go through two stable counting sorts,
+ * by destination into a_*, then by source into b_*, which is exactly
+ * np.lexsort((dst, src))'s order. coarse_indptr receives the row offsets
+ * of the coalesced entries and src_end[s] the end of row s's sorted
+ * entries in b_*; returns the number of coalesced entries. */
 int64_t repro_coarsen_sort(
     int64_t n, const int64_t *indptr, const int64_t *indices,
     const double *weights, const double *fine_self, const int64_t *mapping,
@@ -735,6 +405,7 @@ int64_t repro_coarsen_sort(
         }
     }
     for (int64_t v = 0; v < n; v++) self_weight[mapping[v]] += fine_self[v];
+    /* bucket starts; each scatter advances a bucket's start to its end */
     int64_t td = 0, ts = 0;
     for (int64_t c = 0; c < k; c++) {
         int64_t t = dst_end[c];
@@ -755,6 +426,8 @@ int64_t repro_coarsen_sort(
             }
         }
     }
+    /* destinations arrive in ascending order per source, so a run starts
+     * wherever a source sees a new destination */
     int64_t i = 0;
     for (int64_t d = 0; d < k; d++) {
         for (; i < dst_end[d]; i++) {
@@ -772,6 +445,8 @@ int64_t repro_coarsen_sort(
     return coarse_indptr[k];
 }
 
+/* Sum each (source, destination) run of the sorted entries into the coarse
+ * CSR in np.add.reduceat's order. */
 void repro_coarsen_sum(
     int64_t k, const int64_t *src_end, const int64_t *b_dst,
     const double *b_w, int64_t *out_idx, double *out_w)
@@ -913,19 +588,20 @@ def _compile_c_library() -> ctypes.CDLL:
 # --------------------------------------------------------------------- #
 @dataclass
 class JitRuntime:
-    """One compiled (or interpreted) implementation of the loops.
+    """The compiled library's entry points behind NumPy-array signatures.
 
     ``decide``/``delta``/``aggregates``/``mg_inactive``/``internal_weights``
-    share the loop functions' NumPy signatures regardless of provider, and
-    ``coarsen`` is the phase-2 contraction built by :func:`_coarsen_with`;
-    ``compile_s`` is the one-off cost the probe measured: building the
-    provider (a compile, or the load of a cached library) plus the smoke
-    comparison, so it is never 0.0 once probed. The first kernel on this
-    runtime to report a trace takes it (``compile_charged``), so a
-    process charges it to one iteration trace and manifest. ``openmp``
-    says whether the library was built with OpenMP; ``threads`` is how
-    many threads ``decide`` and ``mg_inactive`` may use in this process
-    (see :func:`cap_threads`; always 1 without OpenMP).
+    wrap the C entries of the same names, and ``coarsen`` is the phase-2
+    contraction over the relabel, sort and run-sum entries;
+    ``provider`` is always ``"cc"``. ``compile_s`` is the one-off cost
+    the probe measured: building the library (a compile, or the load of a
+    cached one) plus the smoke comparison, so it is never 0.0 once probed.
+    The first kernel on this runtime to report a trace takes it
+    (``compile_charged``), so a process charges it to one iteration trace
+    and manifest. ``openmp`` says whether the library was built with
+    OpenMP; ``threads`` is how many threads ``decide`` and ``mg_inactive``
+    may use in this process (see :func:`cap_threads`; always 1 without
+    OpenMP).
     """
 
     provider: str
@@ -939,20 +615,6 @@ class JitRuntime:
     openmp: bool = False
     threads: int = 1
     compile_charged: bool = False
-
-
-def _python_runtime() -> JitRuntime:
-    return JitRuntime(
-        provider="python",
-        compile_s=0.0,
-        decide=_decide_loop,
-        delta=_delta_loop,
-        aggregates=_aggregates_loop,
-        coarsen=_coarsen_with(_relabel_loop, _coarsen_sort_loop,
-                              _coarsen_sum_loop),
-        mg_inactive=_mg_inactive_loop,
-        internal_weights=_internal_weights_loop,
-    )
 
 
 def _cc_runtime() -> JitRuntime:
@@ -986,11 +648,41 @@ def _cc_runtime() -> JitRuntime:
         lib.repro_aggregates(len(comm), comm, strength, comm_strength,
                              comm_size)
 
-    def relabel(comm, present, mapping):
-        return lib.repro_relabel(len(comm), comm, present, mapping)
-
-    def sort(indptr, *rest):
-        return lib.repro_coarsen_sort(len(indptr) - 1, indptr, *rest)
+    def coarsen(indptr, indices, weights, self_weight, communities):
+        """The coarse ``(indptr, indices, weights, self_weight)`` and the
+        fine-to-coarse ``mapping``, byte-identical to the NumPy
+        :func:`repro.graph.coarsen.coarsen_graph`: scratch and exact-size
+        outputs are allocated here, the C entries only fill them."""
+        n = indptr.shape[0] - 1
+        k = -1
+        if np.can_cast(communities.dtype, np.int64):
+            mapping = np.empty(n, dtype=np.int64)
+            k = lib.repro_relabel(
+                n, np.ascontiguousarray(communities, dtype=np.int64),
+                np.empty(n, dtype=np.int64), mapping,
+            )
+        if k < 0:
+            mapping, k = compact_relabel(communities)
+        nnz = indices.shape[0]
+        coarse_self = np.empty(k)
+        dst_end = np.empty(k, dtype=np.int64)
+        src_end = np.empty(k, dtype=np.int64)
+        last = np.empty(k, dtype=np.int64)
+        coarse_indptr = np.empty(k + 1, dtype=np.int64)
+        # sized for every entry; only the inter-community prefix is written
+        a_src = np.empty(nnz, dtype=np.int64)
+        a_w = np.empty(nnz)
+        b_dst = np.empty(nnz, dtype=np.int64)
+        b_w = np.empty(nnz)
+        r = lib.repro_coarsen_sort(n, indptr, indices, weights, self_weight,
+                                   mapping, k, coarse_self, dst_end, src_end,
+                                   last, a_src, a_w, b_dst, b_w, coarse_indptr)
+        del a_src, a_w
+        coarse_indices = np.empty(r, dtype=np.int64)
+        coarse_weights = np.empty(r)
+        lib.repro_coarsen_sum(k, src_end, b_dst, b_w, coarse_indices,
+                              coarse_weights)
+        return coarse_indptr, coarse_indices, coarse_weights, coarse_self, mapping
 
     def mg_inactive(strength, self_weight, d_comm, comm, comm_strength,
                     comm_size, gamma, two_m, remove_self, threshold, out,
@@ -1007,8 +699,7 @@ def _cc_runtime() -> JitRuntime:
 
     return JitRuntime(
         provider="cc", compile_s=0.0, decide=decide, delta=delta,
-        aggregates=aggregates,
-        coarsen=_coarsen_with(relabel, sort, lib.repro_coarsen_sum),
+        aggregates=aggregates, coarsen=coarsen,
         mg_inactive=mg_inactive, internal_weights=internal_weights,
         openmp=bool(lib.repro_openmp()),
     )
@@ -1018,16 +709,13 @@ def _cc_runtime() -> JitRuntime:
 # compile probe
 # --------------------------------------------------------------------- #
 def _smoke_fixture():
-    """A 4-vertex weighted fixture exercising every decide branch: an own
-    -community pair, a tie, a singleton pair, and an isolated vertex."""
-    indptr = np.array([0, 2, 4, 6, 6], dtype=np.int64)
-    indices = np.array([1, 2, 0, 2, 0, 1], dtype=np.int64)
-    weights = np.array([1.0, 2.0, 1.0, 3.0, 2.0, 3.0])
-    comm = np.array([0, 1, 1, 3], dtype=np.int64)
-    strength = np.array([3.0, 4.0, 5.0, 0.0])
-    comm_strength = np.array([3.0, 9.0, 0.0, 0.0])
-    comm_size = np.array([1, 2, 0, 1], dtype=np.int64)
-    return indptr, indices, weights, comm, strength, comm_strength, comm_size
+    """A 4-vertex weighted state: a triangle split into a singleton and a
+    pair, plus an isolated vertex."""
+    from repro.graph.builder import from_edge_array
+
+    graph = from_edge_array(4, [0, 0, 1], [1, 2, 2], [1.0, 2.0, 3.0],
+                            name="smoke-probe")
+    return CommunityState.from_assignment(graph, np.array([0, 1, 1, 3]))
 
 
 def _coarsen_fixture():
@@ -1079,76 +767,66 @@ def _threads_fixture():
 
 
 def _smoke_compare(rt: JitRuntime) -> None:
-    """Run the candidate runtime against the interpreted reference on the
-    smoke fixtures, and its contraction also against the NumPy
-    :func:`~repro.graph.coarsen.coarsen_graph`; raises on any bit
-    difference (a provider producing different floats must never be
-    selected)."""
-    ref = _python_runtime()
-    indptr, indices, weights, comm, strength, cs, csize = _smoke_fixture()
-    n = len(comm)
-    active = np.arange(n, dtype=np.int64)
-    outs = {}
-    for name, r in (("ref", ref), ("cand", rt)):
-        acc_w = np.zeros(n)
-        acc_stamp = np.zeros(n, dtype=np.int64)
-        acc_comms = np.zeros(n, dtype=np.int64)
-        bc = np.zeros(n, dtype=np.int64)
-        bg = np.zeros(n)
-        sg = np.zeros(n)
-        mv = np.zeros(n, dtype=np.bool_)
-        for remove_self in (1, 0):
-            r.decide(active, indptr, indices, weights, comm, strength,
-                     cs, csize, 1.0, 3.0, 6.0, remove_self,
-                     acc_w, acc_stamp, acc_comms, 0, bc, bg, sg, mv)
-        # two movers that each join a neighbour and leave the unmoved
-        # vertex 2's community; the candidate gets them in two calls, so
-        # a provider that gets the chunk boundary wrong (re-zeroing or
-        # re-visiting earlier movers) differs from the one-call reference
-        d_comm = np.array([5.0, 6.0, 7.0, 8.0])
-        movers = np.array([0, 1], dtype=np.int64)
-        moved = np.array([True, True, False, False])
-        comm_after = np.array([1, 1, 0, 3], dtype=np.int64)
-        prev = np.array([0, 0, 0, 3], dtype=np.int64)
-        for sub in ((movers,) if r is ref else (movers[:1], movers[1:])):
-            r.delta(sub, indptr, indices, weights, comm_after, prev, moved,
-                    d_comm)
-        agg_s = np.zeros(n)
-        agg_n = np.zeros(n, dtype=np.int64)
-        r.aggregates(comm, strength, agg_s, agg_n)
-        outs[name] = (bc.copy(), bg.copy(), sg.copy(), mv.copy(),
-                      d_comm.copy(), agg_s.copy(),
-                      agg_n.copy())
-    pairs = list(zip(outs["ref"], outs["cand"]))
-    # the contraction is checked against the NumPy path itself, so neither
-    # a provider summing runs in another order nor a numpy whose
-    # ``reduceat`` order differs from the loops' is ever selected
+    """Run every entry of the candidate runtime against its NumPy twin on
+    the smoke fixtures; raises on any bit difference (a library producing
+    different floats must never be selected)."""
+    from repro.core.kernels.vectorized import decide_moves
+    from repro.core.modularity import community_internal_weights
+    from repro.core.pruning.modularity_gain import ModularityGainPruning
+    from repro.core.weights import delta_update
     from repro.graph.coarsen import coarsen_graph
 
+    def decisions(res):
+        return [getattr(res, f).copy()
+                for f in ("best_comm", "best_gain", "stay_gain", "move")]
+
+    pairs = []
+    # decide, twice through one kernel's scratch (the stamps carry over),
+    # under both gain conventions
+    state = _smoke_fixture()
+    g = state.graph
+    active = np.arange(g.n, dtype=np.int64)
+    kernel = JitKernel(runtime=rt)
+    for remove_self in (True, False):
+        pairs.extend(zip(decisions(decide_moves(state, active, remove_self)),
+                         decisions(kernel._run(state, active, remove_self, 1))))
+    # two movers that each join a neighbour and leave the unmoved vertex
+    # 2's community; the candidate gets them in two calls, so a library
+    # that gets the chunk boundary wrong (re-zeroing or re-visiting
+    # earlier movers) differs from the one-shot NumPy update
+    prev = np.array([0, 0, 0, 3], dtype=np.int64)
+    moved = np.array([True, True, False, False])
+    state.comm = np.array([1, 1, 0, 3], dtype=np.int64)
+    state.d_comm = np.array([5.0, 6.0, 7.0, 8.0])
+    got = state.d_comm.copy()
+    for sub in (np.array([0], dtype=np.int64), np.array([1], dtype=np.int64)):
+        rt.delta(sub, g.indptr, g.indices, g.weights, state.comm, prev, moved,
+                 got)
+    delta_update(state, prev, moved)
+    pairs.append((state.d_comm, got))
+    # the contraction, with runs whose summation order shows
     graph, assignments = _coarsen_fixture()
     for comm in assignments:
         coarse, mapping = coarsen_graph(graph, comm)
         want = (coarse.indptr, coarse.indices, coarse.weights,
                 coarse.self_weight, mapping)
-        for r in (ref, rt):
-            got = r.coarsen(graph.indptr, graph.indices, graph.weights,
-                            graph.self_weight, comm)
-            pairs.extend(zip(want, got))
-    # the threaded decide and the per-vertex entries against the NumPy
-    # paths they replace, on a state big enough that both threads of a
-    # two-thread decide normally take vertices
-    from repro.core.kernels.vectorized import decide_moves
-    from repro.core.modularity import community_internal_weights
-    from repro.core.pruning.modularity_gain import ModularityGainPruning
-
+        got = rt.coarsen(graph.indptr, graph.indices, graph.weights,
+                         graph.self_weight, comm)
+        pairs.extend(zip(want, got))
+    # the threaded decide and the per-vertex entries, on a state big
+    # enough that both threads of a two-thread decide normally take
+    # vertices
     state = _threads_fixture()
     g = state.graph
     threads = _probe_threads()
-    want = decide_moves(state, np.arange(g.n, dtype=np.int64))
-    got = JitKernel(runtime=rt)._run(state, np.arange(g.n, dtype=np.int64),
-                                     True, threads)
-    pairs.extend((getattr(want, f), getattr(got, f))
-                 for f in ("best_comm", "best_gain", "stay_gain", "move"))
+    active = np.arange(g.n, dtype=np.int64)
+    pairs.extend(zip(decisions(decide_moves(state, active)),
+                     decisions(kernel._run(state, active, True, threads))))
+    agg_s = np.empty(g.n)
+    agg_n = np.empty(g.n, dtype=np.int64)
+    rt.aggregates(state.comm, g.strength, agg_s, agg_n)
+    state.refresh_community_aggregates()
+    pairs += [(state.comm_strength, agg_s), (state.comm_size, agg_n)]
     mg = ModularityGainPruning()
     for remove_self in (True, False):
         out = np.empty(g.n, dtype=np.bool_)
@@ -1170,10 +848,7 @@ def _smoke_compare(rt: JitRuntime) -> None:
             )
 
 
-_PROVIDERS = {
-    "cc": _cc_runtime,
-    "python": _python_runtime,
-}
+#: the probed runtime under ``"cc"`` (None when its probe failed)
 _cache: dict = {}
 
 
@@ -1244,82 +919,82 @@ def loop_threads(rt: JitRuntime, entries: int) -> int:
 
 
 def _reset_runtime_cache() -> None:
-    """Forget probed runtimes (test hook — providers re-probe on next use)."""
+    """Forget the probed runtime (test hook — the next use re-probes)."""
     _cache.clear()
 
 
-def _probe(provider: str) -> Optional[JitRuntime]:
-    """Build + smoke-check one provider; None when it cannot run here."""
-    if provider in _cache:
-        return _cache[provider]
+def _probe() -> Optional[JitRuntime]:
+    """Build + smoke-check the ``cc`` library; None when it cannot run
+    here."""
+    if "cc" in _cache:
+        return _cache["cc"]
     rt: Optional[JitRuntime] = None
     t0 = time.perf_counter()
     try:
-        rt = _PROVIDERS[provider]()
+        rt = _cc_runtime()
         _smoke_compare(rt)
     except Exception:
         rt = None
     if rt is not None:
         rt.compile_s = time.perf_counter() - t0
         rt.threads = _runtime_threads(rt)
-    _cache[provider] = rt
+    _cache["cc"] = rt
     return rt
 
 
-def _requested_provider(provider: Optional[str]) -> str:
-    """The provider name a request resolves to (``"auto"`` is ``"cc"``)."""
-    if provider is None:
-        provider = os.environ.get("REPRO_JIT_PROVIDER", "auto") or "auto"
-    provider = provider.lower()
-    return "cc" if provider == "auto" else provider
+def _requested_provider() -> str:
+    """``REPRO_JIT_PROVIDER`` lower-cased, with ``"auto"`` (the default)
+    read as ``"cc"``."""
+    value = os.environ.get("REPRO_JIT_PROVIDER", "auto") or "auto"
+    value = value.lower()
+    return "cc" if value == "auto" else value
 
 
-def get_runtime(provider: Optional[str] = None) -> Optional[JitRuntime]:
-    """The memoized jit runtime, or None when no provider works.
+def get_runtime() -> Optional[JitRuntime]:
+    """The memoized jit runtime, or None when the backend is off or the
+    ``cc`` library cannot run here.
 
-    ``provider`` defaults to ``REPRO_JIT_PROVIDER`` (then ``"auto"``).
-    ``"auto"`` means the compiled ``cc`` provider, never the interpreted
-    one; ``"off"``/``"none"`` disables the backend. Every selected
-    runtime has passed the warm-up compile probe — a full bit-exactness
-    smoke comparison against the interpreted reference — which is what
-    licenses ``kernel="auto"`` to route through it.
+    ``REPRO_JIT_PROVIDER`` is ``auto`` (the default) or ``cc`` to probe
+    the library, ``off``/``none`` to disable the backend; any other value
+    raises ValueError. The runtime returned has passed the warm-up compile
+    probe — every entry compared byte for byte with its NumPy twin —
+    which is what licenses ``kernel="auto"`` to route through it.
     """
-    provider = _requested_provider(provider)
+    provider = _requested_provider()
     if provider in ("off", "none"):
         return None
-    if provider not in _PROVIDERS:
+    if provider != "cc":
         raise ValueError(
-            f"unknown jit provider {provider!r}; expected one of "
-            f"{sorted(_PROVIDERS)} or 'auto'/'off'"
+            f"unknown jit provider {provider!r} in REPRO_JIT_PROVIDER; "
+            "expected one of 'auto', 'cc' or 'off'"
         )
-    return _probe(provider)
+    return _probe()
 
 
 def probed_provider() -> Optional[str]:
     """The provider :func:`get_runtime` resolves to, read from the probe
     cache only — never compiles. None when the backend is off, its probe
     failed, or nothing in this process has probed it yet."""
-    rt = _cache.get(_requested_provider(None))
+    rt = _cache.get(_requested_provider())
     return rt.provider if rt is not None else None
 
 
 def probed_threads() -> Optional[int]:
     """The thread count of the runtime :func:`probed_provider` reports,
     from the probe cache only; None where that reports None."""
-    rt = _cache.get(_requested_provider(None))
+    rt = _cache.get(_requested_provider())
     return rt.threads if rt is not None else None
 
 
-def require_runtime(provider: Optional[str] = None) -> JitRuntime:
+def require_runtime() -> JitRuntime:
     """Like :func:`get_runtime` but raises the friendly setup error."""
-    rt = get_runtime(provider)
+    rt = get_runtime()
     if rt is None:
         raise KernelUnavailableError(
             "the 'jit' kernel backend has no working compile provider on "
             "this host: no system C compiler was found (or its probe "
             "failed, or REPRO_JIT_PROVIDER disables it). Make `cc` (or "
-            "$CC) available, optionally pinning the provider with "
-            "REPRO_JIT_PROVIDER=cc. The 'auto' and 'vectorized' backends "
+            "$CC) available, and REPRO_JIT_PROVIDER unset or 'cc'. The 'auto' and 'vectorized' backends "
             "run everywhere and produce bit-identical results."
         )
     return rt
@@ -1347,12 +1022,8 @@ class JitKernel:
 
     name = "jit"
 
-    def __init__(
-        self,
-        provider: Optional[str] = None,
-        runtime: Optional[JitRuntime] = None,
-    ):
-        self.runtime = runtime if runtime is not None else require_runtime(provider)
+    def __init__(self, runtime: Optional[JitRuntime] = None):
+        self.runtime = runtime if runtime is not None else require_runtime()
         #: backend that ran on the last call (recorded in ``IterationTrace``)
         self.last_backend: Optional[str] = None
         #: threads the last call ran on (``IterationTrace.kernel_threads``)

@@ -340,10 +340,10 @@ def make_kernel(spec: str):
     """Instantiate the host kernel backend named ``spec``.
 
     An explicit ``"jit"`` raises
-    :class:`~repro.errors.KernelUnavailableError` when no compile provider
-    works here; ``"auto"`` picks ``jit`` when a compiled (non-``python``)
-    provider passed its warm-up probe and ``vectorized`` otherwise — a
-    choice fixed by the platform, and bit-identical either way.
+    :class:`~repro.errors.KernelUnavailableError` when the compiled
+    library cannot run here; ``"auto"`` picks ``jit`` when it passed its
+    warm-up probe and ``vectorized`` otherwise — a choice fixed by the
+    platform, and bit-identical either way.
     """
     if spec == "vectorized":
         return VectorizedKernel()
@@ -354,7 +354,7 @@ def make_kernel(spec: str):
         if spec == "jit":
             return JitKernel()
         runtime = get_runtime()
-        if runtime is not None and runtime.provider != "python":
+        if runtime is not None:
             return JitKernel(runtime=runtime)
         return VectorizedKernel()
     raise ValueError(
@@ -366,10 +366,7 @@ def make_kernel(spec: str):
 def compiled_runtime(kernel):
     """The compiled :class:`~repro.core.kernels.jit.JitRuntime` behind a
     host kernel (or the kernel a name resolves to), for the executor's
-    delta weight update and aggregate refresh; None for a NumPy kernel
-    and for the interpreted provider (whose loops are slower than the
-    NumPy paths)."""
+    delta weight update and aggregate refresh; None for a NumPy kernel."""
     if isinstance(kernel, str):
         kernel = make_kernel(kernel)
-    rt = getattr(kernel, "runtime", None)
-    return rt if rt is not None and rt.provider != "python" else None
+    return getattr(kernel, "runtime", None)

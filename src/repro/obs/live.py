@@ -33,6 +33,7 @@ transitions — the thing ``/healthz`` flips on and the structured
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass, field
@@ -190,9 +191,14 @@ class SlidingWindowHistogram:
         self._slot_for(self._clock()).observe(v)
         self.cumulative.observe(v)
 
+    def epoch(self) -> int:
+        """The current slot's number: the window loses a slot only when
+        this advances."""
+        return int(self._clock() / self._slot_s)
+
     def window(self) -> BucketHistogram:
         """The merged histogram of the non-expired slots."""
-        now_epoch = int(self._clock() / self._slot_s)
+        now_epoch = self.epoch()
         merged = BucketHistogram(self.bounds)
         for idx in range(self.slots):
             epoch = self._slot_epoch[idx]
@@ -318,6 +324,10 @@ class SloMonitor:
     ``slo_violation`` log line / metric bump), and again only after the
     session has recovered in between. ``violations`` counts transitions,
     not violating evaluations.
+
+    A server calls :meth:`after_request` once per request, which
+    evaluates only when that request can change the verdict; the three
+    windows share one clock and slot width (as the server builds them).
     """
 
     def __init__(
@@ -338,9 +348,40 @@ class SloMonitor:
         self.healthy = True
         self.violations = 0
         self.last_event: Optional[Dict[str, Any]] = None
+        # a latency below the lower edge of the bucket holding p99_ms
+        # lands in a lower bucket, so it cannot lift the window's p99
+        # (read off the bucket bounds) above p99_ms
+        self._latency_edge = math.inf
+        if policy.p99_ms is not None:
+            i = bisect.bisect_left(latency.bounds, policy.p99_ms)
+            self._latency_edge = latency.bounds[i - 1] if i else -math.inf
+        #: the slot number of the last evaluation when it found the
+        #: window healthy with at least ``min_requests`` requests, else None
+        self._settled_epoch: Optional[int] = None
+
+    def after_request(self, latency_ms: float, error: bool) -> None:
+        """Evaluate after one request the windows have recorded, unless it
+        cannot change the verdict.
+
+        It can only when it failed (``error``: a 5xx), when the window
+        lost a slot since the last evaluation, while the monitor is
+        unhealthy or its window is below ``min_requests``, or when its
+        latency reaches the lower edge of the bucket that holds
+        ``p99_ms``. Otherwise the last evaluation found the window
+        healthy and the request only added a success and a latency in a
+        lower bucket: the error rate cannot rise and the p99 bucket
+        cannot pass ``p99_ms``, so :meth:`evaluate` would return the same
+        verdict and fire nothing.
+        """
+        if (error or latency_ms >= self._latency_edge
+                or self._settled_epoch != self.latency.epoch()):
+            self.evaluate()
 
     def evaluate(self) -> Dict[str, Any]:
         policy = self.policy
+        # read before the windows: a slot lost meanwhile makes the next
+        # after_request evaluate
+        epoch = self.latency.epoch()
         window = self.latency.window()
         n_requests = self.requests.window_total()
         n_errors = self.errors.window_total()
@@ -382,6 +423,8 @@ class SloMonitor:
             if self.on_violation is not None:
                 self.on_violation(event)
         self.healthy = not breaches
+        settled = self.healthy and n_requests >= policy.min_requests
+        self._settled_epoch = epoch if settled else None
         return status
 
     def report(self) -> Dict[str, Any]:

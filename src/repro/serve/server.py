@@ -307,10 +307,12 @@ class DetectionServer:
         self._live_latency.observe(latency_ms)
         # the SLO's error rate counts 5xx replies — internal failures,
         # timeouts, and shed load (backpressure is a health signal too)
-        if not response.get("ok", False) and int(response.get("status", 500)) >= 500:
+        error = (not response.get("ok", False)
+                 and int(response.get("status", 500)) >= 500)
+        if error:
             self._w_errors.add(1)
         if self._slo is not None:
-            self._slo.evaluate()
+            self._slo.after_request(latency_ms, error)
         return response
 
     async def _dispatch_line(self, line: bytes, t0: float) -> Dict[str, Any]:

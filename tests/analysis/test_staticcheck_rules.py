@@ -188,21 +188,6 @@ class TestConfigClassification:
         assert findings[0].details["field"] == "mystery"
         assert findings[0].details["path"].endswith("engine.py")
 
-    def test_server_semantic_default_fires(self, tmp_path):
-        server = """
-            class Server:
-                def __init__(self):
-                    self._config_defaults = {}
-                    self._config_defaults["backend"] = "numpy"
-                    self._config_defaults["resolution"] = 2.0
-        """
-        project = make_project(
-            tmp_path, {"core/gala.py": GOOD_GALA, "serve/server.py": server}
-        )
-        findings = run_rule(self.RULE, project)
-        assert kinds(findings) == ["semantic-server-default"]
-        assert findings[0].details["field"] == "resolution"
-
     def test_cache_key_bypass_fires(self, tmp_path):
         cache = """
             class ResultCache:

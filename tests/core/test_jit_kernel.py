@@ -1,13 +1,13 @@
 """The compiled (``jit``) kernel backend: bit-exactness and fallback.
 
 The bit-exactness matrix (3 graphs x 3 gammas x 2 conventions, driven
-through several BSP sweeps) always runs against the *interpreted*
-provider — the same loop functions the C source mirrors — so the kernel
-semantics are pinned on every machine; when a compile provider actually
-works here (a system C compiler), the identical matrix runs against the
-compiled runtime too. The fallback tests disable providers to prove the
-friendly degradation paths: auto silently resolves to the NumPy kernel,
-and an explicit ``kernel="jit"`` raises
+through several BSP sweeps) runs the compiled ``cc`` runtime against the
+NumPy reference paths; on a host with no working C compiler those legs
+skip, as ``auto`` resolves to ``vectorized`` there. The probe tests wrap
+the real runtime in deliberately wrong entries and check that the
+warm-up probe rejects each one. The fallback tests disable the backend
+to prove the friendly degradation paths: auto silently resolves to the
+NumPy kernel, and an explicit ``kernel="jit"`` raises
 :class:`~repro.errors.KernelUnavailableError` (no traceback at the CLI).
 """
 
@@ -36,7 +36,7 @@ from repro.graph.generators.rmat import rmat_graph
 GAMMAS = [0.5, 1.0, 2.0]
 
 _compiled = get_runtime()
-PROVIDERS = ["python"] + ([_compiled.provider] if _compiled else [])
+needs_cc = pytest.mark.skipif(_compiled is None, reason="no compile provider here")
 
 
 @pytest.fixture(scope="module", params=["ring", "lfr", "rmat"])
@@ -48,9 +48,9 @@ def graph(request):
     return rmat_graph(8, edge_factor=8.0, seed=3)
 
 
-@pytest.fixture(params=PROVIDERS)
-def runtime(request):
-    return require_runtime(request.param)
+@pytest.fixture(params=[pytest.param("cc", marks=needs_cc)])
+def runtime():
+    return _compiled
 
 
 def _assert_results_equal(res, ref):
@@ -191,7 +191,7 @@ class TestKernelBuffers:
             _assert_results_equal(k(state, idx, True), decide_moves(state, idx))
             assert len(k._acc_comms) >= k._slices * g.degrees.max()
 
-    @pytest.mark.skipif(_compiled is None, reason="no compile provider here")
+    @needs_cc
     def test_executor_refreshes_aggregates_in_place(self, graph):
         """With a compiled runtime the aggregate refresh writes into the
         state's own arrays, and the run matches the NumPy one."""
@@ -207,107 +207,121 @@ class TestKernelBuffers:
         assert r.modularity == want.modularity
 
 
-class TestProviders:
-    def test_python_provider_always_available(self):
-        rt = require_runtime("python")
-        assert rt.provider == "python"
+def _wrong(name, make_entry):
+    """A factory for the real ``cc`` runtime whose entry ``name`` is
+    replaced by ``make_entry(real_entry)``."""
+    real_factory = jitmod._cc_runtime
 
-    def test_auto_never_selects_interpreted(self):
-        rt = get_runtime("auto")
+    def factory():
+        rt = real_factory()
+        setattr(rt, name, make_entry(getattr(rt, name)))
+        return rt
+
+    return factory
+
+
+def _assert_rejected(monkeypatch, factory):
+    """Both the smoke comparison and the warm-up probe reject the runtime
+    ``factory`` builds."""
+    with pytest.raises(RuntimeError, match="smoke probe"):
+        jitmod._smoke_compare(factory())
+    monkeypatch.setattr(jitmod, "_cc_runtime", factory)
+    jitmod._reset_runtime_cache()
+    try:
+        assert jitmod._probe() is None
+    finally:
+        jitmod._reset_runtime_cache()
+
+
+class TestProviders:
+    def test_auto_resolves_to_cc(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JIT_PROVIDER", "auto")
+        rt = get_runtime()
         assert rt is None or rt.provider == "cc"
 
-    def test_off_disables(self):
-        assert get_runtime("off") is None
-        assert get_runtime("none") is None
+    def test_off_disables(self, monkeypatch):
+        for value in ("off", "none", "OFF"):
+            monkeypatch.setenv("REPRO_JIT_PROVIDER", value)
+            assert get_runtime() is None
 
-    def test_unknown_provider_rejected(self):
+    def test_unknown_provider_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JIT_PROVIDER", "tpu")
         with pytest.raises(ValueError, match="jit provider"):
-            get_runtime("tpu")
+            get_runtime()
+
+    def test_python_provider_rejected(self, monkeypatch):
+        """There is no interpreted provider: asking for one is an error
+        that lists the valid values."""
+        monkeypatch.setenv("REPRO_JIT_PROVIDER", "python")
+        with pytest.raises(ValueError, match="python") as info:
+            get_runtime()
+        for value in ("auto", "cc", "off"):
+            assert repr(value) in str(info.value)
 
     def test_env_var_selects_provider(self, monkeypatch):
         monkeypatch.setenv("REPRO_JIT_PROVIDER", "off")
         assert get_runtime() is None
 
+    @needs_cc
     def test_probe_rejects_bit_inexact_provider(self, monkeypatch):
-        """A provider that compiles but produces different floats must
+        """A library that compiles but produces different floats must
         never survive the warm-up probe."""
 
-        def broken():
-            rt = jitmod._python_runtime()
+        def corrupt_best_gain(decide):
+            def bad(*args):
+                stamp = decide(*args)
+                args[17][:] += 1
+                return stamp
 
-            def bad_decide(*args):
-                good = jitmod._decide_loop(*args)
-                args[17][:] += 1  # corrupt best_gain
-                return good
+            return bad
 
-            rt.decide = bad_decide
-            return rt
+        _assert_rejected(monkeypatch, _wrong("decide", corrupt_best_gain))
 
-        monkeypatch.setitem(jitmod._PROVIDERS, "cc", broken)
-        jitmod._reset_runtime_cache()
-        try:
-            assert jitmod._probe("cc") is None
-        finally:
-            jitmod._reset_runtime_cache()
-
-
+    @needs_cc
     def test_probe_rejects_wrong_chunk_boundary(self, monkeypatch):
         """The probe calls the delta with its movers split in two: a
-        provider that re-zeroes every moved entry on each call (right in
+        library that re-zeroes every moved entry on each call (right in
         one call, wrong across chunks) must never be selected."""
 
-        def whole_mask_delta(movers, indptr, indices, weights, comm,
-                             prev_comm, moved, d_comm):
-            d_comm[moved] = 0.0
-            jitmod._delta_loop(movers, indptr, indices, weights, comm,
-                               prev_comm, moved, d_comm)
+        def rezero_moved(delta):
+            def bad(movers, indptr, indices, weights, comm, prev_comm, moved,
+                    d_comm):
+                d_comm[moved] = 0.0
+                delta(movers, indptr, indices, weights, comm, prev_comm,
+                      moved, d_comm)
 
-        def broken():
-            rt = jitmod._python_runtime()
-            rt.delta = whole_mask_delta
-            return rt
+            return bad
 
-        with pytest.raises(RuntimeError, match="smoke probe"):
-            jitmod._smoke_compare(broken())
-        monkeypatch.setitem(jitmod._PROVIDERS, "cc", broken)
-        jitmod._reset_runtime_cache()
-        try:
-            assert jitmod._probe("cc") is None
-        finally:
-            jitmod._reset_runtime_cache()
+        _assert_rejected(monkeypatch, _wrong("delta", rezero_moved))
 
+    @needs_cc
     def test_probe_rejects_sequential_coarsen_sum(self, monkeypatch):
         """The probe contracts a fixture with parallel runs of 9 and 130
-        mixed-magnitude entries against the NumPy contraction: a provider
+        mixed-magnitude entries against the NumPy contraction: a library
         summing each run left to right instead of in ``np.add.reduceat``'s
         pairwise order must never be selected."""
 
-        def sequential_sum(k, src_end, b_dst, b_w, out_idx, out_w):
-            r = i = 0
-            for s in range(k):
-                while i < src_end[s]:
-                    j, total = i + 1, b_w[i]
-                    while j < src_end[s] and b_dst[j] == b_dst[i]:
-                        total += b_w[j]
-                        j += 1
-                    out_idx[r], out_w[r] = b_dst[i], total
-                    r, i = r + 1, j
+        def sequential_sum(coarsen):
+            def bad(indptr, indices, weights, self_weight, communities):
+                out = coarsen(indptr, indices, weights, self_weight,
+                              communities)
+                mapping = out[4]
+                src = np.repeat(mapping, np.diff(indptr))
+                dst = mapping[indices]
+                inter = src != dst
+                src, dst, w = src[inter], dst[inter], weights[inter]
+                order = np.lexsort((dst, src))
+                src, dst, w = src[order], dst[order], w[order]
+                starts = np.ones(len(src), dtype=bool)
+                starts[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+                summed = np.zeros(len(out[2]))
+                for run, x in zip(np.cumsum(starts) - 1, w):
+                    summed[run] += x
+                return out[0], out[1], summed, out[3], mapping
 
-        def broken():
-            rt = jitmod._python_runtime()
-            rt.coarsen = jitmod._coarsen_with(
-                jitmod._relabel_loop, jitmod._coarsen_sort_loop, sequential_sum
-            )
-            return rt
+            return bad
 
-        with pytest.raises(RuntimeError, match="smoke probe"):
-            jitmod._smoke_compare(broken())
-        monkeypatch.setitem(jitmod._PROVIDERS, "cc", broken)
-        jitmod._reset_runtime_cache()
-        try:
-            assert jitmod._probe("cc") is None
-        finally:
-            jitmod._reset_runtime_cache()
+        _assert_rejected(monkeypatch, _wrong("coarsen", sequential_sum))
 
 
 class TestFallback:
@@ -486,10 +500,10 @@ def _forced_decide(rt, state, idx, remove_self, threads, stamp=0):
     return outs, end
 
 
-@pytest.mark.skipif(_compiled is None, reason="no compile provider here")
+@needs_cc
 class TestThreadedDecide:
-    """The C decide at 1, 2 and 3 forced threads against the interpreted
-    loop, on the recorded-assignment inputs of ``engine_regression.npz``."""
+    """The C decide at 1, 2 and 3 forced threads against ``decide_moves``,
+    on the recorded-assignment inputs of ``engine_regression.npz``."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
@@ -499,22 +513,22 @@ class TestThreadedDecide:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("dataset", ["LJ", "OR", "HW"])
-    def test_recorded_states_match_interpreted(self, baseline, dataset, threads):
+    def test_recorded_states_match_numpy(self, baseline, dataset, threads):
         from repro.graph.generators import load_dataset
 
         g = load_dataset(dataset, 0.1)
-        ref = require_runtime("python")
         rng = np.random.default_rng(11)
         for key in (f"{dataset}01_rs1_local_comm", f"{dataset}01_rs0_dist2_comm"):
             state = CommunityState.from_assignment(g, baseline[key],
                                                    resolution=1.25)
             for remove_self in (True, False):
                 idx = np.flatnonzero(rng.random(g.n) < 0.7)
-                want, w_end = _forced_decide(ref, state, idx, remove_self, 1, 9)
-                got, g_end = _forced_decide(_compiled, state, idx, remove_self,
-                                            threads, 9)
-                assert g_end == w_end == 9 + len(idx)
-                for a, b in zip(got, want):
+                ref = decide_moves(state, idx, remove_self)
+                got, end = _forced_decide(_compiled, state, idx, remove_self,
+                                          threads, 9)
+                assert end == 9 + len(idx)
+                for a, b in zip(got, (ref.best_comm, ref.best_gain,
+                                      ref.stay_gain, ref.move)):
                     assert a.tobytes() == b.tobytes()
 
     def test_scratch_must_hold_every_thread_slice(self):
@@ -551,61 +565,47 @@ class TestThreadedDecide:
                 assert k._slices == threads
 
 
+@needs_cc
 class TestProbeCoverage:
     def test_probe_rejects_mg_without_self_correction(self, monkeypatch):
-        """A provider whose MG test drops the ``+ d(v)`` self-correction
+        """A library whose MG test drops the ``+ d(v)`` self-correction
         (Eq. 6 verbatim under ``remove_self=True``) prunes vertices that
         can still move; the probe compares it with the NumPy mask, so it
         is never selected."""
 
-        def no_correction(strength, self_weight, d_comm, comm, comm_strength,
-                          comm_size, gamma, two_m, remove_self, threshold, out,
-                          threads=1):
-            jitmod._mg_inactive_loop(strength, self_weight, d_comm, comm,
-                                     comm_strength, comm_size, gamma, two_m,
-                                     0, threshold, out)
+        def no_correction(mg_inactive):
+            def bad(strength, self_weight, d_comm, comm, comm_strength,
+                    comm_size, gamma, two_m, remove_self, threshold, out,
+                    threads=1):
+                mg_inactive(strength, self_weight, d_comm, comm,
+                            comm_strength, comm_size, gamma, two_m, 0,
+                            threshold, out, threads)
 
-        def broken():
-            rt = jitmod._python_runtime()
-            rt.mg_inactive = no_correction
-            return rt
+            return bad
 
-        with pytest.raises(RuntimeError, match="smoke probe"):
-            jitmod._smoke_compare(broken())
-        monkeypatch.setitem(jitmod._PROVIDERS, "cc", broken)
-        jitmod._reset_runtime_cache()
-        try:
-            assert jitmod._probe("cc") is None
-        finally:
-            jitmod._reset_runtime_cache()
+        _assert_rejected(monkeypatch, _wrong("mg_inactive", no_correction))
 
     def test_probe_rejects_unordered_internal_weights(self, monkeypatch):
         """Adding the self-loop terms before the edges changes the float
         sums on the fixtures; the probe compares against
         ``community_internal_weights`` and rejects it."""
 
-        def loops_first(indptr, indices, weights, self_weight, comm, internal):
-            for v in range(comm.shape[0]):
-                internal[comm[v]] += 2.0 * self_weight[v]
-            for u in range(comm.shape[0]):
-                for e in range(indptr[u], indptr[u + 1]):
-                    if comm[indices[e]] == comm[u]:
-                        internal[comm[u]] += weights[e]
+        def loops_first(internal_weights):
+            def bad(indptr, indices, weights, self_weight, comm, internal):
+                np.add.at(internal, comm, 2.0 * self_weight)
+                internal_weights(indptr, indices, weights,
+                                 np.zeros_like(self_weight), comm, internal)
 
-        def broken():
-            rt = jitmod._python_runtime()
-            rt.internal_weights = loops_first
-            return rt
+            return bad
 
-        with pytest.raises(RuntimeError, match="smoke probe"):
-            jitmod._smoke_compare(broken())
+        _assert_rejected(monkeypatch, _wrong("internal_weights", loops_first))
 
 
-@pytest.mark.skipif(_compiled is None, reason="no compile provider here")
+@needs_cc
 class TestNoOpenMP:
     def test_build_without_openmp_runs_on_one_thread(self, tmp_path, monkeypatch):
         """A compiler that rejects ``-fopenmp`` still gives a working,
-        bit-identical provider, one that reports one thread."""
+        bit-identical library, one that reports one thread."""
         import os
         import shlex
         import shutil
@@ -623,7 +623,7 @@ class TestNoOpenMP:
         monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path / "cache"))
         jitmod._reset_runtime_cache()
         try:
-            rt = jitmod._probe("cc")
+            rt = jitmod._probe()
             assert rt is not None
             assert not rt.openmp and rt.threads == 1
             g = rmat_graph(10, edge_factor=8.0, seed=4)

@@ -1,21 +1,23 @@
 """Tests for phase-2 graph contraction: the NumPy path, and the compiled
-``coarsen`` loop of the jit providers, byte-identical to it."""
+``coarsen`` of the jit runtime, byte-identical to it (those legs skip on
+a host with no working C compiler)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernels.jit import _pairwise_sum, get_runtime, require_runtime
+from repro.core.kernels.jit import get_runtime
 from repro.core.modularity import modularity
 from repro.graph.builder import from_edge_array
 from repro.graph.coarsen import coarsen_graph, coarsen_runtime, project_communities
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import planted_partition, ring_of_cliques
 
 _compiled = get_runtime()
-#: the interpreted loops everywhere, plus the compiled provider when one
-#: works on this host
-PROVIDERS = ["python"] + ([_compiled.provider] if _compiled else [])
+needs_cc = pytest.mark.skipif(_compiled is None, reason="no compile provider here")
+#: the compiled provider's leg
+PROVIDERS = [pytest.param("cc", marks=needs_cc)]
 
 
 class TestCoarsenBasics:
@@ -106,9 +108,33 @@ class TestProjectCommunities:
         np.testing.assert_array_equal(fine, mapping)
 
 
+@needs_cc
 class TestPairwiseSum:
     """``np.add.reduceat`` sums a run as ``run[0] + pairwise(run[1:])``;
-    the compiled contraction reproduces that order, so pin it here."""
+    the compiled contraction reproduces that order, so pin it here: one
+    run of mixed-magnitude, mixed-sign entries becomes one coarse edge,
+    summed by the compiled ``coarsen``, ``np.add.reduceat`` and
+    ``coarsen_graph`` to the same bits."""
+
+    @staticmethod
+    def _check(run):
+        # two vertices joined by len(run) parallel entries each way: the
+        # contraction of two singleton communities sums them as one run
+        k = len(run)
+        g = CSRGraph(
+            indptr=np.array([0, k, 2 * k], dtype=np.int64),
+            indices=np.repeat(np.array([1, 0], dtype=np.int64), k),
+            weights=np.concatenate([run, run]),
+            self_weight=np.zeros(2),
+        )
+        comm = np.array([0, 1], dtype=np.int64)
+        padded = np.concatenate([[1.5], run, [2.5]])
+        want = np.add.reduceat(padded, [0, 1, 1 + k])[1]
+        got = _compiled.coarsen(g.indptr, g.indices, g.weights,
+                                g.self_weight, comm)[2]
+        numpy_path = coarsen_graph(g, comm)[0].weights
+        assert got.tobytes() == numpy_path.tobytes() == np.array(
+            [want, want]).tobytes()
 
     @pytest.mark.parametrize(
         "length", [1, 2, 7, 8, 9, 16, 17, 128, 129, 130, 257, 1000]
@@ -118,24 +144,18 @@ class TestPairwiseSum:
         for _ in range(5):
             run = rng.random(length) * 10.0 ** rng.integers(-9, 10, length)
             run *= rng.choice([-1.0, 1.0], length)
-            padded = np.concatenate([[1.5], run, [2.5]])
-            want = np.add.reduceat(padded, [0, 1, 1 + length])[1]
-            got = np.float64(run[0] + _pairwise_sum(run, 1, length - 1))
-            assert got.tobytes() == want.tobytes()
+            self._check(run)
 
     def test_signed_zeros(self):
         for run in ([-0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0, -0.0]):
-            run = np.array(run)
-            want = np.add.reduceat(run, [0])[0]
-            got = np.float64(run[0] + _pairwise_sum(run, 1, len(run) - 1))
-            assert got.tobytes() == want.tobytes()
+            self._check(np.array(run))
 
 
 @pytest.mark.parametrize("provider", PROVIDERS)
 class TestCompiledContraction:
     def test_two_triangles(self, triangles, provider, assert_same_coarse):
         coarse, _ = assert_same_coarse(
-            triangles, np.array([0, 0, 0, 1, 1, 1]), require_runtime(provider)
+            triangles, np.array([0, 0, 0, 1, 1, 1]), _compiled
         )
         np.testing.assert_allclose(coarse.self_weight, [3.0, 3.0])
 
@@ -150,29 +170,29 @@ class TestCompiledContraction:
         ],
     )
     def test_assignments(self, triangles, provider, labels, assert_same_coarse):
-        assert_same_coarse(triangles, np.array(labels), require_runtime(provider))
+        assert_same_coarse(triangles, np.array(labels), _compiled)
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float64, np.uint64])
     def test_label_dtypes(self, triangles, provider, dtype, assert_same_coarse):
         labels = np.array([4, 4, 0, 0, 2, 2], dtype=dtype)
-        assert_same_coarse(triangles, labels, require_runtime(provider))
+        assert_same_coarse(triangles, labels, _compiled)
 
     def test_fine_self_loops_and_isolated_vertex(self, provider, assert_same_coarse):
         g = from_edge_array(5, [0, 1, 1, 3], [1, 2, 1, 3], [1.0, 1.0, 2.0, 0.5])
         coarse, _ = assert_same_coarse(
-            g, np.array([0, 0, 1, 3, 4]), require_runtime(provider)
+            g, np.array([0, 0, 1, 3, 4]), _compiled
         )
         assert coarse.self_weight[0] == 3.0
 
     def test_empty_graph(self, provider, assert_same_coarse):
         g = from_edge_array(0, [], [])
         coarse, mapping = assert_same_coarse(
-            g, np.empty(0, dtype=np.int64), require_runtime(provider)
+            g, np.empty(0, dtype=np.int64), _compiled
         )
         assert coarse.n == 0 and len(mapping) == 0
 
     def test_bound_runtime(self, triangles, provider):
-        rt = require_runtime(provider)
+        rt = _compiled
         calls = []
 
         class Spy:

@@ -42,10 +42,6 @@ _runtime = jitmod.get_runtime()
 needs_jit = pytest.mark.skipif(
     _runtime is None, reason="no jit provider works on this host"
 )
-needs_cc = pytest.mark.skipif(
-    _runtime is None or _runtime.provider != "cc",
-    reason="the compiled cc provider does not work on this host",
-)
 
 
 def shm_segments() -> set:
@@ -149,11 +145,10 @@ class TestBitExactMatrix:
         assert (1 in threads) == (kernel == "jit")
 
     def test_auto_kernel_resolves_in_the_parent(self, graphs):
-        compiled = _runtime is not None and _runtime.provider != "python"
         with MultiprocessExecutor(
             graphs["ring"], MultiprocessConfig(num_ranks=2)
         ) as ex:
-            assert ex.kernel_name == ("jit" if compiled else "vectorized")
+            assert ex.kernel_name == ("jit" if _runtime else "vectorized")
 
     def test_rejects_callable_kernel(self):
         from repro.core.kernels.vectorized import decide_moves
@@ -206,7 +201,7 @@ class TestBitExactMatrix:
             h.modularity for h in local.history
         ]
 
-    @needs_cc
+    @needs_jit
     def test_spawned_workers_reload_the_cached_library(
         self, graphs, local_results, tmp_path, monkeypatch
     ):
@@ -236,7 +231,7 @@ class TestBitExactMatrix:
         )
         assert {h.kernel_backend for h in result.history} == {"jit"}
 
-    @needs_cc
+    @needs_jit
     def test_worker_probe_failure_surfaces_its_traceback(
         self, graphs, tmp_path, monkeypatch
     ):

@@ -1,6 +1,8 @@
 """Live-telemetry primitives: histograms, windows, SLO policy/monitor."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.live import (
     BUCKET_BOUNDS_MS,
@@ -182,3 +184,98 @@ class TestSloMonitor:
         assert report["violations"] == 1
         assert report["policy"]["error_rate"] == 0.1
         assert report["last_event"] is not None
+
+
+#: latencies around a p99 target at BUCKET_BOUNDS_MS[40] (about 100 ms):
+#: bucket edges exactly, values just either side of them, and far off
+_LATENCIES = st.one_of(
+    st.sampled_from(BUCKET_BOUNDS_MS[36:44]),
+    st.sampled_from([b * f for b in BUCKET_BOUNDS_MS[37:43]
+                     for f in (0.999999, 1.000001)]),
+    st.floats(1e-4, 1e7),
+)
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["request", "request", "request", "health"]),
+        _LATENCIES,
+        st.booleans(),  # a 5xx reply
+        # seconds before the request ends: often none, sometimes across
+        # a slot (1 s) or the whole window (6 s)
+        st.sampled_from([0.0, 0.0, 0.01, 0.4, 1.0, 2.5, 7.0]),
+    ),
+    max_size=80,
+)
+
+
+class TestSloSkipping:
+    """``after_request`` evaluates only when a request can change the
+    verdict; the violation events and counts must be those of a monitor
+    that evaluates after every request."""
+
+    @staticmethod
+    def _session(policy, clock):
+        latency = SlidingWindowHistogram(window_s=6, clock=clock)
+        requests = WindowedCounter(window_s=6, clock=clock)
+        errors = WindowedCounter(window_s=6, clock=clock)
+        events = []
+        monitor = SloMonitor(policy, latency, requests, errors,
+                             on_violation=events.append, clock=clock)
+        return monitor, latency, requests, errors, events
+
+    @given(
+        st.sampled_from([None, BUCKET_BOUNDS_MS[40],
+                         BUCKET_BOUNDS_MS[40] * 1.1, 1e-4, 1e7]),
+        st.sampled_from([None, 0.0, 0.2]),
+        st.sampled_from([1, 3]),
+        _STEPS,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_events_as_evaluating_every_request(
+        self, p99_ms, error_rate, min_requests, steps
+    ):
+        if p99_ms is None and error_rate is None:
+            error_rate = 0.2
+        policy = SloPolicy(p99_ms=p99_ms, error_rate=error_rate,
+                           window_s=6, min_requests=min_requests)
+        clock = FakeClock()
+        every = self._session(policy, clock)
+        skipping = self._session(policy, clock)
+        for kind, latency_ms, error, dt in steps:
+            if kind == "health":
+                # a /healthz read evaluates either way
+                clock.t += dt
+                assert every[0].evaluate() == skipping[0].evaluate()
+                continue
+            # the server counts a request when it arrives and records its
+            # latency and any 5xx when it ends
+            for _, _, requests, _, _ in (every, skipping):
+                requests.add(1)
+            clock.t += dt
+            for _, latency, _, errors, _ in (every, skipping):
+                latency.observe(latency_ms)
+                if error:
+                    errors.add(1)
+            every[0].evaluate()
+            skipping[0].after_request(latency_ms, error)
+            assert skipping[0].healthy == every[0].healthy
+            assert skipping[0].violations == every[0].violations
+            assert skipping[4] == every[4]
+        assert skipping[0].report() == every[0].report()
+
+    def test_skips_a_fast_success_in_a_healthy_window(self):
+        clock = FakeClock()
+        policy = SloPolicy(p99_ms=10.0, window_s=6)
+        monitor, latency, requests, _, _ = self._session(policy, clock)
+        calls = []
+        evaluate = monitor.evaluate
+        monitor.evaluate = lambda: calls.append(1) or evaluate()
+        for latency_ms, error, dt in [(1.0, False, 0.0),   # first: settles
+                                      (1.0, False, 0.0),   # skipped
+                                      (9.9, False, 0.0),   # p99 bucket: runs
+                                      (1.0, True, 0.0),    # a 5xx: runs
+                                      (1.0, False, 1.0)]:  # new slot: runs
+            clock.t += dt
+            requests.add(1)
+            latency.observe(latency_ms)
+            monitor.after_request(latency_ms, error)
+        assert len(calls) == 4

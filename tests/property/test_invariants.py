@@ -14,7 +14,13 @@ on, checked over randomly generated graphs and states:
 5. one DecideAndMove sweep from singletons never decreases modularity;
 6. FN-free pruning reproduces the unpruned trajectory bit-for-bit;
 7. a halo payload read off the destination's ghost mask is the sorted
-   intersection of the sender's movers with its send list.
+   intersection of the sender's movers with its send list;
+8. the compiled decide (at any thread count), MG mask and final-modularity
+   pass equal their NumPy twins byte for byte.
+
+The compiled properties (in 2, 3 and 8) check the ``cc`` runtime against
+the NumPy paths, the only reference; they skip on a host with no working
+C compiler.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernels.jit import get_runtime, require_runtime
+from repro.core.kernels.jit import get_runtime
 from repro.core.kernels.vectorized import decide_moves
 from repro.core.modularity import modularity
 from repro.core.phase1 import Phase1Config, run_phase1
@@ -36,9 +42,9 @@ from repro.graph.coarsen import coarsen_graph
 from repro.graph.mmap_store import split_by_edges
 
 _compiled = get_runtime()
-#: the interpreted loops everywhere, plus the compiled provider when one
-#: works on this host
-DELTA_PROVIDERS = ["python"] + ([_compiled.provider] if _compiled else [])
+needs_cc = pytest.mark.skipif(_compiled is None, reason="no compile provider here")
+#: the compiled provider's leg; it skips on a host with no C compiler
+DELTA_PROVIDERS = [pytest.param("cc", marks=needs_cc)]
 
 
 @st.composite
@@ -181,7 +187,7 @@ def dense_contractions(draw):
 
 
 class TestCompiledCoarsen:
-    """The jit providers' counting-sort ``coarsen`` loop against the NumPy
+    """The compiled counting-sort ``coarsen`` against the NumPy
     contraction: ``indptr``, ``indices``, ``weights``, ``self_weight``
     and ``mapping`` byte-identical, dtypes equal, a valid coarse graph."""
 
@@ -190,7 +196,7 @@ class TestCompiledCoarsen:
     @settings(max_examples=60, deadline=None)
     def test_byte_identical_to_numpy(self, provider, assert_same_coarse, case):
         g, comm = case
-        assert_same_coarse(g, comm, require_runtime(provider))
+        assert_same_coarse(g, comm, _compiled)
 
     @pytest.mark.parametrize("provider", DELTA_PROVIDERS)
     def test_runs_past_128(self, provider, assert_same_coarse):
@@ -202,7 +208,7 @@ class TestCompiledCoarsen:
         w = rng.random(len(src)) * 10.0 ** rng.integers(-6, 7, len(src))
         g = from_edge_array(41, src, dst, w)
         comm = np.repeat([9, 2, 40], [20, 20, 1])
-        coarse, _ = assert_same_coarse(g, comm, require_runtime(provider))
+        coarse, _ = assert_same_coarse(g, comm, _compiled)
         assert np.diff(coarse.indptr).tolist() == [1, 1, 0]
 
 
@@ -269,7 +275,7 @@ class TestChunkedCompiledDelta:
         nxt = comm.copy()
         movers = rng.choice(g.n, size=rng.integers(1, g.n + 1), replace=False)
         nxt[movers] = rng.integers(0, g.n, size=len(movers))
-        self._check(g, comm, nxt, require_runtime(provider), chunk_edges)
+        self._check(g, comm, nxt, _compiled, chunk_edges)
 
     @pytest.mark.parametrize("provider", DELTA_PROVIDERS)
     @pytest.mark.parametrize("chunk_edges", [1, 2, 5])
@@ -290,7 +296,7 @@ class TestChunkedCompiledDelta:
         comm = np.array([0, 0, 0, 1, 1, 2, 2, 3, 3], dtype=np.int64)
         nxt = np.array([1, 0, 1, 1, 2, 2, 3, 3, 0], dtype=np.int64)
         assert g.degrees[0] > chunk_edges
-        self._check(g, comm, nxt, require_runtime(provider), chunk_edges)
+        self._check(g, comm, nxt, _compiled, chunk_edges)
 
 
 class TestDecideProperties:
@@ -340,10 +346,10 @@ class TestMGSoundnessProperty:
         assert not np.any(moved & inactive)
 
 
-@pytest.mark.skipif(_compiled is None, reason="no compile provider here")
+@needs_cc
 class TestThreadedCompiledEntries:
     """The compiled per-vertex entries against their references: decide
-    at 1, 2 and 3 forced threads against the interpreted loop, the MG
+    at 1, 2 and 3 forced threads against ``decide_moves``, the MG
     mask against the NumPy ``inactive_mask``, and the final-modularity
     ``internal_weights`` against ``modularity()``, byte for byte."""
 
@@ -357,38 +363,31 @@ class TestThreadedCompiledEntries:
     @settings(max_examples=40, deadline=None)
     def test_decide_at_any_thread_count(self, gp, threads, remove_self,
                                         gamma, seed):
-        from repro.core.kernels.jit import _decide_loop
-
         g, comm = gp
         state = CommunityState.from_assignment(g, comm, resolution=gamma)
         n = g.n
         rng = np.random.default_rng(seed)
         slots = max(int(g.degrees.max()), 1)
-
-        def run(decide, t):
-            scratch = (np.zeros(t * n), np.zeros(t * n, dtype=np.int64),
-                       np.zeros(t * slots, dtype=np.int64))
-            stamp, outs = 0, []
-            # two calls through one scratch: the stamps carry over
-            for idx in (np.arange(n, dtype=np.int64),
-                        np.flatnonzero(rng.random(n) < 0.5)):
-                out = (np.empty(len(idx), dtype=np.int64), np.empty(len(idx)),
-                       np.empty(len(idx)), np.empty(len(idx), dtype=np.bool_))
-                stamp = decide(
-                    idx, g.indptr, g.indices, g.weights, state.comm,
-                    g.strength, state.comm_strength, state.comm_size, gamma,
-                    float(g.total_weight), float(g.two_m), int(remove_self),
-                    *scratch, stamp, *out, t,
-                )
-                outs.extend(out)
-            return stamp, outs
-
-        want_stamp, want = run(_decide_loop, 1)
-        rng = np.random.default_rng(seed)
-        got_stamp, got = run(_compiled.decide, threads)
-        assert got_stamp == want_stamp
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
+        scratch = (np.zeros(threads * n), np.zeros(threads * n, dtype=np.int64),
+                   np.zeros(threads * slots, dtype=np.int64))
+        stamp = 0
+        # two calls through one scratch: the stamps carry over
+        for idx in (np.arange(n, dtype=np.int64),
+                    np.flatnonzero(rng.random(n) < 0.5)):
+            out = (np.empty(len(idx), dtype=np.int64), np.empty(len(idx)),
+                   np.empty(len(idx)), np.empty(len(idx), dtype=np.bool_))
+            end = _compiled.decide(
+                idx, g.indptr, g.indices, g.weights, state.comm,
+                g.strength, state.comm_strength, state.comm_size, gamma,
+                float(g.total_weight), float(g.two_m), int(remove_self),
+                *scratch, stamp, *out, threads,
+            )
+            assert end == stamp + len(idx)
+            stamp = end
+            ref = decide_moves(state, idx, remove_self)
+            for a, b in zip(out, (ref.best_comm, ref.best_gain,
+                                  ref.stay_gain, ref.move)):
+                assert a.tobytes() == b.tobytes()
 
     @given(
         graph_with_partition(),
@@ -402,16 +401,15 @@ class TestThreadedCompiledEntries:
         state = CommunityState.from_assignment(g, comm, resolution=gamma)
         mg = ModularityGainPruning()
         want = mg.inactive_mask(state, remove_self)
-        for provider in DELTA_PROVIDERS:
-            rt = require_runtime(provider)
-            got = mg.inactive_mask(state, remove_self, runtime=rt)
-            assert got.tobytes() == want.tobytes()
-            forced = np.empty(g.n, dtype=np.bool_)
-            rt.mg_inactive(g.strength, g.self_weight, state.d_comm,
-                           state.comm, state.comm_strength, state.comm_size,
-                           gamma, g.two_m, int(remove_self),
-                           mg.slack * g.two_m, forced, threads)
-            assert forced.tobytes() == want.tobytes()
+        got = mg.inactive_mask(state, remove_self, runtime=_compiled)
+        assert got.tobytes() == want.tobytes()
+        forced = np.empty(g.n, dtype=np.bool_)
+        _compiled.mg_inactive(g.strength, g.self_weight, state.d_comm,
+                              state.comm, state.comm_strength,
+                              state.comm_size, gamma, g.two_m,
+                              int(remove_self), mg.slack * g.two_m, forced,
+                              threads)
+        assert forced.tobytes() == want.tobytes()
 
     @given(graph_with_partition(), st.sampled_from([0.5, 1.0, 1.7]))
     @settings(max_examples=60, deadline=None)
@@ -420,14 +418,12 @@ class TestThreadedCompiledEntries:
 
         g, comm = gp
         want = community_internal_weights(g, comm)
-        for provider in DELTA_PROVIDERS:
-            rt = require_runtime(provider)
-            got = community_internal_weights(g, comm, runtime=rt)
-            assert got.tobytes() == want.tobytes()
-            q = modularity(g, comm, resolution=gamma, runtime=rt)
-            assert np.float64(q).tobytes() == np.float64(
-                modularity(g, comm, resolution=gamma)
-            ).tobytes()
+        got = community_internal_weights(g, comm, runtime=_compiled)
+        assert got.tobytes() == want.tobytes()
+        q = modularity(g, comm, resolution=gamma, runtime=_compiled)
+        assert np.float64(q).tobytes() == np.float64(
+            modularity(g, comm, resolution=gamma)
+        ).tobytes()
 
 
 class TestTrajectoryProperty:
