@@ -1,10 +1,11 @@
-"""Distributed halo-exchange bench (Vite-style model, paper ref [24])."""
+"""Halo-exchange bench: the multi-GPU runtime synchronised by
+``SyncMode.HALO`` (Vite-style model, paper ref [24])."""
 
 import numpy as np
 
 from repro.core.phase1 import Phase1Config, run_phase1
-from repro.distributed import DistributedConfig, run_distributed_phase1
 from repro.graph.generators import load_dataset
+from repro.multigpu import MultiGpuConfig, SyncMode, run_multigpu_phase1
 
 
 def test_distributed_halo(run_once, bench_scale):
@@ -13,7 +14,9 @@ def test_distributed_halo(run_once, bench_scale):
 
     def run_ranks():
         return {
-            k: run_distributed_phase1(graph, DistributedConfig(num_ranks=k))
+            k: run_multigpu_phase1(
+                graph, MultiGpuConfig(num_gpus=k, sync_mode=SyncMode.HALO)
+            )
             for k in (2, 4, 8)
         }
 

@@ -1,8 +1,9 @@
 """Scaling GALA across simulated GPUs (paper Section 4.3 / Figure 10).
 
 Partitions a graph's vertices over 1-8 simulated devices, runs the
-distributed BSP phase 1, and reports the computation/communication split
-and the dense->sparse synchronisation switching behaviour.
+partitioned BSP phase 1, and reports the computation/communication split,
+the dense->sparse synchronisation switching behaviour, and the halo
+exchange's volume against a full broadcast.
 
 Run:  python examples/multigpu_scaling.py [scale]
 """
@@ -29,7 +30,7 @@ def main(scale: float = 0.25) -> None:
     for k in [1, 2, 4, 8]:
         r = run_multigpu_phase1(graph, MultiGpuConfig(num_gpus=k))
         assert np.array_equal(r.communities, single.communities), (
-            "distributed run must be bit-identical to the single-GPU engine"
+            "multi-GPU run must be bit-identical to the single-GPU engine"
         )
         total = r.total_seconds()
         t1 = t1 or total
@@ -48,7 +49,7 @@ def main(scale: float = 0.25) -> None:
 
     # fixed-mode comparison at 4 GPUs
     print("\ncommunication cost by sync policy (4 GPUs):")
-    for mode in [SyncMode.DENSE, SyncMode.SPARSE, SyncMode.ADAPTIVE]:
+    for mode in [SyncMode.DENSE, SyncMode.SPARSE, SyncMode.HALO, SyncMode.ADAPTIVE]:
         r = run_multigpu_phase1(
             graph, MultiGpuConfig(num_gpus=4, sync_mode=mode)
         )
@@ -56,23 +57,30 @@ def main(scale: float = 0.25) -> None:
 
 
 def halo_exchange_demo(scale: float = 0.25) -> None:
-    """Vite-style distributed ranks: halo exchange vs full broadcast."""
+    """Vite-style halo exchange: each device mirrors only its owned and
+    ghost vertices and sends only the boundary movers, against a full
+    broadcast of the assignment every iteration."""
     from repro.bench.reporting import format_table, trace_rows
-    from repro.distributed import DistributedConfig, run_distributed_phase1
 
     graph = load_dataset("OR", scale)
-    print("\nVite-style halo exchange (distributed-memory model):")
-    r2 = run_distributed_phase1(graph, DistributedConfig(num_ranks=2))
-    print(format_table(trace_rows(r2.history),
-                       title="per-iteration trace (2 ranks):"))
+    print("\nVite-style halo exchange (SyncMode.HALO):")
+
+    def run(k):
+        return run_multigpu_phase1(
+            graph, MultiGpuConfig(num_gpus=k, sync_mode=SyncMode.HALO)
+        )
+
+    print(format_table(trace_rows(run(2).history),
+                       title="per-iteration trace (2 devices):"))
     print()
-    print(f"{'ranks':>5} | {'halo KB':>8} | {'broadcast KB':>12} | saved")
+    print(f"{'GPUs':>4} | {'halo KB':>8} | {'broadcast KB':>12} | saved | comm")
     for k in [2, 4, 8]:
-        r = run_distributed_phase1(graph, DistributedConfig(num_ranks=k))
+        r = run(k)
         halo = r.stats.bytes_sent / 1e3
         bcast = r.broadcast_bytes_equivalent / 1e3
-        print(f"{k:>5} | {halo:>8.1f} | {bcast:>12.1f} | "
-              f"{100 * (1 - halo / bcast):.0f}%")
+        print(f"{k:>4} | {halo:>8.1f} | {bcast:>12.1f} | "
+              f"{100 * (1 - halo / bcast):>4.0f}% | "
+              f"{1e6 * r.comm_seconds():.0f}us")
 
 
 if __name__ == "__main__":

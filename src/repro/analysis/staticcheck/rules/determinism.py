@@ -8,7 +8,7 @@ iteration order of an unordered container (``set``, ``dict.keys()``)
 leak into array contents.
 
 Flagged inside :data:`SCOPES` (``core``/``gpusim``/``multiprocess``/
-``distributed``/``multigpu``):
+``multigpu``):
 
 * ``np.random.default_rng()`` / ``random.Random()`` with no arguments,
   calls on the *global* RNGs (``np.random.shuffle``,
@@ -46,7 +46,6 @@ SCOPES = (
     "repro.core",
     "repro.gpusim",
     "repro.multiprocess",
-    "repro.distributed",
     "repro.multigpu",
 )
 

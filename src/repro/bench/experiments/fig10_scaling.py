@@ -43,6 +43,7 @@ def run(scale: float | None = None, graphs: list[str] | None = None) -> Experime
     comp1 = None
     for k in GPU_COUNTS:
         r = run_multigpu_phase1(g, MultiGpuConfig(num_gpus=k))
+        plans = [h.sync_plan for h in r.history]
         comp, comm = r.compute_seconds(), r.comm_seconds()
         comp1 = comp1 or comp
         rows.append(
@@ -68,5 +69,11 @@ def run(scale: float | None = None, graphs: list[str] | None = None) -> Experime
             "comm ratio differs at laptop scale)",
             "paper (b): compute drops 4.4x from 1->8 GPUs, comm nearly "
             "constant (43% of runtime at 8 GPUs)",
+            "sync bytes per run on OR @8 GPU (dense and sparse count a "
+            "vertex once, halo once per device that ghosts it): dense "
+            f"{sum(p.dense_bytes for p in plans) / 1e3:.0f} KB, sparse "
+            f"{sum(p.sparse_bytes for p in plans) / 1e3:.0f} KB, adaptive "
+            f"{sum(p.chosen_bytes for p in plans) / 1e3:.0f} KB, halo "
+            f"{sum(p.halo_bytes for p in plans) / 1e3:.0f} KB",
         ],
     )

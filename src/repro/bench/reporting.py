@@ -67,7 +67,7 @@ def format_series(
 _TRACE_BASE_COLUMNS = ("iteration", "num_active", "num_moved", "modularity")
 #: optional IterationTrace columns, shown only when some record carries a
 #: non-default value (kernel accounting on every runtime, sync/comm
-#: accounting on the multi-GPU and distributed ones)
+#: accounting on the multi-GPU and multiprocess ones)
 _TRACE_OPTIONAL_COLUMNS = (
     "kernel_backend",
     "comm_bytes",
@@ -81,7 +81,7 @@ def trace_rows(history: Sequence) -> list[dict]:
     as table rows.
 
     Works on any engine-driven runtime's history (local, multi-GPU,
-    distributed): the shared movement/modularity columns always appear,
+    multiprocess): the shared movement/modularity columns always appear,
     and a runtime's cost/comm columns appear exactly when it populated
     them. Pair with :func:`format_table`.
     """

@@ -8,7 +8,7 @@ Public entry points:
   BSP parallel Louvain algorithm (paper Algorithm 1), configurable pruning
   strategy / weight-update mode / kernel backend.
 * :mod:`repro.core.engine` — the unified BSP loop every runtime (local,
-  multi-GPU, distributed) is driven by: the :class:`Executor` protocol,
+  multi-GPU, multiprocess) is driven by: the :class:`Executor` protocol,
   :class:`ConvergenceTracker`, and the shared :class:`IterationTrace`
   record schema.
 * :func:`repro.core.modularity.modularity` — Newman modularity (Eq. 1).

@@ -2,8 +2,8 @@
 
 The paper's optimisation loop — decide → apply/sync → weight-update →
 prune → converge — is the same whether DecideAndMove runs on one host
-kernel, on partitioned simulated GPUs, or on distributed ranks with halo
-exchange. This module is that loop, written exactly once and parameterized
+kernel, on partitioned simulated GPUs (collective or halo-exchange sync),
+or on rank processes. This module is that loop, written exactly once and parameterized
 by an :class:`Executor`:
 
 * :meth:`Executor.decide` proposes the next assignment for the active set
@@ -21,7 +21,7 @@ hand-rolled: active-set management and pruning, the limit-cycle-proof
 convergence rule (:class:`ConvergenceTracker`), per-iteration tracing, the
 per-phase wall clock (:class:`PhaseClock`), and the oracle/FNR instrumentation
 (:class:`OracleProbe`) — which therefore works identically on the local,
-multi-GPU, and distributed runtimes.
+multi-GPU, and multiprocess runtimes.
 """
 
 from __future__ import annotations
@@ -144,10 +144,10 @@ class PhaseClock:
 class IterationTrace:
     """Everything observed in one BSP iteration, on any runtime.
 
-    One schema carries what the local, multi-GPU, and distributed runtimes
+    One schema carries what the local, multi-GPU, and multiprocess runtimes
     each used to record separately: movement and modularity (all runtimes),
     kernel/backend accounting (local), synchronisation plans and simulated
-    cycles (multi-GPU), and halo-exchange volume (distributed). Fields a
+    cycles (multi-GPU), and halo-exchange volume (halo sync, multiprocess). Fields a
     runtime does not produce stay at their defaults, so consumers
     (``bench/reporting.py``, ``metrics/fnr_fpr.py``) handle every runtime's
     history uniformly.
@@ -187,9 +187,9 @@ class IterationTrace:
     #: dense/sparse synchronisation decision (multi-GPU runtime)
     sync_plan: Optional[Any] = None
     #: synchronisation payload bytes this iteration (multi-GPU: the chosen
-    #: sync volume; distributed: halo-exchange bytes, all ranks summed)
+    #: sync volume; halo exchange: its bytes, all ranks summed)
     comm_bytes: int = 0
-    #: point-to-point messages this iteration (distributed runtime)
+    #: point-to-point messages this iteration (halo exchange)
     comm_messages: int = 0
     #: simulated device cycles charged this iteration (gpusim-backed
     #: runtimes; 0.0 where no simulated device is involved)
@@ -273,7 +273,7 @@ class OracleProbe:
     decide serves both purposes: the active-set proposal is its exact
     restriction (tested invariant) — oracle mode costs one decide over the
     full vertex set per iteration, not two. Works identically on the
-    local, multi-GPU, and distributed executors. Compute charges in oracle
+    local, multi-GPU, and multiprocess executors. Compute charges in oracle
     mode reflect the full-set decide (measurement-only, as in the paper);
     communication covers the committed moves only, because the rank
     executors take their movers from the ``moved`` mask the engine passes
@@ -309,7 +309,7 @@ class AlgorithmConfig:
     """The algorithmic fields every phase-1 runtime shares.
 
     :class:`~repro.core.phase1.Phase1Config` and the rank runtimes'
-    configs (distributed, multiprocess, multi-GPU) inherit these and add
+    configs (multiprocess, multi-GPU) inherit these and add
     only their execution knobs; a runtime may override a default (the
     rank runtimes default to ``pruning="mg"``).
 

@@ -49,9 +49,10 @@ forced threads; ``delta`` against :func:`~repro.core.weights.delta_update`;
 :func:`~repro.core.modularity.community_internal_weights`) before the
 library is ever trusted.
 
-``REPRO_JIT_PROVIDER`` is ``auto`` (the default) or ``cc`` to use the
-library, ``off`` (or ``none``) to disable the backend. :func:`get_runtime`
-probes and memoizes; :func:`require_runtime` raises the friendly
+``REPRO_JIT_PROVIDER`` is ``auto`` (the default) to use the library when
+it probes, ``cc`` to require it (a failed probe is an error), ``off`` (or
+``none``) to disable the backend. :func:`get_runtime` probes and
+memoizes; :func:`require_runtime` raises the friendly
 :class:`~repro.errors.KernelUnavailableError` instead of returning None;
 :func:`probed_provider` reports the memoized choice without probing.
 """
@@ -943,46 +944,60 @@ def _probe() -> Optional[JitRuntime]:
 
 
 def _requested_provider() -> str:
-    """``REPRO_JIT_PROVIDER`` lower-cased, with ``"auto"`` (the default)
-    read as ``"cc"``."""
-    value = os.environ.get("REPRO_JIT_PROVIDER", "auto") or "auto"
-    value = value.lower()
-    return "cc" if value == "auto" else value
+    """``REPRO_JIT_PROVIDER`` lower-cased (``"auto"`` when unset)."""
+    return (os.environ.get("REPRO_JIT_PROVIDER") or "auto").lower()
 
 
 def get_runtime() -> Optional[JitRuntime]:
-    """The memoized jit runtime, or None when the backend is off or the
-    ``cc`` library cannot run here.
+    """The memoized jit runtime, or None when the backend is off or, under
+    ``auto``, the ``cc`` library cannot run here.
 
-    ``REPRO_JIT_PROVIDER`` is ``auto`` (the default) or ``cc`` to probe
-    the library, ``off``/``none`` to disable the backend; any other value
-    raises ValueError. The runtime returned has passed the warm-up compile
+    ``REPRO_JIT_PROVIDER`` is ``auto`` (the default) to probe the library,
+    ``cc`` to require it — a failed probe then raises
+    :class:`~repro.errors.KernelUnavailableError` instead of falling back
+    — or ``off``/``none`` to disable the backend; any other value raises
+    ValueError. The runtime returned has passed the warm-up compile
     probe — every entry compared byte for byte with its NumPy twin —
     which is what licenses ``kernel="auto"`` to route through it.
     """
     provider = _requested_provider()
     if provider in ("off", "none"):
         return None
-    if provider != "cc":
+    if provider not in ("auto", "cc"):
         raise ValueError(
             f"unknown jit provider {provider!r} in REPRO_JIT_PROVIDER; "
             "expected one of 'auto', 'cc' or 'off'"
         )
-    return _probe()
+    rt = _probe()
+    if rt is None and provider == "cc":
+        raise KernelUnavailableError(
+            "REPRO_JIT_PROVIDER=cc requires the compiled provider, but its "
+            "build or bit-exactness probe failed on this host (check `cc` "
+            "or $CC). Set REPRO_JIT_PROVIDER=auto to fall back to the "
+            "NumPy path."
+        )
+    return rt
+
+
+def _probed_runtime() -> Optional[JitRuntime]:
+    """The probe cache's runtime, unless the backend is off."""
+    if _requested_provider() in ("off", "none"):
+        return None
+    return _cache.get("cc")
 
 
 def probed_provider() -> Optional[str]:
     """The provider :func:`get_runtime` resolves to, read from the probe
     cache only — never compiles. None when the backend is off, its probe
     failed, or nothing in this process has probed it yet."""
-    rt = _cache.get(_requested_provider())
+    rt = _probed_runtime()
     return rt.provider if rt is not None else None
 
 
 def probed_threads() -> Optional[int]:
     """The thread count of the runtime :func:`probed_provider` reports,
     from the probe cache only; None where that reports None."""
-    rt = _cache.get(_requested_provider())
+    rt = _probed_runtime()
     return rt.threads if rt is not None else None
 
 

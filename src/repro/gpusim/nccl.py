@@ -5,7 +5,10 @@ after each iteration, choosing between:
 
 * **dense** synchronisation — ``ncclAllReduce`` over full-length arrays;
 * **sparse** synchronisation — ``ncclAllGather`` of only the changed
-  (vertex, value) pairs.
+  (vertex, value) pairs;
+* **halo** exchange — point-to-point sends of the movers each
+  neighbouring device ghosts (the runtime delivers them; the
+  communicator prices them).
 
 The collectives here move real NumPy data between the simulated devices'
 buffers *and* charge a standard ring-algorithm cost:
@@ -13,7 +16,10 @@ buffers *and* charge a standard ring-algorithm cost:
 * ring AllReduce of ``B`` bytes on ``k`` ranks: ``2 (k-1)/k * B / bw``
   plus ``2 (k-1)`` hop latencies;
 * ring AllGather of ``B`` bytes per rank: ``(k-1) * B / bw`` plus
-  ``(k-1)`` hop latencies.
+  ``(k-1)`` hop latencies;
+* point-to-point round in which rank ``r`` sends ``m_r`` messages of
+  ``B_r`` bytes in all: ``max_r (m_r * latency + B_r / bw)`` — a rank's
+  sends share its link, and the round ends with its slowest rank.
 
 Each participating device is charged the same wall-clock (collectives are
 bulk-synchronous), converted to cycles via the device clock so computation
@@ -121,6 +127,26 @@ class Communicator:
         self._count_bytes(total_bytes, dense=False)
         obs.inc("nccl/collectives")
         return out
+
+    def point_to_point(
+        self,
+        rank_bytes: Sequence[int],
+        rank_messages: Sequence[int],
+        bucket: str = "comm_halo",
+    ) -> None:
+        """Charge one bulk-synchronous round of point-to-point sends (the
+        halo exchange): rank ``r`` sends ``rank_messages[r]`` messages
+        of ``rank_bytes[r]`` bytes in all. Every device is charged the
+        slowest rank's time."""
+        if len(rank_bytes) != self.size or len(rank_messages) != self.size:
+            raise DeviceError("need exactly one byte and message count per rank")
+        cfg = self.devices[0].config
+        seconds = max(
+            messages * cfg.interconnect_latency
+            + nbytes / cfg.interconnect_bandwidth
+            for nbytes, messages in zip(rank_bytes, rank_messages)
+        )
+        self._charge_all(seconds, bucket)
 
     # ------------------------------------------------------------------ #
     def _validate_buffers(self, buffers: list[np.ndarray]) -> None:

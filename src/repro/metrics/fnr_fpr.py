@@ -14,7 +14,7 @@ every strategy processes everything by construction, is excluded).
 
 All helpers consume the unified :class:`~repro.core.engine.IterationTrace`
 history, so they accept results from any engine-driven runtime — local
-(:func:`repro.core.phase1.run_phase1`), multi-GPU, or distributed — run
+(:func:`repro.core.phase1.run_phase1`), multi-GPU, or multiprocess — run
 with ``oracle=True``.
 """
 

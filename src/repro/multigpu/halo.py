@@ -19,8 +19,9 @@ iteration, never O(send list).
 
 :class:`HaloExecutor` adds that exchange, with its byte and message
 accounting, to the executor core
-(:class:`~repro.core.phase1.PartitionedExecutor`) for the distributed and
-multiprocess runtimes, so their :class:`HaloStats` match bit for bit.
+(:class:`~repro.core.phase1.PartitionedExecutor`) for the multi-GPU
+runtime (whose ``SyncMode.HALO`` runs it) and the multiprocess runtime,
+so their :class:`HaloStats` match bit for bit.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ from repro.obs import _session as obs
 
 #: bytes per halo update record: vertex id (8) + community id (8)
 HALO_BYTES_PER_UPDATE = 16
-#: simple MPI-ish cost model for the simulated interconnect
-LINK_BANDWIDTH = 25e9  # bytes/s
-MESSAGE_LATENCY = 2e-6  # seconds per point-to-point message
+
+#: one exchange's messages: for each sending rank, its ``(dest, payload)``
+#: pairs with a non-empty payload, in send-list order
+HaloMessages = list[list[tuple[int, np.ndarray]]]
 
 
 @dataclass
@@ -139,11 +141,14 @@ class HaloStats:
         self.bytes_per_iteration.append(iteration_bytes)
         self.messages_per_iteration.append(iteration_messages)
 
-    def comm_seconds(self) -> float:
-        return (
-            self.bytes_sent / LINK_BANDWIDTH
-            + self.messages * MESSAGE_LATENCY
-        )
+
+def halo_volume(messages: HaloMessages) -> tuple[list[int], list[int]]:
+    """Each sending rank's bytes and message count in ``messages``."""
+    rank_bytes = [
+        sum(len(payload) for _, payload in sent) * HALO_BYTES_PER_UPDATE
+        for sent in messages
+    ]
+    return rank_bytes, [len(sent) for sent in messages]
 
 
 @dataclass
@@ -183,40 +188,53 @@ class HaloExecutor(PartitionedExecutor):
         self.stats = HaloStats()
         #: cumulative halo bytes sent by each rank
         self.rank_bytes = [0] * num_ranks
+        #: this iteration's (bytes, messages) on the wire, for :meth:`collect`
+        self.iteration_comm = (0, 0)
 
     def _sync(self, next_comm: np.ndarray, moved: np.ndarray) -> np.ndarray:
-        self.exchange_halo(next_comm, self.rank_movers(moved))
+        self.exchange_halo(next_comm, self.halo_messages(self.rank_movers(moved)))
         return next_comm
 
-    def exchange_halo(self, next_comm: np.ndarray, movers: list[np.ndarray]) -> None:
-        """Price one iteration's halo exchange (and deliver it through
-        :meth:`_deliver`): per-destination payloads, span, counters,
-        :class:`HaloStats` and per-rank bytes.
+    def halo_messages(self, movers: list[np.ndarray]) -> HaloMessages:
+        """One iteration's halo messages for each rank's ``movers``.
 
         A payload is the sender's movers that the destination ghosts,
         read off the destination's ghost mask: the sorted intersection
         of the movers with the send list (which is exactly the sender-
-        owned part of those ghosts), in O(movers) rather than a sort
-        of the send list."""
-        iteration_bytes = 0
-        iteration_messages = 0
-        halo_span = obs.span("halo/exchange", ranks=len(self.views))
-        with halo_span:
-            for view, rank_movers in zip(self.views, movers):
-                view_bytes = 0
-                for dest in view.send_lists:
-                    payload = rank_movers[self.views[dest].ghost_mask[rank_movers]]
-                    if len(payload) == 0:
-                        continue
+        owned part of those ghosts), in O(movers) rather than a sort of
+        the send list. Empty payloads are not sent."""
+        messages: HaloMessages = []
+        for view, rank_movers in zip(self.views, movers):
+            sent = []
+            for dest in view.send_lists:
+                payload = rank_movers[self.views[dest].ghost_mask[rank_movers]]
+                if len(payload):
+                    sent.append((dest, payload))
+            messages.append(sent)
+        return messages
+
+    def exchange_halo(self, next_comm: np.ndarray, messages: HaloMessages) -> None:
+        """Deliver one iteration's ``messages`` through :meth:`_deliver`
+        and account for them: span, counters, :class:`HaloStats` and
+        per-rank bytes."""
+        rank_bytes, rank_messages = halo_volume(messages)
+        iteration_bytes = sum(rank_bytes)
+        iteration_messages = sum(rank_messages)
+        with obs.span(
+            "halo/exchange",
+            ranks=len(self.views),
+            bytes=iteration_bytes,
+            messages=iteration_messages,
+        ):
+            for sent in messages:
+                for dest, payload in sent:
                     self._deliver(dest, payload, next_comm)
-                    view_bytes += len(payload) * HALO_BYTES_PER_UPDATE
-                    iteration_messages += 1
-                self.rank_bytes[view.rank] += view_bytes
-                iteration_bytes += view_bytes
-            halo_span.tag(bytes=iteration_bytes, messages=iteration_messages)
+        for rank, nbytes in enumerate(rank_bytes):
+            self.rank_bytes[rank] += nbytes
         obs.inc("comm/halo_bytes_total", iteration_bytes)
         obs.inc("comm/halo_messages_total", iteration_messages)
         self.stats.record(iteration_bytes, iteration_messages)
+        self.iteration_comm = (iteration_bytes, iteration_messages)
 
     def _deliver(self, dest: int, payload: np.ndarray, next_comm: np.ndarray) -> None:
         """Transport hook: rank ``dest`` receives ``payload``'s new ids.
@@ -224,10 +242,9 @@ class HaloExecutor(PartitionedExecutor):
 
     def collect(self, trace: IterationTrace) -> None:
         super().collect(trace)
-        trace.comm_bytes = self.stats.bytes_per_iteration[-1]
-        trace.comm_messages = self.stats.messages_per_iteration[-1]
+        trace.comm_bytes, trace.comm_messages = self.iteration_comm
 
-    def result(self, result: EngineResult) -> RankResult:
+    def result(self, result: EngineResult, **extras) -> RankResult:
         return self.result_type.from_engine(
             result,
             views=self.views,
@@ -237,4 +254,5 @@ class HaloExecutor(PartitionedExecutor):
             broadcast_bytes_equivalent=(
                 result.num_iterations * self.state.graph.n * 8 * self.num_ranks
             ),
+            **extras,
         )

@@ -8,8 +8,16 @@ the unified engine in :mod:`repro.core.engine`):
    (the same cost model as the single-GPU kernels);
 2. devices exchange the updated per-vertex state with the configured
    dense/sparse/adaptive synchronisation, moving real buffers through the
-   simulated NCCL communicator (charged with the ring cost model);
+   simulated NCCL communicator (charged with the ring cost model), or
+   with the halo exchange (charged point to point);
 3. every device applies the merged state and proceeds.
+
+Under ``SyncMode.HALO`` a device holds no full replica: it decides
+against a mirror that is valid only on its owned and ghost vertices
+(every other entry is ``-1``), updates its owned entries from its own
+moves and its ghosts from the halo messages it receives, and the
+mirrors are checked against the global assignment after every
+iteration.
 
 Because the BSP snapshot every device computes from is identical, the
 multi-GPU run produces **bit-identical communities** to the single-GPU
@@ -18,22 +26,23 @@ shrinks with more devices, communication does not — reproducing Figure
 10(b)'s breakdown.
 
 The loop and the commit step live in the executor core
-(:class:`~repro.core.phase1.PartitionedExecutor`).
+(:class:`~repro.core.phase1.PartitionedExecutor`), the rank views and
+halo accounting in :class:`~repro.multigpu.halo.HaloExecutor`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.core.engine import AlgorithmConfig, EngineResult, IterationTrace
-from repro.core.phase1 import PartitionedExecutor
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import VertexPartition
 from repro.gpusim.costmodel import MemoryKind
 from repro.gpusim.device import Device, DeviceConfig
 from repro.gpusim.nccl import Communicator
+from repro.multigpu.halo import HaloExecutor, RankResult, halo_volume
 from repro.multigpu.sync import (
     SyncMode,
     SyncPlan,
@@ -57,8 +66,10 @@ class MultiGpuConfig(AlgorithmConfig):
 
 
 @dataclass
-class MultiGpuResult(EngineResult):
-    """Engine result plus per-device simulated time breakdown."""
+class MultiGpuResult(RankResult):
+    """Engine result plus per-device simulated time breakdown, and the
+    rank views and halo accounting (empty unless the run synced by
+    ``SyncMode.HALO``)."""
 
     devices: list[Device] = field(default_factory=list)
     partition: VertexPartition | None = None
@@ -105,9 +116,12 @@ def _estimate_decide_cycles(
     return cycles
 
 
-class MultiGpuExecutor(PartitionedExecutor):
-    """Partitioned executor: per-device decide, NCCL-synchronised apply."""
+class MultiGpuExecutor(HaloExecutor):
+    """Partitioned executor: per-device decide, NCCL-synchronised apply
+    (or, under ``SyncMode.HALO``, decide against per-device mirrors kept
+    by the halo exchange)."""
 
+    result_type = MultiGpuResult
     config: MultiGpuConfig
 
     def __init__(
@@ -126,6 +140,22 @@ class MultiGpuExecutor(PartitionedExecutor):
             self.partition.owner == i for i in range(config.num_gpus)
         ]
         self._last_plan: SyncPlan | None = None
+        #: under HALO, each device's owned + ghost ids (the views never
+        #: change) and its mirror of the assignment, -1 elsewhere: a read
+        #: of a vertex the device does not mirror fails the soundness
+        #: assert in :meth:`_halo_sync`
+        halo = config.sync_mode is SyncMode.HALO
+        self.visible = [view.visible() for view in self.views] if halo else []
+        self.local_comm = [np.full(graph.n, -1, dtype=np.int64) for _ in self.visible]
+        for mirror, vis in zip(self.local_comm, self.visible):
+            mirror[vis] = self.state.comm[vis]
+
+    def _rank_state(self, rank: int):
+        # under HALO the device decides against its own mirror; the
+        # community aggregates are the shared (allreduced) ones
+        if not self.local_comm:
+            return self.state
+        return replace(self.state, comm=self.local_comm[rank])
 
     def _charge_decide(self, rank: int, idx: np.ndarray) -> None:
         dev = self.devices[rank]
@@ -137,21 +167,30 @@ class MultiGpuExecutor(PartitionedExecutor):
         cfg = self.config
         movers = self.rank_movers(moved)
         num_moved = sum(len(m) for m in movers)
+        messages = self.halo_messages(movers)
+        rank_bytes, rank_messages = halo_volume(messages)
 
         # synchronise the new assignment across devices
-        plan = choose_sync_mode(self.state.graph.n, num_moved, cfg.sync_mode)
+        plan = choose_sync_mode(
+            self.state.graph.n, num_moved, cfg.sync_mode, sum(rank_bytes)
+        )
         self._last_plan = plan
+        self.iteration_comm = (plan.chosen_bytes, 0)
         with obs.span(
             "sync/" + plan.mode.value,
             bytes=plan.chosen_bytes,
             moved=num_moved,
             dense_bytes=plan.dense_bytes,
             sparse_bytes=plan.sparse_bytes,
+            halo_bytes=plan.halo_bytes,
         ):
             if plan.mode is SyncMode.DENSE:
                 merged = dense_sync_comm(
                     [next_comm] * cfg.num_gpus, self.owned_masks, self.communicator
                 )
+            elif plan.mode is SyncMode.HALO:
+                merged = self._halo_sync(next_comm, movers, messages)
+                self.communicator.point_to_point(rank_bytes, rank_messages)
             else:
                 merged = sparse_sync_comm(next_comm, movers, self.communicator)
                 if cfg.num_gpus > 1:
@@ -176,19 +215,30 @@ class MultiGpuExecutor(PartitionedExecutor):
             )
         return merged
 
+    def _halo_sync(self, next_comm, movers, messages) -> np.ndarray:
+        """Each device writes its own moves into its mirror, then the halo
+        exchange delivers the moves every device ghosts."""
+        for mirror, rank_movers in zip(self.local_comm, movers):
+            mirror[rank_movers] = next_comm[rank_movers]
+        self.exchange_halo(next_comm, messages)
+        # soundness of the mirrors: every device's visible entries match
+        # the global assignment after the exchange
+        for mirror, vis in zip(self.local_comm, self.visible):
+            np.testing.assert_array_equal(mirror[vis], next_comm[vis])
+        return next_comm
+
+    def _deliver(self, dest: int, payload: np.ndarray, next_comm: np.ndarray) -> None:
+        self.local_comm[dest][payload] = next_comm[payload]
+
     def collect(self, trace: IterationTrace) -> None:
         super().collect(trace)
         trace.sync_plan = self._last_plan
-        if self._last_plan is not None:
-            trace.comm_bytes = self._last_plan.chosen_bytes
 
     def profilers(self) -> dict:
         return {f"dev{d.device_id}": d.profiler for d in self.devices}
 
     def result(self, result: EngineResult) -> MultiGpuResult:
-        return MultiGpuResult.from_engine(
-            result, devices=self.devices, partition=self.partition
-        )
+        return super().result(result, devices=self.devices, partition=self.partition)
 
 
 def run_multigpu_phase1(

@@ -1,17 +1,23 @@
-"""Dense / sparse / adaptive synchronisation (paper Section 4.3).
+"""Dense / sparse / halo / adaptive synchronisation (paper Section 4.3).
 
-After each BSP iteration every device must see every vertex's new community
-id, movement flag, and community weight. Two representations [18]:
+After each BSP iteration every device must see the new community id of
+every vertex it reads. Two representations [18], plus the point-to-point
+scheme of distributed-memory Louvain (Vite [24]):
 
 * **dense** — AllReduce full-length arrays. Volume is O(n) regardless of
   how much changed; best in early iterations when most vertices move.
 * **sparse** — AllGather only the moved vertices as (id, value) pairs.
   Volume is O(moved); wins in late iterations, at the cost of a local
   scatter ("slight data rearrangement overhead", which we charge too).
+* **halo** — each device mirrors only its owned and ghost vertices and
+  sends each neighbouring device exactly the movers that device ghosts
+  (:mod:`repro.multigpu.halo`). Volume is O(boundary movers), in
+  point-to-point messages.
 
-The adaptive policy compares the two volumes each iteration and picks the
-cheaper one, which is exactly the paper's "threshold according to
-communication size".
+The adaptive policy compares the dense and sparse volumes each iteration
+and picks the cheaper one, which is exactly the paper's "threshold
+according to communication size". Every plan also reports the halo
+volume of the same iteration, so the three can be read side by side.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 class SyncMode(str, Enum):
     DENSE = "dense"
     SPARSE = "sparse"
+    HALO = "halo"
     ADAPTIVE = "adaptive"
 
 
@@ -45,20 +52,29 @@ class SyncPlan:
     sparse_bytes: int
     num_moved: int
     n: int
+    #: what the halo exchange of the same movers carries, all ranks summed
+    halo_bytes: int = 0
 
     @property
     def chosen_bytes(self) -> int:
-        return self.dense_bytes if self.mode is SyncMode.DENSE else self.sparse_bytes
+        if self.mode is SyncMode.DENSE:
+            return self.dense_bytes
+        if self.mode is SyncMode.HALO:
+            return self.halo_bytes
+        return self.sparse_bytes
 
 
 def choose_sync_mode(
-    n: int, num_moved: int, requested: SyncMode = SyncMode.ADAPTIVE
+    n: int,
+    num_moved: int,
+    requested: SyncMode = SyncMode.ADAPTIVE,
+    halo_bytes: int = 0,
 ) -> SyncPlan:
-    """Pick dense vs sparse for one iteration.
+    """Pick the sync mode of one iteration.
 
     In adaptive mode, sparse wins when its total volume (every rank
     gathering every other rank's moved set) is below the dense AllReduce
-    volume.
+    volume; halo runs only when requested.
     """
     dense_bytes = n * DENSE_BYTES_PER_VERTEX
     sparse_bytes = num_moved * SPARSE_BYTES_PER_MOVED
@@ -72,6 +88,7 @@ def choose_sync_mode(
         sparse_bytes=sparse_bytes,
         num_moved=num_moved,
         n=n,
+        halo_bytes=halo_bytes,
     )
 
 

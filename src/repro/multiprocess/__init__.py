@@ -7,7 +7,7 @@ surface:
   :func:`run_multiprocess_phase1` — the runtime, behind the same
   ``Executor`` protocol as every other runtime;
 * :class:`MultiprocessResult` — engine result + rank views + real
-  halo-exchange accounting (:class:`~repro.distributed.halo.HaloStats`).
+  halo-exchange accounting (:class:`~repro.multigpu.halo.HaloStats`).
 """
 
 from repro.multiprocess.runtime import (

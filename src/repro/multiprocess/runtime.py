@@ -1,9 +1,9 @@
 """True process-parallel phase 1: one worker process per rank.
 
-`DistributedExecutor` *simulates* ranks inside a single interpreter to
-measure halo traffic; this module executes the same BSP decomposition
-with real OS processes, which is what the paper's scaling claim actually
-requires. The shape of an iteration:
+The multi-GPU runtime's ``SyncMode.HALO`` *simulates* ranks inside a
+single interpreter to measure halo traffic; this module executes the
+same BSP decomposition with real OS processes, which is what the paper's
+scaling claim actually requires. The shape of an iteration:
 
 1. the parent (which owns the engine loop and the canonical
    :class:`CommunityState`) publishes the BSP snapshot — ``comm``,
@@ -24,7 +24,7 @@ requires. The shape of an iteration:
    not fork-safe);
 3. the parent commits the move step through the executor core
    (:class:`~repro.core.phase1.PartitionedExecutor`) — the same halo-exchange
-   accounting over the same :class:`~repro.distributed.halo.RankView`
+   accounting over the same :class:`~repro.multigpu.halo.RankView`
    send lists as the simulated runtime (so ``HaloStats`` match it bit
    for bit), then the community weight update — the same backend's
    delta pass, called per degree-bounded mover chunk — and the
@@ -39,7 +39,7 @@ weights file for setup.
 
 Every rank computes from the identical shared snapshot, so the final
 assignment is bit-identical to ``LocalExecutor`` and
-``DistributedExecutor`` for any rank count and any partition (tested on
+``MultiGpuExecutor`` for any rank count and any partition (tested on
 the cross-runtime matrix).
 """
 
@@ -66,7 +66,6 @@ from repro.core.kernels.vectorized import (
 )
 from repro.core.state import CommunityState
 from repro.core.weights import make_weight_updater
-from repro.distributed.halo import HaloExecutor, RankResult
 from repro.graph.csr import CSRGraph
 from repro.graph.mmap_store import (
     DEFAULT_CHUNK_EDGES,
@@ -76,6 +75,7 @@ from repro.graph.mmap_store import (
     split_by_edges,
 )
 from repro.graph.partition import VertexPartition
+from repro.multigpu.halo import HaloExecutor, RankResult
 from repro.multiprocess.shm import ShmLayout, attach_shared, create_shared
 from repro.obs import _session as obs
 from repro.utils import set_pdeathsig
@@ -100,9 +100,8 @@ MAX_RANK_SPANS = 512
 @dataclass
 class MultiprocessConfig(AlgorithmConfig):
     """:class:`~repro.core.engine.AlgorithmConfig` with the defaults of
-    :class:`~repro.distributed.runtime.DistributedConfig` (the two runtimes
-    are interchangeable in every experiment), plus process mechanics and
-    memory bounds."""
+    :class:`~repro.multigpu.runtime.MultiGpuConfig` (MG pruning), plus
+    the rank count, process mechanics and memory bounds."""
 
     pruning: str = "mg"
     #: DecideAndMove backend of the rank workers, by name (see
@@ -569,7 +568,7 @@ def run_multiprocess_phase1(
     """Run phase 1 with one OS process per rank.
 
     Bit-identical communities to :func:`repro.core.phase1.run_phase1` and
-    :func:`repro.distributed.runtime.run_distributed_phase1` on the same
+    :func:`repro.multigpu.runtime.run_multigpu_phase1` on the same
     graph/seed; the difference is real parallel execution and real
     shared-memory traffic. Workers are always torn down before this
     returns, error or not.

@@ -4,8 +4,8 @@ One ``multiprocessing.shared_memory.SharedMemory`` segment holds every
 array the parent and the rank workers exchange (assignments, community
 aggregates, the active mask, status words). A :class:`ShmLayout` maps
 names to ``(offset, shape, dtype)`` so both sides construct identical
-NumPy views over the same physical pages — the "halo exchange" of the
-simulated distributed runtime becomes plain writes to one mapping.
+NumPy views over the same physical pages — the halo exchange of the
+simulated multi-GPU runtime becomes plain writes to one mapping.
 
 Lifecycle rules this module encodes:
 

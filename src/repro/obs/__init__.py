@@ -7,7 +7,7 @@ in :class:`~repro.core.engine.IterationTrace`, NCCL bytes in device
 counters. This package is the one layer that sees a run end-to-end:
 
 * :func:`session` activates observability for a scope; inside it, every
-  runtime (local, multi-GPU, distributed, gpusim kernels, NCCL
+  runtime (local, multi-GPU, multiprocess, gpusim kernels, NCCL
   collectives, halo exchange) emits **spans** into one Chrome trace-event
   file and **metrics** into one namespaced registry; the engine's phase
   spans are the same measurements as its Figure-8 phase seconds (one

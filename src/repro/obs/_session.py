@@ -81,6 +81,7 @@ class ObsSession:
                 "mode": str(plan.mode.value),
                 "dense_bytes": plan.dense_bytes,
                 "sparse_bytes": plan.sparse_bytes,
+                "halo_bytes": plan.halo_bytes,
             }
             record["kind"] = "iteration"
             record["runtime"] = runtime
@@ -91,8 +92,8 @@ class ObsSession:
         """Bridge one finished engine run's accounting into the registry.
 
         Duck-typed over the executor: simulated-device profilers come from
-        an optional ``profilers()`` method, distributed halo accounting
-        from an optional ``stats`` attribute.
+        an optional ``profilers()`` method, halo-exchange accounting from
+        an optional ``stats`` attribute.
         """
         self.metrics.bridge_timers(result.timers)
         profilers = getattr(executor, "profilers", None)

@@ -140,7 +140,7 @@ class MetricsRegistry:
         self.gauge(f"{prefix}/total_cycles").set(profiler.total_cycles)
 
     def bridge_halo(self, stats, prefix: str = "comm") -> None:
-        """Mirror a distributed run's cumulative :class:`HaloStats`."""
+        """Mirror a halo-exchange run's cumulative :class:`HaloStats`."""
         self.gauge(f"{prefix}/halo_bytes").set(stats.bytes_sent)
         self.gauge(f"{prefix}/halo_messages").set(stats.messages)
 

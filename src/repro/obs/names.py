@@ -53,7 +53,7 @@ METRIC_NAMES: frozenset = frozenset(
         "engine/iterations",
         "engine/moved_total",
         "engine/active_edges_total",
-        # cross-rank communication (distributed / multiprocess runtimes)
+        # cross-rank communication (halo exchange, multiprocess runtime)
         "comm/bytes_total",
         "comm/messages_total",
         "comm/halo_bytes_total",

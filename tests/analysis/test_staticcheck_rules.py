@@ -304,7 +304,7 @@ class TestDeterminism:
 
     def test_out_of_scope_modules_not_checked(self, tmp_path):
         # bench/ is allowed wall-clock randomness; the contract covers
-        # core/gpusim/multiprocess/distributed/multigpu only
+        # core/gpusim/multiprocess/multigpu only
         project = make_project(tmp_path, {"bench/rand.py": BAD_RANDOMNESS})
         assert run_rule(self.RULE, project) == []
 

@@ -17,15 +17,16 @@ from repro.core.phase1 import (
     run_phase1,
 )
 from repro.bench.reporting import format_table, trace_rows
-from repro.distributed import (
-    DistributedConfig,
-    DistributedExecutor,
-    run_distributed_phase1,
-)
 from repro.graph.generators import load_dataset, ring_of_cliques
 from repro.graph.partition import partition_by_degree
 from repro.metrics.fnr_fpr import pruning_rates
-from repro.multigpu import MultiGpuConfig, MultiGpuExecutor, run_multigpu_phase1
+from repro.multigpu import (
+    MultiGpuConfig,
+    MultiGpuExecutor,
+    SyncMode,
+    run_multigpu_phase1,
+)
+from repro.multigpu.halo import HaloExecutor
 from repro.multiprocess import (
     MultiprocessConfig,
     MultiprocessExecutor,
@@ -36,6 +37,13 @@ from repro.multiprocess import (
 @pytest.fixture(scope="module")
 def graph():
     return load_dataset("OR", scale=0.1)
+
+
+def run_halo(graph, k, partition=None, **kw):
+    """The multi-GPU runtime synchronised by halo exchange."""
+    return run_multigpu_phase1(
+        graph, MultiGpuConfig(num_gpus=k, sync_mode=SyncMode.HALO, **kw), partition
+    )
 
 
 class TestConvergenceTracker:
@@ -117,7 +125,7 @@ class TestUnifiedTraceSchema:
     def test_every_runtime_emits_iteration_traces(self, graph):
         local = run_phase1(graph, Phase1Config(pruning="mg"))
         multi = run_multigpu_phase1(graph, MultiGpuConfig(num_gpus=2))
-        dist = run_distributed_phase1(graph, DistributedConfig(num_ranks=2))
+        dist = run_halo(graph, 2)
         for r in (local, multi, dist):
             assert all(isinstance(h, IterationTrace) for h in r.history)
         # identical trajectory: same per-iteration move counts everywhere
@@ -128,18 +136,18 @@ class TestUnifiedTraceSchema:
     def test_runtime_specific_fields(self, graph):
         local = run_phase1(graph, Phase1Config(pruning="mg", kernel="auto"))
         multi = run_multigpu_phase1(graph, MultiGpuConfig(num_gpus=2))
-        dist = run_distributed_phase1(graph, DistributedConfig(num_ranks=2))
+        dist = run_halo(graph, 2)
         assert all(h.kernel_backend for h in local.history)
         assert all(h.sync_plan is not None for h in multi.history)
         assert all(h.sim_cycles > 0 for h in multi.history)
         assert any(h.comm_bytes > 0 for h in dist.history)
         assert any(h.comm_messages > 0 for h in dist.history)
-        # distributed halo bytes mirror the stats series exactly
+        # halo bytes mirror the stats series exactly
         assert [h.comm_bytes for h in dist.history] == dist.stats.bytes_per_iteration
 
     def test_trace_rows_renders_any_runtime(self, graph):
         local = run_phase1(graph, Phase1Config(pruning="mg", kernel="auto"))
-        dist = run_distributed_phase1(graph, DistributedConfig(num_ranks=2))
+        dist = run_halo(graph, 2)
         lrows = trace_rows(local.history)
         drows = trace_rows(dist.history)
         assert "kernel_backend" in lrows[0] and "comm_bytes" not in lrows[0]
@@ -158,7 +166,7 @@ class TestOneExecutorCore:
     """Every runtime is the partitioned executor core plus its sync: the
     local runtime is its one-rank case."""
 
-    RUNTIMES = (LocalExecutor, DistributedExecutor, MultiGpuExecutor, MultiprocessExecutor)
+    RUNTIMES = (LocalExecutor, HaloExecutor, MultiGpuExecutor, MultiprocessExecutor)
 
     def test_runtimes_share_the_commit_step(self):
         for cls in self.RUNTIMES:
@@ -171,11 +179,7 @@ class TestOneExecutorCore:
     def test_every_runtime_reports_the_same_buckets(self, graph):
         results = {
             "local": run_phase1(graph, Phase1Config(pruning="mg")),
-            "distributed": run_distributed_phase1(
-                graph,
-                DistributedConfig(num_ranks=3),
-                partition=partition_by_degree(graph, 3),
-            ),
+            "halo": run_halo(graph, 3, partition_by_degree(graph, 3)),
             "multigpu": run_multigpu_phase1(graph, MultiGpuConfig(num_gpus=2)),
             "multiprocess": run_multiprocess_phase1(
                 graph, MultiprocessConfig(num_ranks=2)
@@ -200,9 +204,7 @@ class TestEngineOracle:
         multi = run_multigpu_phase1(
             graph, MultiGpuConfig(num_gpus=2, pruning=strategy, oracle=True, seed=17)
         )
-        dist = run_distributed_phase1(
-            graph, DistributedConfig(num_ranks=2, pruning=strategy, oracle=True, seed=17)
-        )
+        dist = run_halo(graph, 2, pruning=strategy, oracle=True, seed=17)
         ref = pruning_rates(local, strategy=strategy)
         for other in (multi, dist):
             got = pruning_rates(other, strategy=strategy)
@@ -220,10 +222,8 @@ class TestEngineOracle:
 
         def run(oracle):
             common = dict(pruning="pm", oracle=oracle)
-            if runtime == "distributed":
-                return run_distributed_phase1(
-                    g, DistributedConfig(num_ranks=3, **common)
-                )
+            if runtime == "distributed":  # the halo exchange, point to point
+                return run_halo(g, 3, **common)
             if runtime == "multiprocess":
                 return run_multiprocess_phase1(
                     g, MultiprocessConfig(num_ranks=3, **common)
@@ -240,7 +240,7 @@ class TestEngineOracle:
         assert [h.comm_messages for h in plain.history] == [
             h.comm_messages for h in probed.history
         ]
-        if runtime == "multigpu":
+        if runtime != "multiprocess":
             assert plain.comm_seconds() == probed.comm_seconds()
 
     def test_oracle_does_not_change_trajectory(self, graph):
@@ -258,22 +258,16 @@ class TestEngineOracle:
 
 
 class TestDistributedWeightUpdateFactory:
-    """Satellite: distributed goes through make_weight_updater, so the
+    """The halo-exchange runtime goes through make_weight_updater, so the
     recompute-vs-delta ablation (Figure 6) runs on all runtimes."""
 
     def test_recompute_matches_delta(self, graph):
-        delta = run_distributed_phase1(
-            graph, DistributedConfig(num_ranks=2, weight_update="delta")
-        )
-        recompute = run_distributed_phase1(
-            graph, DistributedConfig(num_ranks=2, weight_update="recompute")
-        )
+        delta = run_halo(graph, 2, weight_update="delta")
+        recompute = run_halo(graph, 2, weight_update="recompute")
         np.testing.assert_array_equal(delta.communities, recompute.communities)
         assert delta.modularity == pytest.approx(recompute.modularity, abs=1e-12)
 
     def test_unknown_mode_rejected(self):
         g = ring_of_cliques(4, 4)
         with pytest.raises(ValueError):
-            run_distributed_phase1(
-                g, DistributedConfig(num_ranks=2, weight_update="bogus")
-            )
+            run_halo(g, 2, weight_update="bogus")

@@ -330,6 +330,25 @@ class TestFallback:
         with pytest.raises(KernelUnavailableError, match="C compiler"):
             require_runtime()
 
+    def test_forced_cc_fails_when_the_compiler_is_broken(self, tmp_path, monkeypatch):
+        """``REPRO_JIT_PROVIDER=cc`` demands the compiled provider: a failed
+        build raises instead of silently skipping every compiled leg,
+        while ``auto`` still falls back to the NumPy path."""
+        monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
+        monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path / "cache"))
+        jitmod._reset_runtime_cache()
+        try:
+            monkeypatch.setenv("REPRO_JIT_PROVIDER", "cc")
+            with pytest.raises(KernelUnavailableError, match="REPRO_JIT_PROVIDER=cc"):
+                get_runtime()
+            with pytest.raises(KernelUnavailableError):
+                make_kernel("auto")
+            monkeypatch.setenv("REPRO_JIT_PROVIDER", "auto")
+            assert get_runtime() is None
+            assert isinstance(make_kernel("auto"), VectorizedKernel)
+        finally:
+            jitmod._reset_runtime_cache()
+
     def test_explicit_jit_kernel_raises_without_provider(self, monkeypatch):
         monkeypatch.setenv("REPRO_JIT_PROVIDER", "off")
         with pytest.raises(KernelUnavailableError):

@@ -88,3 +88,30 @@ class TestAllGather:
     def test_empty_communicator_rejected(self):
         with pytest.raises(DeviceError):
             Communicator([])
+
+
+class TestPointToPoint:
+    def test_slowest_rank_charged_on_every_device(self):
+        """Rank r's sends cost ``messages * latency + bytes / bandwidth``;
+        the round costs its slowest rank, charged to all devices."""
+        comm = make_comm(3)
+        cfg = comm.devices[0].config
+        rank_bytes, rank_messages = [1 << 20, 64, 0], [1, 40, 0]
+        comm.point_to_point(rank_bytes, rank_messages)
+        want = max(
+            m * cfg.interconnect_latency + b / cfg.interconnect_bandwidth
+            for b, m in zip(rank_bytes, rank_messages)
+        )
+        assert want > 0
+        for dev in comm.devices:
+            assert dev.profiler.cycles["comm_halo"] == want * cfg.clock_hz
+
+    def test_silent_round_is_free(self):
+        comm = make_comm(2)
+        comm.point_to_point([0, 0], [0, 0])
+        assert all(d.profiler.cycles["comm_halo"] == 0.0 for d in comm.devices)
+
+    def test_one_count_per_rank(self):
+        comm = make_comm(2)
+        with pytest.raises(DeviceError):
+            comm.point_to_point([8], [1, 1])

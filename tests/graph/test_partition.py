@@ -64,7 +64,7 @@ class TestMorePartsThanVertices:
         assert p.owner.min() >= 0 and p.owner.max() < 10
 
     def test_rank_views_with_empty_parts(self):
-        from repro.distributed.halo import build_rank_views
+        from repro.multigpu.halo import build_rank_views
         from repro.graph.generators import two_triangles
 
         g = two_triangles()
@@ -90,7 +90,7 @@ class TestEmptyBoundaries:
         return from_edge_array(6, src, dst, np.ones(6), name="2tri")
 
     def test_no_ghosts_across_components(self):
-        from repro.distributed.halo import build_rank_views
+        from repro.multigpu.halo import build_rank_views
         from repro.graph.partition import VertexPartition
 
         g = self._two_cliques()
@@ -102,7 +102,7 @@ class TestEmptyBoundaries:
             assert view.send_lists == {}
 
     def test_single_rank_has_no_halo(self, ring):
-        from repro.distributed.halo import build_rank_views
+        from repro.multigpu.halo import build_rank_views
 
         views = build_rank_views(ring, partition_contiguous(ring, 1))
         assert len(views) == 1

@@ -1,9 +1,9 @@
 """Multiprocess runtime: bit-exactness matrix, halo parity, lifecycle.
 
 The process-per-rank executor must be indistinguishable from the local
-and simulated-distributed runtimes in everything but wall-clock: same
-communities, same per-iteration move counts, same halo accounting — for
-every graph, rank count, chunk size and rank kernel (``vectorized`` or
+runtime and the simulated multi-GPU halo exchange in everything but
+wall-clock: same communities, same per-iteration move counts, same halo
+accounting — for every graph, rank count, chunk size and rank kernel (``vectorized`` or
 the compiled ``jit``, also in spawned workers), including under the
 sanitizers and the observability layer. The lifecycle tests pin the ugly parts:
 worker crashes surface as errors (not hangs), and no ``/dev/shm``
@@ -21,9 +21,9 @@ import pytest
 
 from repro.core.kernels import jit as jitmod
 from repro.core.phase1 import Phase1Config, run_phase1
-from repro.distributed import DistributedConfig, run_distributed_phase1
 from repro.graph.generators import load_dataset, ring_of_cliques
 from repro.graph.mmap_store import save_mmap
+from repro.multigpu import MultiGpuConfig, SyncMode, run_multigpu_phase1
 from repro.multiprocess import (
     MultiprocessConfig,
     MultiprocessExecutor,
@@ -81,14 +81,16 @@ class TestBitExactMatrix:
         mp = run_multiprocess_phase1(
             graphs[name], MultiprocessConfig(num_ranks=ranks, pruning="mg")
         )
-        dist = run_distributed_phase1(
-            graphs[name], DistributedConfig(num_ranks=ranks, pruning="mg")
+        dist = run_multigpu_phase1(
+            graphs[name],
+            MultiGpuConfig(num_gpus=ranks, pruning="mg", sync_mode=SyncMode.HALO),
         )
         assert mp.stats.messages == dist.stats.messages
         assert mp.stats.bytes_sent == dist.stats.bytes_sent
         assert [h.comm_bytes for h in mp.history] == [
             h.comm_bytes for h in dist.history
         ]
+        assert mp.rank_halo_bytes == dist.rank_halo_bytes
 
     def test_single_rank(self, graphs, local_results):
         mp = run_multiprocess_phase1(

@@ -10,11 +10,13 @@ import pytest
 from repro import obs
 from repro.core.kernels.dispatch import make_gpusim_kernel
 from repro.core.phase1 import Phase1Config, run_phase1
-from repro.distributed import DistributedConfig, run_distributed_phase1
 from repro.graph.generators import load_dataset, ring_of_cliques
-from repro.multigpu import MultiGpuConfig, run_multigpu_phase1
+from repro.multigpu import MultiGpuConfig, SyncMode, run_multigpu_phase1
 from repro.obs import read_metrics_jsonl, validate_chrome_trace
 from repro.obs._session import ObsSession
+
+#: two simulated devices synchronised by halo exchange
+HALO_2 = MultiGpuConfig(num_gpus=2, sync_mode=SyncMode.HALO)
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +153,7 @@ class TestBridgeExactness:
 
     def test_distributed_halo_accounting(self, karate):
         with obs.session() as sess:
-            result = run_distributed_phase1(karate, DistributedConfig(num_ranks=2))
+            result = run_multigpu_phase1(karate, HALO_2)
         summ = sess.summary()
         total_bytes = sum(t.comm_bytes for t in result.history)
         assert summ["counters"]["comm/halo_bytes_total"] == total_bytes
@@ -182,10 +184,10 @@ class TestTracingIsInert:
         assert len(traced.history) == len(plain.history)
 
     def test_distributed(self, graph, tmp_path):
-        cfg = DistributedConfig(num_ranks=2)
-        plain = run_distributed_phase1(graph, cfg)
+        cfg = HALO_2
+        plain = run_multigpu_phase1(graph, cfg)
         with obs.session(trace=str(tmp_path / "t.json")):
-            traced = run_distributed_phase1(graph, cfg)
+            traced = run_multigpu_phase1(graph, cfg)
         assert np.array_equal(plain.communities, traced.communities)
         assert traced.modularity == plain.modularity
         assert len(traced.history) == len(plain.history)
@@ -215,11 +217,17 @@ class TestRuntimeSpans:
     def test_distributed_trace_has_halo_spans(self, karate, tmp_path):
         path = tmp_path / "t.json"
         with obs.session(trace=str(path)):
-            run_distributed_phase1(karate, DistributedConfig(num_ranks=2))
+            run_multigpu_phase1(karate, HALO_2)
         events = json.load(open(path))["traceEvents"]
         halo = [e for e in events if e["name"] == "halo/exchange"]
         assert halo
         assert all("bytes" in e["args"] for e in halo)
+        # the sync span reports the halo volume next to the collectives'
+        sync = [e for e in events if e["name"] == "sync/halo"]
+        assert [e["args"]["halo_bytes"] for e in sync] == [
+            e["args"]["bytes"] for e in halo
+        ]
+        assert all("dense_bytes" in e["args"] for e in sync)
 
     def test_gpusim_trace_has_kernel_spans(self, karate, tmp_path):
         path = tmp_path / "t.json"

@@ -476,7 +476,7 @@ class TestHaloPayloadProperty:
         ``intersect1d(rank_movers, send_list)``, in rank then send-list
         order, and the bytes and messages count those payloads."""
         from repro.core.engine import AlgorithmConfig
-        from repro.distributed.halo import HALO_BYTES_PER_UPDATE, HaloExecutor
+        from repro.multigpu.halo import HALO_BYTES_PER_UPDATE, HaloExecutor
         from repro.graph.partition import partition_by_degree, partition_contiguous
 
         class Recording(HaloExecutor):
@@ -491,7 +491,7 @@ class TestHaloPayloadProperty:
             dtype=bool,
         )
         movers = ex.rank_movers(moved)
-        ex.exchange_halo(ex.state.comm, movers)
+        ex.exchange_halo(ex.state.comm, ex.halo_messages(movers))
 
         expected = []
         for view, rank_movers in zip(ex.views, movers):
@@ -514,8 +514,8 @@ class TestDistributedEquivalenceProperty:
     def test_random_partitions_bit_identical(self, seed, k):
         """The halo-exchange runtime must match the single engine under
         ARBITRARY ownership assignments, not just contiguous ones."""
-        from repro.distributed import DistributedConfig, run_distributed_phase1
         from repro.graph.generators import planted_partition
+        from repro.multigpu import MultiGpuConfig, SyncMode, run_multigpu_phase1
         from repro.graph.partition import VertexPartition
 
         g, _ = planted_partition(4, 20, 0.35, 0.03, seed=seed % 89)
@@ -523,7 +523,7 @@ class TestDistributedEquivalenceProperty:
         owner = rng.integers(0, k, g.n).astype(np.int64)
         part = VertexPartition(owner=owner, num_parts=k)
         single = run_phase1(g, Phase1Config(pruning="mg"))
-        dist = run_distributed_phase1(
-            g, DistributedConfig(num_ranks=k), partition=part
+        dist = run_multigpu_phase1(
+            g, MultiGpuConfig(num_gpus=k, sync_mode=SyncMode.HALO), part
         )
         np.testing.assert_array_equal(dist.communities, single.communities)

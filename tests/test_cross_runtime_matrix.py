@@ -1,8 +1,9 @@
 """Cross-runtime bit-exactness matrix + recorded-assignment regression.
 
 The repo's strongest invariant: because every executor's decide step is
-row-local over the identical BSP snapshot, the local, multi-GPU, and
-distributed runtimes produce **bit-identical** communities for any seed,
+row-local over the identical BSP snapshot, the local runtime and the
+multi-GPU runtime under every sync mode (the halo exchange included)
+produce **bit-identical** communities for any seed,
 partition, rank count, and gain convention. The matrix below checks that
 across graphs × rank counts × both ``remove_self`` conventions, on both
 final assignments and per-iteration move counts.
@@ -24,9 +25,8 @@ from repro.core.engine import EngineResult
 from repro.core.kernels.jit import get_runtime
 from repro.core.louvain import louvain
 from repro.core.phase1 import Phase1Config, run_phase1
-from repro.distributed import DistributedConfig, run_distributed_phase1
 from repro.graph.generators import load_dataset, ring_of_cliques
-from repro.multigpu import MultiGpuConfig, run_multigpu_phase1
+from repro.multigpu import MultiGpuConfig, SyncMode, run_multigpu_phase1
 from repro.obs.manifest import build_manifest
 
 BASELINE_PATH = Path(__file__).parent / "data" / "engine_regression.npz"
@@ -92,9 +92,11 @@ class TestCrossRuntimeMatrix:
         self, graphs, local_results, name, ranks, remove_self
     ):
         local = local_results[(name, remove_self)]
-        dist = run_distributed_phase1(
+        dist = run_multigpu_phase1(
             graphs[name],
-            DistributedConfig(num_ranks=ranks, remove_self=remove_self),
+            MultiGpuConfig(
+                num_gpus=ranks, remove_self=remove_self, sync_mode=SyncMode.HALO
+            ),
         )
         np.testing.assert_array_equal(dist.communities, local.communities)
         assert [h.num_moved for h in dist.history] == [
@@ -153,7 +155,9 @@ class TestRecordedAssignmentRegression:
 
     @pytest.mark.parametrize("ranks", [2, 3])
     def test_distributed_runtime(self, baseline, graph, ranks):
-        r = run_distributed_phase1(graph, DistributedConfig(num_ranks=ranks))
+        r = run_multigpu_phase1(
+            graph, MultiGpuConfig(num_gpus=ranks, sync_mode=SyncMode.HALO)
+        )
         tag = f"LJ01_rs1_dist{ranks}"
         np.testing.assert_array_equal(r.communities, baseline[f"{tag}_comm"])
         assert r.modularity == baseline[f"{tag}_q"][0]

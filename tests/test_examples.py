@@ -60,9 +60,11 @@ def test_lfr_quality_study(capsys):
 def test_multigpu_scaling(capsys):
     mod = _load("multigpu_scaling.py")
     mod.main(scale=0.05)
+    mod.halo_exchange_demo(scale=0.05)
     out = capsys.readouterr().out
     assert "speedup" in out
     assert "sync" in out
+    assert "halo KB" in out
 
 
 def test_hierarchical_communities(capsys):
