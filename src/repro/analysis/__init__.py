@@ -24,8 +24,9 @@ manager::
         result = gala(graph, GalaConfig(backend="gpusim"))
     print(san.log.render())
 
-or driven by config/env/CLI: ``GalaConfig(sanitize="strict")``,
-``REPRO_SANITIZE=strict``, or ``repro detect --sanitize=strict``.
+or driven by env/CLI: ``REPRO_SANITIZE=strict`` (read by ``gala()`` when
+no sanitizer is active) or ``repro detect --sanitize=strict``. Every
+checker runs whenever a sanitizer is active.
 
 Two modes: ``fast`` runs the kernel-level checkers plus the CSR audit;
 ``strict`` additionally bit-compares the community-weight arrays against a
@@ -80,22 +81,17 @@ MODES = ("fast", "strict")
 
 @dataclass(frozen=True)
 class SanitizerConfig:
-    """Which checkers run and how findings are handled.
+    """How deep the sanitizer checks and how findings are handled.
 
     ``mode`` selects the depth: ``fast`` = racecheck + memcheck +
     synccheck + CSR audit; ``strict`` adds the per-iteration
-    community-weight bit-compare and the Lemma-5 oracle audit. Individual
-    checkers can be switched off for bisection. ``on_finding`` is
-    ``record`` (default: collect and report) or ``raise`` (abort on the
-    first finding with the matching
-    :class:`~repro.errors.SanitizerError` subclass).
+    community-weight bit-compare and the Lemma-5 oracle audit. Every
+    checker of the mode runs. ``on_finding`` is ``record`` (default:
+    collect and report) or ``raise`` (abort on the first finding with the
+    matching :class:`~repro.errors.SanitizerError` subclass).
     """
 
     mode: str = "fast"
-    racecheck: bool = True
-    memcheck: bool = True
-    synccheck: bool = True
-    invariants: bool = True
     max_findings: int = 1000
     on_finding: str = "record"
 
@@ -166,15 +162,13 @@ class Sanitizer:
     # ------------------------------------------------------------------ #
     def audit_graph(self, graph: "CSRGraph", source: Optional[str] = None) -> int:
         """Run the CSR audit; record findings; return how many."""
-        if not self.config.invariants:
-            return 0
         found = validate_csr(graph, source=source)
         self.log.extend(found)
         return len(found)
 
     def audit_weights(self, state: "CommunityState", iteration: Optional[int] = None) -> int:
         """Strict-mode community-weight conservation audit."""
-        if not (self.config.invariants and self.config.strict):
+        if not self.config.strict:
             return 0
         found = audit_weight_update(state, iteration=iteration)
         self.log.extend(found)
@@ -188,7 +182,7 @@ class Sanitizer:
         strategy: str = "mg",
     ) -> int:
         """Strict-mode Lemma-5 false-negative audit."""
-        if not (self.config.invariants and self.config.strict):
+        if not self.config.strict:
             return 0
         found = audit_lemma5(
             active, oracle_moved, iteration=iteration, strategy=strategy

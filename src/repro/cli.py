@@ -125,10 +125,6 @@ def _add_detect(sub: argparse._SubParsersAction) -> None:
                         "it compiles here, else vectorized; jit = compiled "
                         "hot path via the system C compiler; gpusim = "
                         "simulated GPU with workload-aware kernel dispatch)")
-    p.add_argument("--gpusim-engine", default=None,
-                   choices=["scalar", "batched"],
-                   help="execution engine for --backend=gpusim "
-                        "(default: batched, or REPRO_GPUSIM_ENGINE)")
     p.add_argument("--sanitize", nargs="?", const="fast", default=None,
                    choices=["fast", "strict"],
                    help="run under the GALA-San sanitizers (fast: "
@@ -489,7 +485,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
                             seed=args.seed,
                             phase1_only=args.phase1_only,
                             backend=args.backend,
-                            gpusim_engine=args.gpusim_engine,
                             runtime=args.runtime,
                             ranks=args.ranks,
                         )

@@ -293,9 +293,14 @@ class OracleProbe:
         next_comm[active] = self._oracle_next[active]
         return next_comm
 
+    def moved(self, comm: np.ndarray) -> np.ndarray:
+        """Vertices the last full-set decide would move away from ``comm``
+        (the unpruned engine's movers: the ground truth of Table 1)."""
+        return self._oracle_next != comm
+
     def annotate(self, trace: IterationTrace, comm: np.ndarray, active: np.ndarray) -> None:
         """Fill the trace's oracle fields from the last full-set decide."""
-        oracle_moved = self._oracle_next != comm
+        oracle_moved = self.moved(comm)
         trace.oracle_moved = int(oracle_moved.sum())
         trace.false_negatives = int(np.sum(oracle_moved & ~active))
         trace.false_positives = int(np.sum(~oracle_moved & active))
@@ -424,27 +429,23 @@ def run_engine(
     tracker = ConvergenceTracker(
         theta=cfg.theta, patience=cfg.patience, initial_q=q, snapshot=state.copy()
     )
-    oracle = OracleProbe(graph.n) if cfg.oracle else None
     # Sanitizer hooks (repro.analysis). The CSR audit runs once per engine
     # run — phase 2 re-enters the engine per level, so every coarsened
     # graph is audited. Under --sanitize=strict with a strategy that
-    # *claims* zero false negatives, a dedicated probe re-derives the
-    # unpruned ground truth each iteration (Lemma 5 audit); like oracle
-    # mode this costs one full-set decide, but the committed moves are its
-    # exact restriction, so results stay bit-identical to an unsanitized
-    # run.
+    # *claims* zero false negatives, the oracle probe re-derives the
+    # unpruned ground truth each iteration for the Lemma 5 audit. Either
+    # use costs one full-set decide per iteration, shared when both are
+    # on; the committed moves are its exact restriction, so results stay
+    # bit-identical to a run without the probe.
     san = analysis.current()
     if san is not None:
         san.audit_graph(graph, source=f"engine:{type(executor).__name__}")
-    san_probe = None
-    if (
+    lemma5_audit = (
         san is not None
         and san.config.strict
-        and san.config.invariants
-        and oracle is None
         and getattr(strategy, "zero_false_negatives", False)
-    ):
-        san_probe = OracleProbe(graph.n)
+    )
+    probe = OracleProbe(graph.n) if cfg.oracle or lemma5_audit else None
     history: list[IterationTrace] = []
     processed_vertices = 0
     processed_edges = 0
@@ -464,10 +465,8 @@ def run_engine(
                     active=len(active_idx),
                     edges=active_edges,
                 ):
-                    if oracle is not None:
-                        next_comm = oracle.decide(executor, active)
-                    elif san_probe is not None:
-                        next_comm = san_probe.decide(executor, active)
+                    if probe is not None:
+                        next_comm = probe.decide(executor, active)
                     else:
                         next_comm = executor.decide(active_idx, active)
                 moved = next_comm != state.comm
@@ -483,18 +482,12 @@ def run_engine(
                     active_edges=active_edges,
                     moved_edges=int(degrees[moved].sum()),
                 )
-                if oracle is not None:
-                    oracle.annotate(trace, state.comm, active)
-                probe = oracle if oracle is not None else san_probe
-                if (
-                    san is not None
-                    and probe is not None
-                    and probe._oracle_next is not None
-                    and getattr(strategy, "zero_false_negatives", False)
-                ):
+                if cfg.oracle:
+                    probe.annotate(trace, state.comm, active)
+                if lemma5_audit:
                     san.audit_pruning(
                         active,
-                        probe._oracle_next != state.comm,
+                        probe.moved(state.comm),
                         iteration=it,
                         strategy=strategy.name,
                     )

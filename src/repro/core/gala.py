@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Union
 
 from repro.core.engine import AlgorithmConfig, ConvergenceTracker
 from repro.core.kernels.vectorized import KERNEL_NAMES
@@ -41,6 +41,11 @@ class GalaConfig:
     The defaults are the paper's full system. Turning ``pruning`` to
     ``"none"`` and ``weight_update`` to ``"recompute"`` yields the Figure 6
     baseline; adding MG alone is the middle bar.
+
+    Test oracles are not fields: the simulator's scalar engine is chosen
+    per kernel (``engine=``) or by ``REPRO_GPUSIM_ENGINE``, and a run is
+    sanitized inside an ``analysis.sanitized(...)`` block or under
+    ``REPRO_SANITIZE``.
     """
 
     #: pruning strategy (``mg`` = paper default; see repro.core.pruning)
@@ -58,11 +63,6 @@ class GalaConfig:
     #: delta weight update and the aggregate refresh; ``runtime=
     #: "multiprocess"`` resolves it once and runs it in every rank worker.
     backend: str = "auto"
-    #: execution engine for the ``"gpusim"`` backend: ``"batched"``
-    #: (structure-of-arrays, the default) or ``"scalar"`` (one vertex per
-    #: Python iteration — the bit-exact reference). ``None`` defers to the
-    #: ``REPRO_GPUSIM_ENGINE`` environment variable.
-    gpusim_engine: Optional[str] = None
     #: phase-1 runtime: ``"local"`` (single process, the default) or
     #: ``"multiprocess"`` (one worker process per rank over shared memory;
     #: see :mod:`repro.multiprocess.runtime`). Multiprocess applies to the
@@ -91,22 +91,13 @@ class GalaConfig:
     #: "the first phase in the initial round dominates the overall
     #: computation")
     phase1_only: bool = False
-    #: sanitizer mode: ``None`` defers to the ``REPRO_SANITIZE``
-    #: environment variable, ``"off"``/``False`` disables, ``"fast"``
-    #: enables racecheck/memcheck/synccheck + the CSR audit, ``"strict"``
-    #: adds the per-iteration weight-conservation and Lemma-5 audits
-    #: (see :mod:`repro.analysis` and docs/sanitizers.md)
-    sanitize: Union[str, bool, None] = None
 
     #: fields that select *how* a run executes, not *what* it computes.
-    #: Every backend/engine combination is bit-identical (the
-    #: cross-backend exactness matrix from PRs 1/2/6 pins this), and the
-    #: sanitizers observe without perturbing, so two configs differing
-    #: only here produce the same assignment — the result cache must
-    #: treat them as the same key.
-    EXECUTION_FIELDS = frozenset(
-        {"backend", "gpusim_engine", "sanitize", "runtime", "ranks"}
-    )
+    #: Every backend/runtime combination is bit-identical (the
+    #: cross-backend exactness matrix pins this), so two configs
+    #: differing only here produce the same assignment — the result cache
+    #: must treat them as the same key.
+    EXECUTION_FIELDS = frozenset({"backend", "runtime", "ranks"})
 
     #: fields that select *what* a run computes — exactly the fields
     #: serialized by :meth:`cache_key`. Every dataclass field must be
@@ -157,10 +148,6 @@ class GalaConfig:
                 f"unknown backend {self.backend!r}; expected one of "
                 f"{list(BACKENDS)}"
             )
-        if self.gpusim_engine is not None:
-            from repro.gpusim import resolve_engine
-
-            resolve_engine(self.gpusim_engine)
         if self.runtime not in ("local", "multiprocess"):
             raise ValueError(
                 f"unknown runtime {self.runtime!r}; expected 'local' or "
@@ -237,7 +224,7 @@ class GalaConfig:
         if self.backend == "gpusim":
             from repro.core.kernels.dispatch import make_gpusim_kernel
 
-            kernel = make_gpusim_kernel(engine=self.gpusim_engine)
+            kernel = make_gpusim_kernel()
         return Phase1Config(kernel=kernel, **self._algorithm_fields())
 
     def multiprocess_config(self) -> "MultiprocessConfig":
@@ -281,11 +268,11 @@ def gala(
     cfg = config or GalaConfig()
     from repro import analysis
 
-    # Sanitizer activation: config wins, then REPRO_SANITIZE. An already
-    # active session (a caller's ``analysis.sanitized(...)`` block) is
-    # reused so its log accumulates across runs.
+    # Sanitizer activation: an already active session (a caller's
+    # ``analysis.sanitized(...)`` block) is reused so its log accumulates
+    # across runs; otherwise REPRO_SANITIZE may turn one on.
     san = analysis.current()
-    mode = analysis.resolve_sanitize(cfg.sanitize)
+    mode = analysis.resolve_sanitize(None)
     if mode is not None and san is None:
         with analysis.sanitized(mode) as own:
             return _run_gala(graph, cfg, own)

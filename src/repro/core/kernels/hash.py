@@ -117,12 +117,8 @@ class HashKernel:
         """
         if san is None:
             return
-        if san.config.racecheck:
-            san.race.barrier(kernel=self.name)
-        if san.config.synccheck:
-            san.sync.barrier(
-                np.ones(self.block_size, dtype=bool), kernel=self.name
-            )
+        san.race.barrier(kernel=self.name)
+        san.sync.barrier(np.ones(self.block_size, dtype=bool), kernel=self.name)
 
     def decide_vertex(
         self, state: CommunityState, v: int, remove_self: bool
@@ -200,7 +196,7 @@ class HashKernel:
         # Gain evaluation over the table entries (lines 11-14): one value
         # read per entry from wherever it resides.
         keys, sums = table.items()
-        if san is not None and san.config.racecheck:
+        if san is not None:
             san.race.end_launch(kernel=self.name)
         prof.charge(
             "decide_alu", cost.alu(len(keys) * 4)
@@ -325,8 +321,7 @@ class HashKernel:
         self._block_sync(san)
         if san is not None:
             tables.san_read_entries(san)
-            if san.config.racecheck:
-                san.race.end_launch(kernel=self.name)
+            san.race.end_launch(kernel=self.name)
 
         # Gain evaluation (lines 11-14) over per-table entry runs.
         prof.charge("decide_alu", cost.alu(len(runs) * 4))

@@ -76,31 +76,15 @@ class CommunityState:
         return state
 
     # ------------------------------------------------------------------ #
-    def recompute_d_comm(self, vertices: np.ndarray | None = None) -> None:
+    def recompute_d_comm(self) -> None:
         """Recompute ``d_comm`` from scratch (the naive approach the paper's
-        Section 3.5 identifies as a bottleneck).
-
-        With ``vertices`` given, only those rows are recomputed — that is the
-        moved-vertex half of the efficient updating scheme.
-        """
+        Section 3.5 identifies as a bottleneck)."""
         g = self.graph
-        if vertices is None:
-            row = g.row_ids
-            same = self.comm[row] == self.comm[g.indices]
-            self.d_comm[:] = 0.0
-            if np.any(same):
-                np.add.at(self.d_comm, row[same], g.weights[same])
-        else:
-            vertices = np.asarray(vertices)
-            if len(vertices) == 0:
-                return
-            counts = g.degrees[vertices]
-            eidx = _rows_edges(g, vertices, counts)
-            row = np.repeat(vertices, counts)
-            same = self.comm[row] == self.comm[g.indices[eidx]]
-            self.d_comm[vertices] = 0.0
-            if np.any(same):
-                np.add.at(self.d_comm, row[same], g.weights[eidx][same])
+        row = g.row_ids
+        same = self.comm[row] == self.comm[g.indices]
+        self.d_comm[:] = 0.0
+        if np.any(same):
+            np.add.at(self.d_comm, row[same], g.weights[same])
 
     def refresh_community_aggregates(self) -> None:
         """Recompute ``comm_strength`` / ``comm_size`` from ``comm``."""
@@ -151,9 +135,3 @@ class CommunityState:
             resolution=self.resolution,
         )
 
-
-def _rows_edges(g: CSRGraph, vertices: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Flat adjacency indices covering every edge of ``vertices``."""
-    from repro.utils.arrays import repeat_by_counts
-
-    return repeat_by_counts(g.indptr[vertices], counts)

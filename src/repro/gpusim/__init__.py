@@ -30,10 +30,11 @@ Two execution engines drive the simulated kernels:
   degree-bucketed vertex batches per step; bit-exact with the scalar
   engine in both decisions and every profiler counter (tested), and fast
   enough to run fig4/fig9 at paper-comparable scale;
-* ``"scalar"``  — the one-vertex-at-a-time reference interpreter.
+* ``"scalar"``  — the one-vertex-at-a-time reference interpreter, kept
+  only as the oracle the batched engine is tested against.
 
-Select per kernel (``engine=...``), per run (``GalaConfig.gpusim_engine``)
-or globally via the ``REPRO_GPUSIM_ENGINE`` environment variable.
+Select per kernel (``engine=...``) or process-wide via the
+``REPRO_GPUSIM_ENGINE`` environment variable; no run config names one.
 """
 
 import os

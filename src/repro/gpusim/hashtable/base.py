@@ -90,7 +90,7 @@ class SimHashTable(ABC):
         self._san_reset_shadow(analysis.current())
 
     def _san_reset_shadow(self, san) -> None:
-        if san is not None and san.config.memcheck:
+        if san is not None:
             san.mem.reset_shadow((self._san_tag, "shared"), self.s)
             san.mem.reset_shadow((self._san_tag, "global"), self.g)
 
@@ -134,14 +134,13 @@ class SimHashTable(ABC):
             keys, vals = self._arrays(space)
             if san is not None:
                 region = (self._san_tag, space.value)
-                if san.config.memcheck and not san.mem.check_bounds(
+                if not san.mem.check_bounds(
                     region, slot, len(keys), kernel="hash", lanes=self.san_lane
                 ):
                     continue
-                if san.config.racecheck:
-                    san.race.access(
-                        region, slot, self.san_lane, "atomic", kernel="hash"
-                    )
+                san.race.access(
+                    region, slot, self.san_lane, "atomic", kernel="hash"
+                )
             self._charge_probe(space)
             if keys[slot] == _EMPTY:
                 keys[slot] = key  # atomicCAS claim
@@ -150,7 +149,7 @@ class SimHashTable(ABC):
                     self.maintained_shared += 1
                 else:
                     self.maintained_global += 1
-                if san is not None and san.config.memcheck:
+                if san is not None:
                     san.mem.mark_init((self._san_tag, space.value), slot)
                     if (
                         space is MemoryKind.GLOBAL
@@ -206,30 +205,24 @@ class SimHashTable(ABC):
         if san is not None:
             slots_s = np.flatnonzero(occ_s)
             slots_g = np.flatnonzero(occ_g)
-            if san.config.memcheck:
-                san.mem.check_init(
-                    (self._san_tag, "shared"), slots_s, kernel="hash"
+            san.mem.check_init((self._san_tag, "shared"), slots_s, kernel="hash")
+            san.mem.check_init((self._san_tag, "global"), slots_g, kernel="hash")
+            if len(slots_s):
+                san.race.access(
+                    (self._san_tag, "shared"),
+                    slots_s,
+                    np.arange(len(slots_s)),
+                    "read",
+                    kernel="hash",
                 )
-                san.mem.check_init(
-                    (self._san_tag, "global"), slots_g, kernel="hash"
+            if len(slots_g):
+                san.race.access(
+                    (self._san_tag, "global"),
+                    slots_g,
+                    len(slots_s) + np.arange(len(slots_g)),
+                    "read",
+                    kernel="hash",
                 )
-            if san.config.racecheck:
-                if len(slots_s):
-                    san.race.access(
-                        (self._san_tag, "shared"),
-                        slots_s,
-                        np.arange(len(slots_s)),
-                        "read",
-                        kernel="hash",
-                    )
-                if len(slots_g):
-                    san.race.access(
-                        (self._san_tag, "global"),
-                        slots_g,
-                        len(slots_s) + np.arange(len(slots_g)),
-                        "read",
-                        kernel="hash",
-                    )
         ks = self.shared_keys[occ_s]
         vs = self.shared_vals[occ_s]
         kg = self.global_keys[occ_g]

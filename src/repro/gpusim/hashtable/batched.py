@@ -150,7 +150,7 @@ class BatchedTables:
         self._san_reset_shadow(analysis.current())
 
     def _san_reset_shadow(self, san) -> None:
-        if san is not None and san.config.memcheck:
+        if san is not None:
             san.mem.reset_shadow(
                 (self._san_tag, "shared"), self.n_tables * self.s
             )
@@ -305,7 +305,7 @@ class BatchedTables:
         while len(probing):
             ptab = run_table[probing]
             is_sh, slot = self.probe_slots(run_key[probing], p)
-            if san is not None and san.config.memcheck:
+            if san is not None:
                 if bool(is_sh.any()):
                     san.mem.check_bounds(
                         (self._san_tag, "shared"), slot[is_sh], self.s,
@@ -436,7 +436,7 @@ class BatchedTables:
         n = len(table_of)
         n_runs = len(run_table)
         flat_addr = self._san_flat_addr(run_table, res_shared, res_slot)
-        if san.config.racecheck and n:
+        if n:
             # map each stream element to its run (post-ord2 numbering)
             new_of_old = np.empty(n_runs, dtype=np.int64)
             new_of_old[ord2] = np.arange(n_runs, dtype=np.int64)
@@ -457,27 +457,23 @@ class BatchedTables:
                         "atomic",
                         kernel="hash",
                     )
-        if san.config.memcheck:
-            for space, mask in (
-                ("shared", claimed & res_shared),
-                ("global", claimed & ~res_shared),
-            ):
-                if bool(mask.any()):
-                    san.mem.mark_init(
-                        (self._san_tag, space), flat_addr[mask]
-                    )
-            if self.s > 0:
-                overflow = np.flatnonzero(
-                    (self.maintained_shared >= self.s)
-                    & (self.maintained_global > 0)
+        for space, mask in (
+            ("shared", claimed & res_shared),
+            ("global", claimed & ~res_shared),
+        ):
+            if bool(mask.any()):
+                san.mem.mark_init((self._san_tag, space), flat_addr[mask])
+        if self.s > 0:
+            overflow = np.flatnonzero(
+                (self.maintained_shared >= self.s) & (self.maintained_global > 0)
+            )
+            for t in overflow[:8]:
+                san.mem.check_capacity(
+                    (self._san_tag, "shared"),
+                    int(self.maintained_shared[t]),
+                    self.s,
+                    kernel="hash",
                 )
-                for t in overflow[:8]:
-                    san.mem.check_capacity(
-                        (self._san_tag, "shared"),
-                        int(self.maintained_shared[t]),
-                        self.s,
-                        kernel="hash",
-                    )
 
     def san_read_entries(self, san) -> None:
         """Record the gain-phase entry reads for the sanitizer.
@@ -495,21 +491,17 @@ class BatchedTables:
             if not len(tv):
                 continue
             addr = tv * buckets + ts
-            if san.config.memcheck:
-                san.mem.check_init((self._san_tag, space), addr, kernel="hash")
-            if san.config.racecheck:
-                # entry index within its table = the reading lane
-                starts = np.flatnonzero(
-                    np.concatenate([[True], tv[1:] != tv[:-1]])
-                )
-                offsets = np.zeros(len(tv), dtype=np.int64)
-                offsets[starts] = np.arange(len(tv), dtype=np.int64)[starts]
-                lane = np.arange(len(tv), dtype=np.int64) - np.maximum.accumulate(
-                    offsets
-                )
-                san.race.access(
-                    (self._san_tag, space), addr, lane, "read", kernel="hash"
-                )
+            san.mem.check_init((self._san_tag, space), addr, kernel="hash")
+            # entry index within its table = the reading lane
+            starts = np.flatnonzero(np.concatenate([[True], tv[1:] != tv[:-1]]))
+            offsets = np.zeros(len(tv), dtype=np.int64)
+            offsets[starts] = np.arange(len(tv), dtype=np.int64)[starts]
+            lane = np.arange(len(tv), dtype=np.int64) - np.maximum.accumulate(
+                offsets
+            )
+            san.race.access(
+                (self._san_tag, space), addr, lane, "read", kernel="hash"
+            )
 
     # ------------------------------------------------------------------ #
     def lookup_many(

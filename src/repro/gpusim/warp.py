@@ -45,7 +45,7 @@ def _san_primitive(primitive: str, active: np.ndarray, masks=None) -> None:
     bits naming inactive lanes — both are hangs on real hardware.
     """
     san = analysis.current()
-    if san is not None and san.config.synccheck:
+    if san is not None:
         san.sync.warp_primitive(primitive, active, masks=masks)
 
 

@@ -43,38 +43,33 @@ class TestVectorizedBackend:
 
 class TestGpusimBackend:
     @pytest.mark.parametrize("engine", ["scalar", "batched"])
-    def test_strict_run_is_clean_and_bit_identical(self, karate, engine):
-        cfg = GalaConfig(
-            backend="gpusim", gpusim_engine=engine, pruning="mg",
-            weight_update="delta",
-        )
+    def test_strict_run_is_clean_and_bit_identical(
+        self, karate, engine, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_GPUSIM_ENGINE", engine)
+        cfg = GalaConfig(backend="gpusim", pruning="mg", weight_update="delta")
         baseline = gala(karate, cfg)
         with analysis.sanitized("strict") as san:
             sanitized = gala(karate, cfg)
         assert san.log.clean, san.log.render()
         _assert_identical(baseline, sanitized)
 
-    def test_engines_agree_under_the_sanitizer(self, ring):
+    def test_engines_agree_under_the_sanitizer(self, ring, monkeypatch):
         results = []
         for engine in ("scalar", "batched"):
+            monkeypatch.setenv("REPRO_GPUSIM_ENGINE", engine)
             with analysis.sanitized("strict") as san:
                 results.append(
-                    gala(
-                        ring,
-                        GalaConfig(
-                            backend="gpusim",
-                            gpusim_engine=engine,
-                            phase1_only=True,
-                        ),
-                    )
+                    gala(ring, GalaConfig(backend="gpusim", phase1_only=True))
                 )
             assert san.log.clean, san.log.render()
         _assert_identical(results[0], results[1])
 
 
 class TestActivationPaths:
-    def test_config_flag_attaches_manifest_report(self, karate):
-        result = gala(karate, GalaConfig(sanitize="strict"))
+    def test_sanitized_block_attaches_manifest_report(self, karate):
+        with analysis.sanitized("strict"):
+            result = gala(karate, GalaConfig())
         assert result.manifest.sanitizer["mode"] == "strict"
         assert result.manifest.sanitizer["total"] == 0
 
@@ -89,11 +84,12 @@ class TestActivationPaths:
         result = gala(karate, GalaConfig())
         assert result.manifest.sanitizer == {}
 
-    def test_enclosing_session_wins_over_config(self, karate):
+    def test_enclosing_session_wins_over_config(self, karate, monkeypatch):
         # an explicit surrounding session collects the findings; the
-        # config flag must not open a second, shadowing session
+        # REPRO_SANITIZE setting must not open a second, shadowing session
+        monkeypatch.setenv(analysis.ENV_VAR, "strict")
         with analysis.sanitized("fast") as san:
-            result = gala(karate, GalaConfig(sanitize="strict"))
+            result = gala(karate, GalaConfig())
         assert result.manifest.sanitizer["mode"] == "fast"
         assert san.log.clean
 

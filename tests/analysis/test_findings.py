@@ -139,7 +139,7 @@ class TestResolveSanitize:
         assert resolve_sanitize(spec).mode == "fast"
 
     def test_config_passthrough(self):
-        cfg = SanitizerConfig(mode="strict", racecheck=False)
+        cfg = SanitizerConfig(mode="strict")
         assert resolve_sanitize(cfg) is cfg
 
     def test_bad_mode_string_raises(self):

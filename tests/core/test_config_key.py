@@ -45,8 +45,7 @@ class TestCanonicalForm:
         base = GalaConfig().cache_key()
         assert GalaConfig(backend="gpusim").cache_key() == base
         assert GalaConfig(backend="jit").cache_key() == base
-        assert GalaConfig(gpusim_engine="scalar").cache_key() == base
-        assert GalaConfig(sanitize="fast").cache_key() == base
+        assert GalaConfig(runtime="multiprocess", ranks=3).cache_key() == base
 
     def test_seed_not_in_key(self):
         assert GalaConfig(seed=0).cache_key() == GalaConfig(seed=7).cache_key()
@@ -65,12 +64,21 @@ class TestExecutionFieldValidation:
         {"ranks": 2.5},
         {"ranks": True},
         {"backend": "bogus"},
-        {"gpusim_engine": "warp"},
+        {"ranks": "2"},
         {"runtime": "multiprocess", "backend": "gpusim"},
     ])
     def test_rejected_at_construction(self, bad):
         with pytest.raises(ValueError):
             GalaConfig(**bad)
+
+    @pytest.mark.parametrize("name", ["gpusim_engine", "sanitize"])
+    def test_test_oracles_are_not_fields(self, name):
+        # the simulator engine is chosen per kernel or by
+        # REPRO_GPUSIM_ENGINE, the sanitizer by analysis.sanitized() or
+        # REPRO_SANITIZE; neither is part of a run's config
+        assert name not in {f.name for f in dataclasses.fields(GalaConfig)}
+        with pytest.raises(TypeError):
+            GalaConfig(**{name: None})
 
     def test_callable_kernel_accepted(self):
         # a callable kernel is a Phase1Config value only: GalaConfig
@@ -101,10 +109,9 @@ class TestRoundTrip:
 
     def test_execution_fields_come_back_default(self):
         rebuilt = GalaConfig.from_cache_key(
-            GalaConfig(backend="gpusim", gpusim_engine="scalar", seed=5).cache_key()
+            GalaConfig(backend="gpusim", seed=5).cache_key()
         )
         assert rebuilt.backend == "auto"
-        assert rebuilt.gpusim_engine is None
         assert rebuilt.seed == 0
 
     def test_unknown_field_rejected(self):

@@ -256,6 +256,30 @@ class TestEngineOracle:
         with pytest.raises(ValueError):
             pruning_rates(result)
 
+    def test_oracle_and_strict_audit_share_one_probe(self, graph, monkeypatch):
+        """Oracle mode under a strict sanitizer runs one full-set decide
+        per iteration, which feeds both the FNR/FPR fields and the Lemma-5
+        audit."""
+        from repro import analysis
+
+        sizes = []
+        decide = LocalExecutor.decide
+
+        def counting(self, active_idx, active):
+            sizes.append(len(active_idx))
+            return decide(self, active_idx, active)
+
+        monkeypatch.setattr(LocalExecutor, "decide", counting)
+        with analysis.sanitized("strict") as san:
+            result = run_phase1(graph, Phase1Config(pruning="mg", oracle=True))
+        assert san.log.clean, san.log.render()
+        assert sizes == [graph.n] * result.num_iterations
+        for h in result.history:
+            assert h.oracle_moved is not None
+            assert h.false_negatives == 0  # MG's Lemma 5
+            assert h.false_positives is not None
+        assert pruning_rates(result).fnr == 0.0
+
 
 class TestDistributedWeightUpdateFactory:
     """The halo-exchange runtime goes through make_weight_updater, so the

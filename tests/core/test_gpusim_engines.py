@@ -169,17 +169,14 @@ class TestEngineSelection:
         assert k.shuffle.engine == "scalar"
         assert k.hash.engine == "scalar"
 
-    def test_gala_config_engine_passthrough(self):
-        cfg = GalaConfig(backend="gpusim", gpusim_engine="scalar")
-        assert cfg.phase1_config().kernel.engine == "scalar"
-
-    def test_gala_end_to_end_engines_agree(self):
+    def test_gala_end_to_end_engines_agree(self, monkeypatch):
         graph = load_dataset("LJ", scale=0.02)
-        out = {
-            e: gala(graph, GalaConfig(backend="gpusim", gpusim_engine=e,
-                                      phase1_only=True, max_iterations=4))
-            for e in ENGINES
-        }
+        cfg = GalaConfig(backend="gpusim", phase1_only=True, max_iterations=4)
+        out = {}
+        for e in ENGINES:
+            monkeypatch.setenv("REPRO_GPUSIM_ENGINE", e)
+            assert cfg.phase1_config().kernel.engine == e
+            out[e] = gala(graph, cfg)
         np.testing.assert_array_equal(
             out["batched"].communities, out["scalar"].communities
         )

@@ -52,24 +52,6 @@ class TestFromAssignment:
         assert s.modularity() == pytest.approx(modularity(g, comm))
 
 
-class TestRecompute:
-    def test_partial_recompute_matches_full(self, planted):
-        g, truth = planted
-        s = CommunityState.from_assignment(g, truth)
-        expected = s.d_comm.copy()
-        # poke a few entries, then partially recompute them
-        victims = np.array([0, 10, 50, 100])
-        s.d_comm[victims] = -99.0
-        s.recompute_d_comm(victims)
-        np.testing.assert_allclose(s.d_comm, expected)
-
-    def test_empty_vertex_list_noop(self, karate):
-        s = CommunityState.from_assignment(karate, np.zeros(karate.n, dtype=int))
-        before = s.d_comm.copy()
-        s.recompute_d_comm(np.empty(0, dtype=np.int64))
-        np.testing.assert_allclose(s.d_comm, before)
-
-
 class TestAggregates:
     def test_min_community_strength_ignores_empty(self, triangles):
         s = CommunityState.from_assignment(triangles, np.array([0, 0, 0, 5, 5, 5]))

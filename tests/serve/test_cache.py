@@ -110,7 +110,7 @@ class TestKeyCanonicalization:
         """Backends are bit-exact (the cross-runtime matrix), so a kernel
         or backend change hits the same cached result."""
         a = ResultCache.key("fp", GalaConfig(backend="vectorized"))
-        b = ResultCache.key("fp", GalaConfig(backend="gpusim", gpusim_engine="scalar"))
+        b = ResultCache.key("fp", GalaConfig(backend="gpusim"))
         assert a == b
 
     def test_graph_is_part_of_the_key(self):

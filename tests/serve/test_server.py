@@ -198,6 +198,10 @@ class TestDetectPath:
             {"runtime": "multiprocess", "backend": "gpusim"},
             # valid for gala(), but a pool worker never spawns ranks
             {"runtime": "multiprocess"},
+            # the simulator engine and the sanitizer are test oracles,
+            # not run settings: GalaConfig has no field for either
+            {"gpusim_engine": "batched"},
+            {"sanitize": "strict"},
         ],
     )
     def test_invalid_execution_field_400_on_miss_and_hit(self, bad):
