@@ -68,8 +68,8 @@ def test_ablation_remove_self_convention(run_once, graph):
 
 
 def test_ablation_sync_policy(run_once, graph):
-    """Adaptive sync must not lose to the dense policy and must track the
-    better fixed policy closely (byte-threshold choice, paper 4.3)."""
+    """Adaptive sync takes the cheaper priced mode every iteration, so it
+    never loses to either fixed policy (paper 4.3)."""
 
     def run_modes():
         return {
@@ -80,8 +80,7 @@ def test_ablation_sync_policy(run_once, graph):
         }
 
     times = run_once(run_modes)
-    assert times[SyncMode.ADAPTIVE] <= times[SyncMode.DENSE] + 1e-12
-    assert times[SyncMode.ADAPTIVE] <= 1.3 * min(
+    assert times[SyncMode.ADAPTIVE] <= min(
         times[SyncMode.DENSE], times[SyncMode.SPARSE]
     )
 

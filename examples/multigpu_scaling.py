@@ -41,8 +41,9 @@ def main(scale: float = 0.25) -> None:
             f"{t1 / total:>6.2f}x | {modes}"
         )
     print(
-        "\nsync modes per iteration: d = dense AllReduce (early, many "
-        "moves), s = sparse AllGather (late, few moves). Computation "
+        "\nsync modes per iteration: d = dense AllReduce, s = sparse "
+        "AllGather, whichever the communicator prices cheaper (dense "
+        "early on few devices, when many vertices move). Computation "
         "scales with devices; communication does not — which is why the "
         "paper's Figure 10 speedup is sub-linear."
     )

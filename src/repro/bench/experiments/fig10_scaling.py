@@ -69,11 +69,17 @@ def run(scale: float | None = None, graphs: list[str] | None = None) -> Experime
             "comm ratio differs at laptop scale)",
             "paper (b): compute drops 4.4x from 1->8 GPUs, comm nearly "
             "constant (43% of runtime at 8 GPUs)",
-            "sync bytes per run on OR @8 GPU (dense and sparse count a "
-            "vertex once, halo once per device that ghosts it): dense "
-            f"{sum(p.dense_bytes for p in plans) / 1e3:.0f} KB, sparse "
-            f"{sum(p.sparse_bytes for p in plans) / 1e3:.0f} KB, adaptive "
-            f"{sum(p.chosen_bytes for p in plans) / 1e3:.0f} KB, halo "
-            f"{sum(p.halo_bytes for p in plans) / 1e3:.0f} KB",
+            "sync per run on OR @8 GPU as bytes / priced time (dense and "
+            "sparse count a vertex once, halo once per device that ghosts "
+            "it; adaptive takes the cheaper of dense and sparse each "
+            "iteration): "
+            + ", ".join(
+                f"{label} {sum(getattr(p, f'{field}_bytes') for p in plans) / 1e3:.0f}"
+                f" KB / {sum(getattr(p, f'{field}_s') for p in plans) * 1e6:.0f} us"
+                for label, field in [
+                    ("dense", "dense"), ("sparse", "sparse"),
+                    ("adaptive", "chosen"), ("halo", "halo"),
+                ]
+            ),
         ],
     )

@@ -36,7 +36,7 @@ from repro import GalaConfig, gala, leiden
 from repro.core.gala import BACKENDS
 from repro.errors import KernelUnavailableError
 from repro.graph.generators import lfr_graph, LFRParams, rmat_graph
-from repro.graph.io import load_graph, save_edge_list
+from repro.graph.io import load_graph, save_edge_list, save_npz
 from repro.graph.stats import compute_stats
 from repro.metrics import coverage, mean_conductance
 
@@ -383,7 +383,9 @@ def _add_stats(sub: argparse._SubParsersAction) -> None:
 def _add_generate(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("generate", help="generate a synthetic graph")
     p.add_argument("kind", choices=["lfr", "rmat"])
-    p.add_argument("-o", "--output", required=True, help="edge-list output path")
+    p.add_argument("-o", "--output", required=True,
+                   help="output path: an edge list, or the binary format "
+                        "when it ends in .npz")
     p.add_argument("--n", type=int, default=10_000, help="vertices (lfr)")
     p.add_argument("--mu", type=float, default=0.3, help="LFR mixing parameter")
     p.add_argument("--scale", type=int, default=14, help="log2 vertices (rmat)")
@@ -576,7 +578,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.obs import load_manifest
     from repro.obs.report import render_diff, render_manifest
 
-    manifests = [load_manifest(path) for path in args.manifests]
+    manifests = []
+    for path in args.manifests:
+        try:
+            manifests.append(load_manifest(path))
+        except (OSError, ValueError) as exc:
+            print(f"repro report: cannot read manifest {path}: {exc}",
+                  file=sys.stderr)
+            return 2
     if len(manifests) == 1:
         print(render_manifest(manifests[0]))
         return 0
@@ -686,7 +695,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         graph = rmat_graph(args.scale, edge_factor=args.edge_factor,
                            seed=args.seed)
-    save_edge_list(graph, args.output)
+    if args.output.endswith(".npz"):
+        save_npz(graph, args.output)
+    else:
+        save_edge_list(graph, args.output)
     print(f"wrote {graph.name} (n={graph.n}, m={graph.num_edges}) "
           f"to {args.output}")
     return 0

@@ -26,6 +26,8 @@ multi-GPU, and multiprocess runtimes.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
@@ -37,6 +39,7 @@ import numpy as np
 from repro import analysis
 from repro.core.pruning.base import IterationContext, PruningStrategy, make_strategy
 from repro.core.state import CommunityState
+from repro.core.weights import make_weight_updater
 from repro.obs import _session as obs
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.utils.rng import SeedLike, as_generator
@@ -309,6 +312,38 @@ class OracleProbe:
 # --------------------------------------------------------------------- #
 # algorithm configuration / result
 # --------------------------------------------------------------------- #
+def check_config_fields(
+    config, bools: tuple[str, ...], counts: tuple[str, ...]
+) -> None:
+    """Reject a config whose run would fail midway or compute nonsense,
+    at construction. The algorithmic fields go through the resolvers the
+    run uses; each of ``bools`` must be a bool and each of ``counts`` an
+    integer >= 1."""
+    make_strategy(config.pruning)
+    make_weight_updater(config.weight_update)
+    ConvergenceTracker.check(config.theta, config.patience)
+    resolution = config.resolution
+    if (
+        not isinstance(resolution, numbers.Real)
+        or isinstance(resolution, bool)
+        or not math.isfinite(resolution)
+    ):
+        raise ValueError(f"resolution must be a finite number, got {resolution!r}")
+    for name in bools:
+        if not isinstance(getattr(config, name), bool):
+            raise ValueError(
+                f"{name} must be true or false, got {getattr(config, name)!r}"
+            )
+    for name in counts:
+        value = getattr(config, name)
+        if (
+            not isinstance(value, numbers.Integral)
+            or isinstance(value, bool)
+            or value < 1
+        ):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass
 class AlgorithmConfig:
     """The algorithmic fields every phase-1 runtime shares.
@@ -358,6 +393,11 @@ class AlgorithmConfig:
     max_iterations: int = 500
     oracle: bool = False
     seed: SeedLike = 0
+
+    def __post_init__(self) -> None:
+        check_config_fields(
+            self, bools=("remove_self", "oracle"), counts=("max_iterations",)
+        )
 
     def engine_config(self) -> "AlgorithmConfig":
         """A copy of this config for :func:`run_engine` (callers may

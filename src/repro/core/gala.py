@@ -13,17 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from repro.core.engine import AlgorithmConfig, ConvergenceTracker
+from repro.core.engine import AlgorithmConfig, check_config_fields
 from repro.core.kernels.vectorized import KERNEL_NAMES
 from repro.core.louvain import LouvainResult, louvain
 from repro.core.phase1 import Phase1Config, Phase1Result, run_phase1
-from repro.core.pruning import make_strategy
-from repro.core.weights import make_weight_updater
 from repro.graph.csr import CSRGraph
 
 if TYPE_CHECKING:
@@ -127,22 +123,11 @@ class GalaConfig:
         # semantic config exists (the server turns it into a 400), and a
         # run that would fail midway or compute nonsense never starts.
         # Semantic fields go through the same resolvers the run uses.
-        make_strategy(self.pruning)
-        make_weight_updater(self.weight_update)
-        ConvergenceTracker.check(self.theta, self.patience)
-        if (
-            not isinstance(self.resolution, numbers.Real)
-            or isinstance(self.resolution, bool)
-            or not math.isfinite(self.resolution)
-        ):
-            raise ValueError(
-                f"resolution must be a finite number, got {self.resolution!r}"
-            )
-        for name in ("remove_self", "phase1_only"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(
-                    f"{name} must be true or false, got {getattr(self, name)!r}"
-                )
+        check_config_fields(
+            self,
+            bools=("remove_self", "phase1_only"),
+            counts=("ranks", "max_iterations", "max_rounds"),
+        )
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of "
@@ -159,14 +144,6 @@ class GalaConfig:
                 "vectorized or jit); its rank workers do not run the "
                 "simulated GPU"
             )
-        for name in ("ranks", "max_iterations", "max_rounds"):
-            value = getattr(self, name)
-            if (
-                not isinstance(value, numbers.Integral)
-                or isinstance(value, bool)
-                or value < 1
-            ):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     def cache_key(self) -> str:
         """Canonical serialization of the *semantic* configuration.

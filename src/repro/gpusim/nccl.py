@@ -11,15 +11,11 @@ after each iteration, choosing between:
   communicator prices them).
 
 The collectives here move real NumPy data between the simulated devices'
-buffers *and* charge a standard ring-algorithm cost:
-
-* ring AllReduce of ``B`` bytes on ``k`` ranks: ``2 (k-1)/k * B / bw``
-  plus ``2 (k-1)`` hop latencies;
-* ring AllGather of ``B`` bytes per rank: ``(k-1) * B / bw`` plus
-  ``(k-1)`` hop latencies;
-* point-to-point round in which rank ``r`` sends ``m_r`` messages of
-  ``B_r`` bytes in all: ``max_r (m_r * latency + B_r / bw)`` — a rank's
-  sends share its link, and the round ends with its slowest rank.
+buffers *and* charge a standard ring-algorithm or point-to-point cost.
+Each cost formula is one pricing method (:meth:`Communicator.allreduce_seconds`,
+:meth:`~Communicator.allgather_seconds`,
+:meth:`~Communicator.point_to_point_seconds`), which the collectives
+charge through and the multi-GPU sync plan prices with.
 
 Each participating device is charged the same wall-clock (collectives are
 bulk-synchronous), converted to cycles via the device clock so computation
@@ -53,12 +49,15 @@ class Communicator:
         return len(self.devices)
 
     # ------------------------------------------------------------------ #
-    def _charge_all(self, seconds: float, bucket: str) -> None:
+    def charge(self, seconds: float, bucket: str) -> None:
+        """Charge ``seconds`` to ``bucket`` on every device, in its cycles."""
         for dev in self.devices:
             cycles = seconds * dev.config.clock_hz
             dev.profiler.charge(bucket, cycles)
 
-    def _ring_allreduce_seconds(self, nbytes: float) -> float:
+    def allreduce_seconds(self, nbytes: float) -> float:
+        """Ring AllReduce of ``nbytes`` on ``k`` ranks:
+        ``2 (k-1)/k * nbytes / bw`` plus ``2 (k-1)`` hop latencies."""
         k = self.size
         if k == 1:
             return 0.0
@@ -67,14 +66,31 @@ class Communicator:
         lat_time = 2.0 * (k - 1) * cfg.interconnect_latency
         return bw_time + lat_time
 
-    def _ring_allgather_seconds(self, nbytes_per_rank: float) -> float:
+    def allgather_seconds(self, max_chunk_bytes: float) -> float:
+        """Ring AllGather, lockstep, so priced by the largest rank chunk:
+        ``(k-1) * max_chunk_bytes / bw`` plus ``(k-1)`` hop latencies."""
         k = self.size
         if k == 1:
             return 0.0
         cfg = self.devices[0].config
-        bw_time = (k - 1) * nbytes_per_rank / cfg.interconnect_bandwidth
+        bw_time = (k - 1) * max_chunk_bytes / cfg.interconnect_bandwidth
         lat_time = (k - 1) * cfg.interconnect_latency
         return bw_time + lat_time
+
+    def point_to_point_seconds(
+        self, rank_bytes: Sequence[int], rank_messages: Sequence[int]
+    ) -> float:
+        """A round in which rank ``r`` sends ``m_r`` messages of ``B_r``
+        bytes in all: ``max_r (m_r * latency + B_r / bw)`` — a rank's
+        sends share its link, and the round ends with its slowest rank."""
+        if len(rank_bytes) != self.size or len(rank_messages) != self.size:
+            raise DeviceError("need exactly one byte and message count per rank")
+        cfg = self.devices[0].config
+        return max(
+            messages * cfg.interconnect_latency
+            + nbytes / cfg.interconnect_bandwidth
+            for nbytes, messages in zip(rank_bytes, rank_messages)
+        )
 
     # ------------------------------------------------------------------ #
     def all_reduce_max(
@@ -87,7 +103,7 @@ class Communicator:
         buffer size.
         """
         self._validate_buffers(buffers)
-        seconds = self._ring_allreduce_seconds(buffers[0].nbytes)
+        seconds = self.allreduce_seconds(buffers[0].nbytes)
         with obs.span(
             "nccl/allreduce_max",
             bytes=int(buffers[0].nbytes),
@@ -98,7 +114,7 @@ class Communicator:
             out = buffers[0].copy()
             for buf in buffers[1:]:
                 np.maximum(out, buf, out=out)
-        self._charge_all(seconds, bucket)
+        self.charge(seconds, bucket)
         self._count_bytes(out.nbytes, dense=True)
         obs.inc("nccl/collectives")
         return out
@@ -106,15 +122,13 @@ class Communicator:
     def all_gather(
         self, chunks: list[np.ndarray], bucket: str = "comm_sparse"
     ) -> np.ndarray:
-        """Concatenate every rank's chunk on every rank (sparse sync).
-
-        Cost follows the *largest* per-rank chunk (ring steps are lockstep).
-        """
+        """Concatenate every rank's chunk on every rank (sparse sync),
+        charged by the *largest* per-rank chunk."""
         if len(chunks) != self.size:
             raise DeviceError("need exactly one chunk per rank")
-        max_bytes = max((np.atleast_1d(c).nbytes for c in chunks), default=0)
-        total_bytes = sum(np.atleast_1d(c).nbytes for c in chunks)
-        seconds = self._ring_allgather_seconds(max_bytes)
+        chunks = [np.atleast_1d(c) for c in chunks]
+        total_bytes = sum(c.nbytes for c in chunks)
+        seconds = self.allgather_seconds(max(c.nbytes for c in chunks))
         with obs.span(
             "nccl/allgather",
             bytes=int(total_bytes),
@@ -122,8 +136,8 @@ class Communicator:
             simulated_seconds=seconds,
             bucket=bucket,
         ):
-            out = np.concatenate([np.atleast_1d(c) for c in chunks])
-        self._charge_all(seconds, bucket)
+            out = np.concatenate(chunks)
+        self.charge(seconds, bucket)
         self._count_bytes(total_bytes, dense=False)
         obs.inc("nccl/collectives")
         return out
@@ -135,18 +149,9 @@ class Communicator:
         bucket: str = "comm_halo",
     ) -> None:
         """Charge one bulk-synchronous round of point-to-point sends (the
-        halo exchange): rank ``r`` sends ``rank_messages[r]`` messages
-        of ``rank_bytes[r]`` bytes in all. Every device is charged the
-        slowest rank's time."""
-        if len(rank_bytes) != self.size or len(rank_messages) != self.size:
-            raise DeviceError("need exactly one byte and message count per rank")
-        cfg = self.devices[0].config
-        seconds = max(
-            messages * cfg.interconnect_latency
-            + nbytes / cfg.interconnect_bandwidth
-            for nbytes, messages in zip(rank_bytes, rank_messages)
-        )
-        self._charge_all(seconds, bucket)
+        halo exchange) to every device."""
+        seconds = self.point_to_point_seconds(rank_bytes, rank_messages)
+        self.charge(seconds, bucket)
 
     # ------------------------------------------------------------------ #
     def _validate_buffers(self, buffers: list[np.ndarray]) -> None:

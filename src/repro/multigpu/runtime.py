@@ -64,6 +64,10 @@ class MultiGpuConfig(AlgorithmConfig):
     sync_mode: SyncMode = SyncMode.ADAPTIVE
     device_config: DeviceConfig = field(default_factory=DeviceConfig)
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.sync_mode = SyncMode(self.sync_mode)
+
 
 @dataclass
 class MultiGpuResult(RankResult):
@@ -164,45 +168,24 @@ class MultiGpuExecutor(HaloExecutor):
         )
 
     def _sync(self, next_comm: np.ndarray, moved: np.ndarray) -> np.ndarray:
-        cfg = self.config
         movers = self.rank_movers(moved)
-        num_moved = sum(len(m) for m in movers)
         messages = self.halo_messages(movers)
-        rank_bytes, rank_messages = halo_volume(messages)
+        halo = halo_volume(messages)
 
         # synchronise the new assignment across devices
         plan = choose_sync_mode(
-            self.state.graph.n, num_moved, cfg.sync_mode, sum(rank_bytes)
+            self.state.graph.n, movers, halo, self.communicator, self.config.sync_mode
         )
         self._last_plan = plan
         self.iteration_comm = (plan.chosen_bytes, 0)
-        with obs.span(
-            "sync/" + plan.mode.value,
-            bytes=plan.chosen_bytes,
-            moved=num_moved,
-            dense_bytes=plan.dense_bytes,
-            sparse_bytes=plan.sparse_bytes,
-            halo_bytes=plan.halo_bytes,
-        ):
+        with obs.span("sync/" + plan.mode.value, **plan.record()):
             if plan.mode is SyncMode.DENSE:
-                merged = dense_sync_comm(
-                    [next_comm] * cfg.num_gpus, self.owned_masks, self.communicator
-                )
+                merged = dense_sync_comm(next_comm, self.owned_masks, self.communicator)
             elif plan.mode is SyncMode.HALO:
                 merged = self._halo_sync(next_comm, movers, messages)
-                self.communicator.point_to_point(rank_bytes, rank_messages)
+                self.communicator.point_to_point(*halo)
             else:
                 merged = sparse_sync_comm(next_comm, movers, self.communicator)
-                if cfg.num_gpus > 1:
-                    # local scatter overhead of the sparse representation — a
-                    # bulk rearrangement kernel, so charged at streaming rates
-                    for dev in self.devices:
-                        dev.profiler.charge(
-                            "comm_sparse_scatter",
-                            dev.config.cost.access(
-                                MemoryKind.GLOBAL, max(num_moved, 1), coalesced=True
-                            ),
-                        )
         obs.inc("sync/plan_bytes_total", plan.chosen_bytes)
         np.testing.assert_array_equal(merged, next_comm)  # sync soundness
 

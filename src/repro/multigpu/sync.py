@@ -14,18 +14,25 @@ scheme of distributed-memory Louvain (Vite [24]):
   (:mod:`repro.multigpu.halo`). Volume is O(boundary movers), in
   point-to-point messages.
 
-The adaptive policy compares the dense and sparse volumes each iteration
-and picks the cheaper one, which is exactly the paper's "threshold
-according to communication size". Every plan also reports the halo
-volume of the same iteration, so the three can be read side by side.
+Each mode is priced by the communicator's formula for what its builder
+moves, so a plan's seconds are what the devices are charged. Adaptive
+picks sparse iff that price is below dense's (the paper's "threshold
+according to communication size"); halo runs only when requested.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
+
+from repro.gpusim.costmodel import MemoryKind
+from repro.gpusim.nccl import Communicator
+
+#: the element of both collectives' buffers: community and vertex ids
+SYNC_DTYPE = np.dtype(np.int64)
 
 
 class SyncMode(str, Enum):
@@ -35,97 +42,102 @@ class SyncMode(str, Enum):
     ADAPTIVE = "adaptive"
 
 
-#: bytes synchronised per vertex in dense mode: community id (8) +
-#: movement flag (1) + community weight (8)
-DENSE_BYTES_PER_VERTEX = 17
-#: bytes per moved vertex in sparse mode: vertex id (8) + community id (8)
-#: + community weight (8)
-SPARSE_BYTES_PER_MOVED = 24
-
-
 @dataclass(frozen=True)
 class SyncPlan:
-    """The volume comparison behind one iteration's mode choice."""
+    """Every mode's bytes and priced seconds in one iteration (halo's
+    summed over ranks), and the mode chosen."""
 
     mode: SyncMode
+    num_moved: int
     dense_bytes: int
     sparse_bytes: int
-    num_moved: int
-    n: int
-    #: what the halo exchange of the same movers carries, all ranks summed
-    halo_bytes: int = 0
+    halo_bytes: int
+    dense_s: float
+    sparse_s: float
+    halo_s: float
 
     @property
     def chosen_bytes(self) -> int:
-        if self.mode is SyncMode.DENSE:
-            return self.dense_bytes
-        if self.mode is SyncMode.HALO:
-            return self.halo_bytes
-        return self.sparse_bytes
+        return getattr(self, f"{self.mode.value}_bytes")
+
+    @property
+    def chosen_s(self) -> float:
+        return getattr(self, f"{self.mode.value}_s")
+
+    def record(self) -> dict:
+        """The choice and its inputs: the sync span args, the metrics record."""
+        prices = {
+            f"{m}_{u}": getattr(self, f"{m}_{u}")
+            for m in ("dense", "sparse", "halo") for u in ("bytes", "s")
+        }
+        return {"bytes": self.chosen_bytes, "seconds": self.chosen_s,
+                "moved": self.num_moved, **prices}
 
 
 def choose_sync_mode(
     n: int,
-    num_moved: int,
+    movers: Sequence[np.ndarray],
+    halo: tuple[Sequence[int], Sequence[int]],
+    communicator: Communicator,
     requested: SyncMode = SyncMode.ADAPTIVE,
-    halo_bytes: int = 0,
 ) -> SyncPlan:
-    """Pick the sync mode of one iteration.
-
-    In adaptive mode, sparse wins when its total volume (every rank
-    gathering every other rank's moved set) is below the dense AllReduce
-    volume; halo runs only when requested.
-    """
-    dense_bytes = n * DENSE_BYTES_PER_VERTEX
-    sparse_bytes = num_moved * SPARSE_BYTES_PER_MOVED
+    """Price one iteration's sync in every mode, on the buffers each mode
+    builds from ``movers`` (per rank) and the halo exchange's per-rank
+    bytes and messages ``halo``, and pick one. A tie (one device, where
+    every price is 0) goes to dense."""
+    num_moved = sum(len(ids) for ids in movers)
+    dense_bytes = n * SYNC_DTYPE.itemsize
+    dense_s = communicator.allreduce_seconds(dense_bytes)
+    chunk_bytes = [2 * len(ids) * SYNC_DTYPE.itemsize for ids in movers]
+    sparse_s = communicator.allgather_seconds(max(chunk_bytes))
+    sparse_s += _scatter_seconds(communicator, num_moved)
     if requested is SyncMode.ADAPTIVE:
-        mode = SyncMode.SPARSE if sparse_bytes < dense_bytes else SyncMode.DENSE
-    else:
-        mode = requested
+        requested = SyncMode.SPARSE if sparse_s < dense_s else SyncMode.DENSE
     return SyncPlan(
-        mode=mode,
-        dense_bytes=dense_bytes,
-        sparse_bytes=sparse_bytes,
-        num_moved=num_moved,
-        n=n,
-        halo_bytes=halo_bytes,
+        mode=requested, num_moved=num_moved,
+        dense_bytes=dense_bytes, dense_s=dense_s,
+        sparse_bytes=sum(chunk_bytes), sparse_s=sparse_s,
+        halo_bytes=sum(halo[0]), halo_s=communicator.point_to_point_seconds(*halo),
     )
 
 
-def dense_sync_comm(comm_chunks, owners_masks, communicator):
-    """Dense AllReduce of the full community array.
+def dense_sync_comm(comm, owned_masks, communicator):
+    """Dense max-AllReduce of the community array: each rank contributes
+    ``comm`` on its owned entries and ``-1`` elsewhere, so the maximum
+    (community ids are non-negative) is the global array."""
+    return communicator.all_reduce_max(
+        [np.where(mask, comm, -1).astype(SYNC_DTYPE) for mask in owned_masks]
+    )
 
-    Each rank contributes a full-length buffer holding its owned entries
-    and ``-1`` elsewhere; a max-AllReduce reconstructs the global array
-    (community ids are non-negative).
-    """
-    buffers = []
-    for chunk, mask in zip(comm_chunks, owners_masks):
-        buf = np.full(len(mask), -1, dtype=np.int64)
-        buf[mask] = chunk[mask]
-        buffers.append(buf)
-    return communicator.all_reduce_max(buffers)
+
+def _scatter_seconds(communicator: Communicator, num_moved: int) -> float:
+    """The local scatter of the gathered pairs ("slight data rearrangement
+    overhead"): a bulk kernel at streaming rates; none on one device."""
+    if communicator.size == 1:
+        return 0.0
+    cfg = communicator.devices[0].config
+    cycles = cfg.cost.access(MemoryKind.GLOBAL, max(num_moved, 1), coalesced=True)
+    return cycles / cfg.clock_hz
 
 
 def sparse_sync_comm(comm, moved_ids_per_rank, communicator):
-    """Sparse AllGather of (vertex, community) pairs of moved vertices.
+    """Sparse AllGather of (vertex, community) pairs of moved vertices,
+    then each device's local scatter, both charged.
 
     ``comm`` is each rank's pre-sync array (identical across ranks for the
     unmoved entries); moved entries are patched in from the gathered pairs.
     Returns the patched array.
     """
-    pairs = []
-    for ids in moved_ids_per_rank:
-        ids = np.asarray(ids, dtype=np.int64)
-        pairs.append(np.stack([ids, comm[ids]]) if len(ids) else np.empty((2, 0), dtype=np.int64))
-    flat = [p.ravel() for p in pairs]
-    gathered = communicator.all_gather(flat)
-    # Rebuild: consume each rank's (ids, values) block.
+    ids_per_rank = [np.asarray(ids, dtype=SYNC_DTYPE) for ids in moved_ids_per_rank]
+    gathered = communicator.all_gather(
+        [np.concatenate([ids, comm[ids]]) for ids in ids_per_rank]
+    )
     out = comm.copy()
     offset = 0
-    for p in pairs:
-        k = p.shape[1]
-        block = gathered[offset: offset + 2 * k].reshape(2, k)
-        out[block[0]] = block[1]
-        offset += 2 * k
+    for ids in ids_per_rank:  # consume each rank's (ids, values) block
+        block_ids, values = gathered[offset : offset + 2 * len(ids)].reshape(2, -1)
+        out[block_ids] = values
+        offset += 2 * len(ids)
+    scatter_s = _scatter_seconds(communicator, offset // 2)
+    communicator.charge(scatter_s, "comm_sparse_scatter")
     return out

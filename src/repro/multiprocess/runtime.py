@@ -120,6 +120,7 @@ class MultiprocessConfig(AlgorithmConfig):
     mp_context: str | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.kernel not in KERNEL_NAMES:
             raise ValueError(
                 f"unknown rank kernel {self.kernel!r}; expected one of "

@@ -79,9 +79,7 @@ class ObsSession:
             record = dataclasses.asdict(trace)
             record["sync_plan"] = None if plan is None else {
                 "mode": str(plan.mode.value),
-                "dense_bytes": plan.dense_bytes,
-                "sparse_bytes": plan.sparse_bytes,
-                "halo_bytes": plan.halo_bytes,
+                **plan.record(),
             }
             record["kind"] = "iteration"
             record["runtime"] = runtime

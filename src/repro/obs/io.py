@@ -41,8 +41,12 @@ def save_manifest(manifest: RunManifest, path: str) -> None:
 
 
 def load_manifest(path: str) -> RunManifest:
+    """Read a manifest file; ``ValueError`` when it is not a JSON object."""
     with open(path) as fh:
-        return RunManifest.from_dict(json.load(fh))
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    return RunManifest.from_dict(data)
 
 
 class MetricsWriter:

@@ -118,6 +118,37 @@ class TestConvergenceTracker:
             run_phase1(ring, Phase1Config(theta=-1e-6))
 
 
+class TestConfigValidation:
+    """Every runtime's config rejects a bad value at construction, with
+    the checks and messages ``GalaConfig`` uses."""
+
+    CASES = {
+        "phase1-negative-iterations": (Phase1Config, {"max_iterations": -1}, "max_iterations"),
+        "phase1-fractional-iterations": (Phase1Config, {"max_iterations": 2.5}, "max_iterations"),
+        "phase1-oracle-str": (Phase1Config, {"oracle": "yes"}, "oracle"),
+        "phase1-pruning": (Phase1Config, {"pruning": "bogus"}, "pruning"),
+        "multigpu-resolution-str": (MultiGpuConfig, {"resolution": "x"}, "resolution"),
+        "multigpu-resolution-nan": (MultiGpuConfig, {"resolution": float("nan")}, "resolution"),
+        "multigpu-remove_self-int": (MultiGpuConfig, {"remove_self": 1}, "remove_self"),
+        "multigpu-weight_update": (MultiGpuConfig, {"weight_update": "bogus"}, "weight update"),
+        "multigpu-sync_mode": (MultiGpuConfig, {"sync_mode": "bogus"}, "SyncMode"),
+        "multiprocess-patience": (MultiprocessConfig, {"patience": 0}, "patience"),
+        "multiprocess-theta": (MultiprocessConfig, {"theta": -1.0}, "theta"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bad_value_rejected_at_construction(self, case):
+        cls, kwargs, match = self.CASES[case]
+        with pytest.raises(ValueError, match=match):
+            cls(**kwargs)
+
+    def test_sync_mode_by_name(self, graph):
+        cfg = MultiGpuConfig(num_gpus=2, sync_mode="halo")
+        assert cfg.sync_mode is SyncMode.HALO
+        r = run_multigpu_phase1(graph, cfg)
+        assert {h.sync_plan.mode for h in r.history} == {SyncMode.HALO}
+
+
 class TestUnifiedTraceSchema:
     def test_phase1_aliases_are_engine_types(self):
         assert Phase1Result is EngineResult

@@ -14,12 +14,19 @@ from repro.multigpu import (
     choose_sync_mode,
     run_multigpu_phase1,
 )
-from repro.multigpu.sync import (
-    DENSE_BYTES_PER_VERTEX,
-    SPARSE_BYTES_PER_MOVED,
-    dense_sync_comm,
-    sparse_sync_comm,
-)
+from repro.multigpu.runtime import MultiGpuExecutor
+from repro.multigpu.sync import dense_sync_comm, sparse_sync_comm
+
+
+def make_comm(k):
+    return Communicator([Device(device_id=i) for i in range(k)])
+
+
+def plan_for(n, movers, k=2, requested=SyncMode.ADAPTIVE):
+    """The plan of an iteration whose rank ``r`` moved ``movers[r]``
+    vertices and whose halo exchange is silent."""
+    ids = [np.arange(m, dtype=np.int64) for m in movers]
+    return choose_sync_mode(n, ids, ([0] * k, [0] * k), make_comm(k), requested)
 
 
 @pytest.fixture(scope="module")
@@ -29,23 +36,53 @@ def graph():
 
 class TestChooseSyncMode:
     def test_dense_when_everything_moves(self):
-        plan = choose_sync_mode(n=1000, num_moved=900)
+        plan = plan_for(1_000_000, [450_000, 450_000])
         assert plan.mode is SyncMode.DENSE
+        assert plan.chosen_bytes == 1_000_000 * 8
+        assert plan.chosen_s == plan.dense_s < plan.sparse_s
 
     def test_sparse_when_little_moves(self):
-        plan = choose_sync_mode(n=1000, num_moved=5)
+        plan = plan_for(1000, [3, 2])
         assert plan.mode is SyncMode.SPARSE
-        assert plan.chosen_bytes == 5 * SPARSE_BYTES_PER_MOVED
+        # one int64 id and one int64 community per mover
+        assert plan.chosen_bytes == 5 * 16
+        assert plan.chosen_s == plan.sparse_s < plan.dense_s
 
     def test_threshold_crossover(self):
-        n = 1200
-        threshold = n * DENSE_BYTES_PER_VERTEX // SPARSE_BYTES_PER_MOVED
-        assert choose_sync_mode(n, threshold - 1).mode is SyncMode.SPARSE
-        assert choose_sync_mode(n, threshold + 1).mode is SyncMode.DENSE
+        """ADAPTIVE switches where the priced seconds cross: sparse
+        strictly below dense, never on the byte counts alone."""
+        n = 1_000_000
+
+        def mode(moved):
+            return plan_for(n, [moved, 0]).mode
+
+        lo, hi = 0, n
+        assert mode(lo) is SyncMode.SPARSE and mode(hi) is SyncMode.DENSE
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if mode(mid) is SyncMode.SPARSE else (lo, mid)
+        below, above = plan_for(n, [lo, 0]), plan_for(n, [hi, 0])
+        assert below.sparse_s < below.dense_s <= above.sparse_s
+
+    def test_sparse_priced_by_the_largest_chunk(self):
+        """The ring AllGather is lockstep: one busy rank prices the
+        gather, whatever the total."""
+        skewed, even = plan_for(10**6, [1000, 0]), plan_for(10**6, [500, 500])
+        assert skewed.sparse_bytes == even.sparse_bytes
+        assert skewed.sparse_s > even.sparse_s
+
+    def test_ties_go_dense(self):
+        # one device: every price is 0 s
+        plan = plan_for(1000, [5], k=1)
+        assert plan.dense_s == plan.sparse_s == plan.halo_s == 0.0
+        assert plan.mode is SyncMode.DENSE
 
     def test_forced_modes(self):
-        assert choose_sync_mode(10, 0, SyncMode.DENSE).mode is SyncMode.DENSE
-        assert choose_sync_mode(10, 10, SyncMode.SPARSE).mode is SyncMode.SPARSE
+        # each forced against the cheaper price
+        plan = plan_for(1000, [5, 0], requested=SyncMode.DENSE)
+        assert plan.mode is SyncMode.DENSE and plan.chosen_s > plan.sparse_s
+        plan = plan_for(10**6, [450_000, 450_000], requested=SyncMode.SPARSE)
+        assert plan.mode is SyncMode.SPARSE and plan.chosen_s > plan.dense_s
 
 
 class TestSyncPrimitives:
@@ -53,7 +90,7 @@ class TestSyncPrimitives:
         comm = Communicator([Device(device_id=i) for i in range(2)])
         full = np.array([3, 1, 4, 1, 5], dtype=np.int64)
         masks = [np.array([1, 1, 0, 0, 0], bool), np.array([0, 0, 1, 1, 1], bool)]
-        merged = dense_sync_comm([full, full], masks, comm)
+        merged = dense_sync_comm(full, masks, comm)
         np.testing.assert_array_equal(merged, full)
 
     def test_sparse_reconstructs(self):
@@ -105,24 +142,67 @@ class TestScalingShape:
         assert 1.0 < speedup < 8.0
 
     def test_adaptive_switches_modes(self, graph):
-        r = run_multigpu_phase1(graph, MultiGpuConfig(num_gpus=4))
-        modes = {h.sync_plan.mode for h in r.history}
-        assert modes == {SyncMode.DENSE, SyncMode.SPARSE}
+        """At 2 devices the prices cross mid-run: dense while most
+        vertices move, sparse once few do."""
+        r = run_multigpu_phase1(graph, MultiGpuConfig(num_gpus=2))
+        modes = "".join(h.sync_plan.mode.value[0] for h in r.history)
+        assert modes == "ddd" + "s" * (len(modes) - 3)
 
-    def test_adaptive_competitive_with_fixed(self, graph):
-        """Adaptive picks by byte volume (the paper's threshold), which is
-        time-optimal once buffers are big enough to be bandwidth-bound; at
-        latency-bound toy sizes it must still be no worse than dense and
-        within a small factor of the best fixed policy."""
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_adaptive_picks_the_cheaper_price(self, graph, k):
+        """Every iteration's choice is the argmin of the two prices."""
+        r = run_multigpu_phase1(graph, MultiGpuConfig(num_gpus=k))
+        for h in r.history:
+            p = h.sync_plan
+            assert p.chosen_s == min(p.dense_s, p.sparse_s)
+            assert (p.mode is SyncMode.SPARSE) == (p.sparse_s < p.dense_s)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    @pytest.mark.parametrize("abbr", ["LJ", "OR"])
+    def test_adaptive_never_worse_than_fixed(self, abbr, k):
+        """The trajectory does not depend on the sync mode, so taking the
+        cheaper price in every iteration never loses to a fixed policy."""
+        g = load_dataset(abbr, scale=0.1)
 
         def comm_time(mode):
-            r = run_multigpu_phase1(
-                graph, MultiGpuConfig(num_gpus=4, sync_mode=mode)
-            )
-            return r.comm_seconds()
+            cfg = MultiGpuConfig(num_gpus=k, sync_mode=mode)
+            return run_multigpu_phase1(g, cfg).comm_seconds()
 
         adaptive = comm_time(SyncMode.ADAPTIVE)
-        dense = comm_time(SyncMode.DENSE)
-        sparse = comm_time(SyncMode.SPARSE)
-        assert adaptive <= dense + 1e-12
-        assert adaptive <= 1.3 * min(dense, sparse)
+        assert adaptive <= min(comm_time(SyncMode.DENSE), comm_time(SyncMode.SPARSE))
+
+
+class _MeteredExecutor(MultiGpuExecutor):
+    """Records, per iteration, the plan next to what device 0 was
+    charged and what the collective (or the halo exchange) moved."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.iterations = []
+
+    def _meter(self):
+        dev = self.devices[0]
+        comm = sum(c for b, c in dev.profiler.cycles.items() if b.startswith("comm"))
+        moved = sum(dev.profiler.counters.get(k, 0) for k in ("dense_bytes", "sparse_bytes"))
+        return dev.cycles_to_seconds(comm), moved + self.stats.bytes_sent
+
+    def _sync(self, next_comm, moved):
+        seconds, nbytes = self._meter()
+        merged = super()._sync(next_comm, moved)
+        after_s, after_bytes = self._meter()
+        self.iterations.append((self._last_plan, after_s - seconds, after_bytes - nbytes))
+        return merged
+
+
+class TestPlanEqualsCharge:
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    @pytest.mark.parametrize("mode", list(SyncMode))
+    def test_chosen_price_is_what_devices_pay(self, graph, mode, k):
+        ex = _MeteredExecutor(graph, MultiGpuConfig(num_gpus=k, sync_mode=mode))
+        ex.run()
+        assert ex.iterations
+        for plan, charged_s, moved_bytes in ex.iterations:
+            if mode is not SyncMode.ADAPTIVE:
+                assert plan.mode is mode
+            assert charged_s == pytest.approx(plan.chosen_s, rel=1e-12)
+            assert moved_bytes == plan.chosen_bytes

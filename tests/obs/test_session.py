@@ -229,6 +229,27 @@ class TestRuntimeSpans:
         ]
         assert all("dense_bytes" in e["args"] for e in sync)
 
+    def test_sync_choice_leaves_its_inputs(self, karate, tmp_path):
+        """Every sync span and metrics record carries the three priced
+        seconds the plan compared, next to the bytes."""
+        trace, metrics = tmp_path / "t.json", tmp_path / "m.jsonl"
+        with obs.session(trace=str(trace), metrics=str(metrics)):
+            result = run_multigpu_phase1(karate, MultiGpuConfig(num_gpus=2))
+        plans = [h.sync_plan for h in result.history]
+        spans = [
+            e["args"] for e in json.load(open(trace))["traceEvents"]
+            if e["name"].startswith("sync/")
+        ]
+        records = [
+            r["sync_plan"] for r in read_metrics_jsonl(str(metrics))
+            if r.get("kind") == "iteration"
+        ]
+        assert len(spans) == len(records) == len(plans)
+        for plan, args, record in zip(plans, spans, records):
+            for key in ("dense_s", "sparse_s", "halo_s", "dense_bytes", "seconds"):
+                assert args[key] == record[key] == plan.record()[key]
+            assert record["mode"] == plan.mode.value
+
     def test_gpusim_trace_has_kernel_spans(self, karate, tmp_path):
         path = tmp_path / "t.json"
         with obs.session(trace=str(path)):

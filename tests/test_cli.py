@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.graph.io import save_edge_list
+from repro.graph.io import load_graph, save_edge_list
 
 
 @pytest.fixture
@@ -72,6 +72,18 @@ class TestStatsAndGenerate:
             "generate", "rmat", "--scale", "8", "-o", str(path), "--seed", "2",
         ]) == 0
         assert path.exists()
+
+    def test_generate_npz_suffix_writes_npz(self, tmp_path, capsys):
+        """``-o g.npz`` writes the binary format ``detect`` loads by that
+        suffix, holding the same graph as the edge list."""
+        args = ["generate", "lfr", "--n", "300", "--mu", "0.2", "--seed", "4"]
+        npz, text = tmp_path / "g.npz", tmp_path / "g.txt"
+        assert main(args + ["-o", str(npz)]) == 0
+        assert main(args + ["-o", str(text)]) == 0
+        from_npz, from_text = load_graph(npz), load_graph(text)
+        np.testing.assert_array_equal(from_npz.indptr, from_text.indptr)
+        np.testing.assert_array_equal(from_npz.indices, from_text.indices)
+        assert main(["detect", str(npz)]) == 0
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -149,6 +161,19 @@ class TestObservability:
         assert "diff:" in out
         assert "modularity" in out
         assert "per-level breakdown" not in out  # --diff-only suppresses
+
+    @pytest.mark.parametrize(
+        "content", [None, "{not json", "[1, 2]"], ids=["missing", "corrupt", "not-object"]
+    )
+    def test_report_unreadable_manifest(self, tmp_path, capsys, content):
+        """A missing or corrupt manifest is one line on stderr and exit 2,
+        not a traceback."""
+        path = tmp_path / "m.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and len(err.strip().splitlines()) == 1
 
     def test_report_many_summarises(self, karate_file, tmp_path, capsys):
         paths = []
