@@ -7,13 +7,14 @@ spawns one fresh interpreter per engine, alternating, so thermal drift
 and cache warmth never favour one side. Each subprocess times several
 in-process repetitions of
 
-* the Figure 9 kernel-cost experiment (the PR's headline comparison), and
+* the Figure 9 kernel-cost experiment (the engines' headline comparison), and
 * a full gpusim phase-1 run on the LJ stand-in,
 
 and reports the timings plus every deterministic column: the fig9 cycle
 ratios, and the phase-1 modularity / iteration count / simulated cycle
 total. The parent asserts the deterministic columns are identical across
-engines (the bit-exactness contract) before writing the JSON.
+engines (the bit-exactness contract) before writing the JSON, and
+records the machine it ran on (cores, affinity, versions, jit provider).
 
 Usage::
 
@@ -83,6 +84,22 @@ def _worker_with_cycles(engine: str) -> dict:
     return out
 
 
+def _machine() -> dict:
+    """The box the timings come from; compare ratios, not seconds."""
+    import numpy as np
+
+    from repro.core.kernels.jit import get_runtime
+
+    runtime = get_runtime()
+    return {
+        "cpu_count": os.cpu_count(),
+        "affinity": len(os.sched_getaffinity(0)),
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "jit_provider": runtime.provider if runtime is not None else None,
+    }
+
+
 def _spawn(engine: str) -> dict:
     env = dict(os.environ, REPRO_GPUSIM_ENGINE=engine)
     proc = subprocess.run(
@@ -116,8 +133,10 @@ def main() -> None:
             "gpusim engine wall-clock: fig9 kernel experiment + gpusim "
             f"phase-1 on the LJ stand-in at REPRO_BENCH_SCALE={SCALE}; "
             "before = scalar engine (one vertex per Python iteration), "
-            "after = batched SoA engine of this PR"
+            "after = batched structure-of-arrays engine (the default: "
+            "sort-based warp primitives, fixed-point hash probe resolution)"
         ),
+        "machine": _machine(),
         "machine_note": (
             f"best over {ROUNDS} interleaved subprocess rounds x "
             f"{FIG9_REPS} in-process fig9 reps each"

@@ -17,9 +17,9 @@ Two engines execute the same semantics:
 
 * ``"batched"`` (default) — all active vertices of one launch decided as
   ``(n_warps, 32)`` structure-of-arrays lane matrices through
-  :class:`~repro.gpusim.warp.WarpBatch`, in chunks that bound the
-  intermediate ``(B, 32, 32)`` tensors. Decisions and every profiler
-  counter are bit-exact with the scalar engine (tested) — the float
+  :class:`~repro.gpusim.warp.WarpBatch`, in chunks of at most
+  ``chunk_vertices`` warps. Decisions and every profiler counter are
+  bit-exact with the scalar engine (tested) — the float
   reductions sum the same 32 contiguous lane registers and all cycle
   charges are integer-valued, so bulk accounting equals the per-vertex
   sums exactly.
@@ -55,8 +55,8 @@ class ShuffleKernel:
 
     name = "shuffle"
 
-    #: vertices decided per batched step; bounds the (B, 32, 32) lane
-    #: tensors at ~16 MB each
+    #: vertices decided per batched step; bounds the (B, 32) lane
+    #: matrices and the per-group reduction tensor of one step
     chunk_vertices = 2048
 
     def __init__(self, device: Device | None = None, engine: str | None = None):
@@ -197,14 +197,11 @@ class ShuffleKernel:
 
         totals = np.zeros((n, w), dtype=np.float64)
         totals[active] = state.comm_strength[my_c[active]]
-        # Leader lanes: first active lane of each distinct community
-        # (active lanes are a prefix, so "a lower lane holds my value"
-        # is exactly the scalar seen-set test).
-        prior = np.tril(np.ones((w, w), dtype=bool), -1)
-        dup = (
-            (my_c[:, :, None] == my_c[:, None, :]) & prior[None, :, :]
-        ).any(axis=2)
-        leader = active & ~dup
+        # Leader lanes: the lowest lane of each match group (active lanes
+        # are a prefix, so "no lower lane holds my value" is exactly the
+        # scalar seen-set test).
+        lane_bit = np.int64(1) << np.arange(w, dtype=np.int64)
+        leader = active & ((mask & -mask) == lane_bit[None, :])
         prof.charge(
             "decide_load", cost.access(MemoryKind.GLOBAL, int(leader.sum()))
         )

@@ -15,8 +15,9 @@ the Figure 4 statistics: where each community ended up *maintained* and
 where each access was *served*.
 
 :class:`BatchedTables` is the structure-of-arrays counterpart used by the
-batched execution engine: N independent tables of one ``kind``, probed in
-vectorised rounds, bit-exact with N scalar tables (see
+batched execution engine: N independent tables of one ``kind``, whose
+probes are resolved for a whole key stream at once by a fixed point over
+insertion order, bit-exact with N scalar tables (see
 ``hashtable/batched.py``).
 """
 

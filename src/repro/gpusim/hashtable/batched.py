@@ -12,23 +12,31 @@ whole key vectors per NumPy step:
   so bucket layouts, per-key probe paths, maintenance/access statistics and
   every profiler charge match the scalar tables bit for bit (pinned by
   tests);
-* **vectorised probe rounds** — each Python-level iteration advances one
-  probe of every table's in-flight key simultaneously (tables are
-  independent, so one key per table per round is a legal serialisation);
-  duplicate keys never re-enter the probe loop: an occurrence of an
-  already-resolved key replays a *fixed* probe path (buckets only ever
-  transition empty -> claimed), so its probes, atomics and accesses are
-  accounted for arithmetically via occurrence counts;
+* **fixed-point probe resolution** — the hashes of every distinct key
+  are computed once; each sweep then walks every key's probe path in
+  parallel (one Python round per probe position) and stops it at the
+  first bucket that is neither held by another key nor claimed, in the
+  previous sweep, by a key inserted earlier into the same table. The
+  sweeps repeat until no claim moves, which is exactly the sequential
+  insertion order (see :meth:`BatchedTables._resolve`), so a stream
+  costs sweeps times probe depth Python rounds rather than one round per
+  probe of every key of the fullest table. Duplicate keys never re-enter
+  the probe loop: an occurrence of an already-resolved key replays a
+  *fixed* probe path (buckets only ever transition empty -> claimed), so
+  its probes, atomics and accesses are accounted for arithmetically via
+  occurrence counts, and each key's probe count follows in closed form
+  from the position where its path stops;
 * **bulk accounting** — probes/atomics are charged through single
   ``profiler.charge``/``count`` calls with event totals; all per-event
   costs are integer-valued cycles, so bulk totals equal the scalar
   charge-per-event sums exactly (no float drift).
 
 Capacity exhaustion raises :class:`~repro.errors.HashTableFullError`
-exactly when the scalar tables would; when several tables exhaust, the
-reported key is the earliest one *detected* (stream-first within its
-probe round), which may differ from the scalar error's key — the
-raise/no-raise behaviour itself is identical.
+exactly when the scalar tables would, before any bucket of the stream
+is written (the scalar tables keep the keys inserted before the failing
+one). The reported key is the stream-first key left without a bucket;
+it is not promised to be the scalar error's key — the raise/no-raise
+behaviour itself is identical.
 """
 
 from __future__ import annotations
@@ -190,21 +198,57 @@ class BatchedTables:
         """
         keys = np.asarray(keys, dtype=np.int64)
         p = np.broadcast_to(np.asarray(p, dtype=np.int64), keys.shape)
+        return self._probe_at(self._homes(keys), p)
+
+    def _homes(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each key's hashed start(s) — all its probe sequence depends on.
+
+        ``global`` / ``unified``: the start of the linear probe over the
+        global / concatenated bucket array (second entry unused);
+        ``hierarchical``: the ``h0`` shared bucket and the ``h1`` start of
+        the global probe.
+        """
         if self.kind == "global":
-            slot = (hash0_vec(keys, self.g) + p) % self.g
-            return np.zeros(keys.shape, dtype=bool), slot
+            return hash0_vec(keys, self.g), keys
         if self.kind == "unified":
-            total = self.s + self.g
-            idx = (hash0_vec(keys, total) + p) % total
+            return hash0_vec(keys, self.s + self.g), keys
+        return hash0_vec(keys, self.s), hash1_vec(keys, self.g)
+
+    def _probe_at(
+        self, homes: tuple[np.ndarray, np.ndarray], p: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Probe ``p`` of the keys with hashed starts ``homes``."""
+        first, second = homes
+        if self.kind == "global":
+            return np.zeros(p.shape, dtype=bool), (first + p) % self.g
+        if self.kind == "unified":
+            idx = (first + p) % (self.s + self.g)
             is_shared = idx < self.s
             return is_shared, np.where(is_shared, idx, idx - self.s)
         is_shared = p == 0
-        slot = np.where(
-            is_shared,
-            hash0_vec(keys, self.s),
-            (hash1_vec(keys, self.g) + p - 1) % self.g,
+        return is_shared, np.where(
+            is_shared, first, (second + p - 1) % self.g
         )
-        return is_shared, slot
+
+    def _probe_split(
+        self, homes: tuple[np.ndarray, np.ndarray], n_probes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(shared, global)`` probe counts of the first ``n_probes``
+        (>= 1) probes of each key, in closed form per kind."""
+        if self.kind == "global":
+            return np.zeros_like(n_probes), n_probes
+        if self.kind == "hierarchical":
+            return np.ones_like(n_probes), n_probes - 1
+        # unified: shared indices among (start + i) % total, i < n_probes;
+        # below(x) counts the shared indices of the unrolled range [0, x)
+        total = self.s + self.g
+
+        def below(x):
+            return (x // total) * self.s + np.minimum(x % total, self.s)
+
+        first = homes[0]
+        shared = below(first + n_probes) - below(first)
+        return shared, n_probes - shared
 
     # ------------------------------------------------------------------ #
     def _occupants(
@@ -283,82 +327,39 @@ class BatchedTables:
         occ = occ[ord2]
         value = value[ord2]
         first_flat = first_flat[ord2]
-        n_runs = len(run_key)
 
-        per_table = np.bincount(run_table, minlength=self.n_tables)
-        offs = np.concatenate([[0], np.cumsum(per_table)]).astype(np.int64)
-
-        # Pointer-advancing probe rounds: each table has at most one key in
-        # flight (its next run, in insertion order); every Python iteration
-        # advances one probe of every in-flight key.
-        res_shared = np.zeros(n_runs, dtype=bool)
-        res_slot = np.zeros(n_runs, dtype=np.int64)
-        claimed = np.zeros(n_runs, dtype=bool)
-        probes_sh = np.zeros(n_runs, dtype=np.int64)
-        probes_gl = np.zeros(n_runs, dtype=np.int64)
-        nxt = offs[:-1].copy()
-        live = nxt < offs[1:]
-        probing = nxt[live]
-        p = np.zeros(len(probing), dtype=np.int64)
-        maxp = self.max_probes
+        homes = self._homes(run_key)
+        stop, depth = self._resolve(run_table, run_key, homes)
+        exhausted = stop < 0
         san = analysis.current()
-        while len(probing):
-            ptab = run_table[probing]
-            is_sh, slot = self.probe_slots(run_key[probing], p)
-            if san is not None:
-                if bool(is_sh.any()):
-                    san.mem.check_bounds(
-                        (self._san_tag, "shared"), slot[is_sh], self.s,
-                        kernel="hash",
-                    )
-                if not bool(is_sh.all()):
-                    san.mem.check_bounds(
-                        (self._san_tag, "global"), slot[~is_sh], self.g,
-                        kernel="hash",
-                    )
-            # run ids in the probe set are unique (one per table), so
-            # buffered fancy-index increments are exact
-            probes_sh[probing[is_sh]] += 1
-            probes_gl[probing[~is_sh]] += 1
-            occupant = self._occupants(ptab, is_sh, slot)
-            won = occupant == _EMPTY
-            found = occupant == run_key[probing]
-            done = won | found
-            if np.any(done):
-                druns = probing[done]
-                dtab = ptab[done]
-                dsh = is_sh[done]
-                dslot = slot[done]
-                # claim the empty buckets (atomicCAS); found keys were
-                # inserted by an earlier call and are plain hits
-                cw = won[done]
-                self.shared_keys[dtab[dsh & cw], dslot[dsh & cw]] = run_key[
-                    druns[dsh & cw]
-                ]
-                self.global_keys[dtab[~dsh & cw], dslot[~dsh & cw]] = run_key[
-                    druns[~dsh & cw]
-                ]
-                res_shared[druns] = dsh
-                res_slot[druns] = dslot
-                claimed[druns] = cw
-                # pull each resolved table's next run into the probe set
-                nxt[dtab] += 1
-                fresh_tab = dtab[nxt[dtab] < offs[1:][dtab]]
-                fresh = nxt[fresh_tab]
-                probing = np.concatenate([probing[~done], fresh])
-                p = np.concatenate(
-                    [p[~done] + 1, np.zeros(len(fresh), dtype=np.int64)]
-                )
-            else:
-                p = p + 1
-            exhausted = p >= maxp
-            if np.any(exhausted):
-                bad = probing[exhausted]
-                worst = bad[np.argmin(first_flat[bad])]
-                raise HashTableFullError(
-                    f"no free bucket for key {int(run_key[worst])} "
-                    f"(s={self.s}, g={self.g})"
-                )
+        if san is not None:
+            self._san_check_paths(
+                san, homes, np.where(exhausted, self.max_probes, depth + 1)
+            )
+        if np.any(exhausted):
+            bad = np.flatnonzero(exhausted)
+            worst = bad[np.argmin(first_flat[bad])]
+            raise HashTableFullError(
+                f"no free bucket for key {int(run_key[worst])} "
+                f"(s={self.s}, g={self.g})"
+            )
+        shared_size = self.n_tables * self.s
+        res_shared = stop < shared_size
+        res_slot = stop - np.where(
+            res_shared, run_table * self.s, shared_size + run_table * self.g
+        )
+        # claim the empty buckets (atomicCAS); found keys were inserted
+        # by an earlier call and are plain hits
+        claimed = self._occupants(run_table, res_shared, res_slot) == _EMPTY
+        sh_claim = claimed & res_shared
+        gl_claim = claimed & ~res_shared
+        self.shared_keys[run_table[sh_claim], res_slot[sh_claim]] = run_key[
+            sh_claim
+        ]
+        self.global_keys[run_table[gl_claim], res_slot[gl_claim]] = run_key[
+            gl_claim
+        ]
+        probes_sh, probes_gl = self._probe_split(homes, depth + 1)
 
         # Accumulate values (stream-ordered group sums; fresh buckets held
         # exactly 0.0, so += reproduces the scalar running sums bit-exactly).
@@ -410,6 +411,84 @@ class BatchedTables:
             probes_shared=probes_sh,
             probes_global=probes_gl,
         )
+
+    def _resolve(
+        self,
+        run_table: np.ndarray,
+        run_key: np.ndarray,
+        homes: tuple[np.ndarray, np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Where the sequential protocol stops each run: ``(bucket, probe)``.
+
+        ``bucket`` is the flat address of the bucket holding the run's
+        key once it is inserted or found — shared ``table * s + slot``,
+        then global ``n_tables * s + table * g + slot`` — or -1 when the
+        run finds no free bucket; ``probe`` is that bucket's position in
+        the run's probe sequence.
+
+        The runs of a table come in insertion order, so a run's index is
+        its rank. The stops are a fixed point over rank: each sweep walks
+        every run's probe path in parallel and stops it at the first
+        bucket that is neither held by another key nor claimed, in the
+        previous sweep, by a lower-rank run of the same table (the
+        per-bucket minimum claiming rank). A run's stop depends only on
+        lower ranks' claims, so rank k is final after sweep k + 1, and
+        the first sweep that moves no stop has reproduced the sequential
+        insertion order exactly. Python rounds: sweeps times probe depth.
+        """
+        n_runs = len(run_key)
+        held = np.concatenate(
+            [self.shared_keys.reshape(-1), self.global_keys.reshape(-1)]
+        )
+        base_sh = run_table * self.s
+        base_gl = self.n_tables * self.s + run_table * self.g
+        rank = np.arange(n_runs, dtype=np.int64)
+        claimer = np.full(len(held), _INT64_MAX, dtype=np.int64)
+        stop = np.full(n_runs, -1, dtype=np.int64)
+        while True:
+            new_stop = np.full(n_runs, -1, dtype=np.int64)
+            depth = np.zeros(n_runs, dtype=np.int64)
+            walking = rank
+            p = np.zeros(n_runs, dtype=np.int64)
+            while len(walking):
+                is_sh, slot = self._probe_at(
+                    (homes[0][walking], homes[1][walking]), p
+                )
+                addr = np.where(is_sh, base_sh[walking], base_gl[walking]) + slot
+                occupant = held[addr]
+                free = (
+                    (occupant == _EMPTY) | (occupant == run_key[walking])
+                ) & (claimer[addr] >= walking)
+                new_stop[walking[free]] = addr[free]
+                depth[walking[free]] = p[free]
+                walking, p = walking[~free], p[~free] + 1
+                walking, p = walking[p < self.max_probes], p[p < self.max_probes]
+            if np.array_equal(new_stop, stop):
+                return stop, depth
+            stop = new_stop
+            claims = stop >= 0
+            claims[claims] = held[stop[claims]] == _EMPTY
+            claimer.fill(_INT64_MAX)
+            np.minimum.at(claimer, stop[claims], rank[claims])
+
+    def _san_check_paths(
+        self, san, homes: tuple[np.ndarray, np.ndarray], n_probed: np.ndarray
+    ) -> None:
+        """Bounds-check every bucket the runs probe: the first
+        ``n_probed[r]`` probes of run ``r``, each once."""
+        run_of = np.repeat(np.arange(len(n_probed), dtype=np.int64), n_probed)
+        p = np.arange(len(run_of), dtype=np.int64) - np.repeat(
+            np.cumsum(n_probed) - n_probed, n_probed
+        )
+        is_sh, slot = self._probe_at((homes[0][run_of], homes[1][run_of]), p)
+        if bool(is_sh.any()):
+            san.mem.check_bounds(
+                (self._san_tag, "shared"), slot[is_sh], self.s, kernel="hash"
+            )
+        if not bool(is_sh.all()):
+            san.mem.check_bounds(
+                (self._san_tag, "global"), slot[~is_sh], self.g, kernel="hash"
+            )
 
     # ------------------------------------------------------------------ #
     def _san_after_stream(

@@ -18,11 +18,11 @@ lanes participate.
 
 :class:`WarpBatch` is the structure-of-arrays counterpart: the same
 primitives evaluated over an ``(n_warps, 32)`` lane matrix at once, one
-matrix row per warp. Each batched call charges the cost model the
-*identical* per-invocation cycles — one warp-primitive charge per matrix
-row — through a single bulk ``profiler.charge``/``count`` pair, so a
-batched execution is bit-exact with ``n_warps`` scalar ones in both
-results and accounting.
+matrix row per warp, in O(32) host work per warp. Each batched call
+charges the cost model the *identical* per-invocation cycles — one
+warp-primitive charge per matrix row — through a single bulk
+``profiler.charge``/``count`` pair, so a batched execution is bit-exact
+with ``n_warps`` scalar ones in both results and accounting.
 """
 
 from __future__ import annotations
@@ -61,6 +61,31 @@ def _validated_mask(active: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
             f"active mask must have shape {shape}, got {arr.shape}"
         )
     return arr
+
+
+def _row_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal keys within each row of an ``(n_warps, width)`` matrix.
+
+    Returns the per-row sort ``order`` and, over the row-major
+    flattening of the sorted matrix, ``start`` — True where a run of
+    equal keys begins (every row begins one, so runs never span rows).
+    """
+    order = np.argsort(keys, axis=1)
+    sorted_keys = np.take_along_axis(keys, order, axis=1)
+    start = np.ones(keys.shape, dtype=bool)
+    start[:, 1:] = sorted_keys[:, 1:] != sorted_keys[:, :-1]
+    return order, start.ravel()
+
+
+def _per_lane(
+    run_values: np.ndarray, order: np.ndarray, start: np.ndarray
+) -> np.ndarray:
+    """One value per run of :func:`_row_runs`, handed to each of its lanes."""
+    out = np.empty(order.shape, dtype=run_values.dtype)
+    np.put_along_axis(
+        out, order, run_values[np.cumsum(start) - 1].reshape(order.shape), axis=1
+    )
+    return out
 
 
 @dataclass
@@ -152,11 +177,15 @@ class WarpBatch:
 
     Every method evaluates one warp primitive on all ``n_warps`` rows of
     the lane matrix simultaneously and charges exactly ``n_warps``
-    per-invocation costs in one bulk call. Results and accounting are
-    bit-exact with running :class:`WarpContext` row by row: integer mask
-    arithmetic is order-independent, and the float reductions sum the
-    same 32 contiguous lane registers with the same NumPy reduction, so
-    even the floating-point bit patterns agree (pinned by tests).
+    per-invocation costs in one bulk call. Host work is O(32) per warp:
+    :meth:`match_any_sync` and :meth:`reduce_add_sync` sort each row
+    once, find the runs of equal values (or masks), compute one result
+    per run and hand it back to the run's lanes — no ``(n_warps, 32,
+    32)`` lane-pair tensor. Results and accounting are bit-exact with
+    running :class:`WarpContext` row by row: integer mask arithmetic is
+    order-independent, and each float reduction sums the same 32
+    contiguous lane registers with the same NumPy reduction, so even the
+    floating-point bit patterns agree (pinned by tests).
     """
 
     device: Device
@@ -197,34 +226,53 @@ class WarpBatch:
 
     # ------------------------------------------------------------------ #
     def match_any_sync(self, values: np.ndarray) -> np.ndarray:
-        """Per-lane same-value bitmasks, one ``__match_any_sync`` per row."""
+        """Per-lane same-value bitmasks, one ``__match_any_sync`` per row.
+
+        The lane bits of each run of equal values are OR-ed once and
+        handed back to every lane of the run. Inactive lanes contribute
+        no bit and get mask 0, so the value they hold (the kernel pads
+        with ``-1``) needs no sentinel.
+        """
         values = self._check(values)
         _san_primitive("match_any_sync", self.active)
         self._charge()
-        # (n, i, j): lane j active and holding lane i's value, within row
-        same = (
-            (values[:, :, None] == values[:, None, :])
-            & self.active[:, None, :]
-            & self.active[:, :, None]
+        order, start = _row_runs(values)
+        bits = np.where(
+            self.active, np.int64(1) << np.arange(self.width, dtype=np.int64), 0
         )
-        bits = (np.int64(1) << np.arange(self.width, dtype=np.int64))[None, None, :]
-        return (same * bits).sum(axis=2)
+        run_bits = np.bitwise_or.reduceat(
+            np.take_along_axis(bits, order, axis=1).ravel(),
+            np.flatnonzero(start),
+        )
+        return np.where(self.active, _per_lane(run_bits, order, start), 0)
 
     def reduce_add_sync(self, masks: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Per-lane sum of ``values`` over each lane's mask group, per row.
 
-        The innermost sum runs over the 32 contiguous lane registers of
-        each row — the same reduction :meth:`WarpContext.reduce_add_sync`
+        Lanes of one row that carry the same mask (read, like
+        :meth:`WarpContext.reduce_add_sync`, through its low ``width``
+        bits) share one sum, so each distinct ``(row, mask)`` pair is
+        reduced once. That reduction runs over the pair's 32 contiguous
+        lane registers — the same reduction the scalar primitive
         performs — keeping the float results bit-identical.
         """
         values = np.asarray(self._check(values), dtype=np.float64)
         masks = np.asarray(self._check(masks), dtype=np.int64)
         _san_primitive("reduce_add_sync", self.active, masks=masks)
         self._charge()
-        lanes = np.arange(self.width, dtype=np.int64)
-        member = (masks[:, :, None] >> lanes[None, None, :]) & 1
-        out = (member * values[:, None, :]).sum(axis=2)
-        return np.where(self.active, out, 0.0)
+        w = self.width
+        low = masks & ((np.int64(1) << w) - 1)
+        order, start = _row_runs(low)
+        pair_mask = np.take_along_axis(low, order, axis=1).ravel()[start]
+        pair_row = np.flatnonzero(start) // w
+        # lane-membership bits of each distinct mask, lane 0 first
+        member = np.unpackbits(
+            pair_mask.astype("<u8").view(np.uint8).reshape(-1, 8),
+            axis=1,
+            bitorder="little",
+        )[:, :w]
+        sums = (member * values[pair_row]).sum(axis=1)
+        return np.where(self.active, _per_lane(sums, order, start), 0.0)
 
     def reduce_max_sync(self, values: np.ndarray) -> np.ndarray:
         """Per-row max over active lanes (``-inf`` for all-inactive rows)."""

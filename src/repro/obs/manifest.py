@@ -118,14 +118,77 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunManifest":
-        known = {f.name for f in dataclasses.fields(cls)}
-        version = data.get("schema_version", 0)
+        """Build from a decoded JSON object; ``ValueError`` when a field
+        ``repro report`` reads has the wrong JSON type, or the schema is
+        newer than this code."""
+        fields = {k: v for k, v in data.items() if k in _FIELD_TYPES}
+        for name, value in fields.items():
+            _check_type(name, value, _FIELD_TYPES[name])
+        for i, row in enumerate(fields.get("levels", [])):
+            _check_type(f"levels[{i}]", row, (dict,))
+            for key in _LEVEL_NUMBERS:
+                _check_type(f"levels[{i}].{key}", row.get(key), _NUMBER)
+            _check_type(
+                f"levels[{i}].kernel_compile_s",
+                row.get("kernel_compile_s"),
+                _NUMBER + (type(None),),
+            )
+            for key in ("timers", "kernel_backends"):
+                table = row.get(key, {})
+                _check_type(f"levels[{i}].{key}", table, (dict,))
+                for entry, number in table.items():
+                    _check_type(f"levels[{i}].{key}.{entry}", number, _NUMBER)
+        version = fields.get("schema_version", 0)
         if version > MANIFEST_SCHEMA_VERSION:
             raise ValueError(
                 f"manifest schema {version} newer than supported "
                 f"{MANIFEST_SCHEMA_VERSION}"
             )
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return cls(**fields)
+
+
+_NUMBER = (int, float)
+
+#: the JSON types each manifest field may hold
+_FIELD_TYPES: Dict[str, tuple] = {
+    "schema_version": (int,),
+    "created_unix": _NUMBER,
+    "command": (str, type(None)),
+    "runtime": (str,),
+    "config": (dict,),
+    "seed": (int, type(None)),
+    "graph": (dict,),
+    "environment": (dict,),
+    "levels": (list,),
+    "metrics": (dict,),
+    "result": (dict,),
+    "sanitizer": (dict,),
+    "staticcheck": (dict,),
+}
+
+#: the numbers every ``levels`` row carries (``_level_row`` writes them,
+#: ``repro report`` indexes them)
+_LEVEL_NUMBERS = (
+    "level", "n", "num_edges", "iterations", "moved", "modularity",
+    "sim_cycles", "comm_bytes",
+)
+
+_JSON_NAMES = {
+    int: "an integer", float: "a number", str: "a string", bool: "a boolean",
+    dict: "an object", list: "an array", type(None): "null",
+}
+
+
+def _check_type(name: str, value: Any, allowed: tuple) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is one of the
+    ``allowed`` types (a JSON ``true``/``false`` is never a number)."""
+    if isinstance(value, allowed) and not isinstance(value, bool):
+        return
+    expected = " or ".join(
+        _JSON_NAMES[t] for t in allowed if not (t is int and float in allowed)
+    )
+    got = _JSON_NAMES.get(type(value), type(value).__name__)
+    raise ValueError(f"manifest field {name!r} must be {expected}, got {got}")
 
 
 # --------------------------------------------------------------------- #

@@ -101,6 +101,78 @@ class TestAccumulateRoundTrip:
             np.testing.assert_array_equal(vl[sel], vals)
 
 
+#: one stream of (table, key, weight) ops over 2 tables, keys drawn from
+#: a small range so repeats and re-finds are common
+SMALL_OPS = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 24), st.floats(0.5, 5.0)),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestForcedCollisions:
+    """Tiny tables make long collision chains: the probe resolution must
+    still replay the scalar insertion order, across two streams."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @given(
+        s=st.sampled_from([1, 2, 4]),
+        g=st.sampled_from([4, 8, 16]),
+        first=SMALL_OPS,
+        second=SMALL_OPS,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_two_streams_match_scalar(self, kind, s, g, first, second):
+        sdev, bdev = Device(), Device()
+        scalar = [make_table(kind, sdev, s, g) for _ in range(2)]
+        batched = BatchedTables(kind, bdev, s, g, 2)
+        for call, ops in enumerate((first, second)):
+            scalar_raised = batched_raised = False
+            try:
+                for t, k, w in ops:
+                    scalar[t].accumulate(k, w)
+            except HashTableFullError:
+                scalar_raised = True
+            try:
+                runs = batched.accumulate_stream(
+                    np.array([t for t, _, _ in ops], dtype=np.int64),
+                    np.array([k for _, k, _ in ops], dtype=np.int64),
+                    np.array([w for _, _, w in ops]),
+                )
+            except HashTableFullError:
+                batched_raised = True
+            assert scalar_raised == batched_raised
+            if scalar_raised:
+                return  # the scalar tables are left half-filled
+            for t, table in enumerate(scalar):
+                for attr in ("shared_keys", "global_keys"):
+                    np.testing.assert_array_equal(
+                        getattr(batched, attr)[t], getattr(table, attr)
+                    )
+                for attr in ("shared_vals", "global_vals"):
+                    # the second call adds its pre-summed totals to buckets
+                    # already holding weight: equal up to rounding
+                    np.testing.assert_allclose(
+                        getattr(batched, attr)[t], getattr(table, attr),
+                        rtol=0 if call == 0 else 1e-12,
+                    )
+                for attr in ("maintained_shared", "maintained_global",
+                             "accesses_shared", "accesses_global"):
+                    assert getattr(batched, attr)[t] == getattr(table, attr)
+            assert sdev.profiler.diff(bdev.profiler) == {}
+            # each run reports the probes of one traversal: the scalar
+            # probe sequence up to the bucket that holds its key
+            for t, k, sh, gl in zip(runs.table, runs.key,
+                                    runs.probes_shared, runs.probes_global):
+                path = []
+                for space, slot in scalar[t].probe_sequence(int(k)):
+                    path.append(space)
+                    if scalar[t]._arrays(space)[0][slot] == k:
+                        break
+                assert path.count(MemoryKind.SHARED) == sh
+                assert path.count(MemoryKind.GLOBAL) == gl
+
+
 class TestLookup:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @given(ops=OPS, queries=st.lists(st.integers(0, 50), min_size=1, max_size=20))

@@ -1,6 +1,8 @@
 """Run manifests: graph fingerprints, builders for every result shape,
 and the save/load round-trip."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from repro.obs import (
     load_manifest,
     save_manifest,
 )
-from repro.obs.manifest import MANIFEST_SCHEMA_VERSION
+from repro.obs.manifest import _FIELD_TYPES, MANIFEST_SCHEMA_VERSION
 
 
 class TestFingerprint:
@@ -101,6 +103,54 @@ class TestRoundTrip:
             RunManifest.from_dict(
                 {"schema_version": MANIFEST_SCHEMA_VERSION + 1}
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("schema_version", "1"),
+            ("schema_version", True),
+            ("created_unix", "today"),
+            ("command", 3),
+            ("runtime", None),
+            ("config", []),
+            ("seed", 1.5),
+            ("graph", 5),
+            ("environment", "x"),
+            ("levels", "x"),
+            ("levels", [3]),
+            ("levels", [{"timers": 5}]),
+            ("levels", [{"level": "0"}]),
+            ("metrics", [1]),
+            ("result", 0),
+            ("sanitizer", "strict"),
+            ("staticcheck", False),
+        ],
+    )
+    def test_rejects_wrong_field_types(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunManifest.from_dict({"schema_version": 1, field: value})
+
+    def test_level_rows_checked(self, karate):
+        row = build_manifest(gala(karate), karate).to_dict()["levels"][0]
+        RunManifest.from_dict({"levels": [row]})  # a real row passes
+        for key, value in [
+            ("moved", None), ("modularity", "0.4"), ("timers", {"x": "1"}),
+            ("kernel_backends", []), ("kernel_compile_s", True),
+        ]:
+            with pytest.raises(ValueError, match=f"levels\\[0\\].{key}"):
+                RunManifest.from_dict({"levels": [{**row, key: value}]})
+
+    def test_field_types_cover_every_field(self):
+        assert set(_FIELD_TYPES) == {
+            f.name for f in dataclasses.fields(RunManifest)
+        }
+
+    def test_accepts_null_optionals(self):
+        m = RunManifest.from_dict(
+            {"schema_version": 1, "command": None, "seed": None,
+             "created_unix": 12}
+        )
+        assert m.command is None and m.seed is None
 
     def test_ignores_unknown_fields(self):
         m = RunManifest.from_dict(

@@ -163,11 +163,25 @@ class TestObservability:
         assert "per-level breakdown" not in out  # --diff-only suppresses
 
     @pytest.mark.parametrize(
-        "content", [None, "{not json", "[1, 2]"], ids=["missing", "corrupt", "not-object"]
+        "content",
+        [
+            None,
+            "{not json",
+            "[1, 2]",
+            '{"schema_version": 1, "graph": 5, "levels": "x"}',
+            '{"schema_version": "1"}',
+            '{"levels": [3]}',
+            '{"levels": [{"timers": 5}]}',
+        ],
+        ids=[
+            "missing", "corrupt", "not-object",
+            "wrong-field-types", "string-version", "level-not-object",
+            "level-missing-fields",
+        ],
     )
     def test_report_unreadable_manifest(self, tmp_path, capsys, content):
-        """A missing or corrupt manifest is one line on stderr and exit 2,
-        not a traceback."""
+        """A missing, corrupt or mistyped manifest is one line on stderr
+        and exit 2, not a traceback."""
         path = tmp_path / "m.json"
         if content is not None:
             path.write_text(content)
