@@ -3,10 +3,12 @@
 Every experiment in FRESH must appear in RECORD with the same rows and
 notes; each differing cell or note is printed and the exit code is 1.
 Compare only experiments whose every cell is deterministic (simulated
-time, counts, modularity), never wall time.
+time, counts, modularity), never wall time: at the record scale that is
+every experiment but fig8, stress and kernels.
 
-Run:  python -m repro.bench fig10 --scale 0.25 --json fig10.json
-      python benchmarks/check_record.py fig10.json bench_results_scale025.json
+Run:  python -m repro.bench table2 fig1 table1 fig4 fig5 fig6 fig7 \
+          table3 table4 fig9 fig10 --scale 0.25 --json record.json
+      python benchmarks/check_record.py record.json bench_results_scale025.json
 """
 
 from __future__ import annotations

@@ -23,38 +23,28 @@ invariants that live across files:
 Findings are the same :class:`~repro.analysis.findings.Finding` records
 the runtime sanitizers emit (``checker="staticcheck"``), so they flow
 into :class:`~repro.analysis.findings.FindingLog`, obs metrics, run
-manifests, and ``repro report`` unchanged. The ``repro lint`` CLI (and
-the CI ``lint-invariants`` job) exits 3 when unwaived findings remain;
-see docs/static_analysis.md.
+manifests, and ``repro report`` unchanged. The one escape hatch is an
+inline ``# lint: allow[<rule>]`` comment on or above the flagged line; a
+marker that waives nothing is itself a ``stale-waiver`` finding. The
+``repro lint`` CLI (and the CI ``lint-invariants`` job) exits 3 when
+unwaived findings remain; see docs/static_analysis.md.
 """
 
 from __future__ import annotations
 
 from repro.analysis.staticcheck.engine import (
-    DEFAULT_WAIVER_FILE,
     LintReport,
     describe_rules,
+    inline_waiver,
     run_staticcheck,
 )
 from repro.analysis.staticcheck.project import ModuleInfo, Project
 from repro.analysis.staticcheck.rules import all_rules, get_rule, lint_finding
-from repro.analysis.staticcheck.waivers import (
-    WAIVER_SCHEMA_VERSION,
-    Waiver,
-    WaiverFile,
-    WaiverFormatError,
-    inline_waiver,
-)
 
 __all__ = [
-    "DEFAULT_WAIVER_FILE",
-    "WAIVER_SCHEMA_VERSION",
     "LintReport",
     "ModuleInfo",
     "Project",
-    "Waiver",
-    "WaiverFile",
-    "WaiverFormatError",
     "all_rules",
     "describe_rules",
     "get_rule",

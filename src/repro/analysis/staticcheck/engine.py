@@ -1,12 +1,13 @@
-"""The static-check engine: parse once, run rules, apply waivers, report.
+"""The static-check engine: parse once, run rules, apply markers, report.
 
 :func:`run_staticcheck` is the single entry point behind the ``repro
 lint`` CLI, the CI gate, and the meta-test that keeps the shipped tree
 clean. It loads the source tree into a
 :class:`~repro.analysis.staticcheck.project.Project`, runs the
-registered rules (or a subset), strips findings carrying an inline
-``# lint: allow[rule]`` marker, applies the structured waiver file, and
-folds everything into a :class:`LintReport`.
+registered rules (or a subset), strips findings waived by an inline
+``# lint: allow[<rule>]`` comment, reports markers that waive nothing
+as ``stale-waiver`` findings, and folds everything into a
+:class:`LintReport`.
 
 Findings are ordinary :class:`~repro.analysis.findings.Finding` records
 with ``checker="staticcheck"``: the same record type, JSON form and
@@ -15,33 +16,46 @@ rendering as the runtime sanitizers' findings.
 
 from __future__ import annotations
 
-import datetime as _dt
+import io
+import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.findings import Finding
 from repro.analysis.staticcheck.project import Project
-from repro.analysis.staticcheck.rules import all_rules, get_rule, rule_doc
-from repro.analysis.staticcheck.waivers import WaiverFile, inline_waiver
+from repro.analysis.staticcheck.rules import (
+    all_rules,
+    get_rule,
+    lint_finding,
+    rule_doc,
+)
 
-#: default waiver file, repo-root relative
-DEFAULT_WAIVER_FILE = "lint-waivers.json"
+#: inline waiver marker: ``# lint: allow[<rule>]``
+_INLINE_RE = re.compile(r"#\s*lint:\s*allow\[([a-z0-9_*-]+)\]")
+
+
+def inline_waiver(line: str, prev_line: str, rule: str) -> bool:
+    """True when the line (or the one above) carries a matching
+    ``# lint: allow[<rule>]`` marker."""
+    return any(
+        name in (rule, "*")
+        for text in (line, prev_line)
+        for name in _INLINE_RE.findall(text)
+    )
 
 
 @dataclass
 class LintReport:
     """Outcome of one static-check run."""
 
-    #: findings that fail the run (not waived anywhere)
+    #: findings that fail the run (not waived by an inline marker)
     findings: List[Finding] = field(default_factory=list)
-    #: (finding, reason) pairs suppressed by the waiver file
-    waived: List[Tuple[Finding, str]] = field(default_factory=list)
     #: count of findings suppressed by inline ``# lint: allow[...]``
     inline_waived: int = 0
     rules_run: Tuple[str, ...] = ()
     checked_modules: int = 0
-    waiver_file: Optional[str] = None
 
     @property
     def clean(self) -> bool:
@@ -65,7 +79,7 @@ class LintReport:
             kinds[f.kind] = kinds.get(f.kind, 0) + 1
         return {
             "total": self.total,
-            "waived": len(self.waived) + self.inline_waived,
+            "waived": self.inline_waived,
             "rules": list(self.rules_run),
             "modules": self.checked_modules,
             "by_rule": self.by_rule(),
@@ -78,17 +92,12 @@ class LintReport:
             "clean": self.clean,
             "summary": self.summary(),
             "findings": [f.as_dict() for f in self.findings],
-            "waived": [
-                {"finding": f.as_dict(), "reason": reason}
-                for f, reason in self.waived
-            ],
-            "waiver_file": self.waiver_file,
         }
 
     def render_text(self, limit: int = 50) -> str:
         """Terminal/CI report (the ``--format text`` output)."""
         lines: List[str] = []
-        n_waived = len(self.waived) + self.inline_waived
+        n_waived = self.inline_waived
         if self.clean:
             lines.append(
                 f"repro lint: clean — {self.checked_modules} modules, "
@@ -109,19 +118,12 @@ class LintReport:
                 lines.append(f"  - {f}")
             if self.total > limit:
                 lines.append(f"  ... and {self.total - limit} more")
-        if self.waived:
-            lines.append("waived:")
-            for f, reason in self.waived[:limit]:
-                lines.append(f"  ~ {f}")
-                lines.append(f"    reason: {reason}")
         return "\n".join(lines)
 
 
 def run_staticcheck(
     repo_root: Optional[Union[str, Path]] = None,
     rules: Optional[Sequence[str]] = None,
-    waiver_file: Optional[Union[str, Path]] = None,
-    today: Optional[_dt.date] = None,
     project: Optional[Project] = None,
 ) -> LintReport:
     """Run the AST invariant checker over the repo's source tree.
@@ -133,12 +135,6 @@ def run_staticcheck(
         root this installed package was loaded from.
     rules:
         Subset of rule names to run (default: all registered rules).
-    waiver_file:
-        Structured waiver file. Defaults to ``lint-waivers.json`` at
-        the repo root when that file exists; pass a path explicitly to
-        require it.
-    today:
-        Reference date for waiver expiry (tests pin this).
     project:
         Pre-built :class:`Project` (tests build synthetic trees).
     """
@@ -163,52 +159,76 @@ def run_staticcheck(
     for name in selected:
         findings.extend(get_rule(name)(project))
 
-    kept, inline_count = _strip_inline_waivers(project, findings)
-
-    waivers: Optional[WaiverFile] = None
-    waiver_path: Optional[Path] = None
-    if waiver_file is not None:
-        waiver_path = Path(waiver_file)
-        waivers = WaiverFile.load(waiver_path)
-    else:
-        candidate = project.repo_root / DEFAULT_WAIVER_FILE
-        if candidate.exists():
-            waiver_path = candidate
-            waivers = WaiverFile.load(candidate)
-
-    if waivers is not None:
-        unwaived, waived, waiver_findings = waivers.apply(kept, today=today)
-        unwaived.extend(waiver_findings)
-    else:
-        unwaived, waived = kept, []
-
+    kept, inline_count = _apply_inline_waivers(project, findings, selected)
     return LintReport(
-        findings=unwaived,
-        waived=waived,
+        findings=kept,
         inline_waived=inline_count,
         rules_run=selected,
         checked_modules=len(project),
-        waiver_file=None if waiver_path is None else str(waiver_path),
     )
 
 
-def _strip_inline_waivers(
-    project: Project, findings: List[Finding]
+def _marker_comments(project: Project) -> Dict[Tuple[str, int], str]:
+    """(rel_path, line) → text of each comment carrying a marker.
+
+    Only comments count: a marker quoted in a docstring is prose.
+    """
+    out: Dict[Tuple[str, int], str] = {}
+    for module in project:
+        if "lint:" not in module.source:
+            continue
+        readline = io.StringIO(module.source).readline
+        for tok in tokenize.generate_tokens(readline):
+            if tok.type == tokenize.COMMENT and _INLINE_RE.search(tok.string):
+                out[(module.rel_path, tok.start[0])] = tok.string
+    return out
+
+
+def _apply_inline_waivers(
+    project: Project, findings: List[Finding], rules_run: Tuple[str, ...]
 ) -> Tuple[List[Finding], int]:
-    by_rel = {m.rel_path: m for m in project}
+    """Strip the findings a marker waives; return the rest plus one
+    ``stale-waiver`` finding per marker that names no registered rule
+    or, its rule having run, waives nothing — so markers cannot rot."""
+    markers = _marker_comments(project)
+    used: Set[Tuple[str, int, str]] = set()
     kept: List[Finding] = []
     stripped = 0
     for f in findings:
-        module = by_rel.get(str(f.details.get("path", "")))
+        path = str(f.details.get("path", ""))
         lineno = f.details.get("line")
         rule_name = str(f.details.get("rule", ""))
-        if module is not None and isinstance(lineno, int) and lineno > 0:
-            line = module.line(lineno)
-            prev = module.line(lineno - 1)
-            if inline_waiver(line, prev, rule_name):
-                stripped += 1
+        if not isinstance(lineno, int) or lineno <= 0:
+            kept.append(f)
+            continue
+        hits = [
+            n for n in (lineno, lineno - 1)
+            if inline_waiver(markers.get((path, n), ""), "", rule_name)
+        ]
+        for n in hits:
+            used.update({(path, n, rule_name), (path, n, "*")})
+        if hits:
+            stripped += 1
+        else:
+            kept.append(f)
+
+    registered = set(all_rules())
+    judged = set(rules_run)
+    if judged >= registered:
+        judged.add("*")
+    by_rel = {m.rel_path: m for m in project}
+    for (path, n), text in sorted(markers.items()):
+        for name in _INLINE_RE.findall(text):
+            if name != "*" and name not in registered:
+                problem = "names no registered rule"
+            elif name in judged and (path, n, name) not in used:
+                problem = "waives no finding — delete it"
+            else:
                 continue
-        kept.append(f)
+            kept.append(lint_finding(
+                "waivers", "stale-waiver",
+                f"marker allow[{name}] {problem}", by_rel[path], n,
+            ))
     return kept, stripped
 
 

@@ -360,9 +360,6 @@ def _add_lint(sub: argparse._SubParsersAction) -> None:
                         "(default: the root this package was loaded from)")
     p.add_argument("--rules", default=None, metavar="R1,R2",
                    help="comma-separated subset of rules to run")
-    p.add_argument("--waivers", default=None, metavar="PATH",
-                   help="waiver file (default: lint-waivers.json at the "
-                        "root when present)")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="report format (json is the CI artifact payload)")
     p.add_argument("--output", default=None, metavar="PATH",
@@ -629,7 +626,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.analysis.staticcheck import describe_rules, run_staticcheck
-    from repro.analysis.staticcheck.waivers import WaiverFormatError
 
     if args.list_rules:
         for name, doc in describe_rules():
@@ -639,12 +635,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if args.rules:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
     try:
-        report = run_staticcheck(
-            repo_root=args.root,
-            rules=rules,
-            waiver_file=args.waivers,
-        )
-    except (KeyError, WaiverFormatError) as exc:
+        report = run_staticcheck(repo_root=args.root, rules=rules)
+    except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rendered = (

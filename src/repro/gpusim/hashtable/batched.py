@@ -583,58 +583,6 @@ class BatchedTables:
             )
 
     # ------------------------------------------------------------------ #
-    def lookup_many(
-        self, table_of: np.ndarray, keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched ``lookup``: ``(values, found)`` per query.
-
-        Probes and access statistics are charged exactly as the scalar
-        ``lookup`` would per query (tables are read-only here, so any
-        number of simultaneous queries per table is legal).
-        """
-        table_of = np.asarray(table_of, dtype=np.int64)
-        keys = np.asarray(keys, dtype=np.int64)
-        nq = len(keys)
-        values = np.zeros(nq, dtype=np.float64)
-        found = np.zeros(nq, dtype=bool)
-        if nq == 0:
-            return values, found
-        if np.any((table_of < 0) | (table_of >= self.n_tables)):
-            raise ValueError("table id out of range")
-        probing = np.arange(nq, dtype=np.int64)
-        p = np.zeros(nq, dtype=np.int64)
-        n_sh = n_gl = 0
-        maxp = self.max_probes
-        acc_sh = np.zeros(self.n_tables, dtype=np.int64)
-        acc_gl = np.zeros(self.n_tables, dtype=np.int64)
-        while len(probing):
-            ptab = table_of[probing]
-            is_sh, slot = self.probe_slots(keys[probing], p)
-            n_sh += int(is_sh.sum())
-            n_gl += int((~is_sh).sum())
-            occupant = self._occupants(ptab, is_sh, slot)
-            hit = occupant == keys[probing]
-            if np.any(hit):
-                hq = probing[hit]
-                hsh = is_sh[hit]
-                hslot = slot[hit]
-                htab = ptab[hit]
-                values[hq[hsh]] = self.shared_vals[htab[hsh], hslot[hsh]]
-                values[hq[~hsh]] = self.global_vals[htab[~hsh], hslot[~hsh]]
-                found[hq] = True
-                acc_sh += np.bincount(htab[hsh], minlength=self.n_tables)
-                acc_gl += np.bincount(htab[~hsh], minlength=self.n_tables)
-            cont = ~hit & (occupant != _EMPTY)
-            probing = probing[cont]
-            p = p[cont] + 1
-            keep = p < maxp
-            probing, p = probing[keep], p[keep]
-        self._charge_probes(n_sh, n_gl)
-        self.accesses_shared += acc_sh
-        self.accesses_global += acc_gl
-        return values, found
-
-    # ------------------------------------------------------------------ #
     def items_flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All entries as ``(table, key, value)``, shared slots first per
         table then global — the concatenation of every table's ``items()``."""

@@ -131,13 +131,33 @@ class RunManifest:
             _check_type(
                 f"levels[{i}].kernel_compile_s",
                 row.get("kernel_compile_s"),
-                _NUMBER + (type(None),),
+                _NUMBER_OR_NULL,
             )
             for key in ("timers", "kernel_backends"):
                 table = row.get(key, {})
                 _check_type(f"levels[{i}].{key}", table, (dict,))
                 for entry, number in table.items():
                     _check_type(f"levels[{i}].{key}.{entry}", number, _NUMBER)
+        result = fields.get("result", {})
+        for key in _RESULT_NUMBERS:
+            _check_type(f"result.{key}", result.get(key), _NUMBER_OR_NULL)
+        for key in ("live", "slo"):
+            _check_type(f"result.{key}", result.get(key), (dict, type(None)))
+        live = result.get("live") or {}
+        for key in ("p50_ms", "p95_ms", "p99_ms"):
+            _check_type(f"result.live.{key}", live.get(key), _NUMBER_OR_NULL)
+        slo = result.get("slo") or {}
+        _check_type("result.slo.policy", slo.get("policy"), (dict, type(None)))
+        metrics = fields.get("metrics", {})
+        for key in ("gauges", "histograms"):
+            _check_type(f"metrics.{key}", metrics.get(key, {}), (dict,))
+        for name, value in metrics.get("gauges", {}).items():
+            _check_type(f"metrics.gauges.{name}", value, _NUMBER)
+        for name, hist in metrics.get("histograms", {}).items():
+            _check_type(f"metrics.histograms.{name}", hist, (dict,))
+            _check_type(
+                f"metrics.histograms.{name}.p50", hist.get("p50", 0), _NUMBER
+            )
         version = fields.get("schema_version", 0)
         if version > MANIFEST_SCHEMA_VERSION:
             raise ValueError(
@@ -148,6 +168,7 @@ class RunManifest:
 
 
 _NUMBER = (int, float)
+_NUMBER_OR_NULL = _NUMBER + (type(None),)
 
 #: the JSON types each manifest field may hold
 _FIELD_TYPES: Dict[str, tuple] = {
@@ -165,6 +186,14 @@ _FIELD_TYPES: Dict[str, tuple] = {
     "sanitizer": (dict,),
     "staticcheck": (dict,),
 }
+
+#: the ``result`` numbers ``repro report`` formats (each may be absent
+#: or null): a run's headline, then a serving session's
+_RESULT_NUMBERS = (
+    "modularity", "iterations", "num_levels", "sim_cycles", "comm_bytes",
+    "cache_hits", "cache_misses", "cache_hit_rate", "uptime_s",
+    "latency_p50_ms", "latency_p99_ms",
+)
 
 #: the numbers every ``levels`` row carries (``_level_row`` writes them,
 #: ``repro report`` indexes them)

@@ -78,8 +78,8 @@ def _serve_lines(manifest: RunManifest) -> List[str]:
     def pct(name: str, q: str) -> float:
         return float(histograms.get(name, {}).get(q, 0.0))
 
-    hits = int(r.get("cache_hits", 0))
-    misses = int(r.get("cache_misses", 0))
+    hits = int(r.get("cache_hits") or 0)
+    misses = int(r.get("cache_misses") or 0)
     lines = [
         f"requests={r.get('requests', 0)} shed={r.get('shed', 0)} "
         f"timeouts={r.get('timeouts', 0)} errors={r.get('errors', 0)} "

@@ -173,26 +173,6 @@ class TestForcedCollisions:
                 assert path.count(MemoryKind.GLOBAL) == gl
 
 
-class TestLookup:
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    @given(ops=OPS, queries=st.lists(st.integers(0, 50), min_size=1, max_size=20))
-    @settings(max_examples=15, deadline=None)
-    def test_lookup_many_matches_scalar(self, kind, ops, queries):
-        scalar, sdev = _run_scalar(kind, ops)
-        batched, bdev, _ = _run_batched(kind, ops)
-        table_of = np.array([q % 3 for q in queries], dtype=np.int64)
-        keys = np.array(queries, dtype=np.int64)
-        values, found = batched.lookup_many(table_of, keys)
-        for i, q in enumerate(queries):
-            expected = scalar[q % 3].lookup(q)
-            if expected is None:
-                assert not found[i]
-            else:
-                assert found[i]
-                assert values[i] == expected
-        assert sdev.profiler.diff(bdev.profiler) == {}
-
-
 class TestCapacityExhaustion:
     def test_overfull_raises_like_scalar(self):
         ops = [(0, k, 1.0) for k in range(5)]  # 5 distinct keys, 4 buckets
@@ -269,8 +249,6 @@ class TestResetAndEdges:
         assert np.all(tables.num_entries == 0)
         assert np.all(tables.shared_keys == -1)
         assert np.all(tables.global_keys == -1)
-        _, found = tables.lookup_many(np.array([0]), np.array([1]))
-        assert not found[0]
 
     def test_empty_stream(self):
         dev = Device()

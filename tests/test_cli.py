@@ -172,11 +172,13 @@ class TestObservability:
             '{"schema_version": "1"}',
             '{"levels": [3]}',
             '{"levels": [{"timers": 5}]}',
+            '{"schema_version": 1, "result": {"modularity": "x"}}',
+            '{"schema_version": 1, "metrics": {"gauges": 3}}',
         ],
         ids=[
             "missing", "corrupt", "not-object",
             "wrong-field-types", "string-version", "level-not-object",
-            "level-missing-fields",
+            "level-missing-fields", "result-not-number", "gauges-not-object",
         ],
     )
     def test_report_unreadable_manifest(self, tmp_path, capsys, content):
