@@ -133,8 +133,8 @@ def main() -> None:
             "gpusim engine wall-clock: fig9 kernel experiment + gpusim "
             f"phase-1 on the LJ stand-in at REPRO_BENCH_SCALE={SCALE}; "
             "before = scalar engine (one vertex per Python iteration), "
-            "after = batched structure-of-arrays engine (the default: "
-            "sort-based warp primitives, fixed-point hash probe resolution)"
+            "after = batched engine (the default: shuffle kernel on "
+            "(vertex, community) runs, fixed-point hash probe resolution)"
         ),
         "machine": _machine(),
         "machine_note": (

@@ -17,7 +17,10 @@ Two engines execute the same semantics:
   by table geometry and decided through
   :class:`~repro.gpusim.hashtable.batched.BatchedTables`, which replays
   every per-vertex table's find-or-insert protocol in vectorised probe
-  rounds. Bucket layouts, probe/conflict counts, Figure 4 rates and every
+  rounds, then evaluates the gains once per ``(vertex, community)`` run
+  (``vectorized._decide_runs``, the gain phase the batched shuffle
+  kernel shares).
+  Bucket layouts, probe/conflict counts, Figure 4 rates and every
   profiler counter are bit-exact with the scalar engine (tested).
 * ``"scalar"`` — the original one-block-at-a-time reference interpreter.
 
@@ -34,6 +37,7 @@ from repro import analysis
 from repro.core.kernels.vectorized import (
     DecideResult,
     _apply_guards,
+    _decide_runs,
     _trivial_result,
 )
 from repro.core.state import CommunityState
@@ -45,7 +49,6 @@ from repro.gpusim.hashtable.base import SimHashTable, hash0_vec
 from repro.gpusim.hashtable.batched import BatchedTables
 from repro.obs import _session as obs
 
-_INT64_MAX = np.iinfo(np.int64).max
 _BANKS = 32  # shared_bank_conflict_factor's default bank count
 
 
@@ -245,9 +248,6 @@ class HashKernel:
         prof = self.device.profiler
         wsz = self.device.config.warp_size
         bs = self.block_size
-        m = g.total_weight
-        two_m = g.two_m
-        gamma = state.resolution
         n = len(verts)
 
         lo = g.indptr[verts].astype(np.int64)
@@ -330,25 +330,11 @@ class HashKernel:
             cost.access(MemoryKind.SHARED, int(tables.maintained_shared.sum()))
             + cost.access(MemoryKind.GLOBAL, int(tables.maintained_global.sum())),
         )
-        seg = runs.table  # ascending; every table has >= 1 run (deg > 0)
-        keys = runs.key
-        totals = state.comm_strength[keys]
-        is_own = keys == cur_sel[seg]
-        eff_totals = np.where(is_own & remove_self, totals - sv[seg], totals)
-        gains = (runs.value - gamma * eff_totals * sv[seg] / two_m) / m
-
-        own = np.flatnonzero(is_own)  # at most one own entry per table
-        stay_gain[sel[seg[own]]] = gains[own]
-
-        cand = np.where(is_own, -np.inf, gains)
-        offs = np.flatnonzero(np.concatenate([[True], seg[1:] != seg[:-1]]))
-        best = np.maximum.reduceat(cand, offs)
-        finite = np.isfinite(best)
-        bc = np.minimum.reduceat(
-            np.where(cand == best[seg], keys, _INT64_MAX), offs
+        # every table has >= 1 run (deg > 0), listed in ascending order
+        _decide_runs(
+            state, runs.table, runs.key, runs.value, cur_sel, sv,
+            remove_self, sel, best_comm, best_gain, stay_gain,
         )
-        best_comm[sel[finite]] = bc[finite]
-        best_gain[sel[finite]] = best[finite]
 
         self._iter_maintained[0] += int(tables.maintained_shared.sum())
         self._iter_maintained[1] += int(tables.num_entries.sum())

@@ -15,14 +15,19 @@ primitive.
 
 Two engines execute the same semantics:
 
-* ``"batched"`` (default) — all active vertices of one launch decided as
-  ``(n_warps, 32)`` structure-of-arrays lane matrices through
-  :class:`~repro.gpusim.warp.WarpBatch`, in chunks of at most
-  ``chunk_vertices`` warps. Decisions and every profiler counter are
-  bit-exact with the scalar engine (tested) — the float
-  reductions sum the same 32 contiguous lane registers and all cycle
-  charges are integer-valued, so bulk accounting equals the per-vertex
-  sums exactly.
+* ``"batched"`` (default) — all active vertices of one launch decided
+  in chunks of at most ``chunk_vertices`` warps, over each chunk's real
+  lanes only. One sort of the packed ``(vertex, community)`` key gives
+  the ``__match_any_sync`` groups as runs; each run's
+  ``__reduce_add_sync`` scatters its weights to their lane positions in
+  a zeroed 32-lane row and sums it; gains, the warp max and the tie rule
+  are evaluated once per run, by the gain phase the batched hash kernel
+  shares (``vectorized._decide_runs``). Warp-primitive and load charges are the
+  scalar ones in closed form. Decisions and every profiler counter are
+  bit-exact with the scalar engine (tested) — each float reduction sums
+  32 contiguous lane registers as the scalar primitive does, and all
+  cycle charges are integer-valued, so bulk accounting equals the
+  per-vertex sums exactly.
 * ``"scalar"`` — the original one-warp-at-a-time reference interpreter.
 
 The only intended divergence: on an edgeless graph (``m == 0``) the
@@ -34,9 +39,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import analysis
 from repro.core.kernels.vectorized import (
     DecideResult,
     _apply_guards,
+    _decide_runs,
+    _pair_runs,
     _trivial_result,
 )
 from repro.core.state import CommunityState
@@ -44,10 +52,8 @@ from repro.errors import DeviceError
 from repro.gpusim import resolve_engine
 from repro.gpusim.costmodel import MemoryKind
 from repro.gpusim.device import Device
-from repro.gpusim.warp import WarpBatch, WarpContext
+from repro.gpusim.warp import WarpContext, _san_primitive
 from repro.obs import _session as obs
-
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 class ShuffleKernel:
@@ -55,8 +61,8 @@ class ShuffleKernel:
 
     name = "shuffle"
 
-    #: vertices decided per batched step; bounds the (B, 32) lane
-    #: matrices and the per-group reduction tensor of one step
+    #: vertices decided per batched step; bounds the flat lane arrays
+    #: and the (runs, 32) reduction rows of one step
     chunk_vertices = 2048
 
     def __init__(self, device: Device | None = None, engine: str | None = None):
@@ -163,70 +169,83 @@ class ShuffleKernel:
         best_gain: np.ndarray,
         stay_gain: np.ndarray,
     ) -> None:
-        """Decide one SoA chunk of deg>0 vertices, one warp per matrix row."""
+        """Decide one chunk of deg>0 vertices, one simulated warp each,
+        over the chunk's real lanes grouped into ``(vertex, community)``
+        runs."""
         g = state.graph
         cost = self.device.config.cost
         prof = self.device.profiler
         w = self.device.config.warp_size
-        m = g.total_weight
-        two_m = g.two_m
-        gamma = state.resolution
         n = len(verts)
 
-        # Gather lane registers for all rows at once.
-        lo = g.indptr[verts].astype(np.int64)
+        # Lane registers of every warp, flattened (lines 2-4).
         total = int(d.sum())
         row_of = np.repeat(np.arange(n, dtype=np.int64), d)
-        starts = np.concatenate([[0], np.cumsum(d)]).astype(np.int64)
-        lane_of = np.arange(total, dtype=np.int64) - starts[row_of]
-        eidx = lo[row_of] + lane_of
-        my_c = np.full((n, w), -1, dtype=np.int64)
-        my_w = np.zeros((n, w), dtype=np.float64)
-        my_c[row_of, lane_of] = state.comm[g.indices[eidx]]
-        my_w[row_of, lane_of] = g.weights[eidx]
+        lane_of = np.arange(total, dtype=np.int64) - np.repeat(
+            np.cumsum(d) - d, d
+        )
+        eidx = g.indptr[verts].astype(np.int64)[row_of] + lane_of
+        comm = state.comm[g.indices[eidx]].astype(np.int64)
         # Coalesced row loads (deg <= 32: one transaction per array per
         # vertex), then scattered C[u] gathers — same charges as the
         # scalar per-vertex ones, summed.
         prof.charge("decide_load", cost.access(MemoryKind.GLOBAL, n) * 2)
         prof.charge("decide_load", cost.access(MemoryKind.GLOBAL, total))
 
-        active = np.arange(w, dtype=np.int64)[None, :] < d[:, None]
-        warp = WarpBatch(self.device, active)
-        mask = warp.match_any_sync(my_c)
-        d_c = warp.reduce_add_sync(mask, my_w)
+        # Line 5, __match_any_sync: the match groups are the distinct
+        # (warp, community) runs.
+        order, new_run = _pair_runs(row_of, comm, n, len(state.comm_strength))
+        run_start = np.flatnonzero(new_run)
+        n_runs = len(run_start)
+        run_of = np.empty(total, dtype=np.int64)
+        run_of[order] = np.cumsum(new_run) - 1
+        san = analysis.current()
+        active = lane_masks = None
+        if san is not None:
+            active = np.arange(w, dtype=np.int64)[None, :] < d[:, None]
+            run_bits = np.bitwise_or.reduceat(
+                np.int64(1) << lane_of[order], run_start
+            )
+            lane_masks = np.zeros((n, w), dtype=np.int64)
+            lane_masks[row_of, lane_of] = run_bits[run_of]
+        _san_primitive("match_any_sync", active)
+        self._charge_primitive(n)
 
-        totals = np.zeros((n, w), dtype=np.float64)
-        totals[active] = state.comm_strength[my_c[active]]
-        # Leader lanes: the lowest lane of each match group (active lanes
-        # are a prefix, so "no lower lane holds my value" is exactly the
-        # scalar seen-set test).
-        lane_bit = np.int64(1) << np.arange(w, dtype=np.int64)
-        leader = active & ((mask & -mask) == lane_bit[None, :])
-        prof.charge(
-            "decide_load", cost.access(MemoryKind.GLOBAL, int(leader.sum()))
-        )
+        # Line 6, __reduce_add_sync: each run's weights at their lane
+        # positions in a zeroed 32-lane row, summed by the scalar
+        # primitive's contiguous 32-lane reduction, so the bits match.
+        lanes = np.zeros((n_runs, w), dtype=np.float64)
+        lanes[run_of, lane_of] = g.weights[eidx]
+        d_c = lanes.sum(axis=1)
+        _san_primitive("reduce_add_sync", active, masks=lane_masks)
+        self._charge_primitive(n)
+
+        # Line 7: one leader lane per run loads D_V(C) (scattered).
+        prof.charge("decide_load", cost.access(MemoryKind.GLOBAL, n_runs))
         prof.charge("decide_alu", cost.alu(total * 4))
+        first = order[run_start]
+        finite = _decide_runs(
+            state, row_of[first], comm[first], d_c, cur_sel, sv,
+            remove_self, sel, best_comm, best_gain, stay_gain,
+        )
 
-        is_own = my_c == cur_sel[:, None]
-        eff_totals = np.where(is_own & remove_self, totals - sv[:, None], totals)
-        gains = (d_c - gamma * eff_totals * sv[:, None] / two_m) / m
+        # Line 8: __reduce_max_sync, then a ballot of the maximal lanes
+        # (the tie rule) in the warps that found a finite winner.
+        _san_primitive("reduce_max_sync", active)
+        self._charge_primitive(n)
+        n_finite = int(finite.sum())
+        if n_finite:
+            _san_primitive(
+                "ballot_sync", None if active is None else active[finite]
+            )
+            self._charge_primitive(n_finite)
 
-        has_own = is_own.any(axis=1)
-        first_own = np.argmax(is_own, axis=1)
-        stay_gain[sel[has_own]] = gains[has_own, first_own[has_own]]
-
-        cand = np.where(is_own, -np.inf, gains)
-        cand[~active] = -np.inf
-        best = warp.reduce_max_sync(cand)
-        finite = np.isfinite(best)
-        if np.any(finite):
-            # the scalar path ballots only when a finite winner exists
-            sub = WarpBatch(self.device, active[finite])
-            sub.ballot_sync(cand[finite] == best[finite][:, None])
-            winner = cand[finite] == best[finite][:, None]
-            bc = np.where(winner, my_c[finite], _INT64_MAX).min(axis=1)
-            best_comm[sel[finite]] = bc
-            best_gain[sel[finite]] = best[finite]
+    def _charge_primitive(self, invocations: int) -> None:
+        """``invocations`` warp-primitive calls, one bulk charge."""
+        self.device.profiler.charge(
+            "warp_primitives", self.device.config.cost.warp_primitive(invocations)
+        )
+        self.device.profiler.count("warp_primitive_ops", invocations)
 
     def _call_batched(
         self, state: CommunityState, active_idx: np.ndarray, remove_self: bool

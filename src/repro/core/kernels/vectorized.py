@@ -32,6 +32,8 @@ import numpy as np
 from repro.core.state import CommunityState
 from repro.utils.arrays import repeat_by_counts, segment_argmax
 
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 @dataclass
 class DecideResult:
@@ -123,6 +125,35 @@ def _trivial_result(
     )
 
 
+def _pair_runs(
+    rows: np.ndarray, comm: np.ndarray, n_rows: int, span: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group ``(row, community)`` entries into runs: ``(order, new_run)``.
+
+    ``order`` sorts the entries by ``(row, community)`` stably, so each
+    run's entries stay in input order (the summation order the
+    cross-backend bit-exactness relies on); ``new_run[i]`` is whether
+    sorted entry ``i`` starts a run. Rows lie in ``[0, n_rows)`` and
+    community ids in ``[0, span)`` — ``len(state.comm_strength)`` exceeds
+    every id. ``rows`` must not be empty.
+    """
+    new_run = np.empty(len(rows), dtype=bool)
+    new_run[0] = True
+    # One stable sort of the packed key row*span + C — equivalent to
+    # lexsort((comm, rows)) but ~15x faster (single radix pass). Guard the
+    # key overflow (only reachable beyond ~3e9 vertices).
+    if int(n_rows) * int(span) <= _INT64_MAX:
+        key = rows * np.int64(span) + comm
+        order = np.argsort(key, kind="stable")
+        kord = key[order]
+        new_run[1:] = kord[1:] != kord[:-1]
+    else:  # pragma: no cover - beyond any laptop-scale graph
+        order = np.lexsort((comm, rows))
+        sr, sc = rows[order], comm[order]
+        new_run[1:] = (sr[1:] != sr[:-1]) | (sc[1:] != sc[:-1])
+    return order, new_run
+
+
 def _aggregate_pairs(
     state: CommunityState,
     active_idx: np.ndarray,
@@ -179,24 +210,7 @@ def _aggregate_pairs(
         # ARE the pair table. No sort, no summation.
         return cu, w, np.asarray(counts, dtype=np.int64), row_local
 
-    # Sort by the packed key (row, C) -> row*n + C with a stable sort —
-    # equivalent to lexsort((cu, row_local)) but ~15x faster (single radix
-    # pass); the stability keeps same-(v, C) weights in adjacency order,
-    # which the cross-backend bit-exactness relies on. Guard the n*n key
-    # overflow (only reachable beyond ~3e9 vertices).
-    if g.n <= 3_000_000_000:
-        key = row_local * np.int64(g.n) + cu
-        order = np.argsort(key, kind="stable")
-        kord = key[order]
-        new_run = np.empty(total, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = kord[1:] != kord[:-1]
-    else:  # pragma: no cover - beyond any laptop-scale graph
-        order = np.lexsort((cu, row_local))
-        sv, sc = row_local[order], cu[order]
-        new_run = np.empty(total, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = (sv[1:] != sv[:-1]) | (sc[1:] != sc[:-1])
+    order, new_run = _pair_runs(row_local, cu, n_act, len(state.comm_strength))
     pair_id = np.cumsum(new_run, dtype=np.int64) - 1
     d_vc = np.bincount(pair_id, weights=w[order])
     starts = order[np.flatnonzero(new_run)]
@@ -275,6 +289,52 @@ def _evaluate_pairs(
         stay_gain=stay_gain,
         move=move,
     )
+
+
+def _decide_runs(
+    state: CommunityState,
+    seg: np.ndarray,
+    keys: np.ndarray,
+    d_c: np.ndarray,
+    cur_sel: np.ndarray,
+    sv: np.ndarray,
+    remove_self: bool,
+    sel: np.ndarray,
+    best_comm: np.ndarray,
+    best_gain: np.ndarray,
+    stay_gain: np.ndarray,
+) -> np.ndarray:
+    """Gain phase of the batched GPU-sim shuffle and hash kernels, once per
+    ``(vertex, community)`` run: Algorithm 2 lines 7-8, Algorithm 3 lines
+    11-14.
+
+    Run ``r`` holds community ``keys[r]`` of local vertex ``seg[r]``
+    (ascending; every vertex has at least one run) with ``d_C(v)`` equal
+    to ``d_c[r]``. Writes the stay gain of vertices with an own run, and
+    the best candidate community (the smallest id among maximal gains)
+    and its gain of vertices with a finite one, at ``sel``; returns that
+    per-vertex finite mask.
+    """
+    g = state.graph
+    m = g.total_weight
+    totals = state.comm_strength[keys]
+    is_own = keys == cur_sel[seg]
+    eff_totals = np.where(is_own & remove_self, totals - sv[seg], totals)
+    gains = (d_c - state.resolution * eff_totals * sv[seg] / g.two_m) / m
+
+    own = np.flatnonzero(is_own)  # at most one own run per vertex
+    stay_gain[sel[seg[own]]] = gains[own]
+
+    cand = np.where(is_own, -np.inf, gains)
+    offs = np.flatnonzero(np.concatenate([[True], seg[1:] != seg[:-1]]))
+    best = np.maximum.reduceat(cand, offs)
+    finite = np.isfinite(best)
+    bc = np.minimum.reduceat(
+        np.where(cand == best[seg], keys, _INT64_MAX), offs
+    )
+    best_comm[sel[finite]] = bc[finite]
+    best_gain[sel[finite]] = best[finite]
+    return finite
 
 
 def decide_moves(

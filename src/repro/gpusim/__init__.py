@@ -10,9 +10,8 @@ provides a functional simulator of exactly those mechanisms:
   latencies) and named accounting buckets;
 * :mod:`device`   — device configuration (warp size, shared-memory budget);
 * :mod:`warp`     — warp-level primitives (``__match_any_sync``,
-  ``__reduce_add_sync``, ``__reduce_max_sync``, ``__shfl_sync``), scalar
-  (:class:`~repro.gpusim.warp.WarpContext`) and batched
-  (:class:`~repro.gpusim.warp.WarpBatch`);
+  ``__reduce_add_sync``, ``__reduce_max_sync``, ``__shfl_sync``) of one
+  warp (:class:`~repro.gpusim.warp.WarpContext`);
 * :mod:`hashtable` — the three hashtable designs the paper compares
   (global-only, unified, hierarchical), plus the batched
   structure-of-arrays execution of many tables at once;
@@ -26,10 +25,12 @@ reproduce the paper's orderings without CUDA hardware.
 
 Two execution engines drive the simulated kernels:
 
-* ``"batched"`` (default) — structure-of-arrays NumPy execution of whole
-  degree-bucketed vertex batches per step; bit-exact with the scalar
-  engine in both decisions and every profiler counter (tested), and fast
-  enough to run fig4/fig9 at paper-comparable scale;
+* ``"batched"`` (default) — NumPy execution of whole launches per
+  step: the shuffle kernel over each chunk's ``(vertex, community)``
+  runs, the hash kernel through
+  :class:`~repro.gpusim.hashtable.batched.BatchedTables`; bit-exact with
+  the scalar engine in both decisions and every profiler counter
+  (tested), and fast enough to run fig4/fig9 at paper-comparable scale;
 * ``"scalar"``  — the one-vertex-at-a-time reference interpreter, kept
   only as the oracle the batched engine is tested against.
 
@@ -42,7 +43,7 @@ import os
 from repro.gpusim.costmodel import CostModel, MemoryKind
 from repro.gpusim.device import Device, DeviceConfig
 from repro.gpusim.profiler import SimProfiler
-from repro.gpusim.warp import WarpBatch, WarpContext
+from repro.gpusim.warp import WarpContext
 
 #: Engines the simulated kernels accept, in preference order.
 ENGINES = ("batched", "scalar")
@@ -71,7 +72,6 @@ __all__ = [
     "DeviceConfig",
     "SimProfiler",
     "WarpContext",
-    "WarpBatch",
     "ENGINES",
     "resolve_engine",
 ]

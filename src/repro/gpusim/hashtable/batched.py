@@ -188,18 +188,6 @@ class BatchedTables:
     def num_entries(self) -> np.ndarray:
         return self.maintained_shared + self.maintained_global
 
-    def probe_slots(
-        self, keys: np.ndarray, p: np.ndarray | int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The ``p``-th probe candidate of each key: ``(is_shared, slot)``.
-
-        Matches element ``p`` of the scalar ``probe_sequence(key)`` of the
-        same kind (tested), with slots numbered within their own space.
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        p = np.broadcast_to(np.asarray(p, dtype=np.int64), keys.shape)
-        return self._probe_at(self._homes(keys), p)
-
     def _homes(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each key's hashed start(s) — all its probe sequence depends on.
 

@@ -12,6 +12,8 @@ so any divergence names the exact bucket that moved.
 import numpy as np
 import pytest
 
+from repro import analysis
+from repro.analysis.synccheck import SyncChecker
 from repro.core.gala import GalaConfig, gala
 from repro.core.kernels.dispatch import DispatchKernel
 from repro.core.kernels.hash import HashKernel
@@ -19,6 +21,7 @@ from repro.core.kernels.shuffle import ShuffleKernel
 from repro.core.phase1 import Phase1Config, run_phase1
 from repro.core.state import CommunityState
 from repro.bench.experiments.fig9_kernels import hub_workload
+from repro.graph.builder import from_edge_array
 from repro.graph.generators import load_dataset
 from repro.gpusim import ENGINES, resolve_engine
 from repro.gpusim.device import Device
@@ -139,6 +142,115 @@ class TestEveryCounterPinned:
         assert cycles["warp_primitives"] > 0
         assert cycles["hashtable"] > 0
         assert cycles["decide_load"] > 0
+
+
+def _bytes_equal(a, b):
+    """Bit-for-bit equality: tells -0.0 from 0.0 and catches a last-bit
+    difference that a tolerance would hide."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestFractionalWeights:
+    """Integer weights sum exactly in any order, so they cannot tell the
+    batched shuffle's 32-lane ``__reduce_add_sync`` from another
+    summation order; fractional weights spanning eight decades can."""
+
+    @pytest.fixture(scope="class")
+    def weighted(self):
+        g = load_dataset("LJ", scale=0.02)
+        src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+        upper = src < g.indices
+        rng = np.random.default_rng(11)
+        w = 10.0 ** rng.uniform(-4.0, 4.0, int(upper.sum()))
+        graph = from_edge_array(g.n, src[upper], g.indices[upper], w)
+        state = CommunityState.from_assignment(
+            graph, rng.integers(0, 3, graph.n)
+        )
+        return graph, state
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda d, e: ShuffleKernel(d, engine=e),
+            lambda d, e: DispatchKernel(d, engine=e),
+        ],
+        ids=["shuffle", "dispatch"],
+    )
+    def test_gains_bit_equal(self, weighted, make):
+        graph, state = weighted
+        deg = np.diff(graph.indptr)
+        assert np.any(graph.weights != np.round(graph.weights))
+        idx = np.flatnonzero(deg < 32).astype(np.int64)
+        sdev, bdev = Device(), Device()
+        scalar = make(sdev, "scalar")(state, idx)
+        batched = make(bdev, "batched")(state, idx)
+        np.testing.assert_array_equal(scalar.best_comm, batched.best_comm)
+        np.testing.assert_array_equal(scalar.move, batched.move)
+        _bytes_equal(scalar.best_gain, batched.best_gain)
+        _bytes_equal(scalar.stay_gain, batched.stay_gain)
+        assert sdev.profiler.diff(bdev.profiler) == {}
+
+
+class TestCommunityIds:
+    def test_shuffle_engines_agree_on_ids_beyond_n(self, small_graph):
+        """Community ids of ``n`` and more (``from_assignment`` does not reject
+        them) must not merge runs of neighbouring warps: id ``n + k`` in one
+        warp and ``k`` in the next would share the key ``row * n + comm``."""
+        n = small_graph.n
+        rng = np.random.default_rng(5)
+        ids = np.array([0, 1, 2, n, n + 1, n + 2])
+        state = CommunityState.from_assignment(small_graph, rng.choice(ids, n))
+        idx = np.flatnonzero(np.diff(small_graph.indptr) < 32).astype(np.int64)
+        sdev, bdev = Device(), Device()
+        scalar = ShuffleKernel(sdev, engine="scalar")(state, idx)
+        batched = ShuffleKernel(bdev, engine="batched")(state, idx)
+        np.testing.assert_array_equal(scalar.best_comm, batched.best_comm)
+        _bytes_equal(scalar.best_gain, batched.best_gain)
+        _bytes_equal(scalar.stay_gain, batched.stay_gain)
+        assert sdev.profiler.diff(bdev.profiler) == {}
+
+
+class TestSanitizerCoverage:
+    def test_shuffle_primitives_reach_synccheck_per_warp(
+        self, small_graph, monkeypatch
+    ):
+        """Under a sanitizer both engines hand synccheck the same warps,
+        in the same order, per primitive: each warp's active lanes and,
+        for ``__reduce_add_sync``, its lanes' mask words."""
+        seen = []
+        real = SyncChecker.warp_primitive
+
+        def record(self, primitive, active, masks=None, **kw):
+            act = np.atleast_2d(np.asarray(active, dtype=bool))
+            words = (
+                np.zeros(act.shape, dtype=np.int64)
+                if masks is None
+                else np.atleast_2d(np.asarray(masks, dtype=np.int64))
+            )
+            for a, m in zip(act, words):
+                seen.append((primitive, a.tobytes(), m.tobytes()))
+            return real(self, primitive, active, masks=masks, **kw)
+
+        monkeypatch.setattr(SyncChecker, "warp_primitive", record)
+        state = random_state(small_graph, n_comms=4)
+        deg = np.diff(small_graph.indptr)
+        idx = np.flatnonzero(deg < 32).astype(np.int64)
+        calls = {}
+        for engine in ENGINES:
+            seen.clear()
+            with analysis.sanitized("fast") as san:
+                ShuffleKernel(Device(), engine=engine)(state, idx)
+            assert san.log.clean, san.log.render()
+            calls[engine] = {
+                p: [c[1:] for c in seen if c[0] == p]
+                for p in sorted({c[0] for c in seen})
+            }
+        assert set(calls["scalar"]) == {
+            "match_any_sync", "reduce_add_sync", "reduce_max_sync", "ballot_sync"
+        }
+        assert calls["batched"] == calls["scalar"]
 
 
 class TestEngineSelection:

@@ -219,7 +219,9 @@ class TestProbeOrder:
         seq = list(itertools.islice(scalar.probe_sequence(key), 12))
         assert len(seq) == min(batched.max_probes, 12)
         for p, (space, slot) in enumerate(seq):
-            is_sh, slots = batched.probe_slots(np.array([key]), p)
+            is_sh, slots = batched._probe_at(
+                batched._homes(np.array([key])), np.array([p])
+            )
             assert bool(is_sh[0]) == (space is MemoryKind.SHARED)
             assert int(slots[0]) == slot
 
