@@ -134,7 +134,8 @@ def main() -> None:
             f"phase-1 on the LJ stand-in at REPRO_BENCH_SCALE={SCALE}; "
             "before = scalar engine (one vertex per Python iteration), "
             "after = batched engine (the default: shuffle kernel on "
-            "(vertex, community) runs, fixed-point hash probe resolution)"
+            "(vertex, community) runs, hash kernel in one ragged table "
+            "pass per launch with fixed-point probe resolution)"
         ),
         "machine": _machine(),
         "machine_note": (

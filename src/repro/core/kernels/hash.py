@@ -13,13 +13,15 @@ they report drive Figure 4.
 
 Two engines execute the same semantics:
 
-* ``"batched"`` (default) — all active vertices of one launch are grouped
-  by table geometry and decided through
-  :class:`~repro.gpusim.hashtable.batched.BatchedTables`, which replays
-  every per-vertex table's find-or-insert protocol in vectorised probe
-  rounds, then evaluates the gains once per ``(vertex, community)`` run
-  (``vectorized._decide_runs``, the gain phase the batched shuffle
-  kernel shares).
+* ``"batched"`` (default) — all active vertices of one launch are
+  decided in one pass through one
+  :class:`~repro.gpusim.hashtable.batched.BatchedTables`, one table per
+  vertex with its global region sized from the vertex's degree. It
+  replays every per-vertex table's find-or-insert protocol in vectorised
+  probe rounds; the kernel then evaluates the gains once per
+  ``(vertex, community)`` run (``vectorized._decide_runs``, the gain
+  phase the batched shuffle kernel shares). The bank conflicts of every
+  warp step of the launch are counted with one sort and one bincount.
   Bucket layouts, probe/conflict counts, Figure 4 rates and every
   profiler counter are bit-exact with the scalar engine (tested).
 * ``"scalar"`` — the original one-block-at-a-time reference interpreter.
@@ -47,7 +49,6 @@ from repro.gpusim.device import Device
 from repro.gpusim.hashtable import make_table
 from repro.gpusim.hashtable.base import SimHashTable, hash0_vec
 from repro.gpusim.hashtable.batched import BatchedTables
-from repro.obs import _session as obs
 
 _BANKS = 32  # shared_bank_conflict_factor's default bank count
 
@@ -234,15 +235,15 @@ class HashKernel:
         d: np.ndarray,
         cur_sel: np.ndarray,
         sv: np.ndarray,
-        global_buckets: int,
+        global_buckets: np.ndarray,
         remove_self: bool,
         sel: np.ndarray,
         best_comm: np.ndarray,
         best_gain: np.ndarray,
         stay_gain: np.ndarray,
     ) -> None:
-        """Decide one same-geometry group of deg>0 vertices, one simulated
-        block (= one table) per vertex."""
+        """Decide a launch's deg>0 vertices, one simulated block (= one
+        table of ``global_buckets[i]`` global buckets) per vertex."""
         g = state.graph
         cost = self.device.config.cost
         prof = self.device.profiler
@@ -262,37 +263,37 @@ class HashKernel:
         # Row streaming loads, summed over every vertex's block-sized
         # chunks: coalesced (indices + weights) transactions, then
         # scattered C[u] gathers — identical totals to the scalar chunks.
+        # A row's transactions are also its warp steps.
         full_steps = -(-bs // wsz)  # warp transactions per full chunk
         n_full = d // bs
         rem = d - n_full * bs
         trans = n_full * full_steps + -(-rem // wsz)
-        prof.charge(
-            "decide_load", cost.access(MemoryKind.GLOBAL, int(trans.sum())) * 2
-        )
+        n_steps = int(trans.sum())
+        prof.charge("decide_load", cost.access(MemoryKind.GLOBAL, n_steps) * 2)
         prof.charge("decide_load", cost.access(MemoryKind.GLOBAL, total))
 
         tables = BatchedTables(
-            self.table_kind, self.device, self.shared_buckets, global_buckets, n
+            self.table_kind, self.device, self.shared_buckets, global_buckets
         )
 
-        # Bank conflicts, vectorised over every warp-step of every chunk:
-        # the conflict factor is a pure function of the chunk's shared
-        # bucket addresses (independent of table state), so all steps can
-        # be judged at once via unique (step, address) -> bank counting.
+        # Bank conflicts, vectorised over every warp step of every chunk:
+        # the conflict factor is a pure function of the step's shared
+        # bucket addresses (independent of table state). Steps get dense
+        # ids; one sort gives the distinct (step, address) pairs and one
+        # bincount the distinct addresses per (step, bank).
         if tables.s > 0:
-            sub = (pos % bs) // wsz
-            max_chunks = int(n_full.max()) + 1
-            step = (row_of * max_chunks + pos // bs) * full_steps + sub
-            addr = hash0_vec(comms, tables.s)
-            uniq = np.unique(step * tables.s + addr)
-            step_u = uniq // tables.s
-            bank = (uniq - step_u * tables.s) % _BANKS
-            uniq2, cnt2 = np.unique(step_u * _BANKS + bank, return_counts=True)
-            st2 = uniq2 // _BANKS
-            seg_start = np.flatnonzero(
-                np.concatenate([[True], st2[1:] != st2[:-1]])
+            step = (
+                (np.cumsum(trans) - trans)[row_of]
+                + (pos // bs) * full_steps
+                + (pos % bs) // wsz
             )
-            factor = np.maximum.reduceat(cnt2, seg_start)
+            pair = np.sort(step * tables.s + hash0_vec(comms, tables.s))
+            pair = pair[np.concatenate([[True], pair[1:] != pair[:-1]])]
+            per_bank = np.bincount(
+                (pair // tables.s) * _BANKS + pair % tables.s % _BANKS,
+                minlength=n_steps * _BANKS,
+            ).reshape(n_steps, _BANKS)
+            factor = per_bank.max(axis=1)
             conflicted = factor > 1
             if np.any(conflicted):
                 prof.charge(
@@ -366,30 +367,25 @@ class HashKernel:
 
         work = np.flatnonzero(deg > 0)
         if len(work):
-            # one simulated table geometry per distinct degree-derived size
+            # every vertex's table sized from its degree
             uniq_deg, inv = np.unique(deg[work], return_inverse=True)
             gb = np.array(
                 [self._global_buckets_for(int(dv)) for dv in uniq_deg],
                 dtype=np.int64,
             )[inv]
-            for val in np.unique(gb):
-                sub = work[gb == val]
-                with obs.span(
-                    "kernel/hash_group", vertices=len(sub), global_buckets=int(val)
-                ):
-                    self._decide_block_group(
-                        state,
-                        active_idx[sub],
-                        deg[sub],
-                        cur[sub],
-                        strength_v[sub],
-                        int(val),
-                        remove_self,
-                        sub,
-                        best_comm,
-                        best_gain,
-                        stay_gain,
-                    )
+            self._decide_block_group(
+                state,
+                active_idx[work],
+                deg[work],
+                cur[work],
+                strength_v[work],
+                gb,
+                remove_self,
+                work,
+                best_comm,
+                best_gain,
+                stay_gain,
+            )
         prof.count("hash_vertices", n_act)
         valid = np.isfinite(best_gain)
         best_comm = np.where(valid, best_comm, cur)

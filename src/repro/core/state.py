@@ -60,7 +60,13 @@ class CommunityState:
     def from_assignment(
         cls, graph: CSRGraph, communities: np.ndarray, resolution: float = 1.0
     ) -> "CommunityState":
-        """State consistent with an arbitrary assignment (ids in [0, n))."""
+        """State consistent with an arbitrary assignment.
+
+        Ids are any non-negative integers, ``n`` or more included: the
+        per-community arrays then have ``max id + 1`` entries. Both
+        GPU-sim engines of the shuffle, hash and dispatch kernels decide
+        and charge identically on such ids (tested).
+        """
         comm = np.asarray(communities, dtype=np.int64).copy()
         if len(comm) != graph.n:
             raise ValueError("assignment length must equal graph.n")

@@ -4,25 +4,30 @@ The scalar tables (:mod:`repro.gpusim.hashtable.base`) execute one
 find-or-insert at a time through a Python probe generator — faithful, but
 the per-key interpreter overhead makes simulator-backed experiments
 100-1000x slower than the host kernels. :class:`BatchedTables` keeps the
-*semantics* of N independent scalar tables of one geometry while resolving
+*semantics* of N independent scalar tables of one kind while resolving
 whole key vectors per NumPy step:
 
+* **ragged geometry** — the tables share one shared-memory size ``s``
+  but each has its own global size ``g[t]`` (the hash kernel sizes a
+  vertex's table from its degree), so one whole launch is one
+  ``BatchedTables``. Every key hashes and probes with its own table's
+  ``g``; the global regions of all tables are laid end to end in one
+  flat array at offsets ``g_start``;
 * **bit-exact contents and statistics** — each table's keys are inserted
   in stream (first-occurrence) order exactly as the scalar protocol would,
   so bucket layouts, per-key probe paths, maintenance/access statistics and
   every profiler charge match the scalar tables bit for bit (pinned by
   tests);
 * **fixed-point probe resolution** — the hashes of every distinct key
-  are computed once; each sweep then walks every key's probe path in
-  parallel (one Python round per probe position) and stops it at the
-  first bucket that is neither held by another key nor claimed, in the
-  previous sweep, by a key inserted earlier into the same table. The
-  sweeps repeat until no claim moves, which is exactly the sequential
-  insertion order (see :meth:`BatchedTables._resolve`), so a stream
-  costs sweeps times probe depth Python rounds rather than one round per
-  probe of every key of the fullest table. Duplicate keys never re-enter
-  the probe loop: an occurrence of an already-resolved key replays a
-  *fixed* probe path (buckets only ever transition empty -> claimed), so
+  are computed once; a sweep walks probe paths in parallel (one Python
+  round per probe position) and stops each at the first bucket that is
+  neither held by another key nor claimed, in the previous sweep, by a
+  key inserted earlier into the same table. After the first sweep only
+  the keys that lost their stop bucket to an earlier key are walked
+  again, until a sweep moves no stop, which is exactly the sequential
+  insertion order (see :meth:`BatchedTables._resolve`). Duplicate keys
+  never re-enter the probe loop: an occurrence of an already-resolved
+  key replays a *fixed* probe path (buckets only ever transition empty -> claimed), so
   its probes, atomics and accesses are accounted for arithmetically via
   occurrence counts, and each key's probe count follows in closed form
   from the position where its path stops;
@@ -95,13 +100,18 @@ def _empty_runs() -> StreamRuns:
 
 
 class BatchedTables:
-    """``n_tables`` independent simulated hashtables of one geometry.
+    """One independent simulated hashtable per entry of ``global_buckets``.
 
     The geometry normalisation mirrors the scalar classes exactly
     (``global`` folds the shared budget into global memory, ``unified`` /
-    ``hierarchical`` clamp empty regions), so ``BatchedTables(kind, ...)``
-    has the same ``s``/``g`` and the same probe sequences as
-    ``make_table(kind, ...)``.
+    ``hierarchical`` clamp empty regions), so table ``t`` has the same
+    ``s``/``g[t]`` and the same probe sequences as
+    ``make_table(kind, device, shared_buckets, global_buckets[t])``.
+
+    Every bucket has one flat address: shared ``t * s + slot``, then
+    global ``n_tables * s + g_start[t] + slot``. ``shared_keys`` /
+    ``shared_vals`` are ``(n_tables, s)`` views of the shared part and
+    ``global_keys`` / ``global_vals`` flat views of the global part.
     """
 
     def __init__(
@@ -109,87 +119,80 @@ class BatchedTables:
         kind: str,
         device: Device,
         shared_buckets: int,
-        global_buckets: int,
-        n_tables: int,
+        global_buckets: np.ndarray,
     ):
-        if n_tables < 0:
-            raise ValueError("n_tables must be non-negative")
+        global_buckets = np.asarray(global_buckets, dtype=np.int64)
+        if global_buckets.ndim != 1:
+            raise ValueError("global_buckets must hold one size per table")
         # Geometry rules copied from GlobalOnlyHashTable / UnifiedHashTable
         # / HierarchicalHashTable __init__ — one place per design.
         if kind == "global":
-            s, g = 0, max(global_buckets + shared_buckets, 1)
+            s, g = 0, np.maximum(global_buckets + shared_buckets, 1)
         elif kind == "unified":
-            s, g = shared_buckets, max(global_buckets, 1)
+            s, g = shared_buckets, np.maximum(global_buckets, 1)
         elif kind == "hierarchical":
-            s, g = max(shared_buckets, 1), max(global_buckets, 1)
+            s, g = max(shared_buckets, 1), np.maximum(global_buckets, 1)
         else:
             raise ValueError(
                 f"unknown hashtable kind {kind!r}; expected one of "
                 "['global', 'hierarchical', 'unified']"
             )
-        if s < 0 or g < 0:
+        if s < 0:
             raise ValueError("bucket counts must be non-negative")
         max_shared = device.config.max_shared_buckets()
         if s > max_shared:
             raise HashTableFullError(
                 f"{s} shared buckets exceed the device budget of {max_shared}"
             )
+        n_tables = len(g)
         self.kind = kind
         self.device = device
         self.n_tables = n_tables
         self.s = s
         self.g = g
-        self.shared_keys = np.full((n_tables, s), _EMPTY, dtype=np.int64)
-        self.shared_vals = np.zeros((n_tables, s), dtype=np.float64)
-        self.global_keys = np.full((n_tables, g), _EMPTY, dtype=np.int64)
-        self.global_vals = np.zeros((n_tables, g), dtype=np.float64)
+        self.g_start = np.cumsum(g) - g
+        self._shared_size = n_tables * s
+        size = self._shared_size + int(g.sum())
+        self._keys = np.full(size, _EMPTY, dtype=np.int64)
+        self._vals = np.zeros(size, dtype=np.float64)
+        self.shared_keys = self._keys[: self._shared_size].reshape(n_tables, s)
+        self.shared_vals = self._vals[: self._shared_size].reshape(n_tables, s)
+        self.global_keys = self._keys[self._shared_size:]
+        self.global_vals = self._vals[self._shared_size:]
         # Figure 4 statistics, one entry per table
         self.maintained_shared = np.zeros(n_tables, dtype=np.int64)
         self.maintained_global = np.zeros(n_tables, dtype=np.int64)
         self.accesses_shared = np.zeros(n_tables, dtype=np.int64)
         self.accesses_global = np.zeros(n_tables, dtype=np.int64)
-        # Sanitizer wiring: the N tables share two flat regions (one per
-        # space) with addresses encoded as ``table * buckets + slot`` so
-        # distinct tables never alias in the happens-before model; the
-        # per-run resolution of the last accumulate_stream is kept so the
-        # kernel can replay the gain-phase reads after its block barrier.
+        # Sanitizer wiring: the N tables share two regions (one per space)
+        # addressed like the flat buckets — shared ``t * s + slot``, global
+        # ``g_start[t] + slot`` — so distinct tables never alias in the
+        # happens-before model.
         self._san_tag = f"btables{next(_table_serial)}"
-        self._last_resolution: tuple | None = None
-        self._san_reset_shadow(analysis.current())
-
-    def _san_reset_shadow(self, san) -> None:
+        san = analysis.current()
         if san is not None:
-            san.mem.reset_shadow(
-                (self._san_tag, "shared"), self.n_tables * self.s
-            )
-            san.mem.reset_shadow(
-                (self._san_tag, "global"), self.n_tables * self.g
-            )
-
-    def _san_flat_addr(
-        self, tables: np.ndarray, is_shared: np.ndarray, slots: np.ndarray
-    ) -> np.ndarray:
-        """Region-flat addresses: ``table * buckets(space) + slot``."""
-        return np.where(
-            is_shared, tables * self.s + slots, tables * self.g + slots
-        )
+            san.mem.reset_shadow((self._san_tag, "shared"), self._shared_size)
+            san.mem.reset_shadow((self._san_tag, "global"), len(self.global_keys))
 
     # ------------------------------------------------------------------ #
-    @property
-    def max_probes(self) -> int:
-        """Length of every table's probe sequence (same as scalar)."""
+    def max_probes(self, g: np.ndarray) -> np.ndarray:
+        """Length of the probe sequence of tables with global size ``g``
+        (same as scalar)."""
         if self.kind == "global":
-            return self.g
+            return g
         if self.kind == "unified":
-            return self.s + self.g
-        return 1 + self.g  # hierarchical: one shared probe, then global
+            return self.s + g
+        return 1 + g  # hierarchical: one shared probe, then global
 
     @property
     def num_entries(self) -> np.ndarray:
         return self.maintained_shared + self.maintained_global
 
-    def _homes(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each key's hashed start(s) — all its probe sequence depends on.
+    def _homes(
+        self, keys: np.ndarray, g: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each key's hashed start(s) in its table of global size ``g`` —
+        all its probe sequence depends on.
 
         ``global`` / ``unified``: the start of the linear probe over the
         global / concatenated bucket array (second entry unused);
@@ -197,29 +200,31 @@ class BatchedTables:
         the global probe.
         """
         if self.kind == "global":
-            return hash0_vec(keys, self.g), keys
+            return hash0_vec(keys, g), keys
         if self.kind == "unified":
-            return hash0_vec(keys, self.s + self.g), keys
-        return hash0_vec(keys, self.s), hash1_vec(keys, self.g)
+            return hash0_vec(keys, self.s + g), keys
+        return hash0_vec(keys, self.s), hash1_vec(keys, g)
 
     def _probe_at(
-        self, homes: tuple[np.ndarray, np.ndarray], p: np.ndarray
+        self, homes: tuple[np.ndarray, np.ndarray], g: np.ndarray, p: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Probe ``p`` of the keys with hashed starts ``homes``."""
+        """Probe ``p`` of the keys with hashed starts ``homes`` in tables
+        of global size ``g``: ``(is_shared, slot)``."""
         first, second = homes
         if self.kind == "global":
-            return np.zeros(p.shape, dtype=bool), (first + p) % self.g
+            return np.zeros(p.shape, dtype=bool), (first + p) % g
         if self.kind == "unified":
-            idx = (first + p) % (self.s + self.g)
+            idx = (first + p) % (self.s + g)
             is_shared = idx < self.s
             return is_shared, np.where(is_shared, idx, idx - self.s)
         is_shared = p == 0
-        return is_shared, np.where(
-            is_shared, first, (second + p - 1) % self.g
-        )
+        return is_shared, np.where(is_shared, first, (second + p - 1) % g)
 
     def _probe_split(
-        self, homes: tuple[np.ndarray, np.ndarray], n_probes: np.ndarray
+        self,
+        homes: tuple[np.ndarray, np.ndarray],
+        g: np.ndarray,
+        n_probes: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(shared, global)`` probe counts of the first ``n_probes``
         (>= 1) probes of each key, in closed form per kind."""
@@ -229,7 +234,7 @@ class BatchedTables:
             return np.ones_like(n_probes), n_probes - 1
         # unified: shared indices among (start + i) % total, i < n_probes;
         # below(x) counts the shared indices of the unrolled range [0, x)
-        total = self.s + self.g
+        total = self.s + g
 
         def below(x):
             return (x // total) * self.s + np.minimum(x % total, self.s)
@@ -237,16 +242,6 @@ class BatchedTables:
         first = homes[0]
         shared = below(first + n_probes) - below(first)
         return shared, n_probes - shared
-
-    # ------------------------------------------------------------------ #
-    def _occupants(
-        self, tables: np.ndarray, is_shared: np.ndarray, slots: np.ndarray
-    ) -> np.ndarray:
-        out = np.empty(len(tables), dtype=np.int64)
-        sh = is_shared
-        out[sh] = self.shared_keys[tables[sh], slots[sh]]
-        out[~sh] = self.global_keys[tables[~sh], slots[~sh]]
-        return out
 
     def _charge_probes(self, n_shared: int, n_global: int) -> None:
         cost = self.device.config.cost
@@ -316,44 +311,34 @@ class BatchedTables:
         value = value[ord2]
         first_flat = first_flat[ord2]
 
-        homes = self._homes(run_key)
-        stop, depth = self._resolve(run_table, run_key, homes)
+        run_g = self.g[run_table]
+        homes = self._homes(run_key, run_g)
+        stop, depth = self._resolve(run_table, run_key, homes, run_g)
         exhausted = stop < 0
         san = analysis.current()
         if san is not None:
             self._san_check_paths(
-                san, homes, np.where(exhausted, self.max_probes, depth + 1)
+                san, homes, run_g,
+                np.where(exhausted, self.max_probes(run_g), depth + 1),
             )
         if np.any(exhausted):
             bad = np.flatnonzero(exhausted)
             worst = bad[np.argmin(first_flat[bad])]
             raise HashTableFullError(
                 f"no free bucket for key {int(run_key[worst])} "
-                f"(s={self.s}, g={self.g})"
+                f"(s={self.s}, g={int(run_g[worst])})"
             )
-        shared_size = self.n_tables * self.s
-        res_shared = stop < shared_size
-        res_slot = stop - np.where(
-            res_shared, run_table * self.s, shared_size + run_table * self.g
-        )
+        sh = stop < self._shared_size
         # claim the empty buckets (atomicCAS); found keys were inserted
         # by an earlier call and are plain hits
-        claimed = self._occupants(run_table, res_shared, res_slot) == _EMPTY
-        sh_claim = claimed & res_shared
-        gl_claim = claimed & ~res_shared
-        self.shared_keys[run_table[sh_claim], res_slot[sh_claim]] = run_key[
-            sh_claim
-        ]
-        self.global_keys[run_table[gl_claim], res_slot[gl_claim]] = run_key[
-            gl_claim
-        ]
-        probes_sh, probes_gl = self._probe_split(homes, depth + 1)
+        claimed = self._keys[stop] == _EMPTY
+        self._keys[stop[claimed]] = run_key[claimed]
+        probes_sh, probes_gl = self._probe_split(homes, run_g, depth + 1)
 
         # Accumulate values (stream-ordered group sums; fresh buckets held
-        # exactly 0.0, so += reproduces the scalar running sums bit-exactly).
-        sh = res_shared
-        self.shared_vals[run_table[sh], res_slot[sh]] += value[sh]
-        self.global_vals[run_table[~sh], res_slot[~sh]] += value[~sh]
+        # exactly 0.0, so += reproduces the scalar running sums bit-exactly;
+        # every run owns a distinct bucket).
+        self._vals[stop] += value
 
         # Bulk accounting: every occurrence of a run replays its probe
         # path and does one atomicAdd; first occurrences of claimed runs
@@ -383,11 +368,10 @@ class BatchedTables:
             run_table[~sh], weights=occ[~sh], minlength=self.n_tables
         ).astype(np.int64)
 
-        self._last_resolution = (run_table, res_shared, res_slot)
         if san is not None:
             self._san_after_stream(
                 san, table_of, lanes, order, run_of_sorted, ord2,
-                run_table, res_shared, res_slot, claimed,
+                np.where(sh, stop, stop - self._shared_size), sh, claimed,
             )
 
         return StreamRuns(
@@ -395,7 +379,7 @@ class BatchedTables:
             key=run_key,
             value=value,
             occ=occ,
-            resident_shared=res_shared,
+            resident_shared=sh,
             probes_shared=probes_sh,
             probes_global=probes_gl,
         )
@@ -405,42 +389,58 @@ class BatchedTables:
         run_table: np.ndarray,
         run_key: np.ndarray,
         homes: tuple[np.ndarray, np.ndarray],
+        run_g: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Where the sequential protocol stops each run: ``(bucket, probe)``.
 
         ``bucket`` is the flat address of the bucket holding the run's
-        key once it is inserted or found — shared ``table * s + slot``,
-        then global ``n_tables * s + table * g + slot`` — or -1 when the
-        run finds no free bucket; ``probe`` is that bucket's position in
-        the run's probe sequence.
+        key once it is inserted or found, or -1 when the run finds no
+        free bucket; ``probe`` is that bucket's position in the run's
+        probe sequence.
 
         The runs of a table come in insertion order, so a run's index is
-        its rank. The stops are a fixed point over rank: each sweep walks
-        every run's probe path in parallel and stops it at the first
-        bucket that is neither held by another key nor claimed, in the
-        previous sweep, by a lower-rank run of the same table (the
-        per-bucket minimum claiming rank). A run's stop depends only on
-        lower ranks' claims, so rank k is final after sweep k + 1, and
-        the first sweep that moves no stop has reproduced the sequential
-        insertion order exactly. Python rounds: sweeps times probe depth.
+        its rank. The stops are a fixed point over rank: a run stops at
+        the first bucket of its probe path that is neither held by
+        another key nor claimed, in the previous sweep, by a lower-rank
+        run of the same table (the per-bucket minimum claiming rank). A
+        run's stop depends only on lower ranks' claims, so rank k is
+        final after sweep k + 1, and the first sweep that moves no stop
+        has reproduced the sequential insertion order exactly.
+
+        The first sweep walks every run; later sweeps walk again only the
+        runs whose stop bucket now has a lower-rank claimer. Any other
+        run would walk to the stop it has, because no bucket that
+        blocked its last walk has opened since:
+
+        * a bucket held by another key stays held, since the held keys
+          never change within a call;
+        * a claimed bucket stays claimed by the same or a lower rank.
+          The lowest-rank claimer of a bucket keeps its stop in the next
+          sweep: what blocked its own walk still blocks it (induction
+          over the sweeps; nothing is claimed before the first), and its
+          stop bucket has no lower-rank claimer.
+
+        Its stop bucket is still open to it, as no lower rank claims it.
+        So every sweep yields the stops a full sweep would, and the loop
+        ends on the same sweep. Python rounds: sweeps times probe depth.
         """
-        n_runs = len(run_key)
-        held = np.concatenate(
-            [self.shared_keys.reshape(-1), self.global_keys.reshape(-1)]
-        )
+        held = self._keys
         base_sh = run_table * self.s
-        base_gl = self.n_tables * self.s + run_table * self.g
-        rank = np.arange(n_runs, dtype=np.int64)
+        base_gl = self._shared_size + self.g_start[run_table]
+        limit = self.max_probes(run_g)
         claimer = np.full(len(held), _INT64_MAX, dtype=np.int64)
-        stop = np.full(n_runs, -1, dtype=np.int64)
+        stop = np.full(len(run_key), -1, dtype=np.int64)
+        depth = np.zeros(len(run_key), dtype=np.int64)
+        claimed_at = np.empty(0, dtype=np.int64)
+        todo = np.arange(len(run_key), dtype=np.int64)
         while True:
-            new_stop = np.full(n_runs, -1, dtype=np.int64)
-            depth = np.zeros(n_runs, dtype=np.int64)
-            walking = rank
-            p = np.zeros(n_runs, dtype=np.int64)
+            new_stop = stop.copy()
+            new_stop[todo] = -1
+            walking = todo  # run index = rank
+            p = np.zeros(len(todo), dtype=np.int64)
             while len(walking):
                 is_sh, slot = self._probe_at(
-                    (homes[0][walking], homes[1][walking]), p
+                    (homes[0][walking], homes[1][walking]), run_g[walking], p
                 )
                 addr = np.where(is_sh, base_sh[walking], base_gl[walking]) + slot
                 occupant = held[addr]
@@ -450,32 +450,46 @@ class BatchedTables:
                 new_stop[walking[free]] = addr[free]
                 depth[walking[free]] = p[free]
                 walking, p = walking[~free], p[~free] + 1
-                walking, p = walking[p < self.max_probes], p[p < self.max_probes]
+                go = p < limit[walking]
+                walking, p = walking[go], p[go]
             if np.array_equal(new_stop, stop):
                 return stop, depth
             stop = new_stop
             claims = stop >= 0
             claims[claims] = held[stop[claims]] == _EMPTY
-            claimer.fill(_INT64_MAX)
-            np.minimum.at(claimer, stop[claims], rank[claims])
+            claimer[claimed_at] = _INT64_MAX
+            claimed_at = stop[claims]
+            np.minimum.at(claimer, claimed_at, np.flatnonzero(claims))
+            placed = np.flatnonzero(stop >= 0)
+            todo = placed[claimer[stop[placed]] < placed]
 
     def _san_check_paths(
-        self, san, homes: tuple[np.ndarray, np.ndarray], n_probed: np.ndarray
+        self,
+        san,
+        homes: tuple[np.ndarray, np.ndarray],
+        run_g: np.ndarray,
+        n_probed: np.ndarray,
     ) -> None:
         """Bounds-check every bucket the runs probe: the first
-        ``n_probed[r]`` probes of run ``r``, each once."""
+        ``n_probed[r]`` probes of run ``r``, each once, shared slots
+        against ``s`` and global slots against their own table's ``g``."""
         run_of = np.repeat(np.arange(len(n_probed), dtype=np.int64), n_probed)
         p = np.arange(len(run_of), dtype=np.int64) - np.repeat(
             np.cumsum(n_probed) - n_probed, n_probed
         )
-        is_sh, slot = self._probe_at((homes[0][run_of], homes[1][run_of]), p)
+        g_of = run_g[run_of]
+        is_sh, slot = self._probe_at(
+            (homes[0][run_of], homes[1][run_of]), g_of, p
+        )
         if bool(is_sh.any()):
             san.mem.check_bounds(
                 (self._san_tag, "shared"), slot[is_sh], self.s, kernel="hash"
             )
-        if not bool(is_sh.all()):
+        g_gl, slot_gl = g_of[~is_sh], slot[~is_sh]
+        for g in np.unique(g_gl):
             san.mem.check_bounds(
-                (self._san_tag, "global"), slot[~is_sh], self.g, kernel="hash"
+                (self._san_tag, "global"), slot_gl[g_gl == g], int(g),
+                kernel="hash",
             )
 
     # ------------------------------------------------------------------ #
@@ -487,43 +501,41 @@ class BatchedTables:
         order: np.ndarray,
         run_of_sorted: np.ndarray,
         ord2: np.ndarray,
-        run_table: np.ndarray,
+        flat_addr: np.ndarray,
         res_shared: np.ndarray,
-        res_slot: np.ndarray,
         claimed: np.ndarray,
     ) -> None:
         """Post-resolution sanitizer events for one accumulate_stream.
 
-        Every stream occurrence replays its run's resolved bucket as one
+        ``flat_addr`` is each run's address in its space's region. Every
+        stream occurrence replays its run's resolved bucket as one
         atomic racecheck event (claim + add are both atomics); claimed
         buckets are marked initialised; a table whose shared level filled
         completely while it still spilled to global is a capacity
         overflow.
         """
         n = len(table_of)
-        n_runs = len(run_table)
-        flat_addr = self._san_flat_addr(run_table, res_shared, res_slot)
-        if n:
-            # map each stream element to its run (post-ord2 numbering)
-            new_of_old = np.empty(n_runs, dtype=np.int64)
-            new_of_old[ord2] = np.arange(n_runs, dtype=np.int64)
-            run_flat = np.empty(n, dtype=np.int64)
-            run_flat[order] = new_of_old[run_of_sorted]
-            lane_of = (
-                np.arange(n, dtype=np.int64)
-                if lanes is None
-                else np.asarray(lanes, dtype=np.int64)
-            )
-            e_sh = res_shared[run_flat]
-            for space, mask in (("shared", e_sh), ("global", ~e_sh)):
-                if bool(mask.any()):
-                    san.race.access(
-                        (self._san_tag, space),
-                        flat_addr[run_flat][mask],
-                        lane_of[mask],
-                        "atomic",
-                        kernel="hash",
-                    )
+        n_runs = len(flat_addr)
+        # map each stream element to its run (post-ord2 numbering)
+        new_of_old = np.empty(n_runs, dtype=np.int64)
+        new_of_old[ord2] = np.arange(n_runs, dtype=np.int64)
+        run_flat = np.empty(n, dtype=np.int64)
+        run_flat[order] = new_of_old[run_of_sorted]
+        lane_of = (
+            np.arange(n, dtype=np.int64)
+            if lanes is None
+            else np.asarray(lanes, dtype=np.int64)
+        )
+        e_sh = res_shared[run_flat]
+        for space, mask in (("shared", e_sh), ("global", ~e_sh)):
+            if bool(mask.any()):
+                san.race.access(
+                    (self._san_tag, space),
+                    flat_addr[run_flat][mask],
+                    lane_of[mask],
+                    "atomic",
+                    kernel="hash",
+                )
         for space, mask in (
             ("shared", claimed & res_shared),
             ("global", claimed & ~res_shared),
@@ -550,51 +562,22 @@ class BatchedTables:
         plus the shadow-init check — mirroring what
         :meth:`SimHashTable.items` records on the scalar engine.
         """
-        for space, keys_arr, buckets in (
-            ("shared", self.shared_keys, self.s),
-            ("global", self.global_keys, self.g),
+        for space, keys_arr in (
+            ("shared", self.shared_keys.reshape(-1)),
+            ("global", self.global_keys),
         ):
-            tv, ts = np.nonzero(keys_arr != _EMPTY)
-            if not len(tv):
+            addr = np.flatnonzero(keys_arr != _EMPTY)
+            if not len(addr):
                 continue
-            addr = tv * buckets + ts
             san.mem.check_init((self._san_tag, space), addr, kernel="hash")
+            if space == "shared":
+                table = addr // self.s
+            else:
+                table = np.searchsorted(self.g_start, addr, side="right") - 1
             # entry index within its table = the reading lane
-            starts = np.flatnonzero(np.concatenate([[True], tv[1:] != tv[:-1]]))
-            offsets = np.zeros(len(tv), dtype=np.int64)
-            offsets[starts] = np.arange(len(tv), dtype=np.int64)[starts]
-            lane = np.arange(len(tv), dtype=np.int64) - np.maximum.accumulate(
-                offsets
+            lane = np.arange(len(addr), dtype=np.int64) - np.searchsorted(
+                table, table
             )
             san.race.access(
                 (self._san_tag, space), addr, lane, "read", kernel="hash"
             )
-
-    # ------------------------------------------------------------------ #
-    def items_flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All entries as ``(table, key, value)``, shared slots first per
-        table then global — the concatenation of every table's ``items()``."""
-        sv, ss = np.nonzero(self.shared_keys != _EMPTY)
-        gv, gs = np.nonzero(self.global_keys != _EMPTY)
-        tb = np.concatenate([sv, gv])
-        ky = np.concatenate(
-            [self.shared_keys[sv, ss], self.global_keys[gv, gs]]
-        )
-        vl = np.concatenate(
-            [self.shared_vals[sv, ss], self.global_vals[gv, gs]]
-        )
-        order = np.argsort(tb, kind="stable")
-        return tb[order], ky[order], vl[order]
-
-    def reset(self) -> None:
-        """Clear contents and statistics of every table."""
-        self.shared_keys.fill(_EMPTY)
-        self.shared_vals.fill(0.0)
-        self.global_keys.fill(_EMPTY)
-        self.global_vals.fill(0.0)
-        self.maintained_shared.fill(0)
-        self.maintained_global.fill(0)
-        self.accesses_shared.fill(0)
-        self.accesses_global.fill(0)
-        self._last_resolution = None
-        self._san_reset_shadow(analysis.current())

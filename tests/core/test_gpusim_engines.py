@@ -194,22 +194,94 @@ class TestFractionalWeights:
 
 
 class TestCommunityIds:
-    def test_shuffle_engines_agree_on_ids_beyond_n(self, small_graph):
-        """Community ids of ``n`` and more (``from_assignment`` does not reject
-        them) must not merge runs of neighbouring warps: id ``n + k`` in one
-        warp and ``k`` in the next would share the key ``row * n + comm``."""
-        n = small_graph.n
+    """Community ids of ``n`` and more (``from_assignment`` accepts them)
+    must decide and charge exactly as on the scalar engine."""
+
+    @staticmethod
+    def _assert_engines_agree(graph, make, idx):
+        n = graph.n
         rng = np.random.default_rng(5)
         ids = np.array([0, 1, 2, n, n + 1, n + 2])
-        state = CommunityState.from_assignment(small_graph, rng.choice(ids, n))
-        idx = np.flatnonzero(np.diff(small_graph.indptr) < 32).astype(np.int64)
+        state = CommunityState.from_assignment(graph, rng.choice(ids, n))
         sdev, bdev = Device(), Device()
-        scalar = ShuffleKernel(sdev, engine="scalar")(state, idx)
-        batched = ShuffleKernel(bdev, engine="batched")(state, idx)
+        scalar = make(sdev, "scalar")(state, idx)
+        batched = make(bdev, "batched")(state, idx)
         np.testing.assert_array_equal(scalar.best_comm, batched.best_comm)
+        np.testing.assert_array_equal(scalar.move, batched.move)
         _bytes_equal(scalar.best_gain, batched.best_gain)
         _bytes_equal(scalar.stay_gain, batched.stay_gain)
         assert sdev.profiler.diff(bdev.profiler) == {}
+
+    def test_shuffle_engines_agree_on_ids_beyond_n(self, small_graph):
+        """Id ``n + k`` in one warp and ``k`` in the next would share the
+        key ``row * n + comm``: the runs of neighbouring warps must not
+        merge."""
+        idx = np.flatnonzero(np.diff(small_graph.indptr) < 32).astype(np.int64)
+        self._assert_engines_agree(
+            small_graph, lambda d, e: ShuffleKernel(d, engine=e), idx
+        )
+
+    @pytest.mark.parametrize(
+        "make",
+        [m for name, m in KERNEL_CONFIGS if name != "shuffle"],
+        ids=[name for name, _ in KERNEL_CONFIGS if name != "shuffle"],
+    )
+    def test_hash_and_dispatch_engines_agree_on_ids_beyond_n(
+        self, small_graph, make
+    ):
+        idx = np.arange(small_graph.n, dtype=np.int64)
+        self._assert_engines_agree(small_graph, make, idx)
+
+
+class TestMixedGeometryLaunch:
+    """One hash launch mixing rows longer than a block with rows shorter
+    than a warp: every vertex's table has its own global size. A shared
+    level of 8 buckets forces spills to global memory; one of 256 spans
+    more than the 32 banks, so warp steps conflict."""
+
+    @pytest.fixture(scope="class")
+    def launch(self):
+        rng = np.random.default_rng(8)
+        hub_degrees, n_leaves = [40, 150, 300], 300
+        n_hubs = len(hub_degrees)
+        src = np.repeat(np.arange(n_hubs), hub_degrees)
+        dst = n_hubs + np.concatenate(
+            [rng.choice(n_leaves, d, replace=False) for d in hub_degrees]
+        )
+        w = 10.0 ** rng.uniform(-2.0, 2.0, len(src))
+        graph = from_edge_array(n_hubs + n_leaves, src, dst, w)
+        state = CommunityState.from_assignment(
+            graph, rng.integers(0, 60, graph.n)
+        )
+        return state, np.arange(graph.n, dtype=np.int64)
+
+    @pytest.mark.parametrize("shared_buckets", [8, 256])
+    @pytest.mark.parametrize("block_size", [128, 16])
+    @pytest.mark.parametrize("kind", ["hierarchical", "unified", "global"])
+    def test_engines_agree(self, launch, kind, block_size, shared_buckets):
+        state, idx = launch
+        deg = np.diff(state.graph.indptr)
+        assert deg.max() > block_size and np.any((deg > 0) & (deg < 32))
+        kernels, results = {}, {}
+        for engine in ENGINES:
+            kernels[engine] = HashKernel(
+                Device(), kind, shared_buckets=shared_buckets,
+                block_size=block_size, engine=engine,
+            )
+            results[engine] = kernels[engine](state, idx)
+        scalar, batched = results["scalar"], results["batched"]
+        np.testing.assert_array_equal(scalar.best_comm, batched.best_comm)
+        np.testing.assert_array_equal(scalar.move, batched.move)
+        _bytes_equal(scalar.best_gain, batched.best_gain)
+        _bytes_equal(scalar.stay_gain, batched.stay_gain)
+        sprof = kernels["scalar"].device.profiler
+        bprof = kernels["batched"].device.profiler
+        assert sprof.diff(bprof) == {}
+        if shared_buckets == 8:
+            assert bprof.counters["global_probes"] > 0
+        elif kind != "global":
+            assert bprof.counters["bank_conflict_steps"] > 0
+        assert kernels["scalar"].flush_rates() == kernels["batched"].flush_rates()
 
 
 class TestSanitizerCoverage:
